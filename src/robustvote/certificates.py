@@ -1,0 +1,203 @@
+"""Substitution-only checks of every certificate the package emits.
+
+A certificate (weights, a mixture, a witness point, row multipliers, game
+strategies, a dominating rule, a utility table) promises inequalities about
+the data it was built from.  Each function here evaluates one kind of
+promise by exact substitution; nothing here solves, searches or normalizes.
+Every producer runs the matching check on the certificate it is about to
+return and raises InternalError when it fails, also under `python -O`;
+`verify` runs the same checks on the certificates embedded in a report.
+"""
+
+from __future__ import annotations
+
+import operator
+from fractions import Fraction
+from typing import Sequence
+
+# The vocabulary of the systems and representations checked here; lp and
+# wmr re-export it.
+REL_GE = ">="
+REL_GT = ">"
+REL_EQ = "="
+
+SIGN_FREE = "free"
+SIGN_NONNEG = "nonneg"
+
+TIES_ALLOWED = "allowed"
+TIES_FORBIDDEN = "forbidden"
+TIE_MODES = (TIES_ALLOWED, TIES_FORBIDDEN)
+
+_ZERO = Fraction(0)
+_HOLDS = {REL_GE: operator.ge, REL_GT: operator.gt, REL_EQ: operator.eq}
+
+
+class InternalError(Exception):
+    """A certificate failed its own check before leaving its producer: a
+    defect in the package, never a verdict, so neither a ValueError (bad
+    input) nor an AssertionError (stripped by `python -O`)."""
+
+
+def require(holds: bool, message: str) -> None:
+    """Raise InternalError(message) unless a producer's check holds."""
+    if not holds:
+        raise InternalError(message)
+
+
+def is_distribution(values: Sequence[Fraction]) -> bool:
+    """Nonnegative entries summing to one."""
+    return all(v >= 0 for v in values) and sum(values) == 1
+
+
+def failed_column(matrix, weights, bound=_ZERO, strict=True) -> int | None:
+    """First column j where sum_i weights[i] * matrix[i][j] is not above
+    bound (strict) or not at least bound, or None: robustness weights clear
+    zero at every extreme point; a game's row strategy reaches the value."""
+    for j in range(len(matrix[0])):
+        dot = sum((w * row[j] for w, row in zip(weights, matrix) if w), _ZERO)
+        if not (dot > bound if strict else dot >= bound):
+            return j
+    return None
+
+
+def failed_row(matrix, mixture, bound=_ZERO, strict=False) -> int | None:
+    """First row i where sum_j matrix[i][j] * mixture[j] is not below bound
+    (strict) or not at most bound, or None: a robustness mixture holds every
+    individual to zero; a game's column strategy holds every row to the value."""
+    for i, row in enumerate(matrix):
+        dot = sum((a * m for a, m in zip(row, mixture) if m), _ZERO)
+        if not (dot < bound if strict else dot <= bound):
+            return i
+    return None
+
+
+def robustness_problem(matrix, strict: bool, weights=None, mixture=None) -> str | None:
+    """What is wrong with robustness weights, or else a mixture, over the
+    agreement matrix (individuals by extreme points), or None.  Both must be
+    distributions; weights clear every column (strictly when strict), and a
+    mixture holds every row at or below zero (below zero when not strict)."""
+    if weights is not None:
+        if not is_distribution(weights):
+            return "weights are not a distribution over individuals"
+        j = failed_column(matrix, weights, strict=strict)
+        return None if j is None else f"weights fail extreme point {j}"
+    if not is_distribution(mixture):
+        return "mixture is not a distribution over extreme points"
+    i = failed_row(matrix, mixture, strict=not strict)
+    return None if i is None else f"mixture leaves individual {i + 1} responsive"
+
+
+def satisfies(system, point: Sequence[Fraction]) -> bool:
+    """Exact substitution of a point into a LinearSystem, including the
+    variable sign domains."""
+    values = [Fraction(v) for v in point]
+    if len(values) != system.num_vars:
+        return False
+    for value, sign in zip(values, system.var_signs):
+        if sign == SIGN_NONNEG and value < 0:
+            return False
+    return all(
+        _HOLDS[row.relation](sum((c * v for c, v in zip(row.coeffs, values)), _ZERO), row.rhs)
+        for row in system.rows
+    )
+
+
+def certifies_infeasibility(system, multipliers: Sequence[Fraction]) -> bool:
+    """Check that row multipliers combine a LinearSystem into a contradiction.
+
+    Requirements: multipliers on inequality rows are nonnegative; the
+    combined coefficient of every nonnegative variable is <= 0 and of every
+    free variable exactly 0; the combined right-hand side is positive, or
+    zero with positive total weight on strict rows.
+    """
+    mults = [Fraction(m) for m in multipliers]
+    if len(mults) != len(system.rows):
+        return False
+    for mult, row in zip(mults, system.rows):
+        if row.relation != REL_EQ and mult < 0:
+            return False
+    combined = [_ZERO] * system.num_vars
+    for mult, row in zip(mults, system.rows):
+        if mult == 0:
+            continue
+        for k, c in enumerate(row.coeffs):
+            combined[k] += mult * c
+    for value, sign in zip(combined, system.var_signs):
+        if sign == SIGN_NONNEG and value > 0:
+            return False
+        if sign == SIGN_FREE and value != 0:
+            return False
+    rhs = sum((m * row.rhs for m, row in zip(mults, system.rows)), _ZERO)
+    strict_mass = sum(
+        (m for m, row in zip(mults, system.rows) if row.relation == REL_GT), _ZERO
+    )
+    return rhs > 0 or (rhs == 0 and strict_mass > 0)
+
+
+def vote_sums(weights: Sequence[Fraction]) -> list[Fraction]:
+    """The weighted vote sum sum_i w_i x_i at every profile, in index order."""
+    return [
+        sum((w if idx >> i & 1 else -w for i, w in enumerate(weights)), _ZERO)
+        for idx in range(2 ** len(weights))
+    ]
+
+
+def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
+    """Exact check that the weighted sum sides with every outcome."""
+    if ties not in TIE_MODES:
+        raise ValueError(f"unknown tie mode {ties!r}")
+    ws = [Fraction(w) for w in weights]
+    if len(ws) != rule.n:
+        raise ValueError(f"{len(ws)} weights for n={rule.n}")
+    if all(w == 0 for w in ws):
+        return False
+    for outcome, total in zip(rule.outcomes, vote_sums(ws)):
+        signed = outcome * total
+        if signed < 0 or (signed == 0 and ties == TIES_FORBIDDEN):
+            return False
+    return True
+
+
+def sign_pattern_holds(rule, weights: Sequence[Fraction]) -> bool:
+    """Whether the weighted vote sum has the strict sign of the expected
+    outcome at every profile: the certificate of a robust random rule."""
+    return all(o * total > 0 for o, total in zip(rule.outcomes, vote_sums(weights)))
+
+
+def holds_at_half(values: Sequence[Fraction]) -> bool:
+    """Whether no responsiveness exceeds one half: the counterexample to the
+    robustness of a random rule."""
+    return all(2 * v <= 1 for v in values)
+
+
+def rtf_maximum(weights: Sequence[Fraction], dist) -> Fraction:
+    """The maximum over all rules of sum_i w_i r_i under dist, in closed
+    form: (E[|sum_i w_i x_i|] + sum_i w_i) / 2."""
+    sums = vote_sums(weights)
+    expectation = sum((p * abs(s) for p, s in zip(dist.probs, sums) if p), _ZERO)
+    return (expectation + sum(weights, _ZERO)) / 2
+
+
+def attains(weights: Sequence[Fraction], values: Sequence[Fraction], value: Fraction) -> bool:
+    """Whether responsiveness values give a weighted sum of exactly value."""
+    return sum((w * r for w, r in zip(weights, values)), _ZERO) == value
+
+
+def improves(base, new, strictly: bool = False, in_total: bool = False) -> bool:
+    """Whether responsiveness vector new is at least base for everyone; with
+    strictly, above it for everyone; with in_total, also above it in sum."""
+    if strictly:
+        return all(b > a for a, b in zip(base, new))
+    weakly = all(b >= a for a, b in zip(base, new))
+    return weakly and (not in_total or sum(new) > sum(base))
+
+
+def net_gains(rule, utilities, mixture: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """What each individual expects from the rule over its inverse when the
+    state is drawn from mixture; utilities[x][i] is i's pair (payoff if +1,
+    payoff if -1) in the state tied to profile x."""
+    gains = [_ZERO] * rule.n
+    for share, outcome, row in zip(mixture, rule.outcomes, utilities):
+        for i, (hi, lo) in enumerate(row):
+            gains[i] += share * (hi - lo if outcome == 1 else lo - hi)
+    return tuple(gains)

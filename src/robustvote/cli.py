@@ -2,7 +2,8 @@
 
 One subcommand per analysis, JSON on stdout, a one-line human summary on
 stderr unless --quiet, and deterministic exit codes: 0 for an affirmative
-verdict, 1 for a negative one, 2 for usage or malformed input.  Every
+verdict, 1 for a negative one, 2 for usage or malformed input, 3 for an
+internal error such as a certificate that failed its own check.  Every
 report embeds its inputs and certificates so `verify` can re-check it
 later without re-running any search.
 
@@ -22,12 +23,15 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import re
 import sys
 import time
 from fractions import Fraction
 
+from .certificates import InternalError
 from .core import (
+    MAX_ENUMERATION_INDIVIDUALS,
     Distribution,
     DistributionSet,
     FormatError,
@@ -372,21 +376,19 @@ def _cmd_enumerate(args):
             f"predicate: expected one of {sorted(PREDICATES)}, got {args.predicate!r}"
         )
     n = args.n
-    if not 1 <= n <= 4:
-        raise FormatError("n: exhaustive enumeration is limited to 1 <= n <= 4")
+    if not 1 <= n <= MAX_ENUMERATION_INDIVIDUALS:
+        raise FormatError(
+            f"n: exhaustive enumeration is limited to 1 <= n <= {MAX_ENUMERATION_INDIVIDUALS}"
+        )
     total = 2 ** (2**n)
-    jobs = max(1, args.jobs)
+    jobs = min(max(1, args.jobs), os.cpu_count() or 1)
     if jobs == 1:
         tables = _enumerate_worker((n, args.predicate, 0, total))
     else:
-        chunks = []
         step = max(1, total // (jobs * 4))
-        start = 0
-        while start < total:
-            stop = min(total, start + step)
-            chunks.append((n, args.predicate, start, stop))
-            start = stop
-        with multiprocessing.Pool(jobs) as pool:
+        chunks = [(n, args.predicate, start, min(total, start + step))
+                  for start in range(0, total, step)]
+        with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
             parts = pool.map(_enumerate_worker, chunks)
         tables = [table for part in parts for table in part]
     inputs = {"n": n, "predicate": args.predicate}
@@ -568,12 +570,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         inputs, payload, code, summary = args.handler(args)
-    except FormatError as exc:
+    except ValueError as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # A defect, never a verdict: it must not share exit code 1.
+        detail = str(exc) if isinstance(exc, InternalError) else f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
     report = {"schema": SCHEMA, "command": args.subcommand, "inputs": inputs}
     report.update(payload)
     report["elapsed_ms"] = int((time.monotonic() - started) * 1000)

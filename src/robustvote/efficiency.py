@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certificates import improves, require
 from .core import (
     Distribution,
     RandomVotingRule,
     VotingRule,
     format_rational,
-    inverse_rule,
 )
 from .lp import (
     REL_GE,
@@ -122,12 +122,10 @@ def _scaled_into_box(witness: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return witness
 
 
-def _weakly_improves(
-    rule: VotingRule, candidate: RandomVotingRule, dist: Distribution
-) -> bool:
+def _improves(rule: VotingRule, candidate: RandomVotingRule, dist: Distribution,
+              strictly: bool = False, in_total: bool = False) -> bool:
     base = responsiveness(rule, dist).values
-    new = responsiveness(candidate, dist).values
-    return all(b >= a for a, b in zip(base, new))
+    return improves(base, responsiveness(candidate, dist).values, strictly, in_total)
 
 
 def is_strictly_efficient(
@@ -156,12 +154,10 @@ def is_strictly_efficient(
     if not result.feasible:
         return True, None
     candidate = _rule_from_deviation(rule, result.witness)
-    assert _weakly_improves(rule, candidate, dist), (
-        "internal efficiency error: witness fails the dominance inequalities"
-    )
-    assert candidate != RandomVotingRule.from_deterministic(rule), (
-        "internal efficiency error: witness does not differ"
-    )
+    require(_improves(rule, candidate, dist),
+            "efficiency witness fails the dominance inequalities")
+    require(candidate != RandomVotingRule.from_deterministic(rule),
+            "efficiency witness does not differ")
     return False, candidate
 
 
@@ -180,11 +176,8 @@ def _plain_witness(rule: VotingRule, dist: Distribution) -> RandomVotingRule | N
     if not result.feasible:
         return None
     candidate = _rule_from_deviation(rule, _scaled_into_box(result.witness))
-    base = responsiveness(rule, dist).values
-    new = responsiveness(candidate, dist).values
-    assert all(b >= a for a, b in zip(base, new)) and sum(new) > sum(base), (
-        "internal efficiency error: witness fails the improvement inequalities"
-    )
+    require(_improves(rule, candidate, dist, in_total=True),
+            "efficiency witness fails the improvement inequalities")
     return candidate
 
 
@@ -199,11 +192,8 @@ def _weak_witness(rule: VotingRule, dist: Distribution) -> RandomVotingRule | No
     if not result.feasible:
         return None
     candidate = _rule_from_deviation(rule, _scaled_into_box(result.witness))
-    base = responsiveness(rule, dist).values
-    new = responsiveness(candidate, dist).values
-    assert all(b > a for a, b in zip(base, new)), (
-        "internal efficiency error: witness fails the strict improvement"
-    )
+    require(_improves(rule, candidate, dist, strictly=True),
+            "efficiency witness fails the strict improvement")
     return candidate
 
 
@@ -252,7 +242,7 @@ def transport_distribution(
     """
     if rule.n != dist.n or dominating.n != dist.n:
         raise ValueError("rules and distribution must share the same n")
-    if not _weakly_improves(rule, dominating, dist):
+    if not _improves(rule, dominating, dist):
         raise ValueError("the random rule does not weakly dominate the base rule")
     size = 2**rule.n
     alphas = [

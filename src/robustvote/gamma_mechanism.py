@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certificates import net_gains, require
 from .core import (
     Distribution,
     DistributionSet,
@@ -121,8 +122,8 @@ def epsilon_lower_witness(n: int):
             best = level
             binding = rule
             binding_game = game
-    assert best is not None, "dictators are always robust, the minimum exists"
-    assert best > 0, "the threshold must be strictly positive"
+    require(best is not None, "no robust rule found, yet dictators are always robust")
+    require(best > 0, "the lower threshold is not strictly positive")
     return best, binding, binding_game
 
 
@@ -196,22 +197,11 @@ def gamma_counterexample(rule: VotingRule) -> GammaWitness:
     utilities = gamma_utilities(rule)
     share = Fraction(1, size)
     mixture = tuple(share for _ in range(size))
-
-    gains = []
-    for i in range(n):
-        total = Fraction(0)
-        for idx, outcome in enumerate(rule.outcomes):
-            hi, lo = utilities[idx][i]
-            won, lost = (hi, lo) if outcome == 1 else (lo, hi)
-            total += share * (won - lost)
-        gains.append(total)
+    gains = net_gains(rule, utilities, mixture)
 
     r = responsiveness(rule, Distribution.uniform(n))
     small = Fraction(1, size - 1)
-    for i in range(n):
-        closed_form = r.values[i] * small - (1 - r.values[i])
-        assert gains[i] == closed_form, (
-            "utility-table net gain disagrees with the responsiveness form"
-        )
-        assert gains[i] <= 0, "net gain must be nonpositive without a dictator"
-    return GammaWitness(n, utilities, mixture, tuple(gains))
+    require(gains == tuple(ri * small - (1 - ri) for ri in r.values),
+            "utility-table net gain disagrees with the responsiveness form")
+    require(all(g <= 0 for g in gains), "net gain must be nonpositive without a dictator")
+    return GammaWitness(n, utilities, mixture, gains)

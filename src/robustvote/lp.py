@@ -4,8 +4,9 @@ Everything here runs over fractions.Fraction, with no tolerances. A query
 either comes back feasible with a witness point, or infeasible with a
 Farkas-style certificate: nonnegative multipliers on the rows (sign-free on
 equalities) whose combination reduces the system to the contradiction
-0 > 0 or 0 >= c with c > 0. Both kinds of evidence are re-checked by exact
-substitution before they are returned.
+0 > 0 or 0 >= c with c > 0. Before either is returned it goes through the
+matching check in `certificates` (`satisfies` or `certifies_infeasibility`,
+both importable from here too), and a failure raises InternalError.
 
 The solver is a two-phase primal simplex on the standard equality form
 with Bland's anti-cycling pivot rule, which also makes every answer
@@ -27,13 +28,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-REL_GE = ">="
-REL_GT = ">"
-REL_EQ = "="
-_RELATIONS = (REL_GE, REL_GT, REL_EQ)
+from .certificates import (
+    REL_EQ,
+    REL_GE,
+    REL_GT,
+    SIGN_FREE,
+    SIGN_NONNEG,
+    certifies_infeasibility,
+    failed_column,
+    failed_row,
+    require,
+    satisfies,
+)
 
-SIGN_FREE = "free"
-SIGN_NONNEG = "nonneg"
+_RELATIONS = (REL_GE, REL_GT, REL_EQ)
 _SIGNS = (SIGN_FREE, SIGN_NONNEG)
 
 _ZERO = Fraction(0)
@@ -80,57 +88,6 @@ class FeasibilityResult:
     certificate: tuple[Fraction, ...] | None
 
 
-def satisfies(system: LinearSystem, point: Sequence[Fraction]) -> bool:
-    """Exact substitution check, including the variable sign domains."""
-    values = [Fraction(v) for v in point]
-    if len(values) != system.num_vars:
-        return False
-    for value, sign in zip(values, system.var_signs):
-        if sign == SIGN_NONNEG and value < 0:
-            return False
-    for row in system.rows:
-        lhs = sum((c * v for c, v in zip(row.coeffs, values)), _ZERO)
-        if row.relation == REL_GE and not lhs >= row.rhs:
-            return False
-        if row.relation == REL_GT and not lhs > row.rhs:
-            return False
-        if row.relation == REL_EQ and lhs != row.rhs:
-            return False
-    return True
-
-
-def certifies_infeasibility(system: LinearSystem, multipliers: Sequence[Fraction]) -> bool:
-    """Check that row multipliers combine the system into a contradiction.
-
-    Requirements: multipliers on inequality rows are nonnegative; the
-    combined coefficient of every nonnegative variable is <= 0 and of every
-    free variable exactly 0; the combined right-hand side is positive, or
-    zero with positive total weight on strict rows.
-    """
-    mults = [Fraction(m) for m in multipliers]
-    if len(mults) != len(system.rows):
-        return False
-    for mult, row in zip(mults, system.rows):
-        if row.relation != REL_EQ and mult < 0:
-            return False
-    combined = [_ZERO] * system.num_vars
-    for mult, row in zip(mults, system.rows):
-        if mult == 0:
-            continue
-        for k, c in enumerate(row.coeffs):
-            combined[k] += mult * c
-    for value, sign in zip(combined, system.var_signs):
-        if sign == SIGN_NONNEG and value > 0:
-            return False
-        if sign == SIGN_FREE and value != 0:
-            return False
-    rhs = sum((m * row.rhs for m, row in zip(mults, system.rows)), _ZERO)
-    strict_mass = sum(
-        (m for m, row in zip(mults, system.rows) if row.relation == REL_GT), _ZERO
-    )
-    return rhs > 0 or (rhs == 0 and strict_mass > 0)
-
-
 # ---------------------------------------------------------------------------
 # Standard-form simplex
 
@@ -164,8 +121,7 @@ class _Tableau:
         basis_ready_col names an existing +1 unit column for this row (a
         slack); if None, a fresh artificial column is created.
         """
-        if b < 0:
-            raise AssertionError("rows must be oriented to nonnegative rhs")
+        require(b >= 0, "solver: row with a negative right-hand side")
         row = [_ZERO] * self.ncols
         for col, value in coeffs.items():
             row[col] = value
@@ -350,15 +306,14 @@ class _Encoder:
 
 def _finish_infeasible(system: LinearSystem, enc: _Encoder) -> FeasibilityResult:
     cert = enc.certificate()
-    if not certifies_infeasibility(system, cert):
-        raise AssertionError("internal solver error: invalid infeasibility certificate")
+    require(certifies_infeasibility(system, cert),
+            "solver: invalid infeasibility certificate")
     return FeasibilityResult(False, None, cert)
 
 
 def _finish_feasible(system: LinearSystem, enc: _Encoder) -> FeasibilityResult:
     point = enc.witness()
-    if not satisfies(system, point):
-        raise AssertionError("internal solver error: witness fails substitution")
+    require(satisfies(system, point), "solver: witness fails substitution")
     return FeasibilityResult(True, point, None)
 
 
@@ -481,8 +436,7 @@ def _as_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 def _normalized(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     total = sum(vec, _ZERO)
-    if total <= 0:
-        raise AssertionError("internal solver error: vector has no mass to normalize")
+    require(total > 0, "solver: vector has no mass to normalize")
     return tuple(v / total for v in vec)
 
 
@@ -500,20 +454,12 @@ def alternative_strict(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResul
         ),
         var_signs=tuple([SIGN_NONNEG] * n),
     )
+    # solve_feasibility has checked the witness, and the Farkas multipliers
+    # of this system are a mixture with L lam <= 0; scaling keeps both.
     result = solve_feasibility(system)
     if result.feasible:
-        weights = _normalized(result.witness)
-        for j in range(m):
-            total = sum((weights[i] * rows[i][j] for i in range(n)), _ZERO)
-            if not total > 0:
-                raise AssertionError("internal solver error: weight branch fails recheck")
-        return AlternativeResult(weights=weights, mixture=None)
-    mixture = _normalized(result.certificate)
-    for i in range(n):
-        total = sum((rows[i][j] * mixture[j] for j in range(m)), _ZERO)
-        if total > 0:
-            raise AssertionError("internal solver error: mixture branch fails recheck")
-    return AlternativeResult(weights=None, mixture=mixture)
+        return AlternativeResult(weights=_normalized(result.witness), mixture=None)
+    return AlternativeResult(weights=None, mixture=_normalized(result.certificate))
 
 
 def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
@@ -530,16 +476,12 @@ def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
         ),
         var_signs=tuple([SIGN_NONNEG] * m),
     )
+    # The Farkas multipliers of this system are weights with w^T L >= 0.
     result = solve_feasibility(system)
     if result.feasible:
         mixture = _strictly_positive_shift(rows, result.witness)
         return AlternativeResult(weights=None, mixture=mixture)
-    weights = _normalized(result.certificate)
-    for j in range(m):
-        total = sum((weights[i] * rows[i][j] for i in range(n)), _ZERO)
-        if total < 0:
-            raise AssertionError("internal solver error: weight branch fails recheck")
-    return AlternativeResult(weights=weights, mixture=None)
+    return AlternativeResult(weights=_normalized(result.certificate), mixture=None)
 
 
 def _strictly_positive_shift(
@@ -549,26 +491,18 @@ def _strictly_positive_shift(
 
     The strict inequalities have slack, so adding a small epsilon to every
     coordinate preserves them; epsilon is chosen exactly from the slacks.
+    The slacks are positive because solve_feasibility checked the mixture.
     """
-    n, m = len(rows), len(rows[0])
     lam = [Fraction(v) for v in mixture]
-    slacks = []
-    row_sums = []
-    for i in range(n):
-        value = sum((rows[i][j] * lam[j] for j in range(m)), _ZERO)
-        if not value < 0:
-            raise AssertionError("internal solver error: mixture branch fails recheck")
-        slacks.append(-value)
-        row_sums.append(sum(rows[i], _ZERO))
     epsilon = _ONE
-    for slack, rs in zip(slacks, row_sums):
-        if rs > 0:
-            epsilon = min(epsilon, slack / (2 * rs))
+    for row in rows:
+        row_sum = sum(row, _ZERO)
+        if row_sum > 0:
+            slack = -sum((a * v for a, v in zip(row, lam)), _ZERO)
+            epsilon = min(epsilon, slack / (2 * row_sum))
     shifted = _normalized([v + epsilon for v in lam])
-    for i in range(n):
-        value = sum((rows[i][j] * shifted[j] for j in range(m)), _ZERO)
-        if not value < 0:
-            raise AssertionError("internal solver error: shifted mixture fails recheck")
+    require(failed_row(rows, shifted, strict=True) is None,
+            "solver: shifted mixture fails recheck")
     return shifted
 
 
@@ -616,21 +550,14 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
     sol = tab.solution()
     z = [sol.get(col, _ZERO) for col in z_cols]
     total = sum(z, _ZERO)
-    if not total > 0:
-        raise AssertionError("internal solver error: game normalization degenerated")
-    duals = tab.duals()
-    u = [-d for d in duals]  # dual multipliers of the <= rows, nonnegative
-    if sum(u, _ZERO) != total:
-        raise AssertionError("internal solver error: game duality gap")
+    require(total > 0, "solver: game normalization degenerated")
+    u = [-d for d in tab.duals()]  # dual multipliers of the <= rows, nonnegative
+    require(sum(u, _ZERO) == total, "solver: game duality gap")
     value = _ONE / total - k
     col_strategy = tuple(v / total for v in z)
     row_strategy = tuple(v / total for v in u)
-    for j in range(m):
-        guaranteed = sum((row_strategy[i] * rows[i][j] for i in range(n)), _ZERO)
-        if guaranteed < value:
-            raise AssertionError("internal solver error: row strategy below value")
-    for i in range(n):
-        conceded = sum((rows[i][j] * col_strategy[j] for j in range(m)), _ZERO)
-        if conceded > value:
-            raise AssertionError("internal solver error: column strategy above value")
+    require(failed_column(rows, row_strategy, value, strict=False) is None,
+            "solver: row strategy below value")
+    require(failed_row(rows, col_strategy, value) is None,
+            "solver: column strategy above value")
     return GameSolution(value=value, row_strategy=row_strategy, col_strategy=col_strategy)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .certificates import holds_at_half, improves, require, sign_pattern_holds
 from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules
 from .lp import (
     REL_EQ,
@@ -24,33 +25,10 @@ from .lp import (
     solve_feasibility,
 )
 from .respond import SIGN_CLASS_NONNEGATIVE, WeightVector, responsiveness
+from .robustness import degenerate_agreement_matrix
 from .wmr import _smallest_integer_direction
 
 MAX_DOMINATION_N = 4
-
-
-def _signed_agreement_matrix(rule: RandomVotingRule) -> list[list[Fraction]]:
-    # Row i, column x: expected outcome at x times i's vote in x.
-    n = rule.n
-    return [
-        [
-            rule.outcomes[idx] * (1 if idx >> i & 1 else -1)
-            for idx in range(2**n)
-        ]
-        for i in range(n)
-    ]
-
-
-def sign_pattern_holds(
-    rule: RandomVotingRule, weights: tuple[Fraction, ...]
-) -> bool:
-    for idx, outcome in enumerate(rule.outcomes):
-        total = Fraction(0)
-        for i in range(rule.n):
-            total += weights[i] if idx >> i & 1 else -weights[i]
-        if outcome * total <= 0:
-            return False
-    return True
 
 
 def certify_random(
@@ -67,18 +45,15 @@ def certify_random(
         if outcome == 0:
             # The point mass here is a definitional counterexample.
             return None, Distribution.degenerate(n, idx)
-    answer = alternative_strict(_signed_agreement_matrix(rule))
+    answer = alternative_strict(degenerate_agreement_matrix(rule))
     if answer.weights is not None:
         cleared = _smallest_integer_direction(answer.weights)
-        assert sign_pattern_holds(rule, cleared), (
-            "recovered weights fail the per-profile sign agreement"
-        )
+        require(sign_pattern_holds(rule, cleared),
+                "recovered weights fail the per-profile sign agreement")
         return WeightVector(cleared, SIGN_CLASS_NONNEGATIVE), None
     counterexample = Distribution(n, answer.mixture)
-    r = responsiveness(rule, counterexample)
-    assert all(v <= Fraction(1, 2) for v in r.values), (
-        "counterexample distribution leaves an individual above one half"
-    )
+    require(holds_at_half(responsiveness(rule, counterexample).values),
+            "counterexample distribution leaves an individual above one half")
     return None, counterexample
 
 
@@ -126,9 +101,8 @@ def find_dominating_deterministic(
             dist = Distribution(n, result.witness)
             base = responsiveness(rule, dist).values
             better = responsiveness(candidate, dist).values
-            assert all(b > a for a, b in zip(base, better)), (
-                "domination witness fails the strict inequalities"
-            )
+            require(improves(base, better, strictly=True),
+                    "domination witness fails the strict inequalities")
             return candidate, dist
     return None
 

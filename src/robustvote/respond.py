@@ -9,18 +9,17 @@ computed for deterministic inputs and must coincide.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .certificates import attains, require, rtf_maximum, vote_sums
 from .core import (
     Distribution,
     RandomVotingRule,
     VotingRule,
     format_rational,
     is_anonymous,
-    popcount,
 )
 
 SIGN_CLASS_FREE = "free"
@@ -123,12 +122,11 @@ def responsiveness(
                 mass += prob
         r = (expectation + 1) / 2
         if deterministic:
-            assert r == mass, "agreement mass and expectation identity disagree"
+            require(r == mass, "agreement mass and expectation identity disagree")
         values.append(r)
     return ResponsivenessVector(tuple(values))
 
 
-@functools.lru_cache(maxsize=None)
 def agreement_counts(rule: VotingRule) -> tuple[int, ...]:
     """d_k for an anonymous rule: individuals agreeing with the outcome
     on any profile where exactly k vote +1."""
@@ -171,17 +169,8 @@ def rtf_max_weighted(
     n = dist.n
     if len(ws) != n:
         raise ValueError(f"{len(ws)} weights for n={n}")
-    abs_expectation = Fraction(0)
-    outcomes = []
-    for idx in range(2**n):
-        total = Fraction(0)
-        for i in range(n):
-            total += ws[i] if idx >> i & 1 else -ws[i]
-        outcomes.append(1 if total >= 0 else -1)
-        abs_expectation += dist.probs[idx] * abs(total)
-    value = (abs_expectation + sum(ws)) / 2
-    argmax = VotingRule(n, tuple(outcomes))
-    r = responsiveness(argmax, dist)
-    attained = sum((w * ri for w, ri in zip(ws, r.values)), Fraction(0))
-    assert attained == value, "argmax rule does not attain the closed-form maximum"
+    value = rtf_maximum(ws, dist)
+    argmax = VotingRule(n, tuple(1 if total >= 0 else -1 for total in vote_sums(ws)))
+    require(attains(ws, responsiveness(argmax, dist).values, value),
+            "argmax rule does not attain the closed-form maximum")
     return value, argmax

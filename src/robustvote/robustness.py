@@ -15,16 +15,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certificates import failed_column, require, robustness_problem
 from .core import (
     Distribution,
     DistributionSet,
+    RandomVotingRule,
     VotingRule,
     format_rational,
     is_anonymous,
     permute_profile_index,
 )
 from .lp import alternative_strict, alternative_weak, matrix_game
-from .respond import responsiveness
 
 MODE_STRICT = "strict"
 MODE_WEAK = "weak"
@@ -87,8 +88,9 @@ def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[Fract
     return matrix
 
 
-def _degenerate_agreement_matrix(rule: VotingRule) -> list[list[Fraction]]:
-    # The column for the point mass at profile x is just phi(x) * x.
+def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[list[Fraction]]:
+    """agreement_matrix over the 2^n point masses, in profile order, built
+    straight off the table: the column for profile x is phi(x) * x."""
     n = rule.n
     return [
         [
@@ -99,44 +101,19 @@ def _degenerate_agreement_matrix(rule: VotingRule) -> list[list[Fraction]]:
     ]
 
 
-def _verify_weights(
-    matrix: list[list[Fraction]], weights: tuple[Fraction, ...], mode: str
-) -> None:
-    assert all(w >= 0 for w in weights) and sum(weights) == 1, (
-        "internal certification error: weights are not a distribution"
-    )
-    for j in range(len(matrix[0])):
-        dot = sum((weights[i] * matrix[i][j] for i in range(len(matrix))), Fraction(0))
-        ok = dot > 0 if mode == MODE_STRICT else dot >= 0
-        assert ok, "internal certification error: weights fail an extreme point"
-
-
-def _verify_mixture(
-    matrix: list[list[Fraction]], mixture: tuple[Fraction, ...], mode: str
-) -> None:
-    assert all(m >= 0 for m in mixture) and sum(mixture) == 1, (
-        "internal certification error: mixture is not a distribution"
-    )
-    for i in range(len(matrix)):
-        dot = sum((matrix[i][j] * mixture[j] for j in range(len(mixture))), Fraction(0))
-        ok = dot <= 0 if mode == MODE_STRICT else dot < 0
-        assert ok, "internal certification error: mixture leaves an individual above half"
+def _certificate(matrix, mode: str, weights=None, mixture=None) -> RobustnessCertificate:
+    """The certificate for whichever vector is given, once it has passed
+    its substitution check against the matrix."""
+    problem = robustness_problem(matrix, mode == MODE_STRICT, weights, mixture)
+    require(problem is None, f"robustness certificate: {problem}")
+    verdict = VERDICT_ROBUST if weights is not None else VERDICT_NOT_ROBUST
+    return RobustnessCertificate(verdict, mode, weights, mixture)
 
 
 def _certify_from_matrix(matrix: list[list[Fraction]], mode: str) -> RobustnessCertificate:
-    if mode == MODE_STRICT:
-        answer = alternative_strict(matrix)
-    else:
-        answer = alternative_weak(matrix)
-    if answer.weights is not None:
-        _verify_weights(matrix, answer.weights, mode)
-        return RobustnessCertificate(VERDICT_ROBUST, mode, weights=answer.weights)
-    mixture = answer.mixture
-    total = sum(mixture)
-    if total != 1:
-        mixture = tuple(m / total for m in mixture)
-    _verify_mixture(matrix, mixture, mode)
-    return RobustnessCertificate(VERDICT_NOT_ROBUST, mode, mixture=mixture)
+    alternative = alternative_strict if mode == MODE_STRICT else alternative_weak
+    answer = alternative(matrix)
+    return _certificate(matrix, mode, answer.weights, answer.mixture)
 
 
 def certify_p_robust(
@@ -156,7 +133,7 @@ def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT) -> Robustne
     point masses and the matrix columns come straight off the truth table."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return _certify_from_matrix(_degenerate_agreement_matrix(rule), mode)
+    return _certify_from_matrix(degenerate_agreement_matrix(rule), mode)
 
 
 def is_robust(rule: VotingRule) -> RobustnessCertificate:
@@ -267,17 +244,10 @@ def certify_anonymous(
         raise ValueError("distribution set is not permutation invariant")
 
     matrix = agreement_matrix(rule, pset)
-    violator = None
-    for j in range(len(pset.extreme_points)):
-        mean = sum((matrix[i][j] for i in range(n)), Fraction(0)) / n
-        cleared = mean > 0 if mode == MODE_STRICT else mean >= 0
-        if not cleared:
-            violator = j
-            break
+    uniform = tuple(Fraction(1, n) for _ in range(n))
+    violator = failed_column(matrix, uniform, strict=mode == MODE_STRICT)
     if violator is None:
-        weights = tuple(Fraction(1, n) for _ in range(n))
-        _verify_weights(matrix, weights, mode)
-        return RobustnessCertificate(VERDICT_ROBUST, mode, weights=weights)
+        return _certificate(matrix, mode, weights=uniform)
 
     if _is_count_symmetric(pset.extreme_points[violator]):
         mixture = tuple(
@@ -288,5 +258,4 @@ def certify_anonymous(
         mixture = _orbit_mixture(pset, violator)
     else:
         return certify_p_robust(rule, pset, mode)
-    _verify_mixture(matrix, mixture, mode)
-    return RobustnessCertificate(VERDICT_NOT_ROBUST, mode, mixture=mixture)
+    return _certificate(matrix, mode, mixture=mixture)

@@ -1,11 +1,13 @@
 """Independent re-checking of emitted reports.
 
 Every command report embeds its inputs next to the certificates and
-witnesses backing its verdicts.  The checks here replay each claimed
-inequality by direct substitution into those embedded pieces.  Nothing
-in this module solves a feasibility problem, so a tampered certificate
-fails because the arithmetic it promises does not hold, not because a
-solver disagrees.
+witnesses backing its verdicts.  This module parses a report, checks its
+structure, rebuilds the data each certificate speaks about, and hands the
+certificate to the same substitution checks in `certificates` that its
+producer ran before emitting it; a failed check becomes a problem string.
+Nothing here solves a feasibility problem, so a tampered certificate fails
+because the arithmetic it promises does not hold, not because a solver
+disagrees.
 
 Affirmative claims are re-derived in full.  Claims of nonexistence (no
 weight vector, no dominating rule) carry no finite certificate; they are
@@ -17,6 +19,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .certificates import (
+    TIE_MODES,
+    attains,
+    failed_column,
+    failed_row,
+    holds_at_half,
+    improves,
+    is_distribution,
+    net_gains,
+    robustness_problem,
+    rtf_maximum,
+    sign_pattern_holds,
+    weights_represent,
+)
 from .core import (
     Distribution,
     DistributionSet,
@@ -38,7 +54,6 @@ from .efficiency import (
     transport_distribution,
 )
 from .gamma_mechanism import gamma_utilities
-from .random_rules import sign_pattern_holds
 from .respond import (
     SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
@@ -53,8 +68,8 @@ from .robustness import (
     VERDICT_NOT_ROBUST,
     VERDICT_ROBUST,
     agreement_matrix,
+    degenerate_agreement_matrix,
 )
-from .wmr import TIE_MODES, weights_represent
 
 SCHEMA = "robustvote/1"
 
@@ -93,10 +108,6 @@ def _rational_list(values, field: str, length: int | None = None) -> list[Fracti
     return [parse_rational(v, f"{field}[{k}]") for k, v in enumerate(values)]
 
 
-def _is_distribution_vector(values: list[Fraction]) -> bool:
-    return all(v >= 0 for v in values) and sum(values) == 1
-
-
 def _weights_in_class(ws: list[Fraction], sign_class: str) -> bool:
     if sign_class not in SIGN_CLASSES:
         raise Mismatch(f"unknown sign class {sign_class!r}")
@@ -110,41 +121,27 @@ def _weights_in_class(ws: list[Fraction], sign_class: str) -> bool:
 
 
 def _check_robustness_certificate(
-    rule: VotingRule,
-    pset: DistributionSet,
-    mode: str,
-    certificate: dict,
-    context: str,
+    matrix: list[list[Fraction]], mode: str, certificate: dict, context: str
 ) -> str:
-    """Replay one robustness certificate and return its verdict."""
+    """Replay one robustness certificate against the agreement matrix
+    (individuals by extreme points) and return its verdict."""
     _expect(mode in MODES, f"{context}: unknown mode {mode!r}")
     verdict = _field(certificate, "verdict", context)
     _expect(
         certificate.get("mode") == mode,
         f"{context}: certificate mode does not match the query",
     )
-    matrix = agreement_matrix(rule, pset)
-    columns = len(pset.extreme_points)
     if verdict == VERDICT_ROBUST:
         ws = _rational_list(_field(certificate, "weights", context),
-                            f"{context}.weights", rule.n)
-        _expect(_is_distribution_vector(ws),
-                f"{context}: weights are not a distribution over individuals")
-        for j in range(columns):
-            dot = sum((ws[i] * matrix[i][j] for i in range(rule.n)), Fraction(0))
-            cleared = dot > 0 if mode == MODE_STRICT else dot >= 0
-            _expect(cleared, f"{context}: weights fail extreme point {j}")
+                            f"{context}.weights", len(matrix))
+        problem = robustness_problem(matrix, mode == MODE_STRICT, weights=ws)
     elif verdict == VERDICT_NOT_ROBUST:
         mix = _rational_list(_field(certificate, "mixture", context),
-                             f"{context}.mixture", columns)
-        _expect(_is_distribution_vector(mix),
-                f"{context}: mixture is not a distribution over extreme points")
-        for i in range(rule.n):
-            dot = sum((matrix[i][j] * mix[j] for j in range(columns)), Fraction(0))
-            held = dot <= 0 if mode == MODE_STRICT else dot < 0
-            _expect(held, f"{context}: mixture leaves individual {i + 1} responsive")
+                             f"{context}.mixture", len(matrix[0]))
+        problem = robustness_problem(matrix, mode == MODE_STRICT, mixture=mix)
     else:
         raise Mismatch(f"{context}: unknown verdict {verdict!r}")
+    _expect(problem is None, f"{context}: {problem}")
     return verdict
 
 
@@ -154,7 +151,7 @@ def _check_certify(report: dict) -> None:
     pset = DistributionSet.from_json(_field(inputs, "pset", "certify.inputs"))
     mode = _field(inputs, "mode", "certify.inputs")
     # The certificate fields sit at the top level of a certify report.
-    _check_robustness_certificate(rule, pset, mode, report, "certify")
+    _check_robustness_certificate(agreement_matrix(rule, pset), mode, report, "certify")
 
 
 def _check_classify(report: dict) -> None:
@@ -181,24 +178,18 @@ def _check_classify(report: dict) -> None:
             continue
         sign_class, _, ties = key.rpartition("_")
         _expect(ties in TIE_MODES, f"classify: malformed representation key {key!r}")
-        ws = _rational_list(_field(entry, "weights", f"classify.wmr.{key}"),
-                            f"classify.wmr.{key}.weights", rule.n)
-        _expect(entry.get("sign_class") == sign_class,
-                f"classify: representation {key} declares the wrong sign class")
-        _expect(_weights_in_class(ws, sign_class),
-                f"classify: representation {key} weights leave the sign class")
-        _expect(weights_represent(rule, ws, ties),
-                f"classify: representation {key} weights fail a profile")
+        _check_representation(rule, entry, sign_class, ties, f"classify.wmr.{key}",
+                              f"classify: representation {key}")
 
     certificates = _field(inner, "certificates", "classify")
-    degenerates = DistributionSet.degenerates(rule.n)
+    matrix = degenerate_agreement_matrix(rule)
     strict_verdict = _check_robustness_certificate(
-        rule, degenerates, MODE_STRICT,
+        matrix, MODE_STRICT,
         _field(certificates, "robust", "classify.certificates"),
         "classify.certificates.robust",
     )
     weak_verdict = _check_robustness_certificate(
-        rule, degenerates, MODE_WEAK,
+        matrix, MODE_WEAK,
         _field(certificates, "weakly_robust", "classify.certificates"),
         "classify.certificates.weakly_robust",
     )
@@ -216,6 +207,14 @@ def _check_classify(report: dict) -> None:
             "classify: robustness flag disagrees with the tie-free representation")
     _expect(weakly_robust == found_weak,
             "classify: weak robustness flag disagrees with the tie-allowed representation")
+
+
+def _check_representation(rule, entry, sign_class, ties, field, label) -> None:
+    """Replay one WMR weight payload: its sign class, then every profile."""
+    ws = _rational_list(_field(entry, "weights", field), f"{field}.weights", rule.n)
+    _expect(entry.get("sign_class") == sign_class, f"{label} declares the wrong sign class")
+    _expect(_weights_in_class(ws, sign_class), f"{label} weights leave the sign class")
+    _expect(weights_represent(rule, ws, ties), f"{label} weights fail a profile")
 
 
 def _check_monotone_violation(rule: VotingRule, violation: dict) -> None:
@@ -259,20 +258,12 @@ def _check_rtf(report: dict) -> None:
     n = dist.n
     _expect(len(ws) == n, "rtf: weight count does not match the distribution")
 
-    abs_expectation = Fraction(0)
-    for idx, prob in enumerate(dist.probs):
-        total = sum((ws[i] if idx >> i & 1 else -ws[i] for i in range(n)), Fraction(0))
-        abs_expectation += prob * abs(total)
-    closed_form = (abs_expectation + sum(ws)) / 2
-
+    closed_form = rtf_maximum(ws, dist)
     value = parse_rational(_field(report, "value", "rtf"), "rtf.value")
     _expect(value == closed_form, "rtf: value disagrees with the closed form")
     argmax = VotingRule.from_json(_field(report, "argmax", "rtf"))
-    attained = sum(
-        (w * r for w, r in zip(ws, responsiveness(argmax, dist).values)),
-        Fraction(0),
-    )
-    _expect(attained == value, "rtf: the argmax rule does not attain the value")
+    _expect(attains(ws, responsiveness(argmax, dist).values, value),
+            "rtf: the argmax rule does not attain the value")
 
 
 def _check_wmr(report: dict) -> None:
@@ -285,14 +276,9 @@ def _check_wmr(report: dict) -> None:
     entry = report.get("weights")
     _expect(found == (entry is not None),
             "wmr: found flag disagrees with the weight payload")
-    if entry is None:
-        return
-    ws = _rational_list(_field(entry, "weights", "wmr.weights"),
-                        "wmr.weights.weights", rule.n)
-    _expect(entry.get("sign_class") == sign_class,
-            "wmr: weight payload declares the wrong sign class")
-    _expect(_weights_in_class(ws, sign_class), "wmr: weights leave the sign class")
-    _expect(weights_represent(rule, ws, ties), "wmr: weights fail a profile")
+    if entry is not None:
+        _check_representation(rule, entry, sign_class, ties, "wmr.weights",
+                              "wmr: weight payload")
 
 
 def _check_efficiency(report: dict) -> None:
@@ -313,15 +299,15 @@ def _check_efficiency(report: dict) -> None:
     base = responsiveness(rule, dist).values
     new = responsiveness(witness, dist).values
     if mode == "strict":
-        _expect(all(b >= a for a, b in zip(base, new)),
+        _expect(improves(base, new),
                 "efficiency: witness drops below the rule somewhere")
         _expect(witness.outcomes != RandomVotingRule.from_deterministic(rule).outcomes,
                 "efficiency: witness does not differ from the rule")
     elif mode == "plain":
-        _expect(all(b >= a for a, b in zip(base, new)) and sum(new) > sum(base),
+        _expect(improves(base, new, in_total=True),
                 "efficiency: witness fails the improvement inequalities")
     else:
-        _expect(all(b > a for a, b in zip(base, new)),
+        _expect(improves(base, new, strictly=True),
                 "efficiency: witness fails the strict improvement")
 
     transport_json = report.get("transport")
@@ -371,8 +357,7 @@ def _check_random_certify(report: dict) -> None:
                 "random-certify: weights fail the outcome sign pattern")
     else:
         cx = Distribution.from_json(counterexample_json)
-        values = responsiveness(rule, cx).values
-        _expect(all(r <= Fraction(1, 2) for r in values),
+        _expect(holds_at_half(responsiveness(rule, cx).values),
                 "random-certify: counterexample leaves someone responsive")
 
 
@@ -390,7 +375,7 @@ def _check_random_dominate(report: dict) -> None:
     dist = Distribution.from_json(dist_json)
     base = responsiveness(rule, dist).values
     new = responsiveness(dominator, dist).values
-    _expect(all(b > a for a, b in zip(base, new)),
+    _expect(improves(base, new, strictly=True),
             "random-dominate: the cited rule does not strictly dominate")
 
 
@@ -434,30 +419,20 @@ def _check_epsilon(report: dict) -> None:
     _expect(rule.n == n, "epsilon: binding rule has the wrong n")
     value = parse_rational(_field(binding, "value", "epsilon.binding"),
                            "epsilon.binding.value")
-    size = 2**n
     ws = _rational_list(_field(binding, "individual_weights", "epsilon.binding"),
                         "epsilon.binding.individual_weights", n)
     mix = _rational_list(_field(binding, "adversary_mixture", "epsilon.binding"),
-                         "epsilon.binding.adversary_mixture", size)
-    _expect(_is_distribution_vector(ws) and _is_distribution_vector(mix),
+                         "epsilon.binding.adversary_mixture", 2**n)
+    _expect(is_distribution(ws) and is_distribution(mix),
             "epsilon: game strategies are not distributions")
 
-    # Payoff at (i, x) is individual i's responsiveness under the point
-    # mass at profile x.
-    payoff = [
-        [
-            Fraction(rule.outcomes[idx] if idx >> i & 1 else -rule.outcomes[idx]) / 2
-            + Fraction(1, 2)
-            for idx in range(size)
-        ]
-        for i in range(n)
-    ]
-    for idx in range(size):
-        got = sum((ws[i] * payoff[i][idx] for i in range(n)), Fraction(0))
-        _expect(got >= value, "epsilon: individual weights fail to guarantee the value")
-    for i in range(n):
-        got = sum((payoff[i][idx] * mix[idx] for idx in range(size)), Fraction(0))
-        _expect(got <= value, "epsilon: adversary mixture fails to hold the value")
+    # The game pays responsiveness, (agreement + 1) / 2, at each point mass,
+    # so the value v is the agreement level 2v - 1.
+    matrix = degenerate_agreement_matrix(rule)
+    _expect(failed_column(matrix, ws, 2 * value - 1, strict=False) is None,
+            "epsilon: individual weights fail to guarantee the value")
+    _expect(failed_row(matrix, mix, 2 * value - 1) is None,
+            "epsilon: adversary mixture fails to hold the value")
     _expect(value > Fraction(1, 2), "epsilon: binding rule is not robust at its value")
 
     lower = _field(report, "lower", "epsilon")
@@ -509,16 +484,9 @@ def _check_gamma(report: dict) -> None:
 
     gains = _rational_list(_field(witness, "net_gains", "gamma-witness"),
                            "gamma-witness.net_gains", rule.n)
-    for i in range(rule.n):
-        total = Fraction(0)
-        for idx, outcome in enumerate(rule.outcomes):
-            hi, lo = utilities[idx][i]
-            won, lost = (hi, lo) if outcome == 1 else (lo, hi)
-            total += mixture[idx] * (won - lost)
-        _expect(total == gains[i],
-                f"gamma-witness: net gain for individual {i + 1} is wrong")
-        _expect(gains[i] <= 0,
-                f"gamma-witness: individual {i + 1} would gain from the rule")
+    for i, (total, claimed) in enumerate(zip(net_gains(rule, utilities, mixture), gains), 1):
+        _expect(total == claimed, f"gamma-witness: net gain for individual {i} is wrong")
+        _expect(claimed <= 0, f"gamma-witness: individual {i} would gain from the rule")
 
 
 _CHECKS = {

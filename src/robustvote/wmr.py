@@ -13,6 +13,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .certificates import (
+    TIE_MODES,
+    TIES_ALLOWED,
+    TIES_FORBIDDEN,
+    require,
+    weights_represent,
+)
 from .core import VotingRule, is_anonymous, is_dictatorship, is_own_vote_monotone
 from .lp import (
     REL_EQ,
@@ -32,11 +39,6 @@ from .respond import (
     WeightVector,
 )
 
-TIES_ALLOWED = "allowed"
-TIES_FORBIDDEN = "forbidden"
-TIE_MODES = (TIES_ALLOWED, TIES_FORBIDDEN)
-
-
 @dataclass(frozen=True)
 class WmrQuery:
     """Which representation is being asked for."""
@@ -49,27 +51,6 @@ class WmrQuery:
             raise ValueError(f"unknown sign class {self.sign_class!r}")
         if self.ties not in TIE_MODES:
             raise ValueError(f"unknown tie mode {self.ties!r}")
-
-
-def weights_represent(
-    rule: VotingRule, weights: Sequence[Fraction], ties: str
-) -> bool:
-    """Exact check that the weighted sum sides with every outcome."""
-    if ties not in TIE_MODES:
-        raise ValueError(f"unknown tie mode {ties!r}")
-    ws = [Fraction(w) for w in weights]
-    if len(ws) != rule.n:
-        raise ValueError(f"{len(ws)} weights for n={rule.n}")
-    if all(w == 0 for w in ws):
-        return False
-    for idx, outcome in enumerate(rule.outcomes):
-        total = Fraction(0)
-        for i in range(rule.n):
-            total += ws[i] if idx >> i & 1 else -ws[i]
-        signed = outcome * total
-        if signed < 0 or (signed == 0 and ties == TIES_FORBIDDEN):
-            return False
-    return True
 
 
 def _signed_sum_rows(rule: VotingRule, relation: str) -> list[LinearRow]:
@@ -139,9 +120,8 @@ def detect_wmr(rule: VotingRule, query: WmrQuery) -> WeightVector | None:
     if witness is None:
         return None
     cleared = _smallest_integer_direction(witness)
-    assert weights_represent(rule, cleared, query.ties), (
-        "recovered weights fail re-verification"
-    )
+    require(weights_represent(rule, cleared, query.ties),
+            "recovered weights fail re-verification")
     return WeightVector(cleared, query.sign_class)
 
 
@@ -164,12 +144,12 @@ def classify_rule(rule: VotingRule) -> dict:
 
     nonneg_noties = wmr_results[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_FORBIDDEN}"]
     nonneg_ties = wmr_results[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_ALLOWED}"]
-    assert robust == (nonneg_noties is not None), "robustness and representation disagree"
-    assert weakly_robust == (nonneg_ties is not None), (
-        "weak robustness and representation disagree"
+    require(
+        robust == (nonneg_noties is not None)
+        and weakly_robust == (nonneg_ties is not None)
+        and (weakly_robust or not robust),
+        "robustness verdicts disagree with the nonnegative representations",
     )
-    if robust:
-        assert weakly_robust, "robust rule failed the weaker certificate"
 
     monotone, violation = is_own_vote_monotone(rule)
     dictator = is_dictatorship(rule)
@@ -193,6 +173,6 @@ def classify_rule(rule: VotingRule) -> dict:
             "individual": individual,
             "others_votes": list(others),
         }
-    if dictator is not None:
-        assert robust and monotone, "dictatorship must be robust and monotone"
+    require(dictator is None or (robust and monotone),
+            "dictatorship must be robust and monotone")
     return report

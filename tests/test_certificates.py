@@ -1,0 +1,103 @@
+"""The shared substitution checker, and why producers cannot skip it."""
+
+import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import robustvote
+from robustvote.certificates import (
+    InternalError,
+    failed_column,
+    failed_row,
+    improves,
+    require,
+)
+
+PACKAGE = Path(robustvote.__file__).parent
+
+# alternative_strict is replaced by a stub that claims bogus weights for the
+# status-quo rule ---+, which is not robust.  The producer's own check must
+# catch it even with asserts stripped.
+STUBBED_SOLVER = """
+from fractions import Fraction
+from robustvote import robustness
+from robustvote.certificates import InternalError
+from robustvote.core import VotingRule
+from robustvote.lp import AlternativeResult
+
+assert False, "asserts must be stripped in this run"
+robustness.alternative_strict = lambda matrix: AlternativeResult(
+    weights=(Fraction(1, 2), Fraction(1, 2)), mixture=None
+)
+try:
+    cert = robustness.certify_p_robust_full(VotingRule.from_table_string(2, "---+"))
+except InternalError:
+    print("internal error")
+else:
+    print(cert.verdict)
+"""
+
+
+class TestChecks:
+    def test_failed_column_names_the_first_column(self):
+        matrix = [[F(1), F(-1), F(0)], [F(1), F(2), F(0)]]
+        weights = (F(1, 2), F(1, 2))
+        assert failed_column(matrix, weights) == 2
+        assert failed_column(matrix, weights, strict=False) is None
+        assert failed_column(matrix, (F(1), F(0)), strict=False) == 1
+        assert failed_column(matrix, weights, F(-1), strict=True) is None
+
+    def test_failed_row_names_the_first_row(self):
+        matrix = [[F(1), F(-1)], [F(-1), F(-1)]]
+        assert failed_row(matrix, (F(1, 2), F(1, 2))) is None
+        assert failed_row(matrix, (F(1, 2), F(1, 2)), strict=True) == 0
+        assert failed_row(matrix, (F(1), F(0))) == 0
+        assert failed_row(matrix, (F(1), F(0)), F(1)) is None
+
+    def test_improves(self):
+        base = (F(1, 2), F(1, 2))
+        assert improves(base, base)
+        assert not improves(base, base, in_total=True)
+        assert improves(base, (F(1, 2), F(3, 4)), in_total=True)
+        assert not improves(base, (F(1, 2), F(3, 4)), strictly=True)
+        assert improves(base, (F(3, 5), F(3, 4)), strictly=True)
+        assert not improves(base, (F(1, 4), F(1)))
+
+    def test_internal_error_is_neither_a_value_nor_an_assertion_error(self):
+        assert not issubclass(InternalError, (ValueError, AssertionError))
+        with pytest.raises(InternalError, match="broken"):
+            require(False, "broken")
+        require(True, "never raised")
+
+
+def test_stubbed_solver_is_caught_under_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", STUBBED_SOLVER],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "internal error"
+
+
+def test_no_assert_in_the_package():
+    """Checks written as assert vanish under python -O."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from robustvote import cli
+from robustvote.certificates import InternalError
+
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
 
@@ -92,6 +95,20 @@ class TestExitCodes:
         quiet = run(["wmr", "--rule=+--+", "--signs", "nonneg", "--quiet"])
         assert plain.returncode == quiet.returncode == 1
 
+    @pytest.mark.parametrize(
+        "failure", [InternalError("weights fail"), AssertionError("boom"), KeyError("k")]
+    )
+    def test_internal_error_three(self, monkeypatch, capsys, failure):
+        def broken(*args):
+            raise failure
+
+        monkeypatch.setattr(cli, "certify_p_robust", broken)
+        code = cli.main(["certify", "--rule=---+", "--pset=degenerates"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
 
 class TestDiagnostics:
     def test_missing_file_names_the_flag(self):
@@ -131,6 +148,36 @@ class TestCommandPayloads:
         pooled = run_json(["enumerate", "--n", "3", "--predicate", "anonymous", "--jobs", "4"])[1]
         assert solo["tables"] == pooled["tables"]
         assert solo["count"] == pooled["count"] == 16
+
+    @pytest.mark.parametrize(
+        ("n", "cpus", "pool_size"), [(1, 8, 4), (2, 8, 8), (2, 2, 2), (2, None, None)]
+    )
+    def test_enumerate_jobs_are_capped(self, monkeypatch, capsys, n, cpus, pool_size):
+        # A fake pool records its size and maps in-process, so no worker starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["enumerate", f"--n={n}", "--predicate=anonymous", "--quiet"]
+        assert cli.main(argv + ["--jobs=1000000"]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert cli.main(argv) == 0
+        solo = json.loads(capsys.readouterr().out)
+        assert pooled["tables"] == solo["tables"]
 
     def test_epsilon_payload(self):
         code, report, _ = run_json(["epsilon", "--n", "3"])
