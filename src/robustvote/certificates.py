@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 # The vocabulary of the systems and representations checked here; lp and
@@ -44,28 +45,41 @@ def require(holds: bool, message: str) -> None:
         raise InternalError(message)
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator
+    d > 0, with d: multiplying an inequality by d keeps it, and integer
+    dot products are far cheaper than rational ones."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def is_distribution(values: Sequence[Fraction]) -> bool:
     """Nonnegative entries summing to one."""
-    return all(v >= 0 for v in values) and sum(values) == 1
+    numerators, scale = _over_common_denominator(values)
+    return all(v >= 0 for v in numerators) and sum(numerators) == scale
 
 
-def failed_column(matrix, weights, bound=_ZERO, strict=True) -> int | None:
+def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
     """First column j where sum_i weights[i] * matrix[i][j] is not above
     bound (strict) or not at least bound, or None: robustness weights clear
     zero at every extreme point; a game's row strategy reaches the value."""
+    weights, scale = _over_common_denominator(weights)
+    bound *= scale
     for j in range(len(matrix[0])):
-        dot = sum((w * row[j] for w, row in zip(weights, matrix) if w), _ZERO)
+        dot = sum(w * row[j] for w, row in zip(weights, matrix) if w)
         if not (dot > bound if strict else dot >= bound):
             return j
     return None
 
 
-def failed_row(matrix, mixture, bound=_ZERO, strict=False) -> int | None:
+def failed_row(matrix, mixture, bound=0, strict=False) -> int | None:
     """First row i where sum_j matrix[i][j] * mixture[j] is not below bound
     (strict) or not at most bound, or None: a robustness mixture holds every
     individual to zero; a game's column strategy holds every row to the value."""
+    mixture, scale = _over_common_denominator(mixture)
+    bound *= scale
     for i, row in enumerate(matrix):
-        dot = sum((a * m for a, m in zip(row, mixture) if m), _ZERO)
+        dot = sum(a * m for a, m in zip(row, mixture) if m)
         if not (dot < bound if strict else dot <= bound):
             return i
     return None

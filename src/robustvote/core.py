@@ -424,6 +424,19 @@ def is_dictatorship(rule: VotingRule) -> int | None:
     return None
 
 
+def own_vote_violations(rule: VotingRule) -> Iterator[tuple[int, int]]:
+    """Every (individual, base) where the rule decides +1 at profile base,
+    in which the individual votes -1, and -1 once they switch to +1.
+
+    Pairs come in ascending individual order, then ascending base index.
+    """
+    for i in range(1, rule.n + 1):
+        bit = 1 << (i - 1)
+        for base in range(2 ** rule.n):
+            if not base & bit and rule.outcomes[base] == 1 and rule.outcomes[base | bit] == -1:
+                yield i, base
+
+
 def is_own_vote_monotone(
     rule: VotingRule,
 ) -> tuple[bool, tuple[int, tuple[int, ...]] | None]:
@@ -434,17 +447,11 @@ def is_own_vote_monotone(
     decides +1 when the individual votes -1 but -1 when they vote +1.
     The first witness in (individual, others-index) order is returned.
     """
-    for i in range(1, rule.n + 1):
-        bit = 1 << (i - 1)
-        low_positions = [p for p in range(rule.n) if p != i - 1]
-        for reduced in range(2 ** (rule.n - 1)):
-            base = 0
-            for j, pos in enumerate(low_positions):
-                if (reduced >> j) & 1:
-                    base |= 1 << pos
-            if rule.outcomes[base | bit] == -1 and rule.outcomes[base] == 1:
-                others = tuple(1 if (reduced >> j) & 1 else -1 for j in range(rule.n - 1))
-                return False, (i, others)
+    for i, base in own_vote_violations(rule):
+        others = tuple(
+            vote_in_profile(base, j) for j in range(1, rule.n + 1) if j != i
+        )
+        return False, (i, others)
     return True, None
 
 

@@ -7,6 +7,12 @@ by finitely many extreme points, both variants reduce to a theorem of the
 alternative on the matrix of expected vote-outcome agreements, so every
 verdict carries a finite certificate: weights on individuals when robust, a
 mixture over extreme points when not.
+
+Over all distributions (the point masses) most verdicts have a certificate
+that needs no solver: two profiles whose columns cancel or sum to -2 e_i
+refute robustness, and the Chow vector, corrected a few times by failing
+columns, proves it.  The LP decides only what this screen leaves open, and
+every certificate, screened or solved, passes the same substitution check.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from .core import (
     VotingRule,
     format_rational,
     is_anonymous,
+    own_vote_violations,
     permute_profile_index,
 )
-from .lp import alternative_strict, alternative_weak, matrix_game
+from .lp import AlternativeResult, alternative_strict, alternative_weak, matrix_game
 
 MODE_STRICT = "strict"
 MODE_WEAK = "weak"
@@ -88,15 +95,13 @@ def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[Fract
     return matrix
 
 
-def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[list[Fraction]]:
+def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[list[int | Fraction]]:
     """agreement_matrix over the 2^n point masses, in profile order, built
-    straight off the table: the column for profile x is phi(x) * x."""
+    straight off the table: the column for profile x is phi(x) * x.  Entries
+    keep the outcomes' type, so a deterministic rule's matrix is integer."""
     n = rule.n
     return [
-        [
-            Fraction(rule.outcomes[idx] if idx >> i & 1 else -rule.outcomes[idx])
-            for idx in range(2**n)
-        ]
+        [outcome if idx >> i & 1 else -outcome for idx, outcome in enumerate(rule.outcomes)]
         for i in range(n)
     ]
 
@@ -116,6 +121,58 @@ def _certify_from_matrix(matrix: list[list[Fraction]], mode: str) -> RobustnessC
     return _certificate(matrix, mode, answer.weights, answer.mixture)
 
 
+def _spread(size: int, profiles: list[int]) -> tuple[Fraction, ...]:
+    """Equal mass on each listed profile (a repeat adds up), over all 2^n."""
+    mass = [0] * size
+    for x in profiles:
+        mass[x] += 1
+    zero = Fraction(0)
+    return tuple(Fraction(m, len(profiles)) if m else zero for m in mass)
+
+
+def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
+    """An answer over the point masses that needs no solver, or None.
+
+    Column x of the matrix is phi(x) * x.  A profile deciding the same as
+    its negation gives two columns that cancel, and an own-vote violation of
+    individual i at (base, base | bit_i) two columns summing to -2 e_i, so
+    half mass on either pair is a strict mixture; one pair per individual,
+    averaged, holds every row at -1/n, a weak one.  Otherwise the rule is
+    self-dual and monotone, and if it is robust at all it is a tie-free
+    nonnegative WMR: its Chow vector (the row sums) usually clears every
+    column strictly, or does once a failing column is added to it a few
+    times.  At most n such integer corrections are made; no LP runs.
+    """
+    strict = mode == MODE_STRICT
+    n, size = rule.n, 2**rule.n
+    twin = next(
+        (x for x in range(size) if rule.outcomes[x] == rule.outcomes[size - 1 - x]), None
+    )
+    if strict and twin is not None:
+        return AlternativeResult(None, _spread(size, [twin, size - 1 - twin]))
+    firsts: dict[int, int] = {}
+    for i, base in own_vote_violations(rule):
+        firsts.setdefault(i, base)
+        if strict:
+            break
+    if firsts and (strict or len(firsts) == n):
+        pairs = [x for i, base in firsts.items() for x in (base, base | 1 << (i - 1))]
+        return AlternativeResult(None, _spread(size, pairs))
+    if twin is not None or firsts:
+        return None
+
+    weights = [sum(row) for row in matrix]
+    for _ in range(n + 1):
+        j = failed_column(matrix, weights)
+        if j is None:
+            if min(weights) < 0:
+                return None
+            total = sum(weights)
+            return AlternativeResult(tuple(Fraction(w, total) for w in weights), None)
+        weights = [w + row[j] for w, row in zip(weights, matrix)]
+    return None
+
+
 def certify_p_robust(
     rule: VotingRule, pset: DistributionSet, mode: str = MODE_STRICT
 ) -> RobustnessCertificate:
@@ -130,10 +187,16 @@ def certify_p_robust(
 
 def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT) -> RobustnessCertificate:
     """Robustness over all distributions: the extreme points are the 2^n
-    point masses and the matrix columns come straight off the truth table."""
+    point masses and the matrix columns come straight off the truth table.
+    The combinatorial screen answers first; the LP decides the rest.  Either
+    answer passes the same substitution check."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return _certify_from_matrix(degenerate_agreement_matrix(rule), mode)
+    matrix = degenerate_agreement_matrix(rule)
+    answer = _screen(rule, matrix, mode)
+    if answer is None:
+        return _certify_from_matrix(matrix, mode)
+    return _certificate(matrix, mode, answer.weights, answer.mixture)
 
 
 def is_robust(rule: VotingRule) -> RobustnessCertificate:

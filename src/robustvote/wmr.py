@@ -3,7 +3,9 @@
 A rule is a weighted majority rule for a weight vector w when the outcome
 always sides with the sign of the weighted vote sum.  Ties allowed means the
 sum may vanish; ties forbidden means it never does.  Detection is a linear
-feasibility question over the weights, one inequality per profile.
+feasibility question over the weights, one inequality per profile.  With
+nonnegative weights and ties forbidden that question is strict robustness
+over the point masses, so its answer is read off that certificate.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .respond import (
     SIGN_CLASSES,
     WeightVector,
 )
+from .robustness import MODE_STRICT, MODE_WEAK, VERDICT_ROBUST, certify_p_robust_full
+
 
 @dataclass(frozen=True)
 class WmrQuery:
@@ -51,6 +55,11 @@ class WmrQuery:
             raise ValueError(f"unknown sign class {self.sign_class!r}")
         if self.ties not in TIE_MODES:
             raise ValueError(f"unknown tie mode {self.ties!r}")
+
+
+# Nonnegative weights with no ties are exactly strict robustness weights over
+# the point masses, so this query is answered by the strict certificate.
+TIE_FREE_NONNEGATIVE = WmrQuery(SIGN_CLASS_NONNEGATIVE, TIES_FORBIDDEN)
 
 
 def _signed_sum_rows(rule: VotingRule, relation: str) -> list[LinearRow]:
@@ -77,12 +86,27 @@ def _smallest_integer_direction(ws: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v // g) for v in ints)
 
 
+def _represented(rule: VotingRule, witness, query: WmrQuery) -> WeightVector | None:
+    """The witness scaled to the smallest integer direction, re-checked
+    against every profile, or None when there is no witness."""
+    if witness is None:
+        return None
+    cleared = _smallest_integer_direction(witness)
+    require(weights_represent(rule, cleared, query.ties),
+            "recovered weights fail re-verification")
+    return WeightVector(cleared, query.sign_class)
+
+
 def detect_wmr(rule: VotingRule, query: WmrQuery) -> WeightVector | None:
     """Recover a weight vector of the requested kind, or report none exists.
 
     The recovered vector is scaled to the smallest integer direction and
-    re-checked against every profile before being returned.
+    re-checked against every profile before being returned.  A tie-free
+    nonnegative one is read off the strict robustness certificate, whose
+    mixture, when it has one, has passed its own check.
     """
+    if query == TIE_FREE_NONNEGATIVE:
+        return _represented(rule, certify_p_robust_full(rule, MODE_STRICT).weights, query)
     n = rule.n
     relation = REL_GT if query.ties == TIES_FORBIDDEN else REL_GE
     rows = _signed_sum_rows(rule, relation)
@@ -117,30 +141,27 @@ def detect_wmr(rule: VotingRule, query: WmrQuery) -> WeightVector | None:
         if result.feasible:
             witness = result.witness
 
-    if witness is None:
-        return None
-    cleared = _smallest_integer_direction(witness)
-    require(weights_represent(rule, cleared, query.ties),
-            "recovered weights fail re-verification")
-    return WeightVector(cleared, query.sign_class)
+    return _represented(rule, witness, query)
 
 
 def classify_rule(rule: VotingRule) -> dict:
     """Bundle the structural predicates and certificates for one rule."""
-    from .robustness import certify_p_robust_full
-
+    strict_cert = certify_p_robust_full(rule, MODE_STRICT)
+    weak_cert = certify_p_robust_full(rule, MODE_WEAK)
     wmr_results = {}
     for sign_class in SIGN_CLASSES:
         for ties in TIE_MODES:
-            found = detect_wmr(rule, WmrQuery(sign_class, ties))
+            query = WmrQuery(sign_class, ties)
+            if query == TIE_FREE_NONNEGATIVE:
+                found = _represented(rule, strict_cert.weights, query)
+            else:
+                found = detect_wmr(rule, query)
             wmr_results[f"{sign_class}_{ties}"] = (
                 found.to_json() if found is not None else None
             )
 
-    strict_cert = certify_p_robust_full(rule, "strict")
-    weak_cert = certify_p_robust_full(rule, "weak")
-    robust = strict_cert.verdict == "robust"
-    weakly_robust = weak_cert.verdict == "robust"
+    robust = strict_cert.verdict == VERDICT_ROBUST
+    weakly_robust = weak_cert.verdict == VERDICT_ROBUST
 
     nonneg_noties = wmr_results[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_FORBIDDEN}"]
     nonneg_ties = wmr_results[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_ALLOWED}"]

@@ -20,9 +20,11 @@ from robustvote.certificates import (
 
 PACKAGE = Path(robustvote.__file__).parent
 
-# alternative_strict is replaced by a stub that claims bogus weights for the
-# status-quo rule ---+, which is not robust.  The producer's own check must
-# catch it even with asserts stripped.
+# The weak question on the status-quo rule ---+ goes past the combinatorial
+# screen (the rule is not self-dual, which settles only the strict question)
+# to alternative_weak, here a stub that records its call and claims weights
+# (1, 0), which fail at profile +-.  The producer's own check must catch it
+# even with asserts stripped.
 STUBBED_SOLVER = """
 from fractions import Fraction
 from robustvote import robustness
@@ -31,7 +33,32 @@ from robustvote.core import VotingRule
 from robustvote.lp import AlternativeResult
 
 assert False, "asserts must be stripped in this run"
-robustness.alternative_strict = lambda matrix: AlternativeResult(
+calls = []
+
+def stub(matrix):
+    calls.append(matrix)
+    return AlternativeResult(weights=(Fraction(1), Fraction(0)), mixture=None)
+
+robustness.alternative_weak = stub
+try:
+    cert = robustness.certify_p_robust_full(VotingRule.from_table_string(2, "---+"), "weak")
+except InternalError:
+    print("internal error", len(calls))
+else:
+    print(cert.verdict, len(calls))
+"""
+
+# The screen itself is replaced by one that claims bogus weights for ---+,
+# which is not robust in the strict sense.
+STUBBED_SCREEN = """
+from fractions import Fraction
+from robustvote import robustness
+from robustvote.certificates import InternalError
+from robustvote.core import VotingRule
+from robustvote.lp import AlternativeResult
+
+assert False, "asserts must be stripped in this run"
+robustness._screen = lambda rule, matrix, mode: AlternativeResult(
     weights=(Fraction(1, 2), Fraction(1, 2)), mixture=None
 )
 try:
@@ -75,20 +102,28 @@ class TestChecks:
         require(True, "never raised")
 
 
-def test_stubbed_solver_is_caught_under_optimize():
+def _run_optimized(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", STUBBED_SOLVER],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "internal error"
+    return proc.stdout.strip()
+
+
+def test_stubbed_solver_is_caught_under_optimize():
+    assert _run_optimized(STUBBED_SOLVER) == "internal error 1"
+
+
+def test_stubbed_screen_is_caught_under_optimize():
+    assert _run_optimized(STUBBED_SCREEN) == "internal error"
 
 
 def test_no_assert_in_the_package():

@@ -1,0 +1,142 @@
+"""The combinatorial screen that answers robustness over the point masses
+before any LP: it must agree with the LP on every rule it decides, and it
+must decide the rules its certificates exist for without the LP."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from robustvote import (
+    VotingRule,
+    certify_p_robust_full,
+    detect_wmr,
+    enumerate_rules,
+    inverse_rule,
+    is_own_vote_monotone,
+    is_self_dual,
+    majority_rule,
+    weighted_majority_rule,
+)
+from robustvote import robustness
+from robustvote.core import own_vote_violations
+from robustvote.robustness import (
+    MODE_STRICT,
+    MODE_WEAK,
+    MODES,
+    VERDICT_NOT_ROBUST,
+    VERDICT_ROBUST,
+    _certify_from_matrix,
+    degenerate_agreement_matrix,
+)
+from robustvote.wmr import TIE_FREE_NONNEGATIVE
+
+
+def lp_verdict(rule, mode):
+    """The verdict of the LP alone, with no screen in front of it."""
+    return _certify_from_matrix(degenerate_agreement_matrix(rule), mode).verdict
+
+
+@pytest.fixture(scope="module")
+def monotone_n4():
+    return list(enumerate_rules(4, lambda rule: is_own_vote_monotone(rule)[0]))
+
+
+@pytest.fixture
+def no_lp(monkeypatch):
+    def refuse(matrix):
+        raise RuntimeError("the LP was reached")
+
+    monkeypatch.setattr(robustness, "alternative_strict", refuse)
+    monkeypatch.setattr(robustness, "alternative_weak", refuse)
+
+
+class TestAgreesWithTheLp:
+    def test_every_n3_rule_in_both_modes(self):
+        for rule in enumerate_rules(3):
+            for mode in MODES:
+                assert certify_p_robust_full(rule, mode).verdict == lp_verdict(rule, mode), (
+                    rule.to_table_string(), mode)
+
+    def test_every_monotone_n4_rule_in_both_modes(self, monotone_n4):
+        assert len(monotone_n4) == 168
+        for rule in monotone_n4:
+            for mode in MODES:
+                assert certify_p_robust_full(rule, mode).verdict == lp_verdict(rule, mode), (
+                    rule.to_table_string(), mode)
+
+    def test_tie_free_nonnegative_wmr_exactly_when_strictly_robust(self, monotone_n4):
+        for rule in list(enumerate_rules(3)) + monotone_n4:
+            found = detect_wmr(rule, TIE_FREE_NONNEGATIVE)
+            assert (found is not None) == (lp_verdict(rule, MODE_STRICT) == VERDICT_ROBUST)
+
+
+class TestDecidesWithoutTheLp:
+    def test_rules_that_are_not_self_dual(self, no_lp):
+        rules = [rule for rule in enumerate_rules(3) if not is_self_dual(rule)]
+        assert len(rules) == 240
+        for rule in rules:
+            cert = certify_p_robust_full(rule, MODE_STRICT)
+            assert cert.verdict == VERDICT_NOT_ROBUST
+            # half mass on a profile and on its negation
+            assert sorted(cert.mixture)[-2:] == [F(1, 2), F(1, 2)]
+
+    def test_every_robust_n4_rule(self, no_lp, monotone_n4):
+        robust = [rule for rule in monotone_n4 if is_self_dual(rule)]
+        assert len(robust) == 12
+        for rule in robust:
+            for mode in MODES:
+                assert certify_p_robust_full(rule, mode).verdict == VERDICT_ROBUST
+            assert detect_wmr(rule, TIE_FREE_NONNEGATIVE) is not None
+
+    def test_weak_query_with_a_violation_for_everyone(self, no_lp):
+        rule = inverse_rule(majority_rule(3))
+        assert {i for i, _ in own_vote_violations(rule)} == {1, 2, 3}
+        cert = certify_p_robust_full(rule, MODE_WEAK)
+        assert cert.verdict == VERDICT_NOT_ROBUST
+        matrix = degenerate_agreement_matrix(rule)
+        rows = [sum(a * m for a, m in zip(row, cert.mixture)) for row in matrix]
+        assert rows == [F(-1, 3)] * 3
+
+    def test_corrected_chow_vector(self, no_lp):
+        # The raw Chow vector of this rule fails some profile; corrections
+        # by failing columns must still reach weights that clear them all.
+        rule = weighted_majority_rule(4, [1, 1, 1, 2])
+        matrix = degenerate_agreement_matrix(rule)
+        chow = [sum(row) for row in matrix]
+        assert any(
+            sum(w * row[j] for w, row in zip(chow, matrix)) <= 0
+            for j in range(len(matrix[0]))
+        )
+        cert = certify_p_robust_full(rule, MODE_STRICT)
+        assert cert.verdict == VERDICT_ROBUST
+
+
+@pytest.mark.parametrize("rule, mode", [
+    # robust only in the weak sense, which no combinatorial certificate covers
+    (VotingRule.from_table_string(2, "---+"), MODE_WEAK),
+    # a tie-free WMR whose Chow vector n corrections do not repair
+    (weighted_majority_rule(5, [1, 2, 2, 2, 4]), MODE_STRICT),
+])
+def test_the_lp_decides_what_the_screen_cannot(monkeypatch, rule, mode):
+    name = "alternative_strict" if mode == MODE_STRICT else "alternative_weak"
+    original = getattr(robustness, name)
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(robustness, name, counting)
+    assert certify_p_robust_full(rule, mode).verdict == VERDICT_ROBUST
+    assert len(calls) == 1
+
+
+def test_violations_come_in_individual_then_profile_order():
+    rule = inverse_rule(majority_rule(3))
+    pairs = list(own_vote_violations(rule))
+    assert pairs == sorted(pairs)
+    i, base = pairs[0]
+    bit = 1 << (i - 1)
+    assert not base & bit
+    assert rule.outcomes[base] == 1 and rule.outcomes[base | bit] == -1
+    assert list(own_vote_violations(majority_rule(3))) == []
