@@ -45,7 +45,7 @@ def require(holds: bool, message: str) -> None:
         raise InternalError(message)
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
+def over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of rationals over their least common denominator
     d > 0, with d: multiplying an inequality by d keeps it, and integer
     dot products are far cheaper than rational ones."""
@@ -55,7 +55,7 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
 
 def is_distribution(values: Sequence[Fraction]) -> bool:
     """Nonnegative entries summing to one."""
-    numerators, scale = _over_common_denominator(values)
+    numerators, scale = over_common_denominator(values)
     return all(v >= 0 for v in numerators) and sum(numerators) == scale
 
 
@@ -63,7 +63,7 @@ def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
     """First column j where sum_i weights[i] * matrix[i][j] is not above
     bound (strict) or not at least bound, or None: robustness weights clear
     zero at every extreme point; a game's row strategy reaches the value."""
-    weights, scale = _over_common_denominator(weights)
+    weights, scale = over_common_denominator(weights)
     bound *= scale
     for j in range(len(matrix[0])):
         dot = sum(w * row[j] for w, row in zip(weights, matrix) if w)
@@ -76,7 +76,7 @@ def failed_row(matrix, mixture, bound=0, strict=False) -> int | None:
     """First row i where sum_j matrix[i][j] * mixture[j] is not below bound
     (strict) or not at most bound, or None: a robustness mixture holds every
     individual to zero; a game's column strategy holds every row to the value."""
-    mixture, scale = _over_common_denominator(mixture)
+    mixture, scale = over_common_denominator(mixture)
     bound *= scale
     for i, row in enumerate(matrix):
         dot = sum(a * m for a, m in zip(row, mixture) if m)
@@ -103,15 +103,19 @@ def robustness_problem(matrix, strict: bool, weights=None, mixture=None) -> str 
 
 def satisfies(system, point: Sequence[Fraction]) -> bool:
     """Exact substitution of a point into a LinearSystem, including the
-    variable sign domains."""
+    variable sign domains; with the point over its least common denominator
+    d, each row compares an integer dot product against rhs * d."""
     values = [Fraction(v) for v in point]
     if len(values) != system.num_vars:
         return False
     for value, sign in zip(values, system.var_signs):
         if sign == SIGN_NONNEG and value < 0:
             return False
+    values, scale = over_common_denominator(values)
     return all(
-        _HOLDS[row.relation](sum((c * v for c, v in zip(row.coeffs, values)), _ZERO), row.rhs)
+        _HOLDS[row.relation](
+            sum(c * v for c, v in zip(row.coeffs, values) if v), row.rhs * scale
+        )
         for row in system.rows
     )
 
@@ -130,7 +134,8 @@ def certifies_infeasibility(system, multipliers: Sequence[Fraction]) -> bool:
     for mult, row in zip(mults, system.rows):
         if row.relation != REL_EQ and mult < 0:
             return False
-    combined = [_ZERO] * system.num_vars
+    mults, _ = over_common_denominator(mults)  # every test below is of a sign
+    combined = [0] * system.num_vars
     for mult, row in zip(mults, system.rows):
         if mult == 0:
             continue
@@ -141,10 +146,8 @@ def certifies_infeasibility(system, multipliers: Sequence[Fraction]) -> bool:
             return False
         if sign == SIGN_FREE and value != 0:
             return False
-    rhs = sum((m * row.rhs for m, row in zip(mults, system.rows)), _ZERO)
-    strict_mass = sum(
-        (m for m, row in zip(mults, system.rows) if row.relation == REL_GT), _ZERO
-    )
+    rhs = sum(m * row.rhs for m, row in zip(mults, system.rows))
+    strict_mass = sum(m for m, row in zip(mults, system.rows) if row.relation == REL_GT)
     return rhs > 0 or (rhs == 0 and strict_mass > 0)
 
 

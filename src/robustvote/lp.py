@@ -1,12 +1,13 @@
 """Exact rational linear feasibility with evidence.
 
-Everything here runs over fractions.Fraction, with no tolerances. A query
-either comes back feasible with a witness point, or infeasible with a
-Farkas-style certificate: nonnegative multipliers on the rows (sign-free on
-equalities) whose combination reduces the system to the contradiction
-0 > 0 or 0 >= c with c > 0. Before either is returned it goes through the
-matching check in `certificates` (`satisfies` or `certifies_infeasibility`,
-both importable from here too), and a failure raises InternalError.
+Everything here is exact integer and Fraction arithmetic, with no
+tolerances. A query either comes back feasible with a witness point, or
+infeasible with a Farkas-style certificate: nonnegative multipliers on the
+rows (sign-free on equalities) whose combination reduces the system to the
+contradiction 0 > 0 or 0 >= c with c > 0. Before either is returned it goes
+through the matching check in `certificates` (`satisfies` or
+`certifies_infeasibility`, both importable from here too), and a failure
+raises InternalError.
 
 The solver is a two-phase primal simplex on the standard equality form
 with Bland's anti-cycling pivot rule, which also makes every answer
@@ -20,12 +21,21 @@ differences of nonnegative parts first.
 Infeasibility certificates are read off the dual values of the final
 simplex basis (the phase-one basis when the weakened system is already
 infeasible, the delta-maximizing basis otherwise).
+
+The tableau is fraction-free: sparse integer rows over one common
+denominator, the basis determinant, updated by Bareiss pivots whose
+divisions are exact. Integer systems enter as integers and rational ones
+scaled row by row; Fractions are formed only when a witness, a dual or the
+objective value is read. Each answer carries SolveStats (shape, pivots per
+phase, widest entry), which take no part in equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .certificates import (
@@ -37,6 +47,7 @@ from .certificates import (
     certifies_infeasibility,
     failed_column,
     failed_row,
+    over_common_denominator,
     require,
     satisfies,
 )
@@ -48,17 +59,23 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _rational(value) -> int | Fraction:
+    """An int stays an int, so integer systems reach the solver as integers;
+    anything else becomes a Fraction."""
+    return value if type(value) is int else Fraction(value)
+
+
 @dataclass(frozen=True)
 class LinearRow:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "coeffs", tuple(map(_rational, self.coeffs)))
+        object.__setattr__(self, "rhs", _rational(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -80,123 +97,172 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """What the simplex did for one answer: the final tableau's shape, the
+    pivots before and after a feasible basis was reached, and the widest
+    integer the tableau held at the end, in bits."""
+
+    rows: int
+    columns: int
+    phase1_pivots: int
+    phase2_pivots: int
+    max_bits: int
+
+
+@dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of a feasibility query. Exactly one of the fields is set."""
+    """Outcome of a feasibility query. Exactly one of witness and
+    certificate is set; stats are not part of the answer."""
 
     feasible: bool
     witness: tuple[Fraction, ...] | None
     certificate: tuple[Fraction, ...] | None
+    stats: SolveStats | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
 # Standard-form simplex
 
 
-class _Unbounded(Exception):
-    pass
-
-
 class _Tableau:
-    """Dense simplex tableau over exact rationals, Bland's rule throughout."""
+    """Fraction-free simplex tableau, Bland's rule throughout.
+
+    Each row holds only its nonzero entries, as ints over one positive
+    common denominator `den`, the determinant of the current basis: entry v
+    stands for v / den.  The reduced-cost row `cbar` and `zrhs`, minus the
+    objective value, are kept on the same scale.  A pivot on entry p turns
+    every entry v whose row has f in the pivot column, and whose column
+    has w in the pivot row, into (v * p - f * w) / den; that division is
+    exact (Edmonds 1967; Bareiss 1968), and p becomes the new denominator,
+    with the tableau negated when p < 0.  Rationals are formed only when
+    `solution`, `duals` or `value` is read.
+    """
 
     def __init__(self) -> None:
-        self.rows: list[list[Fraction]] = []  # coefficient rows, rhs appended later
-        self.rhs: list[Fraction] = []
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.scales: list[int] = []  # lcm of the denominators of each input row
+        self.den = 1
         self.ncols = 0
         self.basis: list[int] = []
         self.init_col: list[int] = []  # identity column of each row at start
         self.artificials: set[int] = set()
-        self.cbar: list[Fraction] = []
-        self.costs: list[Fraction] = []
+        self.costs: dict[int, int] = {}
+        self.cbar: dict[int, int] = {}
+        self.zrhs = 0
+        self.phase = 0  # 0 while reaching a feasible basis, then 1
+        self.pivots = [0, 0]
 
     def add_column(self) -> int:
-        for row in self.rows:
-            row.append(_ZERO)
         self.ncols += 1
         return self.ncols - 1
 
-    def add_row(self, coeffs: dict[int, Fraction], b: Fraction, basis_ready_col: int | None) -> None:
+    def add_row(self, coeffs: dict[int, int | Fraction], b: int | Fraction,
+                basis_ready_col: int | None) -> None:
         """Append an equality row with b >= 0; give it an identity column.
 
         basis_ready_col names an existing +1 unit column for this row (a
-        slack); if None, a fresh artificial column is created.
+        slack); if None, a fresh artificial column is created.  A row with
+        rational entries is multiplied by the lcm of their denominators.
         """
         require(b >= 0, "solver: row with a negative right-hand side")
-        row = [_ZERO] * self.ncols
-        for col, value in coeffs.items():
-            row[col] = value
+        scale = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
+        row = {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items() if v}
+        b = b.numerator * (scale // b.denominator)
+        if basis_ready_col is None:
+            basis_ready_col = self.add_column()
+            row[basis_ready_col] = scale
+            self.artificials.add(basis_ready_col)
         self.rows.append(row)
         self.rhs.append(b)
-        if basis_ready_col is None:
-            col = self.add_column()
-            self.rows[-1][col] = _ONE
-            self.artificials.add(col)
-        else:
-            col = basis_ready_col
-        self.basis.append(col)
-        self.init_col.append(col)
+        self.scales.append(scale)
+        self.basis.append(basis_ready_col)
+        self.init_col.append(basis_ready_col)
+
+    def _start(self) -> None:
+        """Put the rows over one denominator, once all of them are in.
+
+        Row i was multiplied by scales[i] to make it integer, so the
+        starting basis is diag(scales) with determinant prod(scales); over
+        that denominator row i stands for itself times prod / scales[i].
+        A smaller denominator would break the exact divisions.
+        """
+        if not self.scales:
+            return
+        den = prod(self.scales)
+        if den != 1:
+            for i, scale in enumerate(self.scales):
+                lift = den // scale
+                if lift != 1:
+                    self.rows[i] = {j: v * lift for j, v in self.rows[i].items()}
+                    self.rhs[i] *= lift
+        self.den = den
+        self.scales = []
 
     def _pivot(self, r: int, e: int) -> None:
-        rows, rhs, cbar = self.rows, self.rhs, self.cbar
+        rows, rhs = self.rows, self.rhs
         prow = rows[r]
-        inv = _ONE / prow[e]
-        if inv != 1:
-            rows[r] = prow = [v * inv for v in prow]
-            rhs[r] *= inv
-        nz = [(j, v) for j, v in enumerate(prow) if v]
+        p = prow[e]
+        if p < 0:
+            p = -p
+            rows[r] = prow = {j: -v for j, v in prow.items()}
+            rhs[r] = -rhs[r]
+        pitems = prow.items()
         prhs = rhs[r]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            factor = row[e]
-            if factor:
-                for j, v in nz:
-                    row[j] -= factor * v
-                rhs[i] -= factor * prhs
-        factor = cbar[e]
-        if factor:
-            for j, v in nz:
-                cbar[j] -= factor * v
-            self.value += factor * prhs
+            if i != r:
+                rows[i], rhs[i] = self._eliminate(row, rhs[i], e, p, pitems, prhs)
+        self.cbar, self.zrhs = self._eliminate(self.cbar, self.zrhs, e, p, pitems, prhs)
+        self.den = p
         self.basis[r] = e
+        self.pivots[self.phase] += 1
 
-    def run(self, costs: list[Fraction], barred: set[int]) -> None:
-        """Minimize costs over the current basis; raises _Unbounded."""
-        self.costs = costs
-        cbar = costs[:]
-        value = _ZERO
-        for r, col in enumerate(self.basis):
-            cb = costs[col]
+    def _eliminate(self, row, b, e, p, pitems, prhs):
+        """One row after a pivot on entry p of column e: (v * p - f * w) / den
+        on its nonzeros and the pivot row's, divided exactly."""
+        den = self.den
+        f = row.get(e)
+        if not f:
+            if p == den:
+                return row, b
+            return {j: v * p // den for j, v in row.items()}, b * p // den
+        new = {j: v * p for j, v in row.items()}
+        for j, w in pitems:
+            new[j] = new.get(j, 0) - f * w
+        return {j: v // den for j, v in new.items() if v}, (b * p - f * prhs) // den
+
+    def run(self, costs: list[int], barred: set[int]) -> None:
+        """Minimize integer costs over the current basis."""
+        self._start()
+        rows, rhs, den, basis = self.rows, self.rhs, self.den, self.basis
+        self.costs = {j: c for j, c in enumerate(costs) if c}
+        cbar = {j: c * den for j, c in self.costs.items()}
+        zrhs = 0
+        for r, col in enumerate(basis):
+            cb = self.costs.get(col)
             if cb:
-                row = self.rows[r]
-                for j in range(self.ncols):
-                    if row[j]:
-                        cbar[j] -= cb * row[j]
-                value += cb * self.rhs[r]
-        self.cbar = cbar
-        self.value = value
-        rows, rhs = self.rows, self.rhs
+                for j, v in rows[r].items():
+                    cbar[j] = cbar.get(j, 0) - cb * v
+                zrhs -= cb * rhs[r]
+        self.cbar = {j: v for j, v in cbar.items() if v}
+        self.zrhs = zrhs
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if j not in barred and cbar[j] < 0:
-                    enter = j
-                    break
+            enter = min(
+                (j for j, v in self.cbar.items() if v < 0 and j not in barred), default=-1
+            )
             if enter < 0:
                 return
+            # Bland's ratio test, rhs[r] / a compared by cross-multiplying.
             leave = -1
-            best: Fraction | None = None
-            for r in range(len(rows)):
-                a = rows[r][enter]
+            for r, row in enumerate(rows):
+                a = row.get(enter, 0)
                 if a > 0:
-                    ratio = rhs[r] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = r
-            if leave < 0:
-                raise _Unbounded
+                    if leave >= 0:
+                        ratio, best = rhs[r] * best_a, rhs[leave] * a
+                        if ratio > best or (ratio == best and basis[r] > basis[leave]):
+                            continue
+                    leave, best_a = r, a
+            require(leave >= 0, "solver: unbounded program")
             self._pivot(leave, enter)
 
     def drive_out_artificials(self) -> None:
@@ -207,25 +273,34 @@ class _Tableau:
         column has a zero entry there).
         """
         for r, col in enumerate(self.basis):
-            if col not in self.artificials:
-                continue
-            pivot_col = -1
-            for j in range(self.ncols):
-                if j not in self.artificials and self.rows[r][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                self._pivot(r, pivot_col)
+            if col in self.artificials:
+                pivot_col = min(
+                    (j for j in self.rows[r] if j not in self.artificials), default=-1
+                )
+                if pivot_col >= 0:
+                    self._pivot(r, pivot_col)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(-self.zrhs, self.den)
 
     def solution(self) -> dict[int, Fraction]:
-        return {col: self.rhs[r] for r, col in enumerate(self.basis)}
+        self._start()
+        return {col: Fraction(self.rhs[r], self.den) for r, col in enumerate(self.basis)}
 
     def duals(self) -> list[Fraction]:
         """Row duals of the last run: costs[init] - cbar[init] per row."""
+        den, costs, cbar = self.den, self.costs, self.cbar
         return [
-            self.costs[self.init_col[r]] - self.cbar[self.init_col[r]]
-            for r in range(len(self.rows))
+            Fraction(costs.get(col, 0) * den - cbar.get(col, 0), den)
+            for col in self.init_col
         ]
+
+    def stats(self) -> SolveStats:
+        entries = (v for row in self.rows for v in row.values())
+        widest = max(map(int.bit_length, itertools.chain(
+            entries, self.rhs, self.cbar.values(), (self.zrhs, self.den))))
+        return SolveStats(len(self.rows), self.ncols, self.pivots[0], self.pivots[1], widest)
 
 
 class _Encoder:
@@ -243,15 +318,15 @@ class _Encoder:
         self.delta_minus: int | None = None
         self.row_flip: list[tuple[int, Fraction]] = []  # (original row index, sign)
 
-    def _base_coeffs(self, row: LinearRow, flip: bool) -> dict[int, Fraction]:
-        coeffs: dict[int, Fraction] = {}
+    def _base_coeffs(self, row: LinearRow, flip: bool) -> dict[int, int | Fraction]:
+        coeffs: dict[int, int | Fraction] = {}
         for (pos, neg), c in zip(self.part_cols, row.coeffs):
             if c == 0:
                 continue
             value = -c if flip else c
-            coeffs[pos] = coeffs.get(pos, _ZERO) + value
+            coeffs[pos] = value
             if neg is not None:
-                coeffs[neg] = coeffs.get(neg, _ZERO) - value
+                coeffs[neg] = -value
         return coeffs
 
     def add_system_row(self, index: int, delta_col: int | None) -> None:
@@ -268,21 +343,21 @@ class _Encoder:
             # negate so the slack column enters with +1 and rhs stays >= 0
             coeffs = self._base_coeffs(row, True)
             if use_delta:
-                coeffs[delta_col] = coeffs.get(delta_col, _ZERO) + _ONE
+                coeffs[delta_col] = 1
                 if self.delta_minus is not None and delta_col == self.delta_plus:
-                    coeffs[self.delta_minus] = coeffs.get(self.delta_minus, _ZERO) - _ONE
+                    coeffs[self.delta_minus] = -1
             slack = self.tab.add_column()
-            coeffs[slack] = _ONE
+            coeffs[slack] = 1
             self.tab.add_row(coeffs, -row.rhs, slack)
             self.row_flip.append((index, Fraction(-1)))
         else:
             coeffs = self._base_coeffs(row, False)
             if use_delta:
-                coeffs[delta_col] = coeffs.get(delta_col, _ZERO) - _ONE
+                coeffs[delta_col] = -1
                 if self.delta_minus is not None and delta_col == self.delta_plus:
-                    coeffs[self.delta_minus] = coeffs.get(self.delta_minus, _ZERO) + _ONE
+                    coeffs[self.delta_minus] = 1
             surplus = self.tab.add_column()
-            coeffs[surplus] = Fraction(-1)
+            coeffs[surplus] = -1
             self.tab.add_row(coeffs, row.rhs, None)
             self.row_flip.append((index, Fraction(1)))
 
@@ -308,13 +383,17 @@ def _finish_infeasible(system: LinearSystem, enc: _Encoder) -> FeasibilityResult
     cert = enc.certificate()
     require(certifies_infeasibility(system, cert),
             "solver: invalid infeasibility certificate")
-    return FeasibilityResult(False, None, cert)
+    return FeasibilityResult(False, None, cert, enc.tab.stats())
 
 
 def _finish_feasible(system: LinearSystem, enc: _Encoder) -> FeasibilityResult:
     point = enc.witness()
     require(satisfies(system, point), "solver: witness fails substitution")
-    return FeasibilityResult(True, point, None)
+    return FeasibilityResult(True, point, None, enc.tab.stats())
+
+
+def _phase_one_costs(tab: _Tableau) -> list[int]:
+    return [1 if j in tab.artificials else 0 for j in range(tab.ncols)]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
@@ -333,8 +412,7 @@ def _solve_weak(system: LinearSystem) -> FeasibilityResult:
         enc.add_system_row(index, None)
     tab = enc.tab
     if tab.artificials:
-        costs = [_ONE if j in tab.artificials else _ZERO for j in range(tab.ncols)]
-        tab.run(costs, set())
+        tab.run(_phase_one_costs(tab), set())
         if tab.value > 0:
             return _finish_infeasible(system, enc)
         tab.drive_out_artificials()
@@ -354,23 +432,23 @@ def _solve_strict_homogeneous(system: LinearSystem) -> FeasibilityResult:
     enc.delta_minus = enc.tab.add_column()
     for index in range(len(system.rows)):
         enc.add_system_row(index, enc.delta_plus)
-    norm = {pos: _ONE for pos, _ in enc.part_cols}
+    norm = {pos: 1 for pos, _ in enc.part_cols}
     for _, neg in enc.part_cols:
         if neg is not None:
-            norm[neg] = _ONE
-    enc.tab.add_row(norm, _ONE, None)
+            norm[neg] = 1
+    enc.tab.add_row(norm, 1, None)
     enc.row_flip.append((-1, _ZERO))  # normalization row carries no certificate weight
     tab = enc.tab
-    costs1 = [_ONE if j in tab.artificials else _ZERO for j in range(tab.ncols)]
-    tab.run(costs1, set())
+    tab.run(_phase_one_costs(tab), set())
     if tab.value > 0:
         # The normalization itself is unreachable (the weak cone is {0}).
         # The capped encoding certifies such systems without it.
         return _solve_strict_capped(system)
     tab.drive_out_artificials()
-    costs2 = [_ZERO] * tab.ncols
-    costs2[enc.delta_plus] = Fraction(-1)
-    costs2[enc.delta_minus] = _ONE
+    costs2 = [0] * tab.ncols
+    costs2[enc.delta_plus] = -1
+    costs2[enc.delta_minus] = 1
+    tab.phase = 1
     tab.run(costs2, tab.artificials)
     delta = -tab.value
     if delta > 0:
@@ -391,17 +469,17 @@ def _solve_strict_capped(system: LinearSystem) -> FeasibilityResult:
     for index in range(len(system.rows)):
         enc.add_system_row(index, delta)
     cap_slack = enc.tab.add_column()
-    enc.tab.add_row({delta: _ONE, cap_slack: _ONE}, _ONE, cap_slack)
+    enc.tab.add_row({delta: 1, cap_slack: 1}, 1, cap_slack)
     enc.row_flip.append((-1, _ZERO))
     tab = enc.tab
     if tab.artificials:
-        costs1 = [_ONE if j in tab.artificials else _ZERO for j in range(tab.ncols)]
-        tab.run(costs1, set())
+        tab.run(_phase_one_costs(tab), set())
         if tab.value > 0:
             return _finish_infeasible(system, enc)
         tab.drive_out_artificials()
-    costs2 = [_ZERO] * tab.ncols
-    costs2[delta] = Fraction(-1)
+    costs2 = [0] * tab.ncols
+    costs2[delta] = -1
+    tab.phase = 1
     tab.run(costs2, tab.artificials)
     if -tab.value > 0:
         return _finish_feasible(system, enc)
@@ -424,8 +502,8 @@ class AlternativeResult:
     mixture: tuple[Fraction, ...] | None
 
 
-def _as_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    rows = [[Fraction(v) for v in row] for row in matrix]
+def _as_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[int | Fraction]]:
+    rows = [list(map(_rational, row)) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("the matrix must be nonempty")
     width = len(rows[0])
@@ -490,17 +568,24 @@ def _strictly_positive_shift(
     """Perturb a nonnegative mixture with L lam << 0 to a strictly positive one.
 
     The strict inequalities have slack, so adding a small epsilon to every
-    coordinate preserves them; epsilon is chosen exactly from the slacks.
-    The slacks are positive because solve_feasibility checked the mixture.
+    coordinate preserves them; epsilon is the least slack / (2 * row sum)
+    over rows with a positive sum, and at most 1.  With lam = numerators / d
+    the slacks are integer dot products over d, compared by
+    cross-multiplying.  The slacks are positive because solve_feasibility
+    checked the mixture.
     """
-    lam = [Fraction(v) for v in mixture]
-    epsilon = _ONE
+    numerators, d = over_common_denominator(mixture)
+    eps_num, eps_den = 1, 1
     for row in rows:
-        row_sum = sum(row, _ZERO)
+        row_sum = sum(row)
         if row_sum > 0:
-            slack = -sum((a * v for a, v in zip(row, lam)), _ZERO)
-            epsilon = min(epsilon, slack / (2 * row_sum))
-    shifted = _normalized([v + epsilon for v in lam])
+            slack = -sum(a * v for a, v in zip(row, numerators) if v)
+            if slack * eps_den < eps_num * 2 * row_sum * d:
+                eps_num, eps_den = slack, 2 * row_sum * d
+    epsilon = Fraction(eps_num, eps_den)
+    lifted = [v * epsilon.denominator + epsilon.numerator * d for v in numerators]
+    total = sum(lifted)
+    shifted = tuple(Fraction(v, total) for v in lifted)
     require(failed_row(rows, shifted, strict=True) is None,
             "solver: shifted mixture fails recheck")
     return shifted
@@ -522,6 +607,7 @@ class GameSolution:
     value: Fraction
     row_strategy: tuple[Fraction, ...]
     col_strategy: tuple[Fraction, ...]
+    stats: SolveStats | None = field(default=None, compare=False)
 
 
 def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
@@ -535,17 +621,18 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
     rows = _as_matrix(matrix)
     n, m = len(rows), len(rows[0])
     low = min(min(row) for row in rows)
-    k = _ONE - low if low < 1 else _ZERO
+    k = 1 - low if low < 1 else 0
     tab = _Tableau()
     z_cols = [tab.add_column() for _ in range(m)]
     for i in range(n):
         slack = tab.add_column()
         coeffs = {z_cols[j]: rows[i][j] + k for j in range(m)}
-        coeffs[slack] = _ONE
-        tab.add_row(coeffs, _ONE, slack)
-    costs = [_ZERO] * tab.ncols
+        coeffs[slack] = 1
+        tab.add_row(coeffs, 1, slack)
+    costs = [0] * tab.ncols
     for col in z_cols:
-        costs[col] = Fraction(-1)
+        costs[col] = -1
+    tab.phase = 1  # the slack basis is already feasible
     tab.run(costs, set())
     sol = tab.solution()
     z = [sol.get(col, _ZERO) for col in z_cols]
@@ -560,4 +647,4 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
             "solver: row strategy below value")
     require(failed_row(rows, col_strategy, value) is None,
             "solver: column strategy above value")
-    return GameSolution(value=value, row_strategy=row_strategy, col_strategy=col_strategy)
+    return GameSolution(value, row_strategy, col_strategy, tab.stats())

@@ -65,9 +65,7 @@ TIE_FREE_NONNEGATIVE = WmrQuery(SIGN_CLASS_NONNEGATIVE, TIES_FORBIDDEN)
 def _signed_sum_rows(rule: VotingRule, relation: str) -> list[LinearRow]:
     rows = []
     for idx, outcome in enumerate(rule.outcomes):
-        coeffs = tuple(
-            Fraction(outcome if idx >> i & 1 else -outcome) for i in range(rule.n)
-        )
+        coeffs = tuple(outcome if idx >> i & 1 else -outcome for i in range(rule.n))
         rows.append(LinearRow(coeffs, relation, Fraction(0)))
     return rows
 

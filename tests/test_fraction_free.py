@@ -1,0 +1,170 @@
+"""The fraction-free simplex against the Fraction tableau it replaced.
+
+Both engines answer the same standard forms with Bland's rule, so they take
+the same pivots and every answer must be equal entry for entry, not merely
+valid.  Rational inputs are the case where a wrong starting denominator
+shows: the exact divisions of a pivot then stop being exact.
+"""
+
+import ast
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import robustvote
+from robustvote import lp
+from robustvote.core import DistributionSet, VotingRule
+from robustvote.lp import (
+    REL_EQ,
+    REL_GE,
+    REL_GT,
+    SIGN_FREE,
+    SIGN_NONNEG,
+    LinearRow,
+    LinearSystem,
+    SolveStats,
+    alternative_strict,
+    alternative_weak,
+    matrix_game,
+    solve_feasibility,
+)
+from robustvote.robustness import (
+    MODES,
+    _certify_from_matrix,
+    degenerate_agreement_matrix,
+    responsiveness_game,
+)
+
+from reference_tableau import Reference, reference_shift
+from test_lp import _random_matrix, _random_system
+
+
+@pytest.fixture
+def both(monkeypatch):
+    """Call a function on the fraction-free engine, then on the reference
+    engine, and return the two answers."""
+
+    def run(call, *args):
+        new = call(*args)
+        with monkeypatch.context() as patched:
+            patched.setattr(lp, "_Tableau", Reference)
+            patched.setattr(lp, "_strictly_positive_shift", reference_shift)
+            old = call(*args)
+        return new, old
+
+    return run
+
+
+def _all_fractions(*vectors) -> bool:
+    return all(type(v) is F for vec in vectors if vec is not None for v in vec)
+
+
+def _rational_system(rng):
+    """Like test_lp's systems, with coefficients over denominators 2..6."""
+    num_vars = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = tuple(F(rng.randint(-6, 6), rng.randint(2, 6)) for _ in range(num_vars))
+        relation = rng.choice((REL_GE, REL_GT, REL_EQ))
+        rows.append(LinearRow(coeffs, relation, F(rng.randint(-6, 6), rng.randint(2, 6))))
+    signs = tuple(rng.choice((SIGN_FREE, SIGN_NONNEG)) for _ in range(num_vars))
+    return LinearSystem(num_vars, tuple(rows), signs)
+
+
+def _n3_rules():
+    return [
+        VotingRule(3, tuple(1 if t >> k & 1 else -1 for k in range(8)))
+        for t in range(256)
+    ]
+
+
+class TestSameAnswersAsTheFractionTableau:
+    def test_thousand_random_systems(self, both):
+        rng = random.Random(91)
+        for trial in range(1000):
+            new, old = both(solve_feasibility, _random_system(rng))
+            assert new == old, f"trial {trial}"
+            assert _all_fractions(new.witness, new.certificate), f"trial {trial}"
+
+    def test_rational_coefficients(self, both):
+        rng = random.Random(92)
+        for trial in range(400):
+            new, old = both(solve_feasibility, _rational_system(rng))
+            assert new == old, f"trial {trial}"
+            assert _all_fractions(new.witness, new.certificate), f"trial {trial}"
+
+    def test_alternatives(self, both):
+        rng = random.Random(23)
+        for trial in range(300):
+            matrix = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
+            for alternative in (alternative_strict, alternative_weak):
+                new, old = both(alternative, matrix)
+                assert new == old, f"trial {trial}"
+                assert _all_fractions(new.weights, new.mixture), f"trial {trial}"
+
+    def test_games(self, both):
+        rng = random.Random(5)
+        for trial in range(200):
+            matrix = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+            new, old = both(matrix_game, matrix)
+            assert new == old, f"trial {trial}"
+            assert _all_fractions((new.value,), new.row_strategy, new.col_strategy)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_n3_rule(self, both, mode):
+        for rule in _n3_rules():
+            matrix = degenerate_agreement_matrix(rule)
+            new, old = both(_certify_from_matrix, matrix, mode)
+            assert new == old, rule.outcomes
+
+    def test_every_n3_responsiveness_game(self, both):
+        degenerates = DistributionSet.degenerates(3)
+        for rule in _n3_rules():
+            new, old = both(responsiveness_game, rule, degenerates)
+            assert new == old, rule.outcomes
+
+
+class TestSolveStats:
+    SYSTEM = LinearSystem(
+        2,
+        (
+            LinearRow((F(1), F(1)), REL_GE, F(1)),
+            LinearRow((F(1), F(-1)), REL_GT, F(1, 3)),
+            LinearRow((F(0), F(1)), REL_GT, F(0)),
+        ),
+        (SIGN_NONNEG, SIGN_NONNEG),
+    )
+
+    def test_a_nontrivial_system_pivots(self):
+        stats = solve_feasibility(self.SYSTEM).stats
+        assert isinstance(stats, SolveStats)
+        assert stats.phase1_pivots + stats.phase2_pivots > 0
+        assert stats.rows == 4 and stats.max_bits > 0
+
+    def test_two_solves_compare_equal(self):
+        first, second = solve_feasibility(self.SYSTEM), solve_feasibility(self.SYSTEM)
+        assert first == second and first.stats == second.stats
+
+    def test_stats_are_not_part_of_the_answer(self):
+        result = solve_feasibility(self.SYSTEM)
+        other = lp.FeasibilityResult(result.feasible, result.witness, result.certificate)
+        assert result == other
+
+    def test_game_stats(self):
+        game = matrix_game([[F(3), F(2)], [F(1), F(4)]])
+        assert game.stats.phase1_pivots == 0 and game.stats.phase2_pivots > 0
+
+
+def test_no_float_in_the_package():
+    """No float literal and no float() call anywhere in the package."""
+    offenders = []
+    for path in sorted(Path(robustvote.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                offenders.append(f"{path.name}:{node.lineno} float literal")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                offenders.append(f"{path.name}:{node.lineno} float()")
+    assert offenders == []

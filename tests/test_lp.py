@@ -47,6 +47,13 @@ class TestSatisfies:
         sys1 = _system([LinearRow((F(1),), REL_GE, F(-5))], (SIGN_NONNEG,))
         assert not satisfies(sys1, (F(-1),))
 
+    def test_rational_point_against_integer_rows(self):
+        # 3x + 2y = 5/2 holds at (1/2, 1/2): over the point's denominator 2
+        # the right-hand side is compared as 5, not 5/2.
+        sys1 = _system([LinearRow((3, 2), REL_EQ, F(5, 2))], (SIGN_NONNEG, SIGN_NONNEG))
+        assert satisfies(sys1, (F(1, 2), F(1, 2)))
+        assert not satisfies(sys1, (F(1, 2), F(1, 3)))
+
 
 class TestCertificate:
     def test_textbook_contradiction(self):
@@ -60,6 +67,14 @@ class TestCertificate:
         )
         assert certifies_infeasibility(sys1, (F(1), F(1)))
         assert not certifies_infeasibility(sys1, (F(1), F(0)))
+
+    def test_rational_multipliers(self):
+        # x >= 1 and -2x >= 0: multipliers (1, 1/2) cancel x exactly.
+        sys1 = _system(
+            [LinearRow((1,), REL_GE, 1), LinearRow((-2,), REL_GE, 0)], (SIGN_FREE,)
+        )
+        assert certifies_infeasibility(sys1, (F(1), F(1, 2)))
+        assert not certifies_infeasibility(sys1, (F(1), F(1, 3)))
 
 
 def _random_system(rng):
@@ -103,6 +118,8 @@ class TestFeasibilityFuzz:
                 assert satisfies(system, result.witness), f"trial {trial}"
             else:
                 assert certifies_infeasibility(system, result.certificate), f"trial {trial}"
+            vector = result.witness if result.feasible else result.certificate
+            assert all(type(v) is F for v in vector), f"trial {trial}"
             expected = fm_feasible(_oracle_rows(system), system.num_vars)
             assert result.feasible == expected, f"trial {trial}: {system}"
 
@@ -147,6 +164,8 @@ def _check_alternative(matrix, result, strict):
     rows = len(matrix)
     cols = len(matrix[0])
     assert (result.weights is None) != (result.mixture is None)
+    vector = result.weights if result.weights is not None else result.mixture
+    assert all(type(v) is F for v in vector)
     if result.weights is not None:
         w = result.weights
         assert len(w) == rows
@@ -207,6 +226,10 @@ class TestMatrixGame:
         for _ in range(200):
             matrix = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
             game = matrix_game(matrix)
+            assert all(
+                type(v) is F
+                for v in (game.value, *game.row_strategy, *game.col_strategy)
+            )
             rows = len(matrix)
             cols = len(matrix[0])
             assert sum(game.row_strategy) == 1 and all(x >= 0 for x in game.row_strategy)
