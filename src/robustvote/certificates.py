@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from .core import over_common_denominator, vote_sums
 
 # The vocabulary of the systems and representations checked here; lp and
 # wmr re-export it.
@@ -45,18 +46,9 @@ def require(holds: bool, message: str) -> None:
         raise InternalError(message)
 
 
-def over_common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators of rationals over their least common denominator
-    d > 0, with d: multiplying an inequality by d keeps it, and integer
-    dot products are far cheaper than rational ones."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def is_distribution(values: Sequence[Fraction]) -> bool:
     """Nonnegative entries summing to one."""
-    numerators, scale = over_common_denominator(values)
-    return all(v >= 0 for v in numerators) and sum(numerators) == scale
+    return _is_distribution(*over_common_denominator(values))
 
 
 def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
@@ -64,12 +56,7 @@ def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
     bound (strict) or not at least bound, or None: robustness weights clear
     zero at every extreme point; a game's row strategy reaches the value."""
     weights, scale = over_common_denominator(weights)
-    bound *= scale
-    for j in range(len(matrix[0])):
-        dot = sum(w * row[j] for w, row in zip(weights, matrix) if w)
-        if not (dot > bound if strict else dot >= bound):
-            return j
-    return None
+    return _failed_column(matrix, weights, bound * scale, strict)
 
 
 def failed_row(matrix, mixture, bound=0, strict=False) -> int | None:
@@ -77,7 +64,25 @@ def failed_row(matrix, mixture, bound=0, strict=False) -> int | None:
     (strict) or not at most bound, or None: a robustness mixture holds every
     individual to zero; a game's column strategy holds every row to the value."""
     mixture, scale = over_common_denominator(mixture)
-    bound *= scale
+    return _failed_row(matrix, mixture, bound * scale, strict)
+
+
+# The three checks above on a vector already over its common denominator
+# `scale`, with the bound scaled to match.
+
+def _is_distribution(numerators: list[int], scale: int) -> bool:
+    return all(v >= 0 for v in numerators) and sum(numerators) == scale
+
+
+def _failed_column(matrix, weights: list[int], bound, strict: bool) -> int | None:
+    for j in range(len(matrix[0])):
+        dot = sum(w * row[j] for w, row in zip(weights, matrix) if w)
+        if not (dot > bound if strict else dot >= bound):
+            return j
+    return None
+
+
+def _failed_row(matrix, mixture: list[int], bound, strict: bool) -> int | None:
     for i, row in enumerate(matrix):
         dot = sum(a * m for a, m in zip(row, mixture) if m)
         if not (dot < bound if strict else dot <= bound):
@@ -89,15 +94,18 @@ def robustness_problem(matrix, strict: bool, weights=None, mixture=None) -> str 
     """What is wrong with robustness weights, or else a mixture, over the
     agreement matrix (individuals by extreme points), or None.  Both must be
     distributions; weights clear every column (strictly when strict), and a
-    mixture holds every row at or below zero (below zero when not strict)."""
+    mixture holds every row at or below zero (below zero when not strict).
+    The vector is put over its common denominator once, for both tests."""
     if weights is not None:
-        if not is_distribution(weights):
+        numerators, scale = over_common_denominator(weights)
+        if not _is_distribution(numerators, scale):
             return "weights are not a distribution over individuals"
-        j = failed_column(matrix, weights, strict=strict)
+        j = _failed_column(matrix, numerators, 0, strict)
         return None if j is None else f"weights fail extreme point {j}"
-    if not is_distribution(mixture):
+    numerators, scale = over_common_denominator(mixture)
+    if not _is_distribution(numerators, scale):
         return "mixture is not a distribution over extreme points"
-    i = failed_row(matrix, mixture, strict=not strict)
+    i = _failed_row(matrix, numerators, 0, not strict)
     return None if i is None else f"mixture leaves individual {i + 1} responsive"
 
 
@@ -151,14 +159,6 @@ def certifies_infeasibility(system, multipliers: Sequence[Fraction]) -> bool:
     return rhs > 0 or (rhs == 0 and strict_mass > 0)
 
 
-def vote_sums(weights: Sequence[Fraction]) -> list[Fraction]:
-    """The weighted vote sum sum_i w_i x_i at every profile, in index order."""
-    return [
-        sum((w if idx >> i & 1 else -w for i, w in enumerate(weights)), _ZERO)
-        for idx in range(2 ** len(weights))
-    ]
-
-
 def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
     """Exact check that the weighted sum sides with every outcome."""
     if ties not in TIE_MODES:
@@ -168,7 +168,7 @@ def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
         raise ValueError(f"{len(ws)} weights for n={rule.n}")
     if all(w == 0 for w in ws):
         return False
-    for outcome, total in zip(rule.outcomes, vote_sums(ws)):
+    for outcome, total in zip(rule.outcomes, vote_sums(ws)[0]):
         signed = outcome * total
         if signed < 0 or (signed == 0 and ties == TIES_FORBIDDEN):
             return False
@@ -178,7 +178,7 @@ def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
 def sign_pattern_holds(rule, weights: Sequence[Fraction]) -> bool:
     """Whether the weighted vote sum has the strict sign of the expected
     outcome at every profile: the certificate of a robust random rule."""
-    return all(o * total > 0 for o, total in zip(rule.outcomes, vote_sums(weights)))
+    return all(o * total > 0 for o, total in zip(rule.outcomes, vote_sums(weights)[0]))
 
 
 def holds_at_half(values: Sequence[Fraction]) -> bool:
@@ -190,8 +190,8 @@ def holds_at_half(values: Sequence[Fraction]) -> bool:
 def rtf_maximum(weights: Sequence[Fraction], dist) -> Fraction:
     """The maximum over all rules of sum_i w_i r_i under dist, in closed
     form: (E[|sum_i w_i x_i|] + sum_i w_i) / 2."""
-    sums = vote_sums(weights)
-    expectation = sum((p * abs(s) for p, s in zip(dist.probs, sums) if p), _ZERO)
+    sums, scale = vote_sums(weights)
+    expectation = sum((p * abs(s) for p, s in zip(dist.probs, sums) if p), _ZERO) / scale
     return (expectation + sum(weights, _ZERO)) / 2
 
 

@@ -40,6 +40,7 @@ from .core import (
     format_rational,
     load_rule,
     parse_rational,
+    table_rule,
 )
 from .efficiency import (
     EFFICIENCY_MODES,
@@ -361,13 +362,8 @@ def _cmd_random_dominate(args):
 def _enumerate_worker(task):
     n, predicate, start, stop = task
     check = PREDICATES[predicate]
-    size = 2**n
-    matches = []
-    for t in range(start, stop):
-        rule = VotingRule(n, tuple(1 if (t >> k) & 1 else -1 for k in range(size)))
-        if check(rule):
-            matches.append(rule.to_table_string())
-    return matches
+    rules = (table_rule(n, t) for t in range(start, stop))
+    return [rule.to_table_string() for rule in rules if check(rule)]
 
 
 def _cmd_enumerate(args):

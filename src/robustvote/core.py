@@ -19,6 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 MAX_INDIVIDUALS = 16
@@ -55,6 +57,35 @@ def popcount(index: int) -> int:
 def vote_in_profile(index: int, individual: int) -> int:
     """Vote (+1 or -1) of the given individual in the profile with this index."""
     return 1 if (index >> (individual - 1)) & 1 else -1
+
+
+@lru_cache(maxsize=None)
+def sign_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row i-1 holds individual i's vote at every profile index, in index
+    order: every other module reads votes from here, never from the bits."""
+    _check_n(n)
+    return tuple(
+        tuple(vote_in_profile(idx, i) for idx in range(2**n)) for i in range(1, n + 1)
+    )
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator
+    d > 0, with d: multiplying an inequality by d keeps it, and integer
+    dot products are far cheaper than rational ones."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def vote_sums(weights: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The weighted vote sum sum_i w_i x_i at every profile, in index order,
+    as integers scaled by the weights' common denominator d > 0, with d."""
+    numerators, scale = over_common_denominator(weights)
+    sums = [0] * 2 ** len(numerators)
+    for w, row in zip(numerators, sign_table(len(numerators))):
+        if w:
+            sums = [s + w * v for s, v in zip(sums, row)]
+    return sums, scale
 
 
 @dataclass(frozen=True)
@@ -394,14 +425,19 @@ def inverse_rule(rule: VotingRule | RandomVotingRule):
     return RandomVotingRule(rule.n, tuple(-v for v in rule.outcomes))
 
 
-def is_anonymous(rule: "VotingRule | RandomVotingRule") -> bool:
-    """True iff the outcome depends only on how many individuals vote +1."""
-    by_count: dict[int, int] = {}
-    for index, outcome in enumerate(rule.outcomes):
-        k = popcount(index)
-        if by_count.setdefault(k, outcome) != outcome:
+def is_count_symmetric(values: Sequence) -> bool:
+    """True iff the profile-indexed values depend only on how many
+    individuals vote +1."""
+    by_count: dict = {}
+    for index, value in enumerate(values):
+        if by_count.setdefault(popcount(index), value) != value:
             return False
     return True
+
+
+def is_anonymous(rule: "VotingRule | RandomVotingRule") -> bool:
+    """True iff the outcome depends only on how many individuals vote +1."""
+    return is_count_symmetric(rule.outcomes)
 
 
 def is_self_dual(rule: VotingRule) -> bool:
@@ -418,8 +454,8 @@ def is_dictatorship(rule: VotingRule) -> int | None:
     For n >= 2 at most one individual can qualify, since two individuals
     disagree on some profile.
     """
-    for i in range(1, rule.n + 1):
-        if all(rule.outcomes[idx] == vote_in_profile(idx, i) for idx in range(2 ** rule.n)):
+    for i, votes in enumerate(sign_table(rule.n), start=1):
+        if rule.outcomes == votes:
             return i
     return None
 
@@ -460,19 +496,24 @@ def enumerate_rules(
 ) -> Iterator[VotingRule]:
     """Yield every rule on n individuals once, in ascending truth-table order.
 
-    The table integer t maps to outcomes via bit k of t = outcome at profile
-    index k. Exhaustive enumeration is refused above n = 4 (2**32 rules).
+    Rule number t is table_rule(n, t). Exhaustive enumeration is refused
+    above n = 4 (2**32 rules).
     """
     _check_n(n)
     if n > MAX_ENUMERATION_INDIVIDUALS:
         raise ValueError(
             f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_INDIVIDUALS}"
         )
-    size = 2 ** n
-    for t in range(2 ** size):
-        rule = VotingRule(n, tuple(1 if (t >> k) & 1 else -1 for k in range(size)))
+    for t in range(2 ** 2 ** n):
+        rule = table_rule(n, t)
         if predicate is None or predicate(rule):
             yield rule
+
+
+def table_rule(n: int, t: int) -> VotingRule:
+    """The rule whose outcome at profile index k is bit k of the table
+    integer t (+1 when set)."""
+    return VotingRule(n, tuple(1 if t >> k & 1 else -1 for k in range(2 ** n)))
 
 
 def apply_permutation(rule: VotingRule, permutation: Sequence[int]) -> VotingRule:
@@ -483,28 +524,28 @@ def apply_permutation(rule: VotingRule, permutation: Sequence[int]) -> VotingRul
     apply(apply(r, pi), sigma) == apply(r, sigma o pi) with
     (sigma o pi)(j) = sigma(pi(j)).
     """
-    perm = list(permutation)
-    if sorted(perm) != list(range(1, rule.n + 1)):
-        raise ValueError(f"not a permutation of 1..{rule.n}: {permutation!r}")
-    size = 2 ** rule.n
-    outcomes = []
-    for idx in range(size):
-        permuted = 0
-        for j in range(rule.n):
-            if (idx >> (perm[j] - 1)) & 1:
-                permuted |= 1 << j
-        outcomes.append(rule.outcomes[permuted])
-    return VotingRule(rule.n, tuple(outcomes))
+    perm = _checked_permutation(rule.n, permutation)
+    return VotingRule(
+        rule.n, tuple(rule.outcomes[_permuted(idx, perm)] for idx in range(2 ** rule.n))
+    )
 
 
 def permute_profile_index(index: int, n: int, permutation: Sequence[int]) -> int:
     """Index of the profile whose position-j vote is individual perm[j]'s vote."""
+    return _permuted(index, _checked_permutation(n, permutation))
+
+
+def _checked_permutation(n: int, permutation: Sequence[int]) -> list[int]:
     perm = list(permutation)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {permutation!r}")
+    return perm
+
+
+def _permuted(index: int, perm: list[int]) -> int:
     permuted = 0
-    for j in range(n):
-        if (index >> (perm[j] - 1)) & 1:
+    for j, individual in enumerate(perm):
+        if (index >> (individual - 1)) & 1:
             permuted |= 1 << j
     return permuted
 
@@ -524,10 +565,9 @@ def weighted_majority_rule(
     _check_n(n)
     if len(weights) != n:
         raise ValueError(f"need {n} weights, got {len(weights)}")
-    ws = [Fraction(w) for w in weights]
+    sums, _ = vote_sums([Fraction(w) for w in weights])
     outcomes = []
-    for idx in range(2 ** n):
-        total = sum((w * vote_in_profile(idx, i + 1) for i, w in enumerate(ws)), Fraction(0))
+    for idx, total in enumerate(sums):
         if total > 0:
             outcomes.append(1)
         elif total < 0:
@@ -568,9 +608,7 @@ def dictatorship_rule(n: int, individual: int) -> VotingRule:
     _check_n(n)
     if not 1 <= individual <= n:
         raise ValueError(f"individual {individual} out of range for n={n}")
-    return VotingRule(
-        n, tuple(vote_in_profile(idx, individual) for idx in range(2 ** n))
-    )
+    return VotingRule(n, sign_table(n)[individual - 1])
 
 
 def parity_rule(n: int) -> VotingRule:

@@ -29,6 +29,7 @@ from .lp import (
     solve_feasibility,
 )
 from .respond import responsiveness
+from .robustness import degenerate_agreement_matrix
 
 REL_EQUAL = "equal"
 REL_STRICTLY_PREFERRED = "strictly_preferred"
@@ -95,13 +96,9 @@ def pareto_compare(
 def _deviation_matrix(rule: VotingRule, dist: Distribution) -> list[list[Fraction]]:
     # Row i, column x: how deviating at x moves E[outcome * x_i], per unit
     # of t_x and up to sign (the move is -entry * t_x).
-    n = rule.n
     return [
-        [
-            dist.probs[idx] * rule.outcomes[idx] * (1 if idx >> i & 1 else -1)
-            for idx in range(2**n)
-        ]
-        for i in range(n)
+        [p * entry for p, entry in zip(dist.probs, row)]
+        for row in degenerate_agreement_matrix(rule)
     ]
 
 
@@ -195,20 +192,6 @@ def _weak_witness(rule: VotingRule, dist: Distribution) -> RandomVotingRule | No
     require(_improves(rule, candidate, dist, strictly=True),
             "efficiency witness fails the strict improvement")
     return candidate
-
-
-def is_efficient(rule: VotingRule, dist: Distribution) -> bool:
-    """Whether no random rule helps some individual without hurting any."""
-    if rule.n != dist.n:
-        raise ValueError("rule and distribution must share the same n")
-    return _plain_witness(rule, dist) is None
-
-
-def is_weakly_efficient(rule: VotingRule, dist: Distribution) -> bool:
-    """Whether no random rule helps every individual strictly."""
-    if rule.n != dist.n:
-        raise ValueError("rule and distribution must share the same n")
-    return _weak_witness(rule, dist) is None
 
 
 def efficiency_verdict(

@@ -24,9 +24,15 @@ from .core import (
     is_dictatorship,
     is_own_vote_monotone,
     is_self_dual,
+    sign_table,
 )
 from .respond import responsiveness
-from .robustness import VERDICT_ROBUST, is_robust, responsiveness_game
+from .robustness import (
+    MODE_STRICT,
+    VERDICT_ROBUST,
+    certify_p_robust_full,
+    responsiveness_game,
+)
 
 MAX_THRESHOLD_N = 4
 
@@ -95,7 +101,9 @@ def is_strategy_proof(rule: VotingRule) -> bool:
 
 
 def epsilon_lower_witness(n: int):
-    """The lower threshold together with the rule attaining it.
+    """The lower threshold, the largest heterogeneity level certain to
+    preserve the robustness characterization (the worst gain ratio over
+    robust rules), together with the rule attaining it.
 
     Returns (level, rule, game) where game solves the responsiveness
     game for the binding rule, so the level can be re-derived from the
@@ -114,7 +122,7 @@ def epsilon_lower_witness(n: int):
             continue
         if not is_own_vote_monotone(rule)[0]:
             continue
-        if is_robust(rule).verdict != VERDICT_ROBUST:
+        if certify_p_robust_full(rule, MODE_STRICT).verdict != VERDICT_ROBUST:
             continue
         game = responsiveness_game(rule, degenerates)
         level = gain_ratio(game.value)
@@ -125,13 +133,6 @@ def epsilon_lower_witness(n: int):
     require(best is not None, "no robust rule found, yet dictators are always robust")
     require(best > 0, "the lower threshold is not strictly positive")
     return best, binding, binding_game
-
-
-def epsilon_lower(n: int) -> ExtendedRational:
-    """Largest heterogeneity level certain to preserve the robustness
-    characterization, as the worst gain ratio over robust rules."""
-    level, _, _ = epsilon_lower_witness(n)
-    return level
 
 
 def epsilon_upper(n: int) -> Fraction:
@@ -174,13 +175,11 @@ def gamma_utilities(
     """The per-state utility pairs: the favored decision pays, a small
     amount when the rule already agrees with the vote and a full unit when
     it does not."""
-    n = rule.n
-    small = Fraction(1, 2**n - 1)
+    small = Fraction(1, 2**rule.n - 1)
     table = []
-    for idx, outcome in enumerate(rule.outcomes):
+    for outcome, votes in zip(rule.outcomes, zip(*sign_table(rule.n))):
         row = []
-        for i in range(n):
-            vote = 1 if idx >> i & 1 else -1
+        for vote in votes:
             amount = small if outcome == vote else Fraction(1)
             row.append((amount, Fraction(0)) if vote == 1 else (Fraction(0), amount))
         table.append(tuple(row))

@@ -47,10 +47,10 @@ from .certificates import (
     certifies_infeasibility,
     failed_column,
     failed_row,
-    over_common_denominator,
     require,
     satisfies,
 )
+from .core import over_common_denominator
 
 _RELATIONS = (REL_GE, REL_GT, REL_EQ)
 _SIGNS = (SIGN_FREE, SIGN_NONNEG)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certificates import holds_at_half, improves, require, sign_pattern_holds
-from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules
+from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, popcount
 from .lp import (
     REL_EQ,
     REL_GT,
@@ -57,18 +57,6 @@ def certify_random(
     return None, counterexample
 
 
-def is_robust_random(rule: RandomVotingRule) -> WeightVector | None:
-    """Weights whose vote sum strictly sign-matches the expected outcome
-    at every profile, or none when the rule is not robust."""
-    return certify_random(rule)[0]
-
-
-def robust_random_counterexample(rule: RandomVotingRule) -> Distribution | None:
-    """A distribution under which no individual clears one half, or none
-    when the rule is robust."""
-    return certify_random(rule)[1]
-
-
 def find_dominating_deterministic(
     rule: RandomVotingRule,
 ) -> tuple[VotingRule, Distribution] | None:
@@ -85,14 +73,11 @@ def find_dominating_deterministic(
         )
     size = 2**n
     simplex_row = LinearRow((Fraction(1),) * size, REL_EQ, Fraction(1))
+    base = degenerate_agreement_matrix(rule)
     for candidate in enumerate_rules(n):
         rows = [simplex_row]
-        for i in range(n):
-            coeffs = tuple(
-                (Fraction(candidate.outcomes[idx]) - rule.outcomes[idx])
-                * (1 if idx >> i & 1 else -1)
-                for idx in range(size)
-            )
+        for mine, theirs in zip(degenerate_agreement_matrix(candidate), base):
+            coeffs = tuple(c - r for c, r in zip(mine, theirs))
             rows.append(LinearRow(coeffs, REL_GT, Fraction(0)))
         result = solve_feasibility(
             LinearSystem(size, tuple(rows), (SIGN_NONNEG,) * size)
@@ -116,7 +101,7 @@ def anonymous_even_impossibility(n: int) -> Distribution:
     if n % 2 != 0:
         raise ValueError("the even-split distribution needs an even n")
     half = n // 2
-    balanced = [idx for idx in range(2**n) if bin(idx).count("1") == half]
+    balanced = [idx for idx in range(2**n) if popcount(idx) == half]
     share = Fraction(1, len(balanced))
     probs = [Fraction(0)] * 2**n
     for idx in balanced:

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .certificates import attains, require, rtf_maximum, vote_sums
+from .certificates import attains, require, rtf_maximum
 from .core import (
     Distribution,
     RandomVotingRule,
     VotingRule,
     format_rational,
     is_anonymous,
+    over_common_denominator,
+    sign_table,
+    vote_sums,
 )
 
 SIGN_CLASS_FREE = "free"
@@ -105,24 +108,19 @@ def responsiveness(
     """Agreement probability of the outcome with each individual's vote."""
     if rule.n != dist.n:
         raise ValueError(f"rule has n={rule.n} but distribution has n={dist.n}")
-    n = rule.n
     deterministic = isinstance(rule, VotingRule)
+    support = [idx for idx, prob in enumerate(dist.probs) if prob]
+    probs, scale = over_common_denominator([dist.probs[idx] for idx in support])
+    outcomes = [rule.outcomes[idx] for idx in support]
     values = []
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        expectation = Fraction(0)
-        mass = Fraction(0)
-        for idx, prob in enumerate(dist.probs):
-            if prob == 0:
-                continue
-            vote = 1 if idx & bit else -1
-            outcome = rule.outcomes[idx]
-            expectation += prob * outcome * vote
-            if deterministic and outcome == vote:
-                mass += prob
-        r = (expectation + 1) / 2
+    for row in sign_table(rule.n):
+        votes = [row[idx] for idx in support]
+        expectation = sum(p * o * v for p, o, v in zip(probs, outcomes, votes))
+        r = (Fraction(expectation, scale) + 1) / 2
         if deterministic:
-            require(r == mass, "agreement mass and expectation identity disagree")
+            mass = sum(p for p, o, v in zip(probs, outcomes, votes) if o == v)
+            require(r == Fraction(mass, scale),
+                    "agreement mass and expectation identity disagree")
         values.append(r)
     return ResponsivenessVector(tuple(values))
 
@@ -170,7 +168,7 @@ def rtf_max_weighted(
     if len(ws) != n:
         raise ValueError(f"{len(ws)} weights for n={n}")
     value = rtf_maximum(ws, dist)
-    argmax = VotingRule(n, tuple(1 if total >= 0 else -1 for total in vote_sums(ws)))
+    argmax = VotingRule(n, tuple(1 if total >= 0 else -1 for total in vote_sums(ws)[0]))
     require(attains(ws, responsiveness(argmax, dist).values, value),
             "argmax rule does not attain the closed-form maximum")
     return value, argmax

@@ -29,8 +29,11 @@ from .core import (
     VotingRule,
     format_rational,
     is_anonymous,
+    is_count_symmetric,
+    over_common_denominator,
     own_vote_violations,
     permute_profile_index,
+    sign_table,
 )
 from .lp import AlternativeResult, alternative_strict, alternative_weak, matrix_game
 
@@ -80,29 +83,29 @@ class RobustnessCertificate:
 
 def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[Fraction]]:
     """Expected outcome-vote products, one row per individual, one column
-    per extreme point."""
+    per extreme point: the point-mass matrix mixed by that extreme point,
+    an integer dot over its support divided by its common denominator."""
     if rule.n != pset.n:
         raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
-    n = rule.n
-    matrix = [[Fraction(0)] * len(pset.extreme_points) for _ in range(n)]
-    for j, dist in enumerate(pset.extreme_points):
-        for idx, prob in enumerate(dist.probs):
-            if prob == 0:
-                continue
-            value = prob * rule.outcomes[idx]
-            for i in range(n):
-                matrix[i][j] += value if idx >> i & 1 else -value
-    return matrix
+    points = degenerate_agreement_matrix(rule)
+    columns = []
+    for dist in pset.extreme_points:
+        support = [idx for idx, prob in enumerate(dist.probs) if prob]
+        probs, scale = over_common_denominator([dist.probs[idx] for idx in support])
+        columns.append([
+            Fraction(sum(p * row[idx] for idx, p in zip(support, probs)), scale)
+            for row in points
+        ])
+    return [list(row) for row in zip(*columns)]
 
 
 def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[list[int | Fraction]]:
     """agreement_matrix over the 2^n point masses, in profile order, built
     straight off the table: the column for profile x is phi(x) * x.  Entries
     keep the outcomes' type, so a deterministic rule's matrix is integer."""
-    n = rule.n
     return [
-        [outcome if idx >> i & 1 else -outcome for idx, outcome in enumerate(rule.outcomes)]
-        for i in range(n)
+        [outcome * vote for outcome, vote in zip(rule.outcomes, votes)]
+        for votes in sign_table(rule.n)
     ]
 
 
@@ -199,32 +202,20 @@ def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT) -> Robustne
     return _certificate(matrix, mode, answer.weights, answer.mixture)
 
 
-def is_robust(rule: VotingRule) -> RobustnessCertificate:
-    """Robustness over every distribution, certified."""
-    return certify_p_robust_full(rule, MODE_STRICT)
-
-
 def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     """Solve the game where an adversary blends extreme points to hold
     every individual's responsiveness down.
 
     Rows are individuals, columns are the extreme points, payoffs are
     responsiveness values. The returned solution carries both optimal
-    strategies alongside the value.
+    strategies alongside the value, which is above one half exactly when
+    the rule is robust and at least one half when it is weakly robust.
     """
     matrix = agreement_matrix(rule, pset)
     responsive = [
         [(entry + 1) / 2 for entry in row] for row in matrix
     ]
     return matrix_game(responsive)
-
-
-def min_max_responsiveness(rule: VotingRule, pset: DistributionSet) -> Fraction:
-    """Value of the responsiveness game.
-
-    Robustness in the strict sense is value > 1/2, weak is value >= 1/2.
-    """
-    return responsiveness_game(rule, pset).value
 
 
 def permute_distribution(dist: Distribution, permutation) -> Distribution:
@@ -248,18 +239,6 @@ def is_permutation_invariant(pset: DistributionSet) -> bool:
         for dist in pset.extreme_points:
             if permute_distribution(dist, perm) not in members:
                 return False
-    return True
-
-
-def _is_count_symmetric(dist: Distribution) -> bool:
-    by_count: dict[int, Fraction] = {}
-    for idx, prob in enumerate(dist.probs):
-        count = bin(idx).count("1")
-        if count in by_count:
-            if by_count[count] != prob:
-                return False
-        else:
-            by_count[count] = prob
     return True
 
 
@@ -312,7 +291,7 @@ def certify_anonymous(
     if violator is None:
         return _certificate(matrix, mode, weights=uniform)
 
-    if _is_count_symmetric(pset.extreme_points[violator]):
+    if is_count_symmetric(pset.extreme_points[violator].probs):
         mixture = tuple(
             Fraction(1 if k == violator else 0)
             for k in range(len(pset.extreme_points))

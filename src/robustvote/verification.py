@@ -34,6 +34,7 @@ from .certificates import (
     weights_represent,
 )
 from .core import (
+    DecisionProfile,
     Distribution,
     DistributionSet,
     FormatError,
@@ -225,13 +226,11 @@ def _check_monotone_violation(rule: VotingRule, violation: dict) -> None:
     _expect(isinstance(others, list) and len(others) == rule.n - 1
             and all(v in (-1, 1) for v in others),
             "monotone_violation: malformed companion votes")
-    positions = [p for p in range(rule.n) if p != individual - 1]
-    base = 0
-    for vote, pos in zip(others, positions):
-        if vote == 1:
-            base |= 1 << pos
-    bit = 1 << (individual - 1)
-    _expect(rule.outcomes[base] == 1 and rule.outcomes[base | bit] == -1,
+    votes = others[:individual - 1] + [-1] + others[individual - 1:]
+    base = DecisionProfile.from_votes(votes).index
+    votes[individual - 1] = 1
+    switched = DecisionProfile.from_votes(votes).index
+    _expect(rule.outcomes[base] == 1 and rule.outcomes[switched] == -1,
             "monotone_violation: the cited profiles do not violate monotonicity")
 
 

@@ -40,7 +40,13 @@ from .respond import (
     SIGN_CLASSES,
     WeightVector,
 )
-from .robustness import MODE_STRICT, MODE_WEAK, VERDICT_ROBUST, certify_p_robust_full
+from .robustness import (
+    MODE_STRICT,
+    MODE_WEAK,
+    VERDICT_ROBUST,
+    certify_p_robust_full,
+    degenerate_agreement_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -63,11 +69,11 @@ TIE_FREE_NONNEGATIVE = WmrQuery(SIGN_CLASS_NONNEGATIVE, TIES_FORBIDDEN)
 
 
 def _signed_sum_rows(rule: VotingRule, relation: str) -> list[LinearRow]:
-    rows = []
-    for idx, outcome in enumerate(rule.outcomes):
-        coeffs = tuple(outcome if idx >> i & 1 else -outcome for i in range(rule.n))
-        rows.append(LinearRow(coeffs, relation, Fraction(0)))
-    return rows
+    """One row per profile x, phi(x) * x: the columns of the point-mass matrix."""
+    return [
+        LinearRow(column, relation, Fraction(0))
+        for column in zip(*degenerate_agreement_matrix(rule))
+    ]
 
 
 def _unit_row(n: int, i: int, relation: str, rhs: Fraction) -> LinearRow:

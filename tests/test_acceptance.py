@@ -24,12 +24,11 @@ from robustvote import (
     count_distribution,
     detect_wmr,
     enumerate_rules,
-    epsilon_lower,
+    epsilon_lower_witness,
     epsilon_upper,
     gamma_counterexample,
     is_anonymous,
     is_dictatorship,
-    is_robust,
     is_strategy_proof,
     is_strictly_efficient,
     majority_rule,
@@ -105,13 +104,13 @@ def test_criterion_2_anonymous_robust_rules_are_majorities():
     robust_anon_3 = {
         rule
         for rule in enumerate_rules(3, is_anonymous)
-        if is_robust(rule).verdict == VERDICT_ROBUST
+        if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
     }
     assert robust_anon_3 == {majority_rule(3)}
 
     anon_4 = list(enumerate_rules(4, is_anonymous))
     assert len(anon_4) == 32
-    assert all(is_robust(rule).verdict == VERDICT_NOT_ROBUST for rule in anon_4)
+    assert all(certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_NOT_ROBUST for rule in anon_4)
 
     for n in (2, 3, 4):
         weakly_robust_anon = {
@@ -134,7 +133,7 @@ def test_criterion_3_strict_efficiency_equals_robustness():
     ]
     assert all(dist.is_strictly_positive() for dist in distributions)
     for rule in enumerate_rules(3):
-        robust = is_robust(rule).verdict == VERDICT_ROBUST
+        robust = certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
         for dist in distributions:
             efficient, _ = is_strictly_efficient(rule, dist)
             assert efficient == robust, (rule.to_table_string(), dist.to_json())
@@ -262,7 +261,7 @@ def test_criterion_7_randomized_majority_and_even_splits():
 def test_criterion_8_thresholds_and_strategy_proofness():
     for n in (2, 3):
         for rule in enumerate_rules(n):
-            if is_robust(rule).verdict == VERDICT_ROBUST:
+            if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST:
                 assert is_strategy_proof(rule), rule.to_table_string()
 
     for n in range(1, 7):
@@ -272,7 +271,7 @@ def test_criterion_8_thresholds_and_strategy_proofness():
     # game values over the robust rules, then the worst gain ratio.
     ratios = []
     for rule in enumerate_rules(3):
-        if is_robust(rule).verdict != VERDICT_ROBUST:
+        if certify_p_robust_full(rule, MODE_STRICT).verdict != VERDICT_ROBUST:
             continue
         matrix = [
             [
@@ -286,7 +285,7 @@ def test_criterion_8_thresholds_and_strategy_proofness():
         ratios.append(None if value == 1 else (2 * value - 1) / (1 - value))
     finite = [r for r in ratios if r is not None]
     assert finite and min(finite) == 1
-    assert epsilon_lower(3).value == F(1)
+    assert epsilon_lower_witness(3)[0].value == F(1)
 
     checked = 0
     for rule in enumerate_rules(3):

@@ -13,17 +13,14 @@ from robustvote import (
     efficiency_verdict,
     enumerate_rules,
     inverse_rule,
-    is_efficient,
-    is_robust,
     is_strictly_efficient,
-    is_weakly_efficient,
     majority_rule,
     pareto_compare,
     responsiveness,
     transport_distribution,
     unanimity_rule,
 )
-from robustvote.robustness import VERDICT_ROBUST
+from robustvote.robustness import MODE_STRICT, VERDICT_ROBUST, certify_p_robust_full
 
 from conftest import random_distribution
 
@@ -106,7 +103,7 @@ class TestStrictEfficiency:
         dist = Distribution.uniform(2)
         for rule in enumerate_rules(2):
             efficient, _ = is_strictly_efficient(rule, dist)
-            assert efficient == (is_robust(rule).verdict == VERDICT_ROBUST)
+            assert efficient == (certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST)
 
 
 class TestEfficiencyLadder:
@@ -157,12 +154,6 @@ class TestEfficiencyLadder:
         with pytest.raises(ValueError):
             efficiency_verdict(majority_rule(3), Distribution.uniform(2), "strict")
 
-    def test_wrappers_agree(self):
-        dist = Distribution.uniform(2)
-        for rule in enumerate_rules(2):
-            assert is_efficient(rule, dist) == efficiency_verdict(rule, dist, "plain")[0]
-            assert is_weakly_efficient(rule, dist) == efficiency_verdict(rule, dist, "weak")[0]
-
 
 class TestTransport:
     def test_moves_mass_to_deviation_profiles(self):
@@ -208,4 +199,4 @@ class TestFuzzedDistributions:
             dist = random_distribution(rng, 2, strictly_positive=True)
             for rule in enumerate_rules(2):
                 efficient, _ = is_strictly_efficient(rule, dist)
-                assert efficient == (is_robust(rule).verdict == VERDICT_ROBUST)
+                assert efficient == (certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST)

@@ -8,19 +8,17 @@ from robustvote import (
     Distribution,
     dictatorship_rule,
     enumerate_rules,
-    epsilon_lower,
     epsilon_lower_witness,
     epsilon_upper,
     gamma_counterexample,
     gamma_utilities,
     is_dictatorship,
-    is_robust,
     is_strategy_proof,
     majority_rule,
     responsiveness,
 )
 from robustvote.gamma_mechanism import ExtendedRational, gain_ratio
-from robustvote.robustness import VERDICT_ROBUST
+from robustvote.robustness import MODE_STRICT, VERDICT_ROBUST, certify_p_robust_full
 
 from oracles import game_value_by_supports
 
@@ -70,16 +68,16 @@ class TestStrategyProof:
     def test_robust_rules_are_strategy_proof(self):
         for n in (2, 3):
             for rule in enumerate_rules(n):
-                if is_robust(rule).verdict == VERDICT_ROBUST:
+                if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST:
                     assert is_strategy_proof(rule), rule.to_table_string()
 
 
 class TestEpsilonThresholds:
     def test_lower_frozen_values(self):
-        assert epsilon_lower(1).is_infinite
-        assert epsilon_lower(2).is_infinite
-        assert epsilon_lower(3) == ExtendedRational.finite(F(1))
-        assert epsilon_lower(4) == ExtendedRational.finite(F(1, 2))
+        assert epsilon_lower_witness(1)[0].is_infinite
+        assert epsilon_lower_witness(2)[0].is_infinite
+        assert epsilon_lower_witness(3)[0] == ExtendedRational.finite(F(1))
+        assert epsilon_lower_witness(4)[0] == ExtendedRational.finite(F(1, 2))
 
     def test_upper_closed_form(self):
         for n in range(1, 7):
@@ -112,7 +110,7 @@ class TestEpsilonThresholds:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            epsilon_lower(5)
+            epsilon_lower_witness(5)
 
 
 class TestGammaUtilities:

@@ -13,11 +13,9 @@ from robustvote import (
     enumerate_rules,
     find_dominating_deterministic,
     is_anonymous,
-    is_robust_random,
     majority_rule,
     pareto_compare,
     responsiveness,
-    robust_random_counterexample,
     sign_pattern_holds,
 )
 
@@ -56,14 +54,14 @@ class TestCertifyRandom:
 
     def test_scaled_majority_is_robust(self):
         rule = randomized_majority(3, F(1, 4))
-        weights = is_robust_random(rule)
+        weights, counterexample = certify_random(rule)
         assert weights is not None
         assert sign_pattern_holds(rule, weights.weights)
-        assert robust_random_counterexample(rule) is None
+        assert counterexample is None
 
     def test_counterexample_caps_everyone(self):
         rule = RandomVotingRule(2, (F(1), F(1), F(1), F(1)))
-        counterexample = robust_random_counterexample(rule)
+        counterexample = certify_random(rule)[1]
         assert counterexample is not None
         vector = responsiveness(rule, counterexample)
         assert all(v <= HALF for v in vector.values)
@@ -79,13 +77,12 @@ class TestCertifyRandom:
         assert all(v == HALF for v in vector.values)
 
     def test_deterministic_rules_match_the_deterministic_verdict(self):
-        from robustvote import is_robust
-        from robustvote.robustness import VERDICT_ROBUST
+        from robustvote.robustness import MODE_STRICT, VERDICT_ROBUST, certify_p_robust_full
 
         for rule in enumerate_rules(2):
             lifted = RandomVotingRule.from_deterministic(rule)
-            expected = is_robust(rule).verdict == VERDICT_ROBUST
-            assert (is_robust_random(lifted) is not None) == expected
+            expected = certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
+            assert (certify_random(lifted)[0] is not None) == expected
 
 
 class TestDominationSearch:

@@ -16,9 +16,7 @@ from robustvote import (
     dictatorship_rule,
     enumerate_rules,
     is_anonymous,
-    is_robust,
     majority_rule,
-    min_max_responsiveness,
     parity_rule,
     responsiveness,
     responsiveness_game,
@@ -90,7 +88,7 @@ class TestCertificateShape:
             RobustnessCertificate("maybe", MODE_STRICT, weights=(F(1),))
 
     def test_json_shape(self):
-        cert = is_robust(majority_rule(3))
+        cert = certify_p_robust_full(majority_rule(3), MODE_STRICT)
         data = cert.to_json()
         assert data["verdict"] == "robust"
         assert data["mode"] == "strict"
@@ -100,7 +98,7 @@ class TestCertificateShape:
 
 class TestFullRobustness:
     def test_majority_n3(self):
-        cert = is_robust(majority_rule(3))
+        cert = certify_p_robust_full(majority_rule(3), MODE_STRICT)
         assert cert.verdict == VERDICT_ROBUST
         assert cert.weights == (F(1, 3), F(1, 3), F(1, 3))
 
@@ -108,7 +106,7 @@ class TestFullRobustness:
         robust = {
             rule.to_table_string()
             for rule in enumerate_rules(3)
-            if is_robust(rule).verdict == VERDICT_ROBUST
+            if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
         }
         assert robust == {"-+-+-+-+", "--++--++", "----++++", "---+-+++"}
 
@@ -116,7 +114,7 @@ class TestFullRobustness:
         robust = {
             rule.to_table_string()
             for rule in enumerate_rules(2)
-            if is_robust(rule).verdict == VERDICT_ROBUST
+            if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
         }
         assert robust == {"-+-+", "--++"}
 
@@ -145,7 +143,7 @@ class TestFullRobustness:
 
     def test_casting_vote_wmr_n4(self):
         rule = weighted_majority_rule(4, [F(2), F(1), F(1), F(1)])
-        assert is_robust(rule).verdict == VERDICT_ROBUST
+        assert certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
 
     def test_every_certificate_replays(self):
         pset = DistributionSet.degenerates(2)
@@ -197,7 +195,7 @@ class TestResponsivenessGame:
 
     def test_parity_value_below_half(self):
         assert (
-            min_max_responsiveness(parity_rule(2), DistributionSet.degenerates(2))
+            responsiveness_game(parity_rule(2), DistributionSet.degenerates(2)).value
             < F(1, 2)
         )
 
@@ -217,7 +215,7 @@ class TestResponsivenessGame:
     def test_value_characterizes_robustness(self):
         pset = DistributionSet.degenerates(2)
         for rule in enumerate_rules(2):
-            value = min_max_responsiveness(rule, pset)
+            value = responsiveness_game(rule, pset).value
             strict = certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
             weak = certify_p_robust_full(rule, MODE_WEAK).verdict == VERDICT_ROBUST
             assert strict == (value > F(1, 2))
