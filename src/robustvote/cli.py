@@ -32,11 +32,13 @@ from fractions import Fraction
 from .certificates import InternalError
 from .core import (
     MAX_ENUMERATION_INDIVIDUALS,
+    STRUCTURAL_PREDICATES,
     Distribution,
     DistributionSet,
     FormatError,
     RandomVotingRule,
     VotingRule,
+    enumerate_tables,
     format_rational,
     load_rule,
     parse_rational,
@@ -65,8 +67,9 @@ from .robustness import (
     VERDICT_ROBUST,
     certify_p_robust,
     certify_p_robust_full,
+    survives_strict_screen,
 )
-from .verification import RECOUNTABLE_PREDICATES, SCHEMA, verify_report
+from .verification import SCHEMA, verify_report
 from .wmr import TIES_ALLOWED, TIES_FORBIDDEN, WmrQuery, classify_rule, detect_wmr
 
 _TABLE_RE = re.compile(r"^[+-]+$")
@@ -85,17 +88,15 @@ _TIE_ALIASES = {
 }
 
 
-def _predicate_robust(rule: VotingRule) -> bool:
-    return certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST
+def _robust(n: int, t: int, mode: str) -> bool:
+    return certify_p_robust_full(table_rule(n, t), mode).verdict == VERDICT_ROBUST
 
 
-def _predicate_weakly_robust(rule: VotingRule) -> bool:
-    return certify_p_robust_full(rule, MODE_WEAK).verdict == VERDICT_ROBUST
-
-
-PREDICATES = dict(RECOUNTABLE_PREDICATES)
-PREDICATES["robust"] = _predicate_robust
-PREDICATES["weakly_robust"] = _predicate_weakly_robust
+# Tests of a table integer t on n individuals. `robust` certifies only the
+# tables that escape the strict screen's refutations, checked on the integer.
+PREDICATES = dict(STRUCTURAL_PREDICATES)
+PREDICATES["robust"] = lambda n, t: survives_strict_screen(n, t) and _robust(n, t, MODE_STRICT)
+PREDICATES["weakly_robust"] = lambda n, t: _robust(n, t, MODE_WEAK)
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +191,8 @@ def _fmt_tuple(values) -> str:
 def _cmd_classify(args):
     rule = _load_deterministic(args.rule, "rule")
     report = classify_rule(rule)
-    traits = [
-        name
-        for name, flag in (
-            ("anonymous", report["anonymous"]),
-            ("monotone", report["monotone"]),
-            ("robust", report["robust"]),
-            ("weakly robust", report["weakly_robust"]),
-        )
-        if flag
-    ]
+    traits = [key.replace("_", " ") for key in ("anonymous", "monotone", "robust", "weakly_robust")
+              if report[key]]
     summary = f"rule {rule.to_table_string()}: " + (", ".join(traits) or "none of the named traits")
     if report["dictator"] is not None:
         summary += f"; dictator {report['dictator']}"
@@ -211,20 +204,14 @@ def _cmd_certify(args):
     pset = _load_pset(args.pset, "pset", rule.n)
     mode = MODE_WEAK if args.weak else MODE_STRICT
     certificate = certify_p_robust(rule, pset, mode)
-    payload = dict(certificate.to_json())
-    payload["verified"] = True
+    payload = {**certificate.to_json(), "verified": True}
     if certificate.verdict == VERDICT_ROBUST:
         code = 0
-        summary = (
-            f"robust ({mode}): weights {_fmt_tuple(certificate.weights)} "
-            "clear every extreme point"
-        )
+        summary = (f"robust ({mode}): weights {_fmt_tuple(certificate.weights)} "
+                   "clear every extreme point")
     else:
         code = 1
-        summary = (
-            f"not robust ({mode}): a mixture of extreme points holds every "
-            "individual down"
-        )
+        summary = f"not robust ({mode}): a mixture of extreme points holds every individual down"
     inputs = {"rule": rule.to_json(), "pset": pset.to_json(), "mode": mode}
     return inputs, payload, code, summary
 
@@ -233,14 +220,9 @@ def _cmd_respond(args):
     rule = _load_any_rule(args.rule, "rule")
     dist = _load_dist(args.dist, "dist", rule.n)
     vector = responsiveness(rule, dist)
-    payload = {
-        "responsiveness": vector.to_json(),
-        "minimum": format_rational(vector.minimum()),
-    }
-    summary = (
-        f"responsiveness {_fmt_tuple(vector.values)}, "
-        f"minimum {format_rational(vector.minimum())}"
-    )
+    minimum = format_rational(vector.minimum())
+    payload = {"responsiveness": vector.to_json(), "minimum": minimum}
+    summary = f"responsiveness {_fmt_tuple(vector.values)}, minimum {minimum}"
     return {"rule": rule.to_json(), "dist": dist.to_json()}, payload, 0, summary
 
 
@@ -269,10 +251,8 @@ def _cmd_wmr(args):
     ties = _tie_mode(args.ties)
     found = detect_wmr(rule, WmrQuery(sign_class, ties))
     inputs = {"rule": rule.to_json(), "sign_class": sign_class, "ties": ties}
-    payload = {
-        "found": found is not None,
-        "weights": found.to_json() if found is not None else None,
-    }
+    payload = {"found": found is not None,
+               "weights": found.to_json() if found is not None else None}
     if found is not None:
         summary = f"weights {_fmt_tuple(found.weights)} represent the rule"
         return inputs, payload, 0, summary
@@ -330,14 +310,10 @@ def _cmd_random_certify(args):
         "counterexample": counterexample.to_json() if counterexample is not None else None,
     }
     if weights is not None:
-        return inputs, payload, 0, (
-            f"robust: weights {_fmt_tuple(weights.weights)} sign-match the "
-            "expected outcome everywhere"
-        )
-    return inputs, payload, 1, (
-        "not robust: the embedded distribution holds every individual at or "
-        "below one half"
-    )
+        return inputs, payload, 0, (f"robust: weights {_fmt_tuple(weights.weights)} "
+                                    "sign-match the expected outcome everywhere")
+    return inputs, payload, 1, ("not robust: the embedded distribution holds every "
+                                "individual at or below one half")
 
 
 def _cmd_random_dominate(args):
@@ -348,22 +324,15 @@ def _cmd_random_dominate(args):
         payload = {"found": False, "dominator": None, "distribution": None}
         return inputs, payload, 1, "no deterministic rule strictly dominates"
     dominator, dist = found
-    payload = {
-        "found": True,
-        "dominator": dominator.to_json(),
-        "distribution": dist.to_json(),
-    }
-    summary = (
-        f"dominated by {dominator.to_table_string()} under the embedded distribution"
-    )
+    payload = {"found": True, "dominator": dominator.to_json(), "distribution": dist.to_json()}
+    summary = f"dominated by {dominator.to_table_string()} under the embedded distribution"
     return inputs, payload, 0, summary
 
 
 def _enumerate_worker(task):
     n, predicate, start, stop = task
-    check = PREDICATES[predicate]
-    rules = (table_rule(n, t) for t in range(start, stop))
-    return [rule.to_table_string() for rule in rules if check(rule)]
+    return [table_rule(n, t).to_table_string()
+            for t in enumerate_tables(n, PREDICATES[predicate], start, stop)]
 
 
 def _cmd_enumerate(args):

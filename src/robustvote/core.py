@@ -17,9 +17,10 @@ Encoding conventions, used everywhere in this package:
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
@@ -112,15 +113,11 @@ class DecisionProfile:
 
     @classmethod
     def from_votes(cls, votes: Sequence[int]) -> "DecisionProfile":
-        n = len(votes)
-        _check_n(n)
-        index = 0
-        for i, v in enumerate(votes):
+        _check_n(len(votes))
+        for v in votes:
             if v not in (-1, 1):
                 raise ValueError(f"votes must be +1/-1, got {v!r}")
-            if v == 1:
-                index |= 1 << i
-        return cls(n, index)
+        return cls(len(votes), table_integer(votes))
 
     @classmethod
     def from_string(cls, text: str, field: str = "profile") -> "DecisionProfile":
@@ -267,11 +264,13 @@ class Distribution:
             raise ValueError(
                 f"distribution needs {2 ** self.n} probabilities for n={self.n}"
             )
-        object.__setattr__(self, "probs", tuple(Fraction(p) for p in self.probs))
-        if any(p < 0 for p in self.probs):
+        object.__setattr__(self, "probs", tuple(
+            p if type(p) is Fraction else Fraction(p) for p in self.probs))
+        support = [p for p in self.probs if p]
+        if any(p < 0 for p in support):
             raise ValueError("probabilities must be nonnegative")
-        if sum(self.probs) != 1:
-            raise ValueError(f"probabilities must sum to 1, got {sum(self.probs)}")
+        if sum(support) != 1:
+            raise ValueError(f"probabilities must sum to 1, got {sum(support)}")
 
     def prob(self, profile: "DecisionProfile | int") -> Fraction:
         index = profile.index if isinstance(profile, DecisionProfile) else profile
@@ -361,15 +360,12 @@ class DistributionSet:
         _check_n(self.n)
         if not self.extreme_points:
             raise ValueError("a distribution set needs at least one extreme point")
-        seen: set[tuple[Fraction, ...]] = set()
-        deduped = []
+        if any(dist.n != self.n for dist in self.extreme_points):
+            raise ValueError("all extreme points must share the set's n")
+        firsts: dict[tuple, Distribution] = {}
         for dist in self.extreme_points:
-            if dist.n != self.n:
-                raise ValueError("all extreme points must share the set's n")
-            if dist.probs not in seen:
-                seen.add(dist.probs)
-                deduped.append(dist)
-        object.__setattr__(self, "extreme_points", tuple(deduped))
+            firsts.setdefault(tuple((k, p) for k, p in enumerate(dist.probs) if p), dist)
+        object.__setattr__(self, "extreme_points", tuple(firsts.values()))
 
     def __len__(self) -> int:
         return len(self.extreme_points)
@@ -381,11 +377,9 @@ class DistributionSet:
         coeffs = [Fraction(c) for c in coefficients]
         if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
             raise ValueError("mixture coefficients must be nonnegative and sum to 1")
-        probs = [Fraction(0)] * 2 ** self.n
-        for c, dist in zip(coeffs, self.extreme_points):
-            for k, p in enumerate(dist.probs):
-                probs[k] += c * p
-        return Distribution(self.n, tuple(probs))
+        return Distribution(self.n, tuple(
+            sum(c * dist.probs[k] for c, dist in zip(coeffs, self.extreme_points))
+            for k in range(2 ** self.n)))
 
     @classmethod
     def degenerates(cls, n: int) -> "DistributionSet":
@@ -428,24 +422,108 @@ def inverse_rule(rule: VotingRule | RandomVotingRule):
 def is_count_symmetric(values: Sequence) -> bool:
     """True iff the profile-indexed values depend only on how many
     individuals vote +1."""
-    by_count: dict = {}
-    for index, value in enumerate(values):
-        if by_count.setdefault(popcount(index), value) != value:
-            return False
-    return True
+    counts = table_masks(len(values).bit_length() - 1).counts
+    return all(len({values[k] for k in set_bits(members)}) == 1 for members in counts)
+
+
+# ---------------------------------------------------------------------------
+# Rules as table integers: bit k of t is set iff the outcome at profile k is
+# +1.  Each structural predicate is defined once, on t, by O(n) big-int
+# operations against the masks of n, which are profile sets in the same
+# encoding: all profiles, plus[i-1] where individual i votes +1, and
+# counts[c] where c individuals do.  steps[i-1] pairs plus[i-1] with
+# 2**(i-1), the index distance across which individual i switches.
+
+TableMasks = namedtuple("TableMasks", "full plus counts steps")
+
+
+@lru_cache(maxsize=None)
+def table_masks(n: int) -> TableMasks:
+    """The masks of n, read off the rows of sign_table(n)."""
+    rows = sign_table(n)
+    supporters = [votes.count(1) for votes in zip(*rows)]
+    counts = ([1 if s == c else -1 for s in supporters] for c in range(n + 1))
+    plus = tuple(map(table_integer, rows))
+    return TableMasks((1 << 2**n) - 1, plus, tuple(map(table_integer, counts)),
+                      tuple((mask, 1 << i) for i, mask in enumerate(plus)))
+
+
+def table_integer(signs: Sequence[int]) -> int:
+    """The set of indices k with signs[k] == 1: table_integer(rule.outcomes)
+    inverts table_rule."""
+    return int("".join(["1" if v == 1 else "0" for v in reversed(signs)]), 2)
+
+
+def table_rule(n: int, t: int) -> VotingRule:
+    """The rule whose outcome at profile index k is bit k of the table
+    integer t (+1 when set)."""
+    size = 2**n
+    if not 0 <= t < 1 << size:
+        raise ValueError(f"table integer {t} out of range for n={n}")
+    return VotingRule(n, tuple(1 if c == "1" else -1 for c in reversed(f"{t:0{size}b}")))
+
+
+def lowest_bit(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        yield lowest_bit(mask)
+        mask &= mask - 1
+
+
+def twin_set(n: int, t: int) -> int:
+    """The profiles at which t decides as at the negated profile: the
+    complement of t XOR its bit reversal, which is empty iff t is self-dual.
+    Negating individual i's vote swaps the two halves of plus[i-1]."""
+    masks = table_masks(n)
+    flipped = t
+    for plus, step in masks.steps:
+        flipped = (flipped & plus) >> step | (flipped << step) & plus
+    return masks.full & ~(t ^ flipped)
+
+
+def violation_sets(n: int, t: int) -> Iterator[int]:
+    """For each individual i in turn, the bases at which i votes -1 and t
+    decides +1, but -1 once i switches to +1."""
+    for plus, step in table_masks(n).steps:
+        yield t & ~plus & ~(t >> step)
+
+
+def is_anonymous_table(n: int, t: int) -> bool:
+    """True iff every vote-count class lies wholly inside or outside t."""
+    return all(t & members in (0, members) for members in table_masks(n).counts)
+
+
+def table_dictator(n: int, t: int) -> int | None:
+    plus = table_masks(n).plus
+    return plus.index(t) + 1 if t in plus else None
+
+
+# The predicates an enumeration can be recounted by without solving, as
+# tests of a table integer t on n individuals.
+STRUCTURAL_PREDICATES = {
+    "all": lambda n, t: True,
+    "anonymous": is_anonymous_table,
+    "monotone": lambda n, t: not any(violation_sets(n, t)),
+    "self_dual": lambda n, t: not twin_set(n, t),
+    "dictatorship": lambda n, t: table_dictator(n, t) is not None,
+}
 
 
 def is_anonymous(rule: "VotingRule | RandomVotingRule") -> bool:
     """True iff the outcome depends only on how many individuals vote +1."""
+    if isinstance(rule, VotingRule):
+        return is_anonymous_table(rule.n, table_integer(rule.outcomes))
     return is_count_symmetric(rule.outcomes)
 
 
 def is_self_dual(rule: VotingRule) -> bool:
     """True iff negating every vote negates the outcome."""
-    size = 2 ** rule.n
-    return all(
-        rule.outcomes[idx] == -rule.outcomes[(size - 1) ^ idx] for idx in range(size)
-    )
+    return not twin_set(rule.n, table_integer(rule.outcomes))
 
 
 def is_dictatorship(rule: VotingRule) -> int | None:
@@ -454,10 +532,7 @@ def is_dictatorship(rule: VotingRule) -> int | None:
     For n >= 2 at most one individual can qualify, since two individuals
     disagree on some profile.
     """
-    for i, votes in enumerate(sign_table(rule.n), start=1):
-        if rule.outcomes == votes:
-            return i
-    return None
+    return table_dictator(rule.n, table_integer(rule.outcomes))
 
 
 def own_vote_violations(rule: VotingRule) -> Iterator[tuple[int, int]]:
@@ -466,11 +541,8 @@ def own_vote_violations(rule: VotingRule) -> Iterator[tuple[int, int]]:
 
     Pairs come in ascending individual order, then ascending base index.
     """
-    for i in range(1, rule.n + 1):
-        bit = 1 << (i - 1)
-        for base in range(2 ** rule.n):
-            if not base & bit and rule.outcomes[base] == 1 and rule.outcomes[base | bit] == -1:
-                yield i, base
+    for i, bases in enumerate(violation_sets(rule.n, table_integer(rule.outcomes)), 1):
+        yield from ((i, base) for base in set_bits(bases))
 
 
 def is_own_vote_monotone(
@@ -484,11 +556,22 @@ def is_own_vote_monotone(
     The first witness in (individual, others-index) order is returned.
     """
     for i, base in own_vote_violations(rule):
-        others = tuple(
-            vote_in_profile(base, j) for j in range(1, rule.n + 1) if j != i
-        )
+        others = tuple(vote_in_profile(base, j) for j in range(1, rule.n + 1) if j != i)
         return False, (i, others)
     return True, None
+
+
+def enumerate_tables(
+    n: int, test: Callable[[int, int], bool] | None = None, start: int = 0, stop: int | None = None
+) -> Iterator[int]:
+    """The exhaustive walk: every table integer t in [start, stop) on n
+    individuals for which test(n, t) holds, ascending.  Refused above
+    n = 4 (2**32 tables)."""
+    _check_n(n)
+    if n > MAX_ENUMERATION_INDIVIDUALS:
+        raise ValueError(f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_INDIVIDUALS}")
+    tables = range(start, 2 ** 2**n if stop is None else stop)
+    return iter(tables) if test is None else filter(partial(test, n), tables)
 
 
 def enumerate_rules(
@@ -499,21 +582,10 @@ def enumerate_rules(
     Rule number t is table_rule(n, t). Exhaustive enumeration is refused
     above n = 4 (2**32 rules).
     """
-    _check_n(n)
-    if n > MAX_ENUMERATION_INDIVIDUALS:
-        raise ValueError(
-            f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_INDIVIDUALS}"
-        )
-    for t in range(2 ** 2 ** n):
+    for t in enumerate_tables(n):
         rule = table_rule(n, t)
         if predicate is None or predicate(rule):
             yield rule
-
-
-def table_rule(n: int, t: int) -> VotingRule:
-    """The rule whose outcome at profile index k is bit k of the table
-    integer t (+1 when set)."""
-    return VotingRule(n, tuple(1 if t >> k & 1 else -1 for k in range(2 ** n)))
 
 
 def apply_permutation(rule: VotingRule, permutation: Sequence[int]) -> VotingRule:
@@ -566,20 +638,12 @@ def weighted_majority_rule(
     if len(weights) != n:
         raise ValueError(f"need {n} weights, got {len(weights)}")
     sums, _ = vote_sums([Fraction(w) for w in weights])
-    outcomes = []
-    for idx, total in enumerate(sums):
-        if total > 0:
-            outcomes.append(1)
-        elif total < 0:
-            outcomes.append(-1)
-        elif tie in (-1, 1):
-            outcomes.append(tie)
-        else:
-            raise ValueError(
-                f"weighted sum ties at profile {DecisionProfile(n, idx).to_string()} "
-                "and no tie outcome was given"
-            )
-    return VotingRule(n, tuple(outcomes))
+    if 0 in sums and tie not in (-1, 1):
+        raise ValueError(
+            f"weighted sum ties at profile {DecisionProfile(n, sums.index(0)).to_string()} "
+            "and no tie outcome was given"
+        )
+    return VotingRule(n, tuple(tie if s == 0 else 1 if s > 0 else -1 for s in sums))
 
 
 def majority_rule(n: int, tie: int | None = None) -> VotingRule:
@@ -594,9 +658,7 @@ def supermajority_rule(n: int, threshold: int) -> VotingRule:
         raise TypeError("threshold is a vote count, not a proportion")
     if not 0 <= threshold <= n + 1:
         raise ValueError(f"threshold must lie in [0, {n + 1}]")
-    return VotingRule(
-        n, tuple(1 if popcount(idx) >= threshold else -1 for idx in range(2 ** n))
-    )
+    return table_rule(n, sum(table_masks(n).counts[threshold:]))
 
 
 def unanimity_rule(n: int) -> VotingRule:
@@ -614,9 +676,7 @@ def dictatorship_rule(n: int, individual: int) -> VotingRule:
 def parity_rule(n: int) -> VotingRule:
     """+1 iff the number of -1 votes is even (the product of all votes)."""
     _check_n(n)
-    return VotingRule(
-        n, tuple(1 if (n - popcount(idx)) % 2 == 0 else -1 for idx in range(2 ** n))
-    )
+    return table_rule(n, sum(table_masks(n).counts[n % 2::2]))
 
 
 def constant_rule(n: int, outcome: int) -> VotingRule:
@@ -637,8 +697,6 @@ def count_distribution(n: int, count_probs: Sequence[Fraction]) -> Distribution:
     counts = [Fraction(p) for p in count_probs]
     if any(p < 0 for p in counts) or sum(counts) != 1:
         raise ValueError("count probabilities must be nonnegative and sum to 1")
-    class_size = [0] * (n + 1)
-    for idx in range(2 ** n):
-        class_size[popcount(idx)] += 1
+    class_size = [members.bit_count() for members in table_masks(n).counts]
     probs = [counts[popcount(idx)] / class_size[popcount(idx)] for idx in range(2 ** n)]
     return Distribution(n, tuple(probs))

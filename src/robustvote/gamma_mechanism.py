@@ -19,12 +19,12 @@ from .core import (
     Distribution,
     DistributionSet,
     VotingRule,
-    enumerate_rules,
+    enumerate_tables,
     format_rational,
     is_dictatorship,
     is_own_vote_monotone,
-    is_self_dual,
     sign_table,
+    table_rule,
 )
 from .respond import responsiveness
 from .robustness import (
@@ -32,6 +32,7 @@ from .robustness import (
     VERDICT_ROBUST,
     certify_p_robust_full,
     responsiveness_game,
+    survives_strict_screen,
 )
 
 MAX_THRESHOLD_N = 4
@@ -113,24 +114,14 @@ def epsilon_lower_witness(n: int):
     if not 1 <= n <= MAX_THRESHOLD_N:
         raise ValueError(f"threshold enumeration is capped at n={MAX_THRESHOLD_N}")
     degenerates = DistributionSet.degenerates(n)
-    best: ExtendedRational | None = None
-    binding = None
-    binding_game = None
-    for rule in enumerate_rules(n):
-        # Robust rules are monotone and self-dual; screen cheaply first.
-        if not is_self_dual(rule):
-            continue
-        if not is_own_vote_monotone(rule)[0]:
-            continue
-        if certify_p_robust_full(rule, MODE_STRICT).verdict != VERDICT_ROBUST:
-            continue
-        game = responsiveness_game(rule, degenerates)
-        level = gain_ratio(game.value)
-        if best is None or level < best:
-            best = level
-            binding = rule
-            binding_game = game
-    require(best is not None, "no robust rule found, yet dictators are always robust")
+    witnesses = []
+    for t in enumerate_tables(n, survives_strict_screen):
+        rule = table_rule(n, t)
+        if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST:
+            game = responsiveness_game(rule, degenerates)
+            witnesses.append((gain_ratio(game.value), rule, game))
+    require(bool(witnesses), "no robust rule found, yet dictators are always robust")
+    best, binding, binding_game = min(witnesses, key=lambda witness: witness[0])
     require(best > 0, "the lower threshold is not strictly positive")
     return best, binding, binding_game
 

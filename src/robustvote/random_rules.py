@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certificates import holds_at_half, improves, require, sign_pattern_holds
-from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, popcount
+from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, set_bits, table_masks
 from .lp import (
     REL_EQ,
     REL_GT,
@@ -100,10 +100,5 @@ def anonymous_even_impossibility(n: int) -> Distribution:
     """
     if n % 2 != 0:
         raise ValueError("the even-split distribution needs an even n")
-    half = n // 2
-    balanced = [idx for idx in range(2**n) if popcount(idx) == half]
-    share = Fraction(1, len(balanced))
-    probs = [Fraction(0)] * 2**n
-    for idx in balanced:
-        probs[idx] = share
-    return Distribution(n, tuple(probs))
+    balanced = set_bits(table_masks(n).counts[n // 2])
+    return Distribution.from_weights(n, dict.fromkeys(balanced, Fraction(1)))

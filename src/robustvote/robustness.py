@@ -30,10 +30,13 @@ from .core import (
     format_rational,
     is_anonymous,
     is_count_symmetric,
+    lowest_bit,
     over_common_denominator,
-    own_vote_violations,
     permute_profile_index,
     sign_table,
+    table_integer,
+    twin_set,
+    violation_sets,
 )
 from .lp import AlternativeResult, alternative_strict, alternative_weak, matrix_game
 
@@ -148,20 +151,19 @@ def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
     """
     strict = mode == MODE_STRICT
     n, size = rule.n, 2**rule.n
-    twin = next(
-        (x for x in range(size) if rule.outcomes[x] == rule.outcomes[size - 1 - x]), None
-    )
-    if strict and twin is not None:
+    t = table_integer(rule.outcomes)
+    twins = twin_set(n, t)
+    if strict and twins:
+        twin = lowest_bit(twins)
         return AlternativeResult(None, _spread(size, [twin, size - 1 - twin]))
-    firsts: dict[int, int] = {}
-    for i, base in own_vote_violations(rule):
-        firsts.setdefault(i, base)
-        if strict:
-            break
+    firsts = {i: lowest_bit(bases)
+              for i, bases in enumerate(violation_sets(n, t), start=1) if bases}
+    if strict:
+        firsts = dict(itertools.islice(firsts.items(), 1))
     if firsts and (strict or len(firsts) == n):
         pairs = [x for i, base in firsts.items() for x in (base, base | 1 << (i - 1))]
         return AlternativeResult(None, _spread(size, pairs))
-    if twin is not None or firsts:
+    if twins or firsts:
         return None
 
     weights = [sum(row) for row in matrix]
@@ -176,15 +178,25 @@ def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
     return None
 
 
+def survives_strict_screen(n: int, t: int) -> bool:
+    """Whether table t escapes the screen's strict refutations (a twin or a
+    violation pair), as every robust rule does: it is self-dual and monotone."""
+    return not twin_set(n, t) and not any(violation_sets(n, t))
+
+
 def certify_p_robust(
     rule: VotingRule, pset: DistributionSet, mode: str = MODE_STRICT
 ) -> RobustnessCertificate:
     """Decide robustness over the polytope spanned by the given extreme
-    points and return the proving vector."""
+    points and return the proving vector; the 2^n point masses in profile
+    order go to certify_p_robust_full, so both give the same certificate."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not pset.extreme_points:
         raise ValueError("distribution set must have at least one extreme point")
+    if pset.n == rule.n and len(pset) == 2**rule.n and all(
+            dist.probs[k] == 1 for k, dist in enumerate(pset.extreme_points)):
+        return certify_p_robust_full(rule, mode)
     return _certify_from_matrix(agreement_matrix(rule, pset), mode)
 
 
@@ -212,19 +224,14 @@ def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     the rule is robust and at least one half when it is weakly robust.
     """
     matrix = agreement_matrix(rule, pset)
-    responsive = [
-        [(entry + 1) / 2 for entry in row] for row in matrix
-    ]
-    return matrix_game(responsive)
+    return matrix_game([[(entry + 1) / 2 for entry in row] for row in matrix])
 
 
 def permute_distribution(dist: Distribution, permutation) -> Distribution:
     """The distribution of the relabeled profile."""
     n = dist.n
-    probs = [Fraction(0)] * 2**n
-    for idx in range(2**n):
-        probs[idx] = dist.probs[permute_profile_index(idx, n, permutation)]
-    return Distribution(n, tuple(probs))
+    return Distribution(n, tuple(
+        dist.probs[permute_profile_index(idx, n, permutation)] for idx in range(2**n)))
 
 
 def is_permutation_invariant(pset: DistributionSet) -> bool:
@@ -235,11 +242,9 @@ def is_permutation_invariant(pset: DistributionSet) -> bool:
             f"exhaustive permutation check is capped at n={MAX_PERMUTATION_N}"
         )
     members = set(pset.extreme_points)
-    for perm in itertools.permutations(range(1, n + 1)):
-        for dist in pset.extreme_points:
-            if permute_distribution(dist, perm) not in members:
-                return False
-    return True
+    return all(permute_distribution(dist, perm) in members
+               for perm in itertools.permutations(range(1, n + 1))
+               for dist in pset.extreme_points)
 
 
 def _orbit_mixture(
@@ -292,10 +297,7 @@ def certify_anonymous(
         return _certificate(matrix, mode, weights=uniform)
 
     if is_count_symmetric(pset.extreme_points[violator].probs):
-        mixture = tuple(
-            Fraction(1 if k == violator else 0)
-            for k in range(len(pset.extreme_points))
-        )
+        mixture = tuple(Fraction(1 if k == violator else 0) for k in range(len(pset)))
     elif n <= MAX_PERMUTATION_N:
         mixture = _orbit_mixture(pset, violator)
     else:

@@ -34,19 +34,21 @@ from .certificates import (
     weights_represent,
 )
 from .core import (
+    STRUCTURAL_PREDICATES,
     DecisionProfile,
     Distribution,
     DistributionSet,
     FormatError,
     RandomVotingRule,
     VotingRule,
-    enumerate_rules,
+    enumerate_tables,
     is_anonymous,
     is_dictatorship,
     is_own_vote_monotone,
-    is_self_dual,
     load_rule,
+    own_vote_violations,
     parse_rational,
+    table_integer,
 )
 from .efficiency import (
     EFFICIENCY_MODES,
@@ -73,15 +75,6 @@ from .robustness import (
 )
 
 SCHEMA = "robustvote/1"
-
-# Predicates whose enumerations can be recounted without any solving.
-RECOUNTABLE_PREDICATES = {
-    "all": lambda rule: True,
-    "anonymous": is_anonymous,
-    "monotone": lambda rule: is_own_vote_monotone(rule)[0],
-    "self_dual": is_self_dual,
-    "dictatorship": lambda rule: is_dictatorship(rule) is not None,
-}
 
 CERTIFIED_PREDICATES = ("robust", "weakly_robust")
 
@@ -226,11 +219,8 @@ def _check_monotone_violation(rule: VotingRule, violation: dict) -> None:
     _expect(isinstance(others, list) and len(others) == rule.n - 1
             and all(v in (-1, 1) for v in others),
             "monotone_violation: malformed companion votes")
-    votes = others[:individual - 1] + [-1] + others[individual - 1:]
-    base = DecisionProfile.from_votes(votes).index
-    votes[individual - 1] = 1
-    switched = DecisionProfile.from_votes(votes).index
-    _expect(rule.outcomes[base] == 1 and rule.outcomes[switched] == -1,
+    base = DecisionProfile.from_votes(others[:individual - 1] + [-1] + others[individual - 1:])
+    _expect((individual, base.index) in own_vote_violations(rule),
             "monotone_violation: the cited profiles do not violate monotonicity")
 
 
@@ -388,17 +378,17 @@ def _check_enumerate(report: dict) -> None:
     if tables is not None:
         _expect(isinstance(tables, list) and len(tables) == count,
                 "enumerate: count disagrees with the table list")
-        seen = set()
+        listed, seen = [], set()
         for table in tables:
-            VotingRule.from_table_string(n, table)
-            _expect(table not in seen, f"enumerate: table {table} listed twice")
-            seen.add(table)
-    if predicate in RECOUNTABLE_PREDICATES:
-        check = RECOUNTABLE_PREDICATES[predicate]
-        matches = [r.to_table_string() for r in enumerate_rules(n) if check(r)]
+            t = table_integer(VotingRule.from_table_string(n, table).outcomes)
+            _expect(t not in seen, f"enumerate: table {table} listed twice")
+            listed.append(t)
+            seen.add(t)
+    if predicate in STRUCTURAL_PREDICATES:
+        matches = list(enumerate_tables(n, STRUCTURAL_PREDICATES[predicate]))
         _expect(count == len(matches), "enumerate: count disagrees with a recount")
         if tables is not None:
-            _expect(tables == matches,
+            _expect(listed == matches,
                     "enumerate: table list disagrees with a recount")
     elif predicate not in CERTIFIED_PREDICATES:
         raise Mismatch(f"enumerate: unknown predicate {predicate!r}")
@@ -463,15 +453,9 @@ def _check_gamma(report: dict) -> None:
         _expect(isinstance(row, list) and len(row) == rule.n
                 and all(isinstance(pair, list) and len(pair) == 2 for pair in row),
                 f"gamma-witness: malformed utility row {idx}")
-        utilities.append(
-            [
-                (
-                    parse_rational(pair[0], f"utilities[{idx}][{i}][0]"),
-                    parse_rational(pair[1], f"utilities[{idx}][{i}][1]"),
-                )
-                for i, pair in enumerate(row)
-            ]
-        )
+        utilities.append([(parse_rational(hi, f"utilities[{idx}][{i}][0]"),
+                           parse_rational(lo, f"utilities[{idx}][{i}][1]"))
+                          for i, (hi, lo) in enumerate(row)])
     expected = gamma_utilities(rule)
     _expect(all(tuple(utilities[idx]) == expected[idx] for idx in range(size)),
             "gamma-witness: utility table does not match the construction")
