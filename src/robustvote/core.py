@@ -457,6 +457,7 @@ def table_integer(signs: Sequence[int]) -> int:
 def table_rule(n: int, t: int) -> VotingRule:
     """The rule whose outcome at profile index k is bit k of the table
     integer t (+1 when set)."""
+    _check_n(n)
     size = 2**n
     if not 0 <= t < 1 << size:
         raise ValueError(f"table integer {t} out of range for n={n}")

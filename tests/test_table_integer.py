@@ -122,6 +122,12 @@ def test_table_rule_round_trip(n):
             table_rule(n, bad)
 
 
+def test_table_rule_rejects_an_n_out_of_range():
+    for bad in (0, 17, 100):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            table_rule(bad, 1)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_masks_come_from_the_sign_table(n):
     masks = table_masks(n)
