@@ -191,8 +191,16 @@ def _fmt_tuple(values) -> str:
 def _cmd_classify(args):
     rule = _load_deterministic(args.rule, "rule")
     report = classify_rule(rule)
-    traits = [key.replace("_", " ") for key in ("anonymous", "monotone", "robust", "weakly_robust")
-              if report[key]]
+    traits = [
+        name
+        for name, flag in (
+            ("anonymous", report["anonymous"]),
+            ("monotone", report["monotone"]),
+            ("robust", report["robust"]),
+            ("weakly robust", report["weakly_robust"]),
+        )
+        if flag
+    ]
     summary = f"rule {rule.to_table_string()}: " + (", ".join(traits) or "none of the named traits")
     if report["dictator"] is not None:
         summary += f"; dictator {report['dictator']}"
@@ -204,14 +212,20 @@ def _cmd_certify(args):
     pset = _load_pset(args.pset, "pset", rule.n)
     mode = MODE_WEAK if args.weak else MODE_STRICT
     certificate = certify_p_robust(rule, pset, mode)
-    payload = {**certificate.to_json(), "verified": True}
+    payload = dict(certificate.to_json())
+    payload["verified"] = True
     if certificate.verdict == VERDICT_ROBUST:
         code = 0
-        summary = (f"robust ({mode}): weights {_fmt_tuple(certificate.weights)} "
-                   "clear every extreme point")
+        summary = (
+            f"robust ({mode}): weights {_fmt_tuple(certificate.weights)} "
+            "clear every extreme point"
+        )
     else:
         code = 1
-        summary = f"not robust ({mode}): a mixture of extreme points holds every individual down"
+        summary = (
+            f"not robust ({mode}): a mixture of extreme points holds every "
+            "individual down"
+        )
     inputs = {"rule": rule.to_json(), "pset": pset.to_json(), "mode": mode}
     return inputs, payload, code, summary
 
@@ -220,9 +234,14 @@ def _cmd_respond(args):
     rule = _load_any_rule(args.rule, "rule")
     dist = _load_dist(args.dist, "dist", rule.n)
     vector = responsiveness(rule, dist)
-    minimum = format_rational(vector.minimum())
-    payload = {"responsiveness": vector.to_json(), "minimum": minimum}
-    summary = f"responsiveness {_fmt_tuple(vector.values)}, minimum {minimum}"
+    payload = {
+        "responsiveness": vector.to_json(),
+        "minimum": format_rational(vector.minimum()),
+    }
+    summary = (
+        f"responsiveness {_fmt_tuple(vector.values)}, "
+        f"minimum {format_rational(vector.minimum())}"
+    )
     return {"rule": rule.to_json(), "dist": dist.to_json()}, payload, 0, summary
 
 
@@ -251,8 +270,10 @@ def _cmd_wmr(args):
     ties = _tie_mode(args.ties)
     found = detect_wmr(rule, WmrQuery(sign_class, ties))
     inputs = {"rule": rule.to_json(), "sign_class": sign_class, "ties": ties}
-    payload = {"found": found is not None,
-               "weights": found.to_json() if found is not None else None}
+    payload = {
+        "found": found is not None,
+        "weights": found.to_json() if found is not None else None,
+    }
     if found is not None:
         summary = f"weights {_fmt_tuple(found.weights)} represent the rule"
         return inputs, payload, 0, summary
@@ -310,10 +331,14 @@ def _cmd_random_certify(args):
         "counterexample": counterexample.to_json() if counterexample is not None else None,
     }
     if weights is not None:
-        return inputs, payload, 0, (f"robust: weights {_fmt_tuple(weights.weights)} "
-                                    "sign-match the expected outcome everywhere")
-    return inputs, payload, 1, ("not robust: the embedded distribution holds every "
-                                "individual at or below one half")
+        return inputs, payload, 0, (
+            f"robust: weights {_fmt_tuple(weights.weights)} sign-match the "
+            "expected outcome everywhere"
+        )
+    return inputs, payload, 1, (
+        "not robust: the embedded distribution holds every individual at or "
+        "below one half"
+    )
 
 
 def _cmd_random_dominate(args):
@@ -324,8 +349,14 @@ def _cmd_random_dominate(args):
         payload = {"found": False, "dominator": None, "distribution": None}
         return inputs, payload, 1, "no deterministic rule strictly dominates"
     dominator, dist = found
-    payload = {"found": True, "dominator": dominator.to_json(), "distribution": dist.to_json()}
-    summary = f"dominated by {dominator.to_table_string()} under the embedded distribution"
+    payload = {
+        "found": True,
+        "dominator": dominator.to_json(),
+        "distribution": dist.to_json(),
+    }
+    summary = (
+        f"dominated by {dominator.to_table_string()} under the embedded distribution"
+    )
     return inputs, payload, 0, summary
 
 

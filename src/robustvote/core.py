@@ -377,9 +377,11 @@ class DistributionSet:
         coeffs = [Fraction(c) for c in coefficients]
         if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
             raise ValueError("mixture coefficients must be nonnegative and sum to 1")
-        return Distribution(self.n, tuple(
-            sum(c * dist.probs[k] for c, dist in zip(coeffs, self.extreme_points))
-            for k in range(2 ** self.n)))
+        probs = [Fraction(0)] * 2 ** self.n
+        for c, dist in zip(coeffs, self.extreme_points):
+            for k, p in enumerate(dist.probs):
+                probs[k] += c * p
+        return Distribution(self.n, tuple(probs))
 
     @classmethod
     def degenerates(cls, n: int) -> "DistributionSet":
@@ -422,8 +424,11 @@ def inverse_rule(rule: VotingRule | RandomVotingRule):
 def is_count_symmetric(values: Sequence) -> bool:
     """True iff the profile-indexed values depend only on how many
     individuals vote +1."""
-    counts = table_masks(len(values).bit_length() - 1).counts
-    return all(len({values[k] for k in set_bits(members)}) == 1 for members in counts)
+    by_count: dict = {}
+    for index, value in enumerate(values):
+        if by_count.setdefault(popcount(index), value) != value:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +475,13 @@ def lowest_bit(mask: int) -> int:
 
 
 def set_bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        yield lowest_bit(mask)
-        mask &= mask - 1
+    """The indices of the set bits of mask, ascending, found in one binary
+    string so that walking a 2^n-bit mask costs O(2^n) in all."""
+    digits = f"{mask:b}"[::-1]
+    k = digits.find("1")
+    while k >= 0:
+        yield k
+        k = digits.find("1", k + 1)
 
 
 def twin_set(n: int, t: int) -> int:
@@ -517,8 +525,6 @@ STRUCTURAL_PREDICATES = {
 
 def is_anonymous(rule: "VotingRule | RandomVotingRule") -> bool:
     """True iff the outcome depends only on how many individuals vote +1."""
-    if isinstance(rule, VotingRule):
-        return is_anonymous_table(rule.n, table_integer(rule.outcomes))
     return is_count_symmetric(rule.outcomes)
 
 
@@ -557,7 +563,9 @@ def is_own_vote_monotone(
     The first witness in (individual, others-index) order is returned.
     """
     for i, base in own_vote_violations(rule):
-        others = tuple(vote_in_profile(base, j) for j in range(1, rule.n + 1) if j != i)
+        others = tuple(
+            vote_in_profile(base, j) for j in range(1, rule.n + 1) if j != i
+        )
         return False, (i, others)
     return True, None
 
@@ -639,12 +647,20 @@ def weighted_majority_rule(
     if len(weights) != n:
         raise ValueError(f"need {n} weights, got {len(weights)}")
     sums, _ = vote_sums([Fraction(w) for w in weights])
-    if 0 in sums and tie not in (-1, 1):
-        raise ValueError(
-            f"weighted sum ties at profile {DecisionProfile(n, sums.index(0)).to_string()} "
-            "and no tie outcome was given"
-        )
-    return VotingRule(n, tuple(tie if s == 0 else 1 if s > 0 else -1 for s in sums))
+    outcomes = []
+    for idx, total in enumerate(sums):
+        if total > 0:
+            outcomes.append(1)
+        elif total < 0:
+            outcomes.append(-1)
+        elif tie in (-1, 1):
+            outcomes.append(tie)
+        else:
+            raise ValueError(
+                f"weighted sum ties at profile {DecisionProfile(n, idx).to_string()} "
+                "and no tie outcome was given"
+            )
+    return VotingRule(n, tuple(outcomes))
 
 
 def majority_rule(n: int, tie: int | None = None) -> VotingRule:

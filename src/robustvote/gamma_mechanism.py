@@ -114,14 +114,21 @@ def epsilon_lower_witness(n: int):
     if not 1 <= n <= MAX_THRESHOLD_N:
         raise ValueError(f"threshold enumeration is capped at n={MAX_THRESHOLD_N}")
     degenerates = DistributionSet.degenerates(n)
-    witnesses = []
+    best: ExtendedRational | None = None
+    binding = None
+    binding_game = None
+    # Robust rules are monotone and self-dual; screen on the table first.
     for t in enumerate_tables(n, survives_strict_screen):
         rule = table_rule(n, t)
-        if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST:
-            game = responsiveness_game(rule, degenerates)
-            witnesses.append((gain_ratio(game.value), rule, game))
-    require(bool(witnesses), "no robust rule found, yet dictators are always robust")
-    best, binding, binding_game = min(witnesses, key=lambda witness: witness[0])
+        if certify_p_robust_full(rule, MODE_STRICT).verdict != VERDICT_ROBUST:
+            continue
+        game = responsiveness_game(rule, degenerates)
+        level = gain_ratio(game.value)
+        if best is None or level < best:
+            best = level
+            binding = rule
+            binding_game = game
+    require(best is not None, "no robust rule found, yet dictators are always robust")
     require(best > 0, "the lower threshold is not strictly positive")
     return best, binding, binding_game
 

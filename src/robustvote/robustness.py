@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .certificates import failed_column, require, robustness_problem
 from .core import (
+    STRUCTURAL_PREDICATES,
     Distribution,
     DistributionSet,
     RandomVotingRule,
@@ -181,7 +182,7 @@ def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
 def survives_strict_screen(n: int, t: int) -> bool:
     """Whether table t escapes the screen's strict refutations (a twin or a
     violation pair), as every robust rule does: it is self-dual and monotone."""
-    return not twin_set(n, t) and not any(violation_sets(n, t))
+    return STRUCTURAL_PREDICATES["self_dual"](n, t) and STRUCTURAL_PREDICATES["monotone"](n, t)
 
 
 def certify_p_robust(
@@ -224,14 +225,19 @@ def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     the rule is robust and at least one half when it is weakly robust.
     """
     matrix = agreement_matrix(rule, pset)
-    return matrix_game([[(entry + 1) / 2 for entry in row] for row in matrix])
+    responsive = [
+        [(entry + 1) / 2 for entry in row] for row in matrix
+    ]
+    return matrix_game(responsive)
 
 
 def permute_distribution(dist: Distribution, permutation) -> Distribution:
     """The distribution of the relabeled profile."""
     n = dist.n
-    return Distribution(n, tuple(
-        dist.probs[permute_profile_index(idx, n, permutation)] for idx in range(2**n)))
+    probs = [Fraction(0)] * 2**n
+    for idx in range(2**n):
+        probs[idx] = dist.probs[permute_profile_index(idx, n, permutation)]
+    return Distribution(n, tuple(probs))
 
 
 def is_permutation_invariant(pset: DistributionSet) -> bool:
@@ -242,9 +248,11 @@ def is_permutation_invariant(pset: DistributionSet) -> bool:
             f"exhaustive permutation check is capped at n={MAX_PERMUTATION_N}"
         )
     members = set(pset.extreme_points)
-    return all(permute_distribution(dist, perm) in members
-               for perm in itertools.permutations(range(1, n + 1))
-               for dist in pset.extreme_points)
+    for perm in itertools.permutations(range(1, n + 1)):
+        for dist in pset.extreme_points:
+            if permute_distribution(dist, perm) not in members:
+                return False
+    return True
 
 
 def _orbit_mixture(
@@ -297,7 +305,10 @@ def certify_anonymous(
         return _certificate(matrix, mode, weights=uniform)
 
     if is_count_symmetric(pset.extreme_points[violator].probs):
-        mixture = tuple(Fraction(1 if k == violator else 0) for k in range(len(pset)))
+        mixture = tuple(
+            Fraction(1 if k == violator else 0)
+            for k in range(len(pset.extreme_points))
+        )
     elif n <= MAX_PERMUTATION_N:
         mixture = _orbit_mixture(pset, violator)
     else:

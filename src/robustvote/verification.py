@@ -453,9 +453,15 @@ def _check_gamma(report: dict) -> None:
         _expect(isinstance(row, list) and len(row) == rule.n
                 and all(isinstance(pair, list) and len(pair) == 2 for pair in row),
                 f"gamma-witness: malformed utility row {idx}")
-        utilities.append([(parse_rational(hi, f"utilities[{idx}][{i}][0]"),
-                           parse_rational(lo, f"utilities[{idx}][{i}][1]"))
-                          for i, (hi, lo) in enumerate(row)])
+        utilities.append(
+            [
+                (
+                    parse_rational(pair[0], f"utilities[{idx}][{i}][0]"),
+                    parse_rational(pair[1], f"utilities[{idx}][{i}][1]"),
+                )
+                for i, pair in enumerate(row)
+            ]
+        )
     expected = gamma_utilities(rule)
     _expect(all(tuple(utilities[idx]) == expected[idx] for idx in range(size)),
             "gamma-witness: utility table does not match the construction")

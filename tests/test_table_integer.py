@@ -108,6 +108,17 @@ def test_seeded_larger_rules_match_the_reference(n):
         assert_predicates_match(n, rng.getrandbits(2**n))
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_set_bits_and_violations_at_large_n(n):
+    rng = random.Random(5200 + n)
+    for mask in [0, 1 << (2**n - 1), rng.getrandbits(2**n)]:
+        assert list(set_bits(mask)) == [k for k in range(2**n) if mask >> k & 1]
+    if n == 12:
+        t = rng.getrandbits(2**n)
+        assert list(own_vote_violations(table_rule(n, t))) == list(
+            reference_violations(reference_rule(n, t)))
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_table_rule_round_trip(n):
     rng = random.Random(7000 + n)
