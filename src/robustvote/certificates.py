@@ -191,7 +191,7 @@ def rtf_maximum(weights: Sequence[Fraction], dist) -> Fraction:
     """The maximum over all rules of sum_i w_i r_i under dist, in closed
     form: (E[|sum_i w_i x_i|] + sum_i w_i) / 2."""
     sums, scale = vote_sums(weights)
-    expectation = sum((p * abs(s) for p, s in zip(dist.probs, sums) if p), _ZERO) / scale
+    expectation = sum((p * abs(sums[idx]) for idx, p in dist.support), _ZERO) / scale
     return (expectation + sum(weights, _ZERO)) / 2
 
 

@@ -20,9 +20,9 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_INDIVIDUALS = 16
 MAX_ENUMERATION_INDIVIDUALS = 4
@@ -251,26 +251,55 @@ def _json_n(data: dict) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Distribution:
-    """Probability distribution over the 2**n profiles, exact rationals."""
+    """Probability distribution over the 2**n profiles, exact rationals.
+
+    Stored, compared and hashed as n and its support: the ascending
+    (index, prob) pairs with prob > 0. The dense table `probs` is built
+    only when a caller first reads it.
+    """
 
     n: int
-    probs: tuple[Fraction, ...]
+    support: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        if len(self.probs) != 2 ** self.n:
-            raise ValueError(
-                f"distribution needs {2 ** self.n} probabilities for n={self.n}"
-            )
-        object.__setattr__(self, "probs", tuple(
-            p if type(p) is Fraction else Fraction(p) for p in self.probs))
-        support = [p for p in self.probs if p]
-        if any(p < 0 for p in support):
+    def __init__(self, n: int, probs: Sequence[Fraction]) -> None:
+        _check_n(n)
+        if len(probs) != 2 ** n:
+            raise ValueError(f"distribution needs {2 ** n} probabilities for n={n}")
+        self._set_support(n, enumerate(probs))
+
+    @classmethod
+    def _from_support(cls, n: int, atoms: Iterable[tuple[int, Fraction]]) -> "Distribution":
+        """The distribution with these (index, prob) atoms, each index once."""
+        _check_n(n)
+        dist = cls.__new__(cls)
+        dist._set_support(n, atoms)
+        return dist
+
+    def _set_support(self, n: int, atoms: Iterable[tuple[int, Fraction]]) -> None:
+        # The one validation every constructor runs.
+        size, support = 2 ** n, []
+        for idx, p in atoms:
+            if not 0 <= idx < size:
+                raise ValueError(f"profile index {idx} out of range for n={n}")
+            p = p if type(p) is Fraction else Fraction(p)
+            if p:
+                support.append((idx, p))
+        if any(p < 0 for _, p in support):
             raise ValueError("probabilities must be nonnegative")
-        if sum(support) != 1:
-            raise ValueError(f"probabilities must sum to 1, got {sum(support)}")
+        total = sum(p for _, p in support)
+        if total != 1:
+            raise ValueError(f"probabilities must sum to 1, got {total}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "support", tuple(sorted(support)))
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        probs = [Fraction(0)] * 2 ** self.n
+        for idx, p in self.support:
+            probs[idx] = p
+        return tuple(probs)
 
     def prob(self, profile: "DecisionProfile | int") -> Fraction:
         index = profile.index if isinstance(profile, DecisionProfile) else profile
@@ -278,21 +307,18 @@ class Distribution:
 
     def is_strictly_positive(self) -> bool:
         """True iff every profile has positive probability (interior of the simplex)."""
-        return all(p > 0 for p in self.probs)
+        return len(self.support) == 2 ** self.n
 
     def expectation(self, values: Sequence[Fraction]) -> Fraction:
         """E[f] for a profile-indexed value table f."""
-        if len(values) != len(self.probs):
+        if len(values) != 2 ** self.n:
             raise ValueError("value table length does not match the profile space")
-        return sum((p * Fraction(v) for p, v in zip(self.probs, values)), Fraction(0))
+        return sum((p * Fraction(values[idx]) for idx, p in self.support), Fraction(0))
 
     @classmethod
     def degenerate(cls, n: int, index: "DecisionProfile | int") -> "Distribution":
-        _check_n(n)
         idx = index.index if isinstance(index, DecisionProfile) else index
-        probs = [Fraction(0)] * 2 ** n
-        probs[idx] = Fraction(1)
-        return cls(n, tuple(probs))
+        return cls._from_support(n, ((idx, Fraction(1)),))
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -307,16 +333,12 @@ class Distribution:
         total = sum(weights.values(), Fraction(0))
         if total <= 0:
             raise ValueError("weights must have positive total mass")
-        probs = [Fraction(0)] * 2 ** n
-        for idx, w in weights.items():
-            probs[idx] = Fraction(w) / total
-        return cls(n, tuple(probs))
+        return cls._from_support(n, ((idx, Fraction(w) / total) for idx, w in weights.items()))
 
     def to_json(self) -> dict:
         atoms = [
             {"profile": DecisionProfile(self.n, k).to_string(), "prob": format_rational(p)}
-            for k, p in enumerate(self.probs)
-            if p != 0
+            for k, p in self.support
         ]
         return {"n": self.n, "atoms": atoms}
 
@@ -326,7 +348,7 @@ class Distribution:
         atoms = data.get("atoms")
         if not isinstance(atoms, list):
             raise FormatError("atoms: expected a list of {profile, prob} objects")
-        probs = [Fraction(0)] * 2 ** n
+        probs: dict[int, Fraction] = {}
         for k, atom in enumerate(atoms):
             if not isinstance(atom, dict):
                 raise FormatError(f"atoms[{k}]: expected an object")
@@ -336,11 +358,11 @@ class Distribution:
                     f"atoms[{k}].profile: expected {n} characters of '+'/'-', got {profile!r}"
                 )
             idx = DecisionProfile.from_string(profile, f"atoms[{k}].profile").index
-            if probs[idx] != 0:
+            if idx in probs:
                 raise FormatError(f"atoms[{k}].profile: duplicate profile {profile!r}")
             probs[idx] = parse_rational(atom.get("prob"), f"atoms[{k}].prob")
         try:
-            return cls(n, tuple(probs))
+            return cls._from_support(n, probs.items())
         except ValueError as exc:
             raise FormatError(f"atoms: {exc}") from exc
 
@@ -362,10 +384,7 @@ class DistributionSet:
             raise ValueError("a distribution set needs at least one extreme point")
         if any(dist.n != self.n for dist in self.extreme_points):
             raise ValueError("all extreme points must share the set's n")
-        firsts: dict[tuple, Distribution] = {}
-        for dist in self.extreme_points:
-            firsts.setdefault(tuple((k, p) for k, p in enumerate(dist.probs) if p), dist)
-        object.__setattr__(self, "extreme_points", tuple(firsts.values()))
+        object.__setattr__(self, "extreme_points", tuple(dict.fromkeys(self.extreme_points)))
 
     def __len__(self) -> int:
         return len(self.extreme_points)
@@ -377,11 +396,11 @@ class DistributionSet:
         coeffs = [Fraction(c) for c in coefficients]
         if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
             raise ValueError("mixture coefficients must be nonnegative and sum to 1")
-        probs = [Fraction(0)] * 2 ** self.n
+        probs: dict[int, Fraction] = {}
         for c, dist in zip(coeffs, self.extreme_points):
-            for k, p in enumerate(dist.probs):
-                probs[k] += c * p
-        return Distribution(self.n, tuple(probs))
+            for k, p in dist.support:
+                probs[k] = probs.get(k, 0) + c * p
+        return Distribution._from_support(self.n, probs.items())
 
     @classmethod
     def degenerates(cls, n: int) -> "DistributionSet":

@@ -227,15 +227,12 @@ def transport_distribution(
         raise ValueError("rules and distribution must share the same n")
     if not _improves(rule, dominating, dist):
         raise ValueError("the random rule does not weakly dominate the base rule")
-    size = 2**rule.n
-    alphas = [
-        (1 - Fraction(rule.outcomes[idx]) * dominating.outcomes[idx]) / 2
-        for idx in range(size)
-    ]
-    raw = [dist.probs[idx] * alphas[idx] for idx in range(size)]
-    mass = sum(raw, Fraction(0))
-    if mass == 0:
+    raw = {
+        idx: p * (1 - Fraction(rule.outcomes[idx]) * dominating.outcomes[idx]) / 2
+        for idx, p in dist.support
+    }
+    if not any(raw.values()):
         raise NoTransportError(
             "the rules agree on every profile with positive probability"
         )
-    return Distribution(rule.n, tuple(value / mass for value in raw))
+    return Distribution.from_weights(rule.n, raw)

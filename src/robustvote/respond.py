@@ -109,8 +109,8 @@ def responsiveness(
     if rule.n != dist.n:
         raise ValueError(f"rule has n={rule.n} but distribution has n={dist.n}")
     deterministic = isinstance(rule, VotingRule)
-    support = [idx for idx, prob in enumerate(dist.probs) if prob]
-    probs, scale = over_common_denominator([dist.probs[idx] for idx in support])
+    support, probs = zip(*dist.support)
+    probs, scale = over_common_denominator(probs)
     outcomes = [rule.outcomes[idx] for idx in support]
     values = []
     for row in sign_table(rule.n):

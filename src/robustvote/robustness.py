@@ -94,8 +94,8 @@ def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[Fract
     points = degenerate_agreement_matrix(rule)
     columns = []
     for dist in pset.extreme_points:
-        support = [idx for idx, prob in enumerate(dist.probs) if prob]
-        probs, scale = over_common_denominator([dist.probs[idx] for idx in support])
+        support, probs = zip(*dist.support)
+        probs, scale = over_common_denominator(probs)
         columns.append([
             Fraction(sum(p * row[idx] for idx, p in zip(support, probs)), scale)
             for row in points
@@ -196,7 +196,7 @@ def certify_p_robust(
     if not pset.extreme_points:
         raise ValueError("distribution set must have at least one extreme point")
     if pset.n == rule.n and len(pset) == 2**rule.n and all(
-            dist.probs[k] == 1 for k, dist in enumerate(pset.extreme_points)):
+            dist.support == ((k, 1),) for k, dist in enumerate(pset.extreme_points)):
         return certify_p_robust_full(rule, mode)
     return _certify_from_matrix(agreement_matrix(rule, pset), mode)
 

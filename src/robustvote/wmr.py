@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .certificates import (
@@ -22,7 +22,13 @@ from .certificates import (
     require,
     weights_represent,
 )
-from .core import VotingRule, is_anonymous, is_dictatorship, is_own_vote_monotone
+from .core import (
+    VotingRule,
+    is_anonymous,
+    is_dictatorship,
+    is_own_vote_monotone,
+    over_common_denominator,
+)
 from .lp import (
     REL_EQ,
     REL_GE,
@@ -82,8 +88,7 @@ def _unit_row(n: int, i: int, relation: str, rhs: Fraction) -> LinearRow:
 
 
 def _smallest_integer_direction(ws: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    scale = lcm(*(w.denominator for w in ws)) if ws else 1
-    ints = [int(w * scale) for w in ws]
+    ints, _ = over_common_denominator(ws)
     g = gcd(*ints)
     if g == 0:
         return tuple(Fraction(0) for _ in ints)

@@ -1,0 +1,160 @@
+"""A distribution is its support: what is stored, how every constructor
+validates it, and a guard that no point-mass path builds a dense table."""
+
+import dataclasses
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from robustvote import cli, epsilon_lower_witness
+from robustvote.core import (
+    Distribution,
+    DistributionSet,
+    FormatError,
+    VotingRule,
+    weighted_majority_rule,
+)
+from robustvote.robustness import (
+    MODE_STRICT,
+    MODE_WEAK,
+    certify_p_robust,
+    certify_p_robust_full,
+    responsiveness_game,
+)
+from robustvote.verification import verify_report
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv + ["--quiet"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+# ---------------------------------------------------------------------------
+# Representation
+
+
+def test_a_distribution_stores_its_n_and_its_ascending_support():
+    dist = Distribution(2, (F(1, 2), 0, 0, F(1, 2)))
+    assert [field.name for field in dataclasses.fields(Distribution)] == ["n", "support"]
+    assert dist.support == ((0, F(1, 2)), (3, F(1, 2)))
+    assert Distribution.from_weights(2, {3: 1, 0: 1}).support == dist.support
+
+
+def test_the_dense_table_is_built_on_first_read():
+    dist = Distribution.from_weights(3, {6: F(1), 1: F(3)})
+    assert "probs" not in vars(dist)
+    assert dist.probs == (0, F(3, 4), 0, 0, 0, 0, F(1, 4), 0)
+    assert all(type(p) is F for p in dist.probs)
+    assert "probs" in vars(dist)
+    assert dist == Distribution(3, dist.probs)
+    assert hash(dist) == hash(Distribution(3, dist.probs))
+
+
+def test_sparse_reads_match_the_dense_table():
+    dist = Distribution(2, (F(1, 6), 0, F(1, 3), F(1, 2)))
+    values = (F(5), F(-7), F(2, 3), F(1, 9))
+    assert dist.expectation(values) == sum(p * v for p, v in zip(dist.probs, values))
+    assert not dist.is_strictly_positive()
+    assert Distribution.uniform(2).is_strictly_positive()
+    with pytest.raises(ValueError, match="value table length"):
+        dist.expectation(values[:3])
+
+
+def test_a_mixture_drops_the_atoms_it_zeroes():
+    pset = DistributionSet(2, (Distribution.degenerate(2, 3), Distribution.uniform(2)))
+    assert pset.mixture([F(1), F(0)]).support == ((3, F(1)),)
+    assert pset.mixture([F(1, 2), F(1, 2)]).support == (
+        (0, F(1, 8)), (1, F(1, 8)), (2, F(1, 8)), (3, F(5, 8)))
+
+
+# ---------------------------------------------------------------------------
+# Profile indices are range-checked by every sparse constructor
+
+
+def test_degenerate_rejects_a_negative_index():
+    with pytest.raises(ValueError, match=r"^profile index -1 out of range for n=2$"):
+        Distribution.degenerate(2, -1)
+
+
+def test_degenerate_rejects_an_index_past_the_table():
+    with pytest.raises(ValueError, match=r"^profile index 4 out of range for n=2$"):
+        Distribution.degenerate(2, 4)
+
+
+def test_from_weights_rejects_a_negative_index():
+    with pytest.raises(ValueError, match=r"^profile index -1 out of range for n=2$"):
+        Distribution.from_weights(2, {-1: F(1), 0: F(1)})
+
+
+def test_sparse_constructors_keep_the_dense_messages():
+    with pytest.raises(ValueError, match="^probabilities must be nonnegative$"):
+        Distribution.from_weights(2, {0: F(2), 1: F(-1)})
+    bad_sum = {"n": 1, "atoms": [{"profile": "+", "prob": "1/2"}]}
+    with pytest.raises(FormatError, match="^atoms: probabilities must sum to 1, got 1/2$"):
+        Distribution.from_json(bad_sum)
+
+
+@pytest.mark.parametrize("first", ["0/1", "1/2", "1/1"])
+def test_from_json_rejects_any_repeated_profile(first):
+    data = {"n": 2, "atoms": [{"profile": "++", "prob": first},
+                              {"profile": "++", "prob": "1/1"}]}
+    with pytest.raises(FormatError, match=r"^atoms\[1\]\.profile: duplicate profile '\+\+'$"):
+        Distribution.from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# Guard: no point-mass path builds a dense table
+
+
+@pytest.fixture
+def dense_point_masses(monkeypatch):
+    """The point masses whose dense table is read while the test runs."""
+    built = []
+    dense = Distribution.probs.func
+
+    def spy(dist):
+        if len(dist.support) == 1:
+            built.append(dist)
+        return dense(dist)
+
+    monkeypatch.setattr(Distribution, "probs", property(spy))
+    return built
+
+
+def test_the_guard_sees_a_dense_read(dense_point_masses):
+    assert Distribution.degenerate(3, 5).prob(5) == 1
+    assert dense_point_masses == [Distribution.degenerate(3, 5)]
+
+
+def test_degenerates_and_their_json_stay_sparse(dense_point_masses):
+    pset = DistributionSet.degenerates(6)
+    assert DistributionSet.from_json(pset.to_json()) == pset
+    assert [d.support for d in pset.extreme_points] == [((k, 1),) for k in range(64)]
+    assert dense_point_masses == []
+
+
+@pytest.mark.parametrize("mode", [MODE_STRICT, MODE_WEAK])
+def test_point_mass_questions_stay_sparse(dense_point_masses, mode):
+    pset = DistributionSet.degenerates(5)
+    for rule in (weighted_majority_rule(5, [F(1)] * 5), VotingRule(5, (1, -1) * 16)):
+        assert certify_p_robust(rule, pset, mode) == certify_p_robust_full(rule, mode)
+    responsiveness_game(weighted_majority_rule(5, [F(1)] * 5), pset)
+    assert dense_point_masses == []
+
+
+def test_epsilon_witness_stays_sparse(dense_point_masses):
+    epsilon_lower_witness(4)
+    assert dense_point_masses == []
+
+
+@pytest.mark.parametrize(("n", "weights"), [(7, [1] * 7), (12, [2] + [1] * 11)])
+def test_cli_degenerates_report_and_its_verify_stay_sparse(capsys, dense_point_masses,
+                                                           n, weights):
+    rule = weighted_majority_rule(n, [F(w) for w in weights])
+    code, report = run_cli(
+        capsys, ["certify", "--rule=" + rule.to_table_string(), "--pset=degenerates"])
+    assert code == 0
+    assert len(report["inputs"]["pset"]["extreme_points"]) == 2**n
+    assert verify_report(report) == []
+    assert dense_point_masses == []
