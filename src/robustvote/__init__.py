@@ -3,151 +3,91 @@
 Rules map vote profiles in {-1, +1}^n to a decision; every quantity here
 is a fraction, every verdict carries a finite certificate, and every
 certificate can be re-checked by substitution alone.
+
+The public names below are loaded on first access (PEP 562), so importing
+the package, or one module of it, loads only what is used.
 """
 
-from .certificates import InternalError
-from .core import (
-    DecisionProfile,
-    Distribution,
-    DistributionSet,
-    FormatError,
-    RandomVotingRule,
-    VotingRule,
-    all_profiles,
-    apply_permutation,
-    constant_rule,
-    count_distribution,
-    dictatorship_rule,
-    enumerate_rules,
-    format_rational,
-    inverse_rule,
-    is_anonymous,
-    is_dictatorship,
-    is_own_vote_monotone,
-    is_self_dual,
-    load_rule,
-    majority_rule,
-    parity_rule,
-    parse_rational,
-    permute_profile_index,
-    popcount,
-    supermajority_rule,
-    unanimity_rule,
-    vote_in_profile,
-    weighted_majority_rule,
-)
-from .efficiency import (
-    NoTransportError,
-    ParetoVerdict,
-    efficiency_verdict,
-    is_strictly_efficient,
-    pareto_compare,
-    transport_distribution,
-)
-from .gamma_mechanism import (
-    ExtendedRational,
-    GammaWitness,
-    epsilon_lower_witness,
-    epsilon_upper,
-    gain_ratio,
-    gamma_counterexample,
-    gamma_utilities,
-    is_strategy_proof,
-)
-from .random_rules import (
-    anonymous_even_impossibility,
-    certify_random,
-    find_dominating_deterministic,
-    sign_pattern_holds,
-)
-from .respond import (
-    ResponsivenessVector,
-    WeightVector,
-    agreement_counts,
-    mean_responsiveness_by_count,
-    responsiveness,
-    rtf_max_weighted,
-)
-from .robustness import (
-    RobustnessCertificate,
-    agreement_matrix,
-    certify_anonymous,
-    certify_p_robust,
-    certify_p_robust_full,
-    is_permutation_invariant,
-    permute_distribution,
-    responsiveness_game,
-)
-from .verification import verify_report
-from .wmr import WmrQuery, classify_rule, detect_wmr, weights_represent
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DecisionProfile",
-    "Distribution",
-    "DistributionSet",
-    "ExtendedRational",
-    "FormatError",
-    "GammaWitness",
-    "InternalError",
-    "NoTransportError",
-    "ParetoVerdict",
-    "RandomVotingRule",
-    "ResponsivenessVector",
-    "RobustnessCertificate",
-    "VotingRule",
-    "WeightVector",
-    "WmrQuery",
-    "agreement_counts",
-    "agreement_matrix",
-    "all_profiles",
-    "anonymous_even_impossibility",
-    "apply_permutation",
-    "certify_anonymous",
-    "certify_p_robust",
-    "certify_p_robust_full",
-    "certify_random",
-    "classify_rule",
-    "constant_rule",
-    "count_distribution",
-    "detect_wmr",
-    "dictatorship_rule",
-    "efficiency_verdict",
-    "enumerate_rules",
-    "epsilon_lower_witness",
-    "epsilon_upper",
-    "find_dominating_deterministic",
-    "format_rational",
-    "gain_ratio",
-    "gamma_counterexample",
-    "gamma_utilities",
-    "inverse_rule",
-    "is_anonymous",
-    "is_dictatorship",
-    "is_own_vote_monotone",
-    "is_permutation_invariant",
-    "is_self_dual",
-    "is_strategy_proof",
-    "is_strictly_efficient",
-    "load_rule",
-    "majority_rule",
-    "mean_responsiveness_by_count",
-    "parity_rule",
-    "parse_rational",
-    "pareto_compare",
-    "permute_distribution",
-    "permute_profile_index",
-    "popcount",
-    "responsiveness",
-    "responsiveness_game",
-    "rtf_max_weighted",
-    "sign_pattern_holds",
-    "supermajority_rule",
-    "transport_distribution",
-    "unanimity_rule",
-    "verify_report",
-    "vote_in_profile",
-    "weighted_majority_rule",
-    "weights_represent",
-]
+# Each public name and the module that defines it.
+_HOMES = {
+    "DecisionProfile": "core",
+    "Distribution": "core",
+    "DistributionSet": "core",
+    "ExtendedRational": "gamma_mechanism",
+    "FormatError": "core",
+    "GammaWitness": "gamma_mechanism",
+    "InternalError": "certificates",
+    "NoTransportError": "efficiency",
+    "ParetoVerdict": "efficiency",
+    "RandomVotingRule": "core",
+    "ResponsivenessVector": "respond",
+    "RobustnessCertificate": "robustness",
+    "VotingRule": "core",
+    "WeightVector": "respond",
+    "WmrQuery": "wmr",
+    "agreement_counts": "respond",
+    "agreement_matrix": "robustness",
+    "all_profiles": "core",
+    "anonymous_even_impossibility": "random_rules",
+    "apply_permutation": "core",
+    "certify_anonymous": "robustness",
+    "certify_p_robust": "robustness",
+    "certify_p_robust_full": "robustness",
+    "certify_random": "random_rules",
+    "classify_rule": "wmr",
+    "constant_rule": "core",
+    "count_distribution": "core",
+    "detect_wmr": "wmr",
+    "dictatorship_rule": "core",
+    "efficiency_verdict": "efficiency",
+    "enumerate_rules": "core",
+    "epsilon_lower_witness": "gamma_mechanism",
+    "epsilon_upper": "gamma_mechanism",
+    "find_dominating_deterministic": "random_rules",
+    "format_rational": "core",
+    "gain_ratio": "gamma_mechanism",
+    "gamma_counterexample": "gamma_mechanism",
+    "gamma_utilities": "gamma_mechanism",
+    "inverse_rule": "core",
+    "is_anonymous": "core",
+    "is_dictatorship": "core",
+    "is_own_vote_monotone": "core",
+    "is_permutation_invariant": "robustness",
+    "is_self_dual": "core",
+    "is_strategy_proof": "gamma_mechanism",
+    "is_strictly_efficient": "efficiency",
+    "load_rule": "core",
+    "majority_rule": "core",
+    "mean_responsiveness_by_count": "respond",
+    "parity_rule": "core",
+    "parse_rational": "core",
+    "pareto_compare": "efficiency",
+    "permute_distribution": "robustness",
+    "permute_profile_index": "core",
+    "popcount": "core",
+    "responsiveness": "respond",
+    "responsiveness_game": "robustness",
+    "rtf_max_weighted": "respond",
+    "sign_pattern_holds": "certificates",
+    "supermajority_rule": "core",
+    "transport_distribution": "efficiency",
+    "unanimity_rule": "core",
+    "verify_report": "verification",
+    "vote_in_profile": "core",
+    "weighted_majority_rule": "core",
+    "weights_represent": "certificates",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .core import over_common_denominator, vote_sums
 
-# The vocabulary of the systems and representations checked here; lp and
-# wmr re-export it.
+# The vocabulary of the systems and representations checked here; lp, wmr
+# and respond re-export it.
 REL_GE = ">="
 REL_GT = ">"
 REL_EQ = "="
@@ -29,6 +29,11 @@ SIGN_NONNEG = "nonneg"
 TIES_ALLOWED = "allowed"
 TIES_FORBIDDEN = "forbidden"
 TIE_MODES = (TIES_ALLOWED, TIES_FORBIDDEN)
+
+SIGN_CLASS_FREE = "free"
+SIGN_CLASS_NONNEGATIVE = "nonnegative"
+SIGN_CLASS_POSITIVE = "positive"
+SIGN_CLASSES = (SIGN_CLASS_FREE, SIGN_CLASS_NONNEGATIVE, SIGN_CLASS_POSITIVE)
 
 _ZERO = Fraction(0)
 _HOLDS = {REL_GE: operator.ge, REL_GT: operator.gt, REL_EQ: operator.eq}

@@ -29,7 +29,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .certificates import InternalError
+from .certificates import (
+    SIGN_CLASS_FREE,
+    SIGN_CLASS_NONNEGATIVE,
+    SIGN_CLASS_POSITIVE,
+    TIES_ALLOWED,
+    TIES_FORBIDDEN,
+    InternalError,
+)
 from .core import (
     MAX_ENUMERATION_INDIVIDUALS,
     STRUCTURAL_PREDICATES,
@@ -44,23 +51,6 @@ from .core import (
     parse_rational,
     table_rule,
 )
-from .efficiency import (
-    EFFICIENCY_MODES,
-    NoTransportError,
-    efficiency_verdict,
-    pareto_compare,
-    transport_distribution,
-)
-from .gamma_mechanism import epsilon_lower_witness, epsilon_upper, gamma_counterexample
-from .random_rules import certify_random, find_dominating_deterministic
-from .respond import (
-    SIGN_CLASS_FREE,
-    SIGN_CLASS_NONNEGATIVE,
-    SIGN_CLASS_POSITIVE,
-    WeightVector,
-    responsiveness,
-    rtf_max_weighted,
-)
 from .robustness import (
     MODE_STRICT,
     MODE_WEAK,
@@ -70,7 +60,9 @@ from .robustness import (
     survives_strict_screen,
 )
 from .verification import SCHEMA, verify_report
-from .wmr import TIES_ALLOWED, TIES_FORBIDDEN, WmrQuery, classify_rule, detect_wmr
+
+# The other analysis modules are imported by the handlers that use them, so a
+# process loads only what its subcommand needs.
 
 _TABLE_RE = re.compile(r"^[+-]+$")
 
@@ -189,6 +181,8 @@ def _fmt_tuple(values) -> str:
 
 
 def _cmd_classify(args):
+    from .wmr import classify_rule
+
     rule = _load_deterministic(args.rule, "rule")
     report = classify_rule(rule)
     traits = [
@@ -231,6 +225,8 @@ def _cmd_certify(args):
 
 
 def _cmd_respond(args):
+    from .respond import responsiveness
+
     rule = _load_any_rule(args.rule, "rule")
     dist = _load_dist(args.dist, "dist", rule.n)
     vector = responsiveness(rule, dist)
@@ -246,6 +242,8 @@ def _cmd_respond(args):
 
 
 def _cmd_rtf(args):
+    from .respond import WeightVector, rtf_max_weighted
+
     weights = _parse_weights(args.weights)
     sign_class = _sign_class(args.signs)
     vector = WeightVector(tuple(weights), sign_class)
@@ -265,6 +263,8 @@ def _cmd_rtf(args):
 
 
 def _cmd_wmr(args):
+    from .wmr import WmrQuery, detect_wmr
+
     rule = _load_deterministic(args.rule, "rule")
     sign_class = _sign_class(args.signs)
     ties = _tie_mode(args.ties)
@@ -281,6 +281,13 @@ def _cmd_wmr(args):
 
 
 def _cmd_efficiency(args):
+    from .efficiency import (
+        EFFICIENCY_MODES,
+        NoTransportError,
+        efficiency_verdict,
+        transport_distribution,
+    )
+
     rule = _load_deterministic(args.rule, "rule")
     dist = _load_dist(args.dist, "dist", rule.n)
     if args.mode not in EFFICIENCY_MODES:
@@ -305,6 +312,8 @@ def _cmd_efficiency(args):
 
 
 def _cmd_dominance(args):
+    from .efficiency import pareto_compare
+
     first = _load_any_rule(args.a, "a")
     second = _load_any_rule(args.b, "b")
     dist = _load_dist(args.dist, "dist", first.n)
@@ -322,6 +331,8 @@ def _cmd_dominance(args):
 
 
 def _cmd_random_certify(args):
+    from .random_rules import certify_random
+
     rule = _load_random(args.rule, "rule")
     weights, counterexample = certify_random(rule)
     inputs = {"rule": rule.to_json()}
@@ -342,6 +353,8 @@ def _cmd_random_certify(args):
 
 
 def _cmd_random_dominate(args):
+    from .random_rules import find_dominating_deterministic
+
     rule = _load_random(args.rule, "rule")
     found = find_dominating_deterministic(rule)
     inputs = {"rule": rule.to_json()}
@@ -396,6 +409,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_epsilon(args):
+    from .gamma_mechanism import epsilon_lower_witness, epsilon_upper
+
     level, rule, game = epsilon_lower_witness(args.n)
     upper = epsilon_upper(args.n)
     inputs = {"n": args.n}
@@ -414,6 +429,8 @@ def _cmd_epsilon(args):
 
 
 def _cmd_gamma_witness(args):
+    from .gamma_mechanism import gamma_counterexample
+
     rule = _load_deterministic(args.rule, "rule")
     witness = gamma_counterexample(rule)
     inputs = {"rule": rule.to_json()}

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .certificates import attains, require, rtf_maximum
+from .certificates import (
+    SIGN_CLASS_FREE,
+    SIGN_CLASS_NONNEGATIVE,
+    SIGN_CLASS_POSITIVE,
+    SIGN_CLASSES,
+    attains,
+    require,
+    rtf_maximum,
+)
 from .core import (
     Distribution,
     RandomVotingRule,
@@ -24,11 +32,6 @@ from .core import (
     sign_table,
     vote_sums,
 )
-
-SIGN_CLASS_FREE = "free"
-SIGN_CLASS_NONNEGATIVE = "nonnegative"
-SIGN_CLASS_POSITIVE = "positive"
-SIGN_CLASSES = (SIGN_CLASS_FREE, SIGN_CLASS_NONNEGATIVE, SIGN_CLASS_POSITIVE)
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,13 @@ from .core import (
     DistributionSet,
     RandomVotingRule,
     VotingRule,
+    _checked_permutation,
+    _permuted,
     format_rational,
     is_anonymous,
     is_count_symmetric,
     lowest_bit,
     over_common_denominator,
-    permute_profile_index,
     sign_table,
     table_integer,
     twin_set,
@@ -85,10 +86,12 @@ class RobustnessCertificate:
         return payload
 
 
-def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[Fraction]]:
+def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[int | Fraction]]:
     """Expected outcome-vote products, one row per individual, one column
     per extreme point: the point-mass matrix mixed by that extreme point,
-    an integer dot over its support divided by its common denominator."""
+    an integer dot over its support divided by its common denominator.  A
+    column over denominator 1, such as a point mass of a deterministic
+    rule, stays integer."""
     if rule.n != pset.n:
         raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
     points = degenerate_agreement_matrix(rule)
@@ -96,10 +99,8 @@ def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[Fract
     for dist in pset.extreme_points:
         support, probs = zip(*dist.support)
         probs, scale = over_common_denominator(probs)
-        columns.append([
-            Fraction(sum(p * row[idx] for idx, p in zip(support, probs)), scale)
-            for row in points
-        ])
+        dots = [sum(p * row[idx] for idx, p in zip(support, probs)) for row in points]
+        columns.append(dots if scale == 1 else [Fraction(dot, scale) for dot in dots])
     return [list(row) for row in zip(*columns)]
 
 
@@ -226,18 +227,20 @@ def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     """
     matrix = agreement_matrix(rule, pset)
     responsive = [
-        [(entry + 1) / 2 for entry in row] for row in matrix
+        [Fraction(entry + 1, 2) for entry in row] for row in matrix
     ]
     return matrix_game(responsive)
 
 
 def permute_distribution(dist: Distribution, permutation) -> Distribution:
-    """The distribution of the relabeled profile."""
-    n = dist.n
-    probs = [Fraction(0)] * 2**n
-    for idx in range(2**n):
-        probs[idx] = dist.probs[permute_profile_index(idx, n, permutation)]
-    return Distribution(n, tuple(probs))
+    """The distribution of the relabeled profile: profile x gets the mass
+    of permute_profile_index(x), so each support atom moves to its index
+    under the inverse relabeling."""
+    inverse = [0] * dist.n
+    for position, individual in enumerate(_checked_permutation(dist.n, permutation), start=1):
+        inverse[individual - 1] = position
+    return Distribution._from_support(
+        dist.n, ((_permuted(idx, inverse), p) for idx, p in dist.support))
 
 
 def is_permutation_invariant(pset: DistributionSet) -> bool:

@@ -20,6 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certificates import (
+    SIGN_CLASS_FREE,
+    SIGN_CLASS_NONNEGATIVE,
+    SIGN_CLASS_POSITIVE,
+    SIGN_CLASSES,
     TIE_MODES,
     attains,
     failed_column,
@@ -50,20 +54,6 @@ from .core import (
     parse_rational,
     table_integer,
 )
-from .efficiency import (
-    EFFICIENCY_MODES,
-    NoTransportError,
-    pareto_compare,
-    transport_distribution,
-)
-from .gamma_mechanism import gamma_utilities
-from .respond import (
-    SIGN_CLASS_FREE,
-    SIGN_CLASS_NONNEGATIVE,
-    SIGN_CLASS_POSITIVE,
-    SIGN_CLASSES,
-    responsiveness,
-)
 from .robustness import (
     MODE_STRICT,
     MODE_WEAK,
@@ -73,6 +63,9 @@ from .robustness import (
     agreement_matrix,
     degenerate_agreement_matrix,
 )
+
+# efficiency, gamma_mechanism and respond are imported by the checkers of
+# the report kinds that use them, so checking one kind loads only its own.
 
 SCHEMA = "robustvote/1"
 
@@ -225,6 +218,8 @@ def _check_monotone_violation(rule: VotingRule, violation: dict) -> None:
 
 
 def _check_respond(report: dict) -> None:
+    from .respond import responsiveness
+
     inputs = _field(report, "inputs", "respond")
     rule = load_rule(_field(inputs, "rule", "respond.inputs"))
     dist = Distribution.from_json(_field(inputs, "dist", "respond.inputs"))
@@ -238,6 +233,8 @@ def _check_respond(report: dict) -> None:
 
 
 def _check_rtf(report: dict) -> None:
+    from .respond import responsiveness
+
     inputs = _field(report, "inputs", "rtf")
     ws = _rational_list(_field(inputs, "weights", "rtf.inputs"), "rtf.inputs.weights")
     sign_class = inputs.get("sign_class", SIGN_CLASS_FREE)
@@ -271,6 +268,9 @@ def _check_wmr(report: dict) -> None:
 
 
 def _check_efficiency(report: dict) -> None:
+    from .efficiency import EFFICIENCY_MODES, NoTransportError, transport_distribution
+    from .respond import responsiveness
+
     inputs = _field(report, "inputs", "efficiency")
     rule = VotingRule.from_json(_field(inputs, "rule", "efficiency.inputs"))
     dist = Distribution.from_json(_field(inputs, "dist", "efficiency.inputs"))
@@ -310,6 +310,8 @@ def _check_efficiency(report: dict) -> None:
 
 
 def _check_dominance(report: dict) -> None:
+    from .efficiency import pareto_compare
+
     inputs = _field(report, "inputs", "dominance")
     first = load_rule(_field(inputs, "a", "dominance.inputs"))
     second = load_rule(_field(inputs, "b", "dominance.inputs"))
@@ -326,6 +328,8 @@ def _check_dominance(report: dict) -> None:
 
 
 def _check_random_certify(report: dict) -> None:
+    from .respond import responsiveness
+
     inputs = _field(report, "inputs", "random-certify")
     rule = load_rule(_field(inputs, "rule", "random-certify.inputs"))
     if isinstance(rule, VotingRule):
@@ -351,6 +355,8 @@ def _check_random_certify(report: dict) -> None:
 
 
 def _check_random_dominate(report: dict) -> None:
+    from .respond import responsiveness
+
     inputs = _field(report, "inputs", "random-dominate")
     rule = RandomVotingRule.from_json(_field(inputs, "rule", "random-dominate.inputs"))
     found = _field(report, "found", "random-dominate")
@@ -437,6 +443,8 @@ def _check_epsilon(report: dict) -> None:
 
 
 def _check_gamma(report: dict) -> None:
+    from .gamma_mechanism import gamma_utilities
+
     inputs = _field(report, "inputs", "gamma-witness")
     rule = VotingRule.from_json(_field(inputs, "rule", "gamma-witness.inputs"))
     _expect(is_dictatorship(rule) is None,

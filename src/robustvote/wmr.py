@@ -16,6 +16,10 @@ from math import gcd
 from typing import Sequence
 
 from .certificates import (
+    SIGN_CLASS_FREE,
+    SIGN_CLASS_NONNEGATIVE,
+    SIGN_CLASS_POSITIVE,
+    SIGN_CLASSES,
     TIE_MODES,
     TIES_ALLOWED,
     TIES_FORBIDDEN,
@@ -39,13 +43,7 @@ from .lp import (
     LinearSystem,
     solve_feasibility,
 )
-from .respond import (
-    SIGN_CLASS_FREE,
-    SIGN_CLASS_NONNEGATIVE,
-    SIGN_CLASS_POSITIVE,
-    SIGN_CLASSES,
-    WeightVector,
-)
+from .respond import WeightVector
 from .robustness import (
     MODE_STRICT,
     MODE_WEAK,

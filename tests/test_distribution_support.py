@@ -1,25 +1,33 @@
 """A distribution is its support: what is stored, how every constructor
-validates it, and a guard that no point-mass path builds a dense table."""
+validates it, a guard that no point-mass path builds a dense table, and
+relabeling and agreement columns computed off the support."""
 
 import dataclasses
+import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from robustvote import cli, epsilon_lower_witness
+from robustvote import cli, epsilon_lower_witness, robustness
 from robustvote.core import (
     Distribution,
     DistributionSet,
     FormatError,
     VotingRule,
+    permute_profile_index,
     weighted_majority_rule,
 )
 from robustvote.robustness import (
     MODE_STRICT,
     MODE_WEAK,
+    agreement_matrix,
     certify_p_robust,
     certify_p_robust_full,
+    degenerate_agreement_matrix,
+    is_permutation_invariant,
+    permute_distribution,
     responsiveness_game,
 )
 from robustvote.verification import verify_report
@@ -158,3 +166,59 @@ def test_cli_degenerates_report_and_its_verify_stay_sparse(capsys, dense_point_m
     assert len(report["inputs"]["pset"]["extreme_points"]) == 2**n
     assert verify_report(report) == []
     assert dense_point_masses == []
+
+
+# ---------------------------------------------------------------------------
+# Relabeling moves the support; point-mass columns stay integer
+
+
+def dense_permutation(dist, permutation):
+    """permute_distribution as the dense table it is defined by."""
+    n = dist.n
+    return Distribution(n, tuple(dist.probs[permute_profile_index(idx, n, permutation)]
+                                 for idx in range(2**n)))
+
+
+def seeded_distributions(n, rng):
+    size = 2**n
+    yield Distribution.degenerate(n, rng.randrange(size))
+    yield Distribution.degenerate(n, size - 1)
+    yield Distribution.uniform(n)
+    for _ in range(4):
+        atoms = rng.sample(range(size), rng.randint(2, size))
+        yield Distribution.from_weights(n, {idx: F(rng.randint(1, 9)) for idx in atoms})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_permute_distribution_matches_the_dense_definition(n):
+    rng = random.Random(8000 + n)
+    for dist in seeded_distributions(n, rng):
+        for perm in itertools.permutations(range(1, n + 1)):
+            assert permute_distribution(dist, perm) == dense_permutation(dist, perm)
+
+
+def test_permute_distribution_rejects_a_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_distribution(Distribution.uniform(3), (1, 1, 3))
+
+
+def test_relabeling_point_masses_stays_sparse(dense_point_masses):
+    assert is_permutation_invariant(DistributionSet.degenerates(4))
+    assert dense_point_masses == []
+
+
+def test_point_mass_columns_are_integer(monkeypatch):
+    payoffs = []
+    solve = robustness.matrix_game
+    monkeypatch.setattr(robustness, "matrix_game",
+                        lambda matrix: payoffs.extend(matrix) or solve(matrix))
+    rule = weighted_majority_rule(3, [F(3), F(1), F(1)])
+    mixed = Distribution.from_weights(3, {0: F(1), 5: F(2)})
+    pset = DistributionSet(3, (Distribution.degenerate(3, 6), mixed))
+    matrix = agreement_matrix(rule, pset)
+    points = degenerate_agreement_matrix(rule)
+    assert [type(row[0]) for row in matrix] == [int] * 3
+    assert [row[0] for row in matrix] == [row[6] for row in points]
+    assert all(type(row[1]) is F for row in matrix)
+    responsiveness_game(rule, pset)
+    assert payoffs and all(type(v) is F for row in payoffs for v in row)

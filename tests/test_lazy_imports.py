@@ -1,0 +1,76 @@
+"""The package namespace loads on first access, and `verify` loads only the
+modules its report kind checks."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import robustvote
+from robustvote import cli
+
+SOURCE = str(Path(robustvote.__file__).parent.parent)
+
+# Modules no `verify` of a certify or wmr report needs.
+SOLVER_SIDE = ("efficiency", "gamma_mechanism", "random_rules", "respond", "wmr")
+
+LOADED = "import sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('robustvote'))))"
+
+
+def loaded_after(script: str) -> list[str]:
+    """The robustvote modules a fresh interpreter holds after script."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SOURCE, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", f"import json\n{script}\n{LOADED}"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import robustvote") == ["robustvote"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--rule=---+-+++", "--pset=degenerates"],
+    ["wmr", "--rule=---+-+++", "--ties=none"],
+])
+def test_verify_loads_no_solver_side_module(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--quiet"]) == 0
+    path = tmp_path / "report.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    script = (
+        "import contextlib, io\n"
+        "from robustvote import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = cli.main(['verify', '--report', {str(path)!r}, '--quiet'])\n"
+        "assert code == 0 and json.loads(out.getvalue())['ok'], out.getvalue()"
+    )
+    loaded = loaded_after(script)
+    assert "robustvote.verification" in loaded
+    assert not {f"robustvote.{name}" for name in SOLVER_SIDE} & set(loaded)
+
+
+def test_every_public_name_is_its_home_modules_object():
+    assert len(robustvote.__all__) == len(set(robustvote.__all__)) == 66
+    for name in robustvote.__all__:
+        home = import_module(f"robustvote.{robustvote._HOMES[name]}")
+        assert getattr(robustvote, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from robustvote import *", namespace)
+    for name in robustvote.__all__:
+        assert namespace[name] is getattr(robustvote, name), name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        robustvote.no_such_name
+    with pytest.raises(ImportError):
+        exec("from robustvote import no_such_name", {})
