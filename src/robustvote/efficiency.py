@@ -3,9 +3,11 @@
 Every random rule within expectation distance of a deterministic rule phi
 can be written through per-profile deviations t_x = 1 - phi(x) * other(x),
 each in [0, 2].  Responsiveness changes are linear in t, so each efficiency
-notion is a feasibility question about the deviation vector: can anyone be
-helped without hurting someone (and how strongly).  The deviation witness
-converts back to an explicit dominating random rule.
+notion is one feasibility system about the deviation vector: can anyone be
+helped without hurting someone (and how strongly).  Only the direction of
+a solution matters, so the systems drop the box t <= 2 and a witness is
+scaled into the box afterwards; it then converts back to an explicit
+dominating random rule.
 """
 
 from __future__ import annotations
@@ -131,67 +133,9 @@ def is_strictly_efficient(
     """Whether no other random rule matches the rule for every individual.
 
     Not strict efficiency is witnessed by a differing random rule whose
-    responsiveness is componentwise at least as high.  Deviations are held
-    to total at least 2, which any nonzero deviation reaches after scaling
-    its largest coordinate to the box ceiling.
+    responsiveness is componentwise at least as high.
     """
-    if rule.n != dist.n:
-        raise ValueError("rule and distribution must share the same n")
-    matrix = _deviation_matrix(rule, dist)
-    size = 2**rule.n
-    rows = [
-        LinearRow(tuple(-entry for entry in row), REL_GE, Fraction(0))
-        for row in matrix
-    ]
-    for idx in range(size):
-        cap = tuple(Fraction(-1 if k == idx else 0) for k in range(size))
-        rows.append(LinearRow(cap, REL_GE, Fraction(-2)))
-    rows.append(LinearRow((Fraction(1),) * size, REL_GE, Fraction(2)))
-    result = solve_feasibility(LinearSystem(size, tuple(rows), (SIGN_NONNEG,) * size))
-    if not result.feasible:
-        return True, None
-    candidate = _rule_from_deviation(rule, result.witness)
-    require(_improves(rule, candidate, dist),
-            "efficiency witness fails the dominance inequalities")
-    require(candidate != RandomVotingRule.from_deterministic(rule),
-            "efficiency witness does not differ")
-    return False, candidate
-
-
-def _plain_witness(rule: VotingRule, dist: Distribution) -> RandomVotingRule | None:
-    # Homogeneous system, so box caps are dropped and any witness is
-    # rescaled into the box before verification.
-    matrix = _deviation_matrix(rule, dist)
-    size = 2**rule.n
-    rows = [
-        LinearRow(tuple(-entry for entry in row), REL_GE, Fraction(0))
-        for row in matrix
-    ]
-    total = tuple(-sum(matrix[i][idx] for i in range(rule.n)) for idx in range(size))
-    rows.append(LinearRow(total, REL_GT, Fraction(0)))
-    result = solve_feasibility(LinearSystem(size, tuple(rows), (SIGN_NONNEG,) * size))
-    if not result.feasible:
-        return None
-    candidate = _rule_from_deviation(rule, _scaled_into_box(result.witness))
-    require(_improves(rule, candidate, dist, in_total=True),
-            "efficiency witness fails the improvement inequalities")
-    return candidate
-
-
-def _weak_witness(rule: VotingRule, dist: Distribution) -> RandomVotingRule | None:
-    matrix = _deviation_matrix(rule, dist)
-    size = 2**rule.n
-    rows = [
-        LinearRow(tuple(-entry for entry in row), REL_GT, Fraction(0))
-        for row in matrix
-    ]
-    result = solve_feasibility(LinearSystem(size, tuple(rows), (SIGN_NONNEG,) * size))
-    if not result.feasible:
-        return None
-    candidate = _rule_from_deviation(rule, _scaled_into_box(result.witness))
-    require(_improves(rule, candidate, dist, strictly=True),
-            "efficiency witness fails the strict improvement")
-    return candidate
+    return efficiency_verdict(rule, dist, "strict")
 
 
 def efficiency_verdict(
@@ -201,16 +145,36 @@ def efficiency_verdict(
     random rule as witness whenever the answer is negative.
 
     mode is "strict", "plain", or "weak", ordered from the strongest
-    notion to the weakest.
+    notion to the weakest.  Each is one system over the deviations t >= 0:
+    nobody hurt (strict, plain) or everybody helped (weak), plus t != 0 as
+    sum(t) >= 1 (strict) or the total helped (plain).
     """
     if mode not in EFFICIENCY_MODES:
         raise ValueError(f"unknown efficiency mode {mode!r}")
     if rule.n != dist.n:
         raise ValueError("rule and distribution must share the same n")
+    matrix = _deviation_matrix(rule, dist)
+    size = 2**rule.n
+    help_relation = REL_GT if mode == "weak" else REL_GE
+    rows = [
+        LinearRow(tuple(-entry for entry in row), help_relation, Fraction(0))
+        for row in matrix
+    ]
     if mode == "strict":
-        return is_strictly_efficient(rule, dist)
-    witness = _plain_witness(rule, dist) if mode == "plain" else _weak_witness(rule, dist)
-    return witness is None, witness
+        rows.append(LinearRow((Fraction(1),) * size, REL_GE, Fraction(1)))
+    elif mode == "plain":
+        total = tuple(-sum(column) for column in zip(*matrix))
+        rows.append(LinearRow(total, REL_GT, Fraction(0)))
+    result = solve_feasibility(LinearSystem(size, tuple(rows), (SIGN_NONNEG,) * size))
+    if not result.feasible:
+        return True, None
+    candidate = _rule_from_deviation(rule, _scaled_into_box(result.witness))
+    require(_improves(rule, candidate, dist, strictly=mode == "weak",
+                      in_total=mode == "plain"),
+            f"{mode} efficiency witness fails its improvement inequalities")
+    require(candidate != RandomVotingRule.from_deterministic(rule),
+            "efficiency witness does not differ")
+    return False, candidate
 
 
 def transport_distribution(

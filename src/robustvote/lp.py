@@ -50,7 +50,6 @@ from .certificates import (
     require,
     satisfies,
 )
-from .core import over_common_denominator
 
 _RELATIONS = (REL_GE, REL_GT, REL_EQ)
 _SIGNS = (SIGN_FREE, SIGN_NONNEG)
@@ -541,8 +540,10 @@ def alternative_strict(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResul
 
 
 def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
-    """Either w >= 0, sum 1, with w^T L >= 0 in every column, or a strictly
-    positive column mixture lam with L lam < 0 in every component.
+    """Either w >= 0, sum 1, with w^T L >= 0 in every column, or a
+    nonnegative column mixture lam, sum 1, with L lam < 0 in every
+    component.  The mixture is the solver's witness, normalized; it need
+    not be strictly positive.
     """
     rows = _as_matrix(matrix)
     n, m = len(rows), len(rows[0])
@@ -554,41 +555,12 @@ def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
         ),
         var_signs=tuple([SIGN_NONNEG] * m),
     )
-    # The Farkas multipliers of this system are weights with w^T L >= 0.
+    # solve_feasibility has checked the witness, and the Farkas multipliers
+    # of this system are weights with w^T L >= 0; scaling keeps both.
     result = solve_feasibility(system)
     if result.feasible:
-        mixture = _strictly_positive_shift(rows, result.witness)
-        return AlternativeResult(weights=None, mixture=mixture)
+        return AlternativeResult(weights=None, mixture=_normalized(result.witness))
     return AlternativeResult(weights=_normalized(result.certificate), mixture=None)
-
-
-def _strictly_positive_shift(
-    rows: list[list[Fraction]], mixture: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Perturb a nonnegative mixture with L lam << 0 to a strictly positive one.
-
-    The strict inequalities have slack, so adding a small epsilon to every
-    coordinate preserves them; epsilon is the least slack / (2 * row sum)
-    over rows with a positive sum, and at most 1.  With lam = numerators / d
-    the slacks are integer dot products over d, compared by
-    cross-multiplying.  The slacks are positive because solve_feasibility
-    checked the mixture.
-    """
-    numerators, d = over_common_denominator(mixture)
-    eps_num, eps_den = 1, 1
-    for row in rows:
-        row_sum = sum(row)
-        if row_sum > 0:
-            slack = -sum(a * v for a, v in zip(row, numerators) if v)
-            if slack * eps_den < eps_num * 2 * row_sum * d:
-                eps_num, eps_den = slack, 2 * row_sum * d
-    epsilon = Fraction(eps_num, eps_den)
-    lifted = [v * epsilon.denominator + epsilon.numerator * d for v in numerators]
-    total = sum(lifted)
-    shifted = tuple(Fraction(v, total) for v in lifted)
-    require(failed_row(rows, shifted, strict=True) is None,
-            "solver: shifted mixture fails recheck")
-    return shifted
 
 
 # ---------------------------------------------------------------------------

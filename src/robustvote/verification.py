@@ -45,6 +45,7 @@ from .core import (
     FormatError,
     RandomVotingRule,
     VotingRule,
+    _json_n,
     enumerate_tables,
     is_anonymous,
     is_dictatorship,
@@ -376,7 +377,7 @@ def _check_random_dominate(report: dict) -> None:
 
 def _check_enumerate(report: dict) -> None:
     inputs = _field(report, "inputs", "enumerate")
-    n = _field(inputs, "n", "enumerate.inputs")
+    n = _json_n(inputs)
     predicate = _field(inputs, "predicate", "enumerate.inputs")
     count = _field(report, "count", "enumerate")
     _expect(isinstance(count, int) and count >= 0, "enumerate: malformed count")
@@ -404,8 +405,7 @@ def _check_enumerate(report: dict) -> None:
 
 def _check_epsilon(report: dict) -> None:
     inputs = _field(report, "inputs", "epsilon")
-    n = _field(inputs, "n", "epsilon.inputs")
-    _expect(isinstance(n, int) and n >= 1, "epsilon: malformed n")
+    n = _json_n(inputs)
     upper = parse_rational(_field(report, "upper", "epsilon"), "epsilon.upper")
     _expect(upper == 2**n - 2, "epsilon: upper threshold disagrees with 2^n - 2")
 

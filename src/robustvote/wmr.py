@@ -4,8 +4,11 @@ A rule is a weighted majority rule for a weight vector w when the outcome
 always sides with the sign of the weighted vote sum.  Ties allowed means the
 sum may vanish; ties forbidden means it never does.  Detection is a linear
 feasibility question over the weights, one inequality per profile.  With
-nonnegative weights and ties forbidden that question is strict robustness
-over the point masses, so its answer is read off that certificate.
+nonnegative weights that question is robustness over the point masses,
+strict when ties are forbidden and weak when they are allowed, so both
+nonnegative answers are read off those certificates.  Free weights with
+ties allowed exclude w = 0 by one weak row on the Chow vector (the rule's
+summed signed profiles, Chow 1961): c.w >= 1.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from math import gcd
 from typing import Sequence
 
 from .certificates import (
-    SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
     SIGN_CLASS_POSITIVE,
     SIGN_CLASSES,
@@ -34,7 +36,6 @@ from .core import (
     over_common_denominator,
 )
 from .lp import (
-    REL_EQ,
     REL_GE,
     REL_GT,
     SIGN_FREE,
@@ -67,22 +68,15 @@ class WmrQuery:
             raise ValueError(f"unknown tie mode {self.ties!r}")
 
 
-# Nonnegative weights with no ties are exactly strict robustness weights over
-# the point masses, so this query is answered by the strict certificate.
-TIE_FREE_NONNEGATIVE = WmrQuery(SIGN_CLASS_NONNEGATIVE, TIES_FORBIDDEN)
+# Nonnegative weights are robustness weights over the point masses: strict
+# robustness forbids ties, weak robustness allows them.
+_ROBUSTNESS_MODE = {TIES_FORBIDDEN: MODE_STRICT, TIES_ALLOWED: MODE_WEAK}
 
 
-def _signed_sum_rows(rule: VotingRule, relation: str) -> list[LinearRow]:
-    """One row per profile x, phi(x) * x: the columns of the point-mass matrix."""
-    return [
-        LinearRow(column, relation, Fraction(0))
-        for column in zip(*degenerate_agreement_matrix(rule))
-    ]
-
-
-def _unit_row(n: int, i: int, relation: str, rhs: Fraction) -> LinearRow:
+def _unit_row(n: int, i: int) -> LinearRow:
+    """w_i > 0."""
     coeffs = tuple(Fraction(1 if j == i else 0) for j in range(n))
-    return LinearRow(coeffs, relation, rhs)
+    return LinearRow(coeffs, REL_GT, Fraction(0))
 
 
 def _smallest_integer_direction(ws: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -108,59 +102,45 @@ def detect_wmr(rule: VotingRule, query: WmrQuery) -> WeightVector | None:
     """Recover a weight vector of the requested kind, or report none exists.
 
     The recovered vector is scaled to the smallest integer direction and
-    re-checked against every profile before being returned.  A tie-free
-    nonnegative one is read off the strict robustness certificate, whose
-    mixture, when it has one, has passed its own check.
+    re-checked against every profile before being returned.  Nonnegative
+    weights are read off the robustness certificate of the matching mode,
+    whose weights, when it has them, have passed their own check; every
+    other query is one linear system.
     """
-    if query == TIE_FREE_NONNEGATIVE:
-        return _represented(rule, certify_p_robust_full(rule, MODE_STRICT).weights, query)
+    if query.sign_class == SIGN_CLASS_NONNEGATIVE:
+        cert = certify_p_robust_full(rule, _ROBUSTNESS_MODE[query.ties])
+        return _represented(rule, cert.weights, query)
     n = rule.n
+    matrix = degenerate_agreement_matrix(rule)
     relation = REL_GT if query.ties == TIES_FORBIDDEN else REL_GE
-    rows = _signed_sum_rows(rule, relation)
-    signs = (SIGN_NONNEG,) * n
-    if query.sign_class == SIGN_CLASS_FREE:
-        signs = (SIGN_FREE,) * n
-    elif query.sign_class == SIGN_CLASS_POSITIVE:
-        rows.extend(_unit_row(n, i, REL_GT, Fraction(0)) for i in range(n))
-
-    witness = None
-    needs_sweep = (
-        query.ties == TIES_ALLOWED and query.sign_class == SIGN_CLASS_FREE
-    )
-    if needs_sweep:
-        # Weak rows alone admit w = 0.  Any nonzero solution can be scaled
-        # so some coordinate equals +1 or -1, so pinning each in turn
-        # decides existence.
-        for i in range(n):
-            for sign in (1, -1):
-                pinned = rows + [_unit_row(n, i, REL_EQ, Fraction(sign))]
-                result = solve_feasibility(LinearSystem(n, tuple(pinned), signs))
-                if result.feasible:
-                    witness = result.witness
-                    break
-            if witness is not None:
-                break
-    else:
-        if query.ties == TIES_ALLOWED and query.sign_class == SIGN_CLASS_NONNEGATIVE:
-            # w != 0 over nonnegative weights is one strict row
-            rows.append(LinearRow((Fraction(1),) * n, REL_GT, Fraction(0)))
-        result = solve_feasibility(LinearSystem(n, tuple(rows), signs))
-        if result.feasible:
-            witness = result.witness
-
-    return _represented(rule, witness, query)
+    # One row per profile x, phi(x) * x: the columns of the point-mass matrix.
+    rows = [LinearRow(column, relation, Fraction(0)) for column in zip(*matrix)]
+    signs = (SIGN_FREE,) * n
+    if query.sign_class == SIGN_CLASS_POSITIVE:
+        signs = (SIGN_NONNEG,) * n
+        rows.extend(_unit_row(n, i) for i in range(n))
+    elif query.ties == TIES_ALLOWED:
+        # Weak rows alone admit w = 0.  A representing w != 0 agrees
+        # strictly at x = sign(w) (a zero weight voting +1) and disagrees
+        # nowhere, so its dot with the Chow vector c, the sum of the
+        # profile rows, is positive and scales to c.w >= 1, which in turn
+        # excludes w = 0.
+        rows.append(LinearRow(tuple(map(sum, matrix)), REL_GE, Fraction(1)))
+    result = solve_feasibility(LinearSystem(n, tuple(rows), signs))
+    return _represented(rule, result.witness, query)
 
 
 def classify_rule(rule: VotingRule) -> dict:
     """Bundle the structural predicates and certificates for one rule."""
-    strict_cert = certify_p_robust_full(rule, MODE_STRICT)
-    weak_cert = certify_p_robust_full(rule, MODE_WEAK)
+    certs = {ties: certify_p_robust_full(rule, mode)
+             for ties, mode in _ROBUSTNESS_MODE.items()}
+    strict_cert, weak_cert = certs[TIES_FORBIDDEN], certs[TIES_ALLOWED]
     wmr_results = {}
     for sign_class in SIGN_CLASSES:
         for ties in TIE_MODES:
             query = WmrQuery(sign_class, ties)
-            if query == TIE_FREE_NONNEGATIVE:
-                found = _represented(rule, strict_cert.weights, query)
+            if sign_class == SIGN_CLASS_NONNEGATIVE:
+                found = _represented(rule, certs[ties].weights, query)
             else:
                 found = detect_wmr(rule, query)
             wmr_results[f"{sign_class}_{ties}"] = (

@@ -4,15 +4,13 @@ fraction-free rewrite, kept verbatim as a reference engine for the tests.
 `Reference` plugs it into the encodings of robustvote.lp in place of the
 fraction-free `_Tableau` (see tests/test_fraction_free.py), so both
 engines answer the same standard forms and must agree entry for entry.
-`reference_shift` is the Fraction version of lp._strictly_positive_shift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from robustvote.certificates import failed_row, require
+from robustvote.certificates import require
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -162,32 +160,3 @@ class Reference(_Tableau):
 
     def stats(self) -> None:
         return None
-
-
-def _normalized(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    total = sum(vec, _ZERO)
-    require(total > 0, "solver: vector has no mass to normalize")
-    return tuple(v / total for v in vec)
-
-
-def reference_shift(
-    rows: list[list[Fraction]], mixture: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Perturb a nonnegative mixture with L lam << 0 to a strictly positive one.
-
-    The strict inequalities have slack, so adding a small epsilon to every
-    coordinate preserves them; epsilon is chosen exactly from the slacks.
-    The slacks are positive because solve_feasibility checked the mixture.
-    """
-    lam = [Fraction(v) for v in mixture]
-    epsilon = _ONE
-    for row in rows:
-        row_sum = sum(row, _ZERO)
-        if row_sum > 0:
-            slack = -sum((a * v for a, v in zip(row, lam)), _ZERO)
-            epsilon = min(epsilon, slack / (2 * row_sum))
-    shifted = _normalized([v + epsilon for v in lam])
-    require(failed_row(rows, shifted, strict=True) is None,
-            "solver: shifted mixture fails recheck")
-    return shifted
-

@@ -133,9 +133,13 @@ class TestEfficiencyLadder:
         assert counts == [4, 10, 37]
 
     def test_witnesses_prove_their_verdicts(self, rng):
-        dist = Distribution.uniform(2)
-        for rule in enumerate_rules(2):
-            for mode in ("plain", "weak"):
+        # At n=3 some profiles have no mass, so a rule can differ there
+        # unnoticed by anyone.
+        sparse = Distribution.from_weights(3, {0: 1, 3: 2, 5: 1, 6: 3, 7: 1})
+        cases = [(rule, Distribution.uniform(2)) for rule in enumerate_rules(2)]
+        cases += [(rule, sparse) for rule in enumerate_rules(3)]
+        for rule, dist in cases:
+            for mode in ("strict", "plain", "weak"):
                 efficient, witness = efficiency_verdict(rule, dist, mode)
                 if efficient:
                     assert witness is None
@@ -143,7 +147,10 @@ class TestEfficiencyLadder:
                 base = responsiveness(rule, dist).values
                 better = responsiveness(witness, dist).values
                 deltas = [b - a for a, b in zip(base, better)]
-                if mode == "plain":
+                if mode == "strict":
+                    assert witness != RandomVotingRule.from_deterministic(rule)
+                    assert all(d >= 0 for d in deltas)
+                elif mode == "plain":
                     assert all(d >= 0 for d in deltas) and sum(deltas) > 0
                 else:
                     assert all(d > 0 for d in deltas)

@@ -37,7 +37,7 @@ from robustvote.robustness import (
     responsiveness_game,
 )
 
-from reference_tableau import Reference, reference_shift
+from reference_tableau import Reference
 from test_lp import _random_matrix, _random_system
 
 
@@ -50,7 +50,6 @@ def both(monkeypatch):
         new = call(*args)
         with monkeypatch.context() as patched:
             patched.setattr(lp, "_Tableau", Reference)
-            patched.setattr(lp, "_strictly_positive_shift", reference_shift)
             old = call(*args)
         return new, old
 

@@ -8,6 +8,7 @@ import pytest
 
 from robustvote import (
     VotingRule,
+    WmrQuery,
     certify_p_robust_full,
     detect_wmr,
     enumerate_rules,
@@ -28,7 +29,8 @@ from robustvote.robustness import (
     _certify_from_matrix,
     degenerate_agreement_matrix,
 )
-from robustvote.wmr import TIE_FREE_NONNEGATIVE
+
+TIE_FREE_NONNEGATIVE = WmrQuery("nonnegative", "forbidden")
 
 
 def lp_verdict(rule, mode):

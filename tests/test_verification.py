@@ -103,6 +103,15 @@ class TestStructuralRejections:
         broken["responsiveness"][0] = "0.75"
         assert verify_report(broken) != []
 
+    @pytest.mark.parametrize("kind", ["epsilon", "enumerate"])
+    @pytest.mark.parametrize("n", [17, 10**6, True])
+    def test_n_out_of_range_is_named(self, reports, kind, n):
+        # Checked before anything is sized by 2**n.
+        broken = copy.deepcopy(reports[kind])
+        broken["inputs"]["n"] = n
+        problems = verify_report(broken)
+        assert problems == [f"n: expected an integer in [1, 16], got {n!r}"]
+
 
 def mutations(name, report):
     """Yield (label, tampered report) pairs that must all fail."""

@@ -1,5 +1,6 @@
 """Weighted-majority representation detection in every sign and tie variant."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from robustvote import (
     Distribution,
     VotingRule,
     WmrQuery,
+    certify_p_robust_full,
     classify_rule,
     detect_wmr,
     dictatorship_rule,
@@ -15,14 +17,18 @@ from robustvote import (
     majority_rule,
     parity_rule,
     responsiveness,
+    weighted_majority_rule,
     weights_represent,
 )
+from robustvote import lp, wmr
+from robustvote.lp import solve_feasibility
 from robustvote.respond import (
     SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
     SIGN_CLASS_POSITIVE,
 )
-from robustvote.wmr import TIES_ALLOWED, TIES_FORBIDDEN
+from robustvote.robustness import MODE_WEAK
+from robustvote.wmr import TIES_ALLOWED, TIES_FORBIDDEN, _smallest_integer_direction
 
 from oracles import wmr_exists_by_elimination
 
@@ -79,6 +85,27 @@ class TestDetectWmr:
         assert all(w.denominator == 1 for w in found.weights)
         assert weights_represent(majority_rule(3), found.weights, TIES_FORBIDDEN)
 
+    def test_nonnegative_queries_are_read_off_the_certificates(self, monkeypatch):
+        # The screen decides majority; only the four free and positive
+        # queries of classify reach the solver, one system each.
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return solve_feasibility(system)
+
+        monkeypatch.setattr(lp, "solve_feasibility", counted)
+        monkeypatch.setattr(wmr, "solve_feasibility", counted)
+        rule = majority_rule(5)
+        weak = certify_p_robust_full(rule, MODE_WEAK).weights
+        query = WmrQuery(SIGN_CLASS_NONNEGATIVE, TIES_ALLOWED)
+        found = detect_wmr(rule, query)
+        assert calls == []
+        assert found.weights == _smallest_integer_direction(weak) == (F(1),) * 5
+        report = classify_rule(rule)
+        assert len(calls) == 4
+        assert report["wmr"]["nonnegative_allowed"] == found.to_json()
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             WmrQuery("negative", TIES_ALLOWED)
@@ -101,6 +128,25 @@ class TestExhaustiveAgreement:
                 )
                 if found is not None:
                     assert weights_represent(rule, found.weights, ties)
+
+    def test_tie_allowed_queries_at_n4_match_elimination(self):
+        # Random tables, and WMRs whose weights may be negative or zero,
+        # broken toward +1 at ties: the free query must find a signed w
+        # through its Chow row, the nonnegative one through the weak
+        # certificate.
+        rng = random.Random(4)
+        rules = [VotingRule(4, tuple(rng.choice((-1, 1)) for _ in range(16)))
+                 for _ in range(40)]
+        rules += [weighted_majority_rule(4, [rng.randint(-2, 3) for _ in range(4)], tie=1)
+                  for _ in range(40)]
+        for rule in rules:
+            for sign_class in (SIGN_CLASS_FREE, SIGN_CLASS_NONNEGATIVE, SIGN_CLASS_POSITIVE):
+                found = detect_wmr(rule, WmrQuery(sign_class, TIES_ALLOWED))
+                expected = wmr_exists_by_elimination(rule, sign_class, TIES_ALLOWED)
+                assert (found is not None) == expected, (
+                    f"{rule.to_table_string()} {sign_class}")
+                if found is not None:
+                    assert weights_represent(rule, found.weights, TIES_ALLOWED)
 
     def test_nonneg_strict_lifts_to_positive(self):
         # A no-ties representation with nonnegative weights can always be
