@@ -12,15 +12,17 @@ raises InternalError.
 The solver is a two-phase primal simplex on the standard equality form
 with Bland's anti-cycling pivot rule, which also makes every answer
 deterministic for a given input. Strict inequalities never enter the
-simplex directly: a homogeneous system gains a shared slack variable
-delta, bounded through the normalization sum(variable parts) = 1, and is
-feasible iff the maximal delta is positive; a system with nonzero
-right-hand sides caps delta at 1 instead. Free variables are split into
-differences of nonnegative parts first.
+simplex directly: each strict row a.x > b becomes a.x - delta >= b with
+one shared variable delta, 0 <= delta <= 1, and the system is feasible iff
+the maximal delta is positive. Phase one runs only for rows whose slack
+cannot start the basis (equalities and rows with a positive right-hand
+side), so a homogeneous inequality system starts feasible at delta = 0.
+Free variables are split into differences of nonnegative parts first.
 
 Infeasibility certificates are read off the dual values of the final
-simplex basis (the phase-one basis when the weakened system is already
-infeasible, the delta-maximizing basis otherwise).
+simplex basis: the phase-one basis when the weakened system is already
+infeasible, the delta-maximizing basis when the maximum is 0. The cap row
+takes no part in the certificate.
 
 The tableau is fraction-free: sparse integer rows over one common
 denominator, the basis determinant, updated by Bareiss pivots whose
@@ -313,8 +315,6 @@ class _Encoder:
             pos = self.tab.add_column()
             neg = self.tab.add_column() if sign == SIGN_FREE else None
             self.part_cols.append((pos, neg))
-        self.delta_plus: int | None = None
-        self.delta_minus: int | None = None
         self.row_flip: list[tuple[int, Fraction]] = []  # (original row index, sign)
 
     def _base_coeffs(self, row: LinearRow, flip: bool) -> dict[int, int | Fraction]:
@@ -337,14 +337,12 @@ class _Encoder:
             self.row_flip.append((index, Fraction(-1 if flip else 1)))
             return
         # inequality: lhs - delta >= rhs (delta only on strict rows)
-        use_delta = delta_col is not None and row.relation == REL_GT
+        use_delta = row.relation == REL_GT
         if row.rhs <= 0:
             # negate so the slack column enters with +1 and rhs stays >= 0
             coeffs = self._base_coeffs(row, True)
             if use_delta:
                 coeffs[delta_col] = 1
-                if self.delta_minus is not None and delta_col == self.delta_plus:
-                    coeffs[self.delta_minus] = -1
             slack = self.tab.add_column()
             coeffs[slack] = 1
             self.tab.add_row(coeffs, -row.rhs, slack)
@@ -353,8 +351,6 @@ class _Encoder:
             coeffs = self._base_coeffs(row, False)
             if use_delta:
                 coeffs[delta_col] = -1
-                if self.delta_minus is not None and delta_col == self.delta_plus:
-                    coeffs[self.delta_minus] = 1
             surplus = self.tab.add_column()
             coeffs[surplus] = -1
             self.tab.add_row(coeffs, row.rhs, None)
@@ -391,98 +387,37 @@ def _finish_feasible(system: LinearSystem, enc: _Encoder) -> FeasibilityResult:
     return FeasibilityResult(True, point, None, enc.tab.stats())
 
 
-def _phase_one_costs(tab: _Tableau) -> list[int]:
-    return [1 if j in tab.artificials else 0 for j in range(tab.ncols)]
-
-
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
-    """Decide the system exactly, with a re-verified witness or certificate."""
-    has_strict = any(row.relation == REL_GT for row in system.rows)
-    if not has_strict:
-        return _solve_weak(system)
-    if all(row.rhs == 0 for row in system.rows):
-        return _solve_strict_homogeneous(system)
-    return _solve_strict_capped(system)
+    """Decide the system exactly, with a re-verified witness or certificate.
 
-
-def _solve_weak(system: LinearSystem) -> FeasibilityResult:
-    enc = _Encoder(system)
-    for index in range(len(system.rows)):
-        enc.add_system_row(index, None)
-    tab = enc.tab
-    if tab.artificials:
-        tab.run(_phase_one_costs(tab), set())
-        if tab.value > 0:
-            return _finish_infeasible(system, enc)
-        tab.drive_out_artificials()
-    return _finish_feasible(system, enc)
-
-
-def _solve_strict_homogeneous(system: LinearSystem) -> FeasibilityResult:
-    """Maximize the shared strict slack delta under sum(parts) = 1.
-
-    All rows are homogeneous, so the system is feasible iff some point on
-    the normalized part simplex gives every strict row slack at least
-    delta > 0. delta is free: its optimum is the best achievable margin
-    and can be negative.
+    Strict rows share one slack delta >= 0, capped at 1. Any strictly
+    feasible point has a positive least slack, and the cap keeps the
+    program bounded without changing the verdict: feasible iff the maximal
+    delta exceeds zero.
     """
     enc = _Encoder(system)
-    enc.delta_plus = enc.tab.add_column()
-    enc.delta_minus = enc.tab.add_column()
-    for index in range(len(system.rows)):
-        enc.add_system_row(index, enc.delta_plus)
-    norm = {pos: 1 for pos, _ in enc.part_cols}
-    for _, neg in enc.part_cols:
-        if neg is not None:
-            norm[neg] = 1
-    enc.tab.add_row(norm, 1, None)
-    enc.row_flip.append((-1, _ZERO))  # normalization row carries no certificate weight
     tab = enc.tab
-    tab.run(_phase_one_costs(tab), set())
-    if tab.value > 0:
-        # The normalization itself is unreachable (the weak cone is {0}).
-        # The capped encoding certifies such systems without it.
-        return _solve_strict_capped(system)
-    tab.drive_out_artificials()
-    costs2 = [0] * tab.ncols
-    costs2[enc.delta_plus] = -1
-    costs2[enc.delta_minus] = 1
-    tab.phase = 1
-    tab.run(costs2, tab.artificials)
-    delta = -tab.value
-    if delta > 0:
-        return _finish_feasible(system, enc)
-    return _finish_infeasible(system, enc)
-
-
-def _solve_strict_capped(system: LinearSystem) -> FeasibilityResult:
-    """Strict rows with general right-hand sides: maximize delta, capped at 1.
-
-    Any strictly feasible point has a positive minimal slack, so capping
-    the shared slack keeps the program bounded without changing the
-    verdict: feasible iff the optimum exceeds zero.
-    """
-    enc = _Encoder(system)
-    delta = enc.tab.add_column()  # delta >= 0 suffices once the cap row exists
-    enc.delta_plus = delta
+    strict = any(row.relation == REL_GT for row in system.rows)
+    delta = tab.add_column() if strict else None
     for index in range(len(system.rows)):
         enc.add_system_row(index, delta)
-    cap_slack = enc.tab.add_column()
-    enc.tab.add_row({delta: 1, cap_slack: 1}, 1, cap_slack)
-    enc.row_flip.append((-1, _ZERO))
-    tab = enc.tab
+    if strict:
+        cap_slack = tab.add_column()
+        tab.add_row({delta: 1, cap_slack: 1}, 1, cap_slack)
+        enc.row_flip.append((-1, _ZERO))  # the cap carries no certificate weight
     if tab.artificials:
-        tab.run(_phase_one_costs(tab), set())
+        tab.run([1 if j in tab.artificials else 0 for j in range(tab.ncols)], set())
         if tab.value > 0:
             return _finish_infeasible(system, enc)
         tab.drive_out_artificials()
-    costs2 = [0] * tab.ncols
-    costs2[delta] = -1
-    tab.phase = 1
-    tab.run(costs2, tab.artificials)
-    if -tab.value > 0:
-        return _finish_feasible(system, enc)
-    return _finish_infeasible(system, enc)
+    if strict:
+        costs = [0] * tab.ncols
+        costs[delta] = -1
+        tab.phase = 1
+        tab.run(costs, tab.artificials)
+        if tab.value == 0:
+            return _finish_infeasible(system, enc)
+    return _finish_feasible(system, enc)
 
 
 # ---------------------------------------------------------------------------

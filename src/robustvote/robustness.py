@@ -232,15 +232,21 @@ def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     return matrix_game(responsive)
 
 
-def permute_distribution(dist: Distribution, permutation) -> Distribution:
-    """The distribution of the relabeled profile: profile x gets the mass
-    of permute_profile_index(x), so each support atom moves to its index
-    under the inverse relabeling."""
+def _relabeled_support(dist: Distribution, permutation) -> tuple[tuple[int, Fraction], ...]:
+    """The support of the relabeled profile, ascending: profile x gets the
+    mass of permute_profile_index(x), so each support atom moves to its
+    index under the inverse relabeling.  A relabeling of a valid support is
+    valid, so nothing is checked here."""
     inverse = [0] * dist.n
-    for position, individual in enumerate(_checked_permutation(dist.n, permutation), start=1):
+    for position, individual in enumerate(permutation, start=1):
         inverse[individual - 1] = position
+    return tuple(sorted((_permuted(idx, inverse), p) for idx, p in dist.support))
+
+
+def permute_distribution(dist: Distribution, permutation) -> Distribution:
+    """The distribution of the relabeled profile."""
     return Distribution._from_support(
-        dist.n, ((_permuted(idx, inverse), p) for idx, p in dist.support))
+        dist.n, _relabeled_support(dist, _checked_permutation(dist.n, permutation)))
 
 
 def is_permutation_invariant(pset: DistributionSet) -> bool:
@@ -250,10 +256,10 @@ def is_permutation_invariant(pset: DistributionSet) -> bool:
         raise ValueError(
             f"exhaustive permutation check is capped at n={MAX_PERMUTATION_N}"
         )
-    members = set(pset.extreme_points)
+    members = {dist.support for dist in pset.extreme_points}
     for perm in itertools.permutations(range(1, n + 1)):
         for dist in pset.extreme_points:
-            if permute_distribution(dist, perm) not in members:
+            if _relabeled_support(dist, perm) not in members:
                 return False
     return True
 
@@ -264,11 +270,11 @@ def _orbit_mixture(
     """Mixture weights that average the orbit of one extreme point over all
     relabelings, expressed over the input extreme points."""
     n = pset.n
-    position = {dist: k for k, dist in enumerate(pset.extreme_points)}
+    position = {dist.support: k for k, dist in enumerate(pset.extreme_points)}
     counts = [0] * len(pset.extreme_points)
     total = 0
     for perm in itertools.permutations(range(1, n + 1)):
-        permuted = permute_distribution(pset.extreme_points[index], perm)
+        permuted = _relabeled_support(pset.extreme_points[index], perm)
         if permuted not in position:
             raise ValueError(
                 "distribution set is not permutation invariant: "

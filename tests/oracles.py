@@ -63,7 +63,9 @@ def fm_feasible(constraints, num_vars: int) -> bool:
             rows.add(_normalize(coeffs, ls or us, b * lr + a * ur))
 
     for coeffs, strict, rhs in rows:
-        assert all(c == 0 for c in coeffs)
+        # An explicit raise, not an assert, so the check survives python -O.
+        if not all(c == 0 for c in coeffs):
+            raise AssertionError(f"elimination left nonzero coefficients {coeffs}")
         if strict:
             if not 0 > rhs:
                 return False

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import robustvote
-from robustvote import lp
-from robustvote.core import DistributionSet, VotingRule
+from robustvote import lp, wmr
+from robustvote.core import DistributionSet, VotingRule, majority_rule, weighted_majority_rule
 from robustvote.lp import (
     REL_EQ,
     REL_GE,
@@ -35,6 +35,13 @@ from robustvote.robustness import (
     _certify_from_matrix,
     degenerate_agreement_matrix,
     responsiveness_game,
+)
+from robustvote.wmr import (
+    SIGN_CLASS_POSITIVE,
+    TIES_ALLOWED,
+    TIES_FORBIDDEN,
+    WmrQuery,
+    detect_wmr,
 )
 
 from reference_tableau import Reference
@@ -154,6 +161,32 @@ class TestSolveStats:
     def test_game_stats(self):
         game = matrix_game([[F(3), F(2)], [F(1), F(4)]])
         assert game.stats.phase1_pivots == 0 and game.stats.phase2_pivots > 0
+
+    def test_homogeneous_inequalities_need_no_phase_one(self, monkeypatch):
+        """Strict rows share a capped slack, so a homogeneous inequality
+        system starts from its slack basis: the alternatives and the
+        positive WMR queries pivot only while maximizing that slack."""
+        stats = []
+        solve = lp.solve_feasibility
+
+        def spy(system):
+            result = solve(system)
+            stats.append(result.stats)
+            return result
+
+        monkeypatch.setattr(lp, "solve_feasibility", spy)
+        monkeypatch.setattr(wmr, "solve_feasibility", spy)
+        rules = [weighted_majority_rule(4, [F(2), F(1), F(1), F(1)]),
+                 majority_rule(4, tie=1), majority_rule(3)] + _n3_rules()[::17]
+        for rule in rules:
+            matrix = degenerate_agreement_matrix(rule)
+            alternative_strict(matrix)
+            alternative_weak(matrix)
+            for ties in (TIES_FORBIDDEN, TIES_ALLOWED):
+                detect_wmr(rule, WmrQuery(SIGN_CLASS_POSITIVE, ties))
+        assert len(stats) == 4 * len(rules)
+        assert all(s.phase1_pivots == 0 for s in stats)
+        assert sum(s.phase2_pivots for s in stats) > 0
 
 
 def test_no_float_in_the_package():

@@ -30,6 +30,7 @@ from robustvote.robustness import (
     VERDICT_NOT_ROBUST,
     VERDICT_ROBUST,
     RobustnessCertificate,
+    _orbit_mixture,
     is_permutation_invariant,
     permute_distribution,
 )
@@ -173,11 +174,14 @@ class TestSubsetRobustness:
             vector = responsiveness(rule, point)
             assert vector.for_individual(i + 1) == 1
         # Over the hull the uniform blend defeats everyone at once.
+        uniform = responsiveness(rule, pset.mixture((F(1, 3),) * 3))
+        assert uniform.values == (F(1, 3),) * 3
+        # The certificate may be any refuting blend, not necessarily that one.
         cert = certify_p_robust(rule, pset)
         assert cert.verdict == VERDICT_NOT_ROBUST
-        assert cert.mixture == (F(1, 3), F(1, 3), F(1, 3))
+        check_certificate(rule, pset, cert)
         blended = responsiveness(rule, pset.mixture(cert.mixture))
-        assert blended.values == (F(1, 3), F(1, 3), F(1, 3))
+        assert all(value <= F(1, 2) for value in blended.values)
 
     def test_empty_pset_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +237,25 @@ class TestPermutationHelpers:
         assert is_permutation_invariant(degenerates)
         lopsided = DistributionSet(3, (Distribution.degenerate(3, 0b001),))
         assert not is_permutation_invariant(lopsided)
+
+    def test_invariance_check_builds_no_distribution(self, monkeypatch):
+        degenerates = DistributionSet.degenerates(5)
+        calls = []
+        validate = Distribution._set_support
+        monkeypatch.setattr(Distribution, "_set_support",
+                            lambda dist, *args: calls.append(args) or validate(dist, *args))
+        assert is_permutation_invariant(degenerates)
+        assert calls == []
+
+    def test_set_missing_an_orbit_member(self):
+        # The orbit of 0b011 (two of three approve) lacks 0b110.
+        spread = Distribution(3, (F(0), F(0), F(0), F(1, 2), F(0), F(1, 2), F(0), F(0)))
+        points = (Distribution.degenerate(3, 0b011), Distribution.degenerate(3, 0b101), spread)
+        pset = DistributionSet(3, points)
+        assert not is_permutation_invariant(pset)
+        for index in range(len(points)):
+            with pytest.raises(ValueError, match="orbit member is missing"):
+                _orbit_mixture(pset, index)
 
 
 class TestCertifyAnonymous:
