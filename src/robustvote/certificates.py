@@ -164,6 +164,18 @@ def certifies_infeasibility(system, multipliers: Sequence[Fraction]) -> bool:
     return rhs > 0 or (rhs == 0 and strict_mass > 0)
 
 
+def in_sign_class(weights: Sequence[Fraction], sign_class: str) -> bool:
+    """Whether weights, not all zero, have the signs their class admits:
+    any (free), none negative (nonnegative) or all positive (positive)."""
+    if sign_class not in SIGN_CLASSES:
+        raise ValueError(f"unknown sign class {sign_class!r}")
+    if not any(weights):
+        return False
+    if sign_class == SIGN_CLASS_NONNEGATIVE:
+        return min(weights) >= 0
+    return sign_class == SIGN_CLASS_FREE or min(weights) > 0
+
+
 def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
     """Exact check that the weighted sum sides with every outcome."""
     if ties not in TIE_MODES:

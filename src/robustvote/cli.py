@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -394,6 +393,8 @@ def _cmd_enumerate(args):
     if jobs == 1:
         tables = _enumerate_worker((n, args.predicate, 0, total))
     else:
+        import multiprocessing
+
         step = max(1, total // (jobs * 4))
         chunks = [(n, args.predicate, start, min(total, start + step))
                   for start in range(0, total, step)]

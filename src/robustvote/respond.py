@@ -17,8 +17,8 @@ from .certificates import (
     SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
     SIGN_CLASS_POSITIVE,
-    SIGN_CLASSES,
     attains,
+    in_sign_class,
     require,
     rtf_maximum,
 )
@@ -76,14 +76,8 @@ class WeightVector:
     def __post_init__(self) -> None:
         ws = tuple(Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
-        if self.sign_class not in SIGN_CLASSES:
-            raise ValueError(f"unknown sign class {self.sign_class!r}")
-        if all(w == 0 for w in ws):
-            raise ValueError("weight vector must not be all zero")
-        if self.sign_class == SIGN_CLASS_NONNEGATIVE and any(w < 0 for w in ws):
-            raise ValueError("nonnegative sign class admits no negative weight")
-        if self.sign_class == SIGN_CLASS_POSITIVE and any(w <= 0 for w in ws):
-            raise ValueError("positive sign class requires every weight > 0")
+        if not in_sign_class(ws, self.sign_class):
+            raise ValueError(f"weights are all zero or leave the {self.sign_class} sign class")
 
     @property
     def n(self) -> int:
@@ -100,7 +94,7 @@ def _coerce_weights(weights: WeightVector | Sequence[Fraction]) -> tuple[Fractio
     if isinstance(weights, WeightVector):
         return weights.weights
     ws = tuple(Fraction(w) for w in weights)
-    if all(w == 0 for w in ws):
+    if not in_sign_class(ws, SIGN_CLASS_FREE):
         raise ValueError("weight vector must not be all zero")
     return ws
 

@@ -32,7 +32,6 @@ from .core import (
     _permuted,
     format_rational,
     is_anonymous,
-    is_count_symmetric,
     lowest_bit,
     over_common_denominator,
     sign_table,
@@ -48,8 +47,6 @@ MODES = (MODE_STRICT, MODE_WEAK)
 
 VERDICT_ROBUST = "robust"
 VERDICT_NOT_ROBUST = "not_robust"
-
-MAX_PERMUTATION_N = 6
 
 
 @dataclass(frozen=True)
@@ -249,40 +246,50 @@ def permute_distribution(dist: Distribution, permutation) -> Distribution:
         dist.n, _relabeled_support(dist, _checked_permutation(dist.n, permutation)))
 
 
+def _generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """The transposition (1 2) and the n-cycle, which generate every
+    relabeling of n individuals; for n <= 2 the cycle alone does."""
+    cycle = (*range(2, n + 1), 1)
+    return ((2, 1, *range(3, n + 1)), cycle) if n > 2 else (cycle,)
+
+
 def is_permutation_invariant(pset: DistributionSet) -> bool:
-    """Whether relabeling individuals maps the extreme-point set onto itself."""
-    n = pset.n
-    if n > MAX_PERMUTATION_N:
-        raise ValueError(
-            f"exhaustive permutation check is capped at n={MAX_PERMUTATION_N}"
-        )
+    """Whether relabeling individuals maps the extreme-point set onto itself.
+
+    Only the two generators are tried: a finite set that each of them maps
+    into itself is mapped into itself by every product of them, that is by
+    every relabeling, and onto itself because a relabeling is injective."""
     members = {dist.support for dist in pset.extreme_points}
-    for perm in itertools.permutations(range(1, n + 1)):
-        for dist in pset.extreme_points:
-            if _relabeled_support(dist, perm) not in members:
-                return False
-    return True
+    return all(_relabeled_support(dist, perm) in members
+               for perm in _generators(pset.n) for dist in pset.extreme_points)
 
 
 def _orbit_mixture(
     pset: DistributionSet, index: int
 ) -> tuple[Fraction, ...]:
     """Mixture weights that average the orbit of one extreme point over all
-    relabelings, expressed over the input extreme points."""
-    n = pset.n
+    relabelings, expressed over the input extreme points.
+
+    The orbit is searched along the generators.  Each orbit member is the
+    image of |stabilizer| of the n! relabelings, so their average is the
+    uniform mixture over the orbit."""
     position = {dist.support: k for k, dist in enumerate(pset.extreme_points)}
-    counts = [0] * len(pset.extreme_points)
-    total = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        permuted = _relabeled_support(pset.extreme_points[index], perm)
-        if permuted not in position:
-            raise ValueError(
-                "distribution set is not permutation invariant: "
-                "an orbit member is missing"
-            )
-        counts[position[permuted]] += 1
-        total += 1
-    return tuple(Fraction(c, total) for c in counts)
+    generators = _generators(pset.n)
+    orbit, frontier = {index}, [index]
+    while frontier:
+        dist = pset.extreme_points[frontier.pop()]
+        for perm in generators:
+            k = position.get(_relabeled_support(dist, perm))
+            if k is None:
+                raise ValueError(
+                    "distribution set is not permutation invariant: "
+                    "an orbit member is missing"
+                )
+            if k not in orbit:
+                orbit.add(k)
+                frontier.append(k)
+    share, zero = Fraction(1, len(orbit)), Fraction(0)
+    return tuple(share if k in orbit else zero for k in range(len(pset)))
 
 
 def certify_anonymous(
@@ -292,10 +299,10 @@ def certify_anonymous(
     by the mean responsiveness at each extreme point alone.
 
     Positive verdicts carry the uniform weight vector.  Negative verdicts
-    carry the orbit average of a violating extreme point, which is its own
-    point mass when that distribution depends only on the support count.
-    For n past the exhaustive permutation bound with an asymmetric violator,
-    the certificate falls back to the general construction.
+    carry the orbit average of a violating extreme point: every individual
+    agrees with the outcome equally often under it, at the violator's mean.
+    Closure is checked at every n on the two generators of the relabelings,
+    the transposition (1 2) and the n-cycle, which suffice for a finite set.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -303,23 +310,12 @@ def certify_anonymous(
         raise ValueError("rule is not anonymous")
     if not pset.extreme_points:
         raise ValueError("distribution set must have at least one extreme point")
-    n = rule.n
-    if n <= MAX_PERMUTATION_N and not is_permutation_invariant(pset):
+    if not is_permutation_invariant(pset):
         raise ValueError("distribution set is not permutation invariant")
 
     matrix = agreement_matrix(rule, pset)
-    uniform = tuple(Fraction(1, n) for _ in range(n))
+    uniform = tuple(Fraction(1, rule.n) for _ in range(rule.n))
     violator = failed_column(matrix, uniform, strict=mode == MODE_STRICT)
     if violator is None:
         return _certificate(matrix, mode, weights=uniform)
-
-    if is_count_symmetric(pset.extreme_points[violator].probs):
-        mixture = tuple(
-            Fraction(1 if k == violator else 0)
-            for k in range(len(pset.extreme_points))
-        )
-    elif n <= MAX_PERMUTATION_N:
-        mixture = _orbit_mixture(pset, violator)
-    else:
-        return certify_p_robust(rule, pset, mode)
-    return _certificate(matrix, mode, mixture=mixture)
+    return _certificate(matrix, mode, mixture=_orbit_mixture(pset, violator))

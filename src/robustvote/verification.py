@@ -22,7 +22,6 @@ from fractions import Fraction
 from .certificates import (
     SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
-    SIGN_CLASS_POSITIVE,
     SIGN_CLASSES,
     TIE_MODES,
     attains,
@@ -30,6 +29,7 @@ from .certificates import (
     failed_row,
     holds_at_half,
     improves,
+    in_sign_class,
     is_distribution,
     net_gains,
     robustness_problem,
@@ -94,18 +94,6 @@ def _rational_list(values, field: str, length: int | None = None) -> list[Fracti
     if length is not None and len(values) != length:
         raise Mismatch(f"{field}: expected {length} entries, got {len(values)}")
     return [parse_rational(v, f"{field}[{k}]") for k, v in enumerate(values)]
-
-
-def _weights_in_class(ws: list[Fraction], sign_class: str) -> bool:
-    if sign_class not in SIGN_CLASSES:
-        raise Mismatch(f"unknown sign class {sign_class!r}")
-    if all(w == 0 for w in ws):
-        return False
-    if sign_class == SIGN_CLASS_NONNEGATIVE:
-        return all(w >= 0 for w in ws)
-    if sign_class == SIGN_CLASS_POSITIVE:
-        return all(w > 0 for w in ws)
-    return True
 
 
 def _check_robustness_certificate(
@@ -201,7 +189,8 @@ def _check_representation(rule, entry, sign_class, ties, field, label) -> None:
     """Replay one WMR weight payload: its sign class, then every profile."""
     ws = _rational_list(_field(entry, "weights", field), f"{field}.weights", rule.n)
     _expect(entry.get("sign_class") == sign_class, f"{label} declares the wrong sign class")
-    _expect(_weights_in_class(ws, sign_class), f"{label} weights leave the sign class")
+    _expect(sign_class in SIGN_CLASSES, f"unknown sign class {sign_class!r}")
+    _expect(in_sign_class(ws, sign_class), f"{label} weights leave the sign class")
     _expect(weights_represent(rule, ws, ties), f"{label} weights fail a profile")
 
 
@@ -239,8 +228,8 @@ def _check_rtf(report: dict) -> None:
     inputs = _field(report, "inputs", "rtf")
     ws = _rational_list(_field(inputs, "weights", "rtf.inputs"), "rtf.inputs.weights")
     sign_class = inputs.get("sign_class", SIGN_CLASS_FREE)
-    _expect(_weights_in_class(ws, sign_class),
-            "rtf: weights leave their declared sign class")
+    _expect(sign_class in SIGN_CLASSES, f"unknown sign class {sign_class!r}")
+    _expect(in_sign_class(ws, sign_class), "rtf: weights leave their declared sign class")
     dist = Distribution.from_json(_field(inputs, "dist", "rtf.inputs"))
     n = dist.n
     _expect(len(ws) == n, "rtf: weight count does not match the distribution")
@@ -345,7 +334,9 @@ def _check_random_certify(report: dict) -> None:
     if robust:
         ws = _rational_list(_field(weights_json, "weights", "random-certify.weights"),
                             "random-certify.weights.weights", rule.n)
-        _expect(_weights_in_class(ws, weights_json.get("sign_class", SIGN_CLASS_FREE)),
+        sign_class = weights_json.get("sign_class", SIGN_CLASS_FREE)
+        _expect(sign_class in SIGN_CLASSES, f"unknown sign class {sign_class!r}")
+        _expect(in_sign_class(ws, sign_class),
                 "random-certify: weights leave their declared sign class")
         _expect(sign_pattern_holds(rule, ws),
                 "random-certify: weights fail the outcome sign pattern")

@@ -6,6 +6,7 @@ deliberately sharing no code path with the simplex engine under test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -203,3 +204,42 @@ def wmr_exists_by_elimination(rule, sign_class: str, ties: str) -> bool:
                     return True
         return False
     raise ValueError(f"unknown sign class {sign_class!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _every_relabeling(n: int) -> tuple[dict[int, int], ...]:
+    """All n! relabelings as maps from a profile index to the index its
+    mass moves to.  Relabeling by perm puts at profile j the mass of the
+    profile whose position-k vote is individual perm[k]'s vote in j."""
+    return tuple(
+        {sum(((j >> (individual - 1)) & 1) << k for k, individual in enumerate(perm)): j
+         for j in range(2**n)}
+        for perm in itertools.permutations(range(1, n + 1))
+    )
+
+
+def _moved(dist, move=None):
+    # The relabeled support as plain ints, which hash far faster than Fractions.
+    return tuple(sorted((idx if move is None else move[idx], p.numerator, p.denominator)
+                        for idx, p in dist.support))
+
+
+def invariant_under_every_relabeling(pset) -> bool:
+    """Whether each of the n! relabelings maps every extreme point into the set."""
+    members = {_moved(dist) for dist in pset.extreme_points}
+    return all(_moved(dist, move) in members
+               for move in _every_relabeling(pset.n) for dist in pset.extreme_points)
+
+
+def orbit_average_over_every_relabeling(pset, index):
+    """The average of one extreme point's n! relabeled copies, as mixture
+    weights over the extreme points, or None when a copy is not in the set."""
+    position = {_moved(dist): k for k, dist in enumerate(pset.extreme_points)}
+    moves = _every_relabeling(pset.n)
+    counts = [0] * len(pset.extreme_points)
+    for move in moves:
+        k = position.get(_moved(pset.extreme_points[index], move))
+        if k is None:
+            return None
+        counts[k] += 1
+    return tuple(Fraction(c, len(moves)) for c in counts)

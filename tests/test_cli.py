@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, schema, determinism."""
 
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -169,7 +170,7 @@ class TestCommandPayloads:
             def map(self, func, items):
                 return [func(item) for item in items]
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         argv = ["enumerate", f"--n={n}", "--predicate=anonymous", "--quiet"]
         assert cli.main(argv + ["--jobs=1000000"]) == 0

@@ -16,13 +16,16 @@ from robustvote.core import (
     DistributionSet,
     FormatError,
     VotingRule,
+    constant_rule,
     permute_profile_index,
     weighted_majority_rule,
 )
 from robustvote.robustness import (
     MODE_STRICT,
     MODE_WEAK,
+    VERDICT_NOT_ROBUST,
     agreement_matrix,
+    certify_anonymous,
     certify_p_robust,
     certify_p_robust_full,
     degenerate_agreement_matrix,
@@ -204,6 +207,16 @@ def test_permute_distribution_rejects_a_non_permutation():
 
 def test_relabeling_point_masses_stays_sparse(dense_point_masses):
     assert is_permutation_invariant(DistributionSet.degenerates(4))
+    assert dense_point_masses == []
+
+
+@pytest.mark.parametrize("mode", [MODE_STRICT, MODE_WEAK])
+def test_negative_anonymous_verdict_stays_sparse(dense_point_masses, mode):
+    # The all-minus point mass violates and is fixed by every relabeling;
+    # its orbit mixture is read off supports alone.
+    cert = certify_anonymous(constant_rule(5, 1), DistributionSet.degenerates(5), mode)
+    assert cert.verdict == VERDICT_NOT_ROBUST
+    assert cert.mixture[0] == 1
     assert dense_point_masses == []
 
 

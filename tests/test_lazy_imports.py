@@ -35,6 +35,13 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import robustvote") == ["robustvote"]
 
 
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # Only `enumerate --jobs` above 1 starts a pool, and it imports the module then.
+    script = ("import sys\nimport robustvote.cli\n"
+              "if 'multiprocessing' in sys.modules:\n    raise SystemExit('multiprocessing is loaded')")
+    assert "robustvote.cli" in loaded_after(script)
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--rule=---+-+++", "--pset=degenerates"],
     ["wmr", "--rule=---+-+++", "--ties=none"],

@@ -1,5 +1,7 @@
 """Robustness certificates over finitely generated distribution sets."""
 
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +14,7 @@ from robustvote import (
     certify_anonymous,
     certify_p_robust,
     certify_p_robust_full,
+    constant_rule,
     count_distribution,
     dictatorship_rule,
     enumerate_rules,
@@ -35,7 +38,11 @@ from robustvote.robustness import (
     permute_distribution,
 )
 
-from oracles import game_value_by_supports
+from oracles import (
+    game_value_by_supports,
+    invariant_under_every_relabeling,
+    orbit_average_over_every_relabeling,
+)
 
 
 def check_certificate(rule, pset, certificate):
@@ -56,6 +63,35 @@ def check_certificate(rule, pset, certificate):
         for i in range(n):
             dot = sum((matrix[i][j] * lam[j] for j in range(cols)), F(0))
             assert dot <= 0 if strict else dot < 0
+
+
+def relabeling_closure(dists):
+    """Every relabeled copy of the given distributions, first seen first."""
+    n = dists[0].n
+    perms = list(itertools.permutations(range(1, n + 1)))
+    return tuple(dict.fromkeys(permute_distribution(d, perm) for d in dists for perm in perms))
+
+
+def seeded_sets(n, rng):
+    """degenerates(n), then seeded sets closed under relabeling (one with a
+    count-symmetric member) and seeded sets that are not."""
+    yield DistributionSet.degenerates(n)
+    for _ in range(3):
+        atoms = rng.sample(range(2**n), min(2, 2**n))
+        seeds = [Distribution.degenerate(n, rng.randrange(2**n)),
+                 Distribution.from_weights(n, {idx: F(rng.randint(1, 5)) for idx in atoms})]
+        closed = relabeling_closure(seeds)
+        yield DistributionSet(n, closed)
+        yield DistributionSet(n, closed + (count_distribution(n, [F(1, n + 1)] * (n + 1)),))
+        yield DistributionSet(n, tuple(seeds))
+        if len(closed) > 1:
+            yield DistributionSet(n, closed[1:])
+
+
+def anonymous_rules(n):
+    """Every rule whose outcome depends only on the number of +1 votes."""
+    for by_count in itertools.product((-1, 1), repeat=n + 1):
+        yield VotingRule(n, tuple(by_count[bin(x).count("1")] for x in range(2**n)))
 
 
 class TestAgreementMatrix:
@@ -257,6 +293,25 @@ class TestPermutationHelpers:
             with pytest.raises(ValueError, match="orbit member is missing"):
                 _orbit_mixture(pset, index)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generators_agree_with_every_relabeling(self, n):
+        # The n! oracle decides closure and averages each orbit; the search
+        # along the two generators gives the same verdict and the same
+        # mixtures, and raises exactly where a relabeled copy is missing.
+        verdicts = set()
+        for pset in seeded_sets(n, random.Random(4100 + n)):
+            closed = is_permutation_invariant(pset)
+            assert closed == invariant_under_every_relabeling(pset)
+            verdicts.add(closed)
+            for index in range(len(pset)):
+                expected = orbit_average_over_every_relabeling(pset, index)
+                if expected is None:
+                    with pytest.raises(ValueError, match="orbit member is missing"):
+                        _orbit_mixture(pset, index)
+                else:
+                    assert _orbit_mixture(pset, index) == expected
+        assert verdicts == ({True} if n == 1 else {True, False})
+
 
 class TestCertifyAnonymous:
     def test_requires_anonymous_rule(self):
@@ -268,14 +323,22 @@ class TestCertifyAnonymous:
         with pytest.raises(ValueError):
             certify_anonymous(majority_rule(3), pset)
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 12])
+    def test_requires_invariant_set_at_every_n(self, n):
+        # One individual's lone approval beside unanimous approval: the
+        # other lone approvals are missing, above six individuals too.
+        pset = DistributionSet(n, (Distribution.degenerate(n, 1),
+                                   Distribution.degenerate(n, 2**n - 1)))
+        assert not is_permutation_invariant(pset)
+        with pytest.raises(ValueError, match="not permutation invariant"):
+            certify_anonymous(constant_rule(n, 1), pset)
+
     def test_positive_verdict_uses_uniform_weights(self):
         cert = certify_anonymous(majority_rule(3), DistributionSet.degenerates(3))
         assert cert.verdict == VERDICT_ROBUST
         assert cert.weights == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_negative_verdict_points_at_a_count_symmetric_violator(self):
-        from robustvote import constant_rule
-
         cert = certify_anonymous(constant_rule(3, 1), DistributionSet.degenerates(3))
         assert cert.verdict == VERDICT_NOT_ROBUST
         # The all-minus point mass disagrees with everyone and is count
@@ -302,9 +365,39 @@ class TestCertifyAnonymous:
         assert cert.weights == tuple(F(1, 9) for _ in range(9))
 
     def test_agrees_with_general_path(self):
-        degenerates = DistributionSet.degenerates(3)
-        for rule in enumerate_rules(3, is_anonymous):
-            fast = certify_anonymous(rule, degenerates)
-            general = certify_p_robust(rule, degenerates)
-            assert fast.verdict == general.verdict
-            check_certificate(rule, degenerates, fast)
+        assert set(anonymous_rules(3)) == set(enumerate_rules(3, is_anonymous))
+        for n in range(3, 8):
+            degenerates = DistributionSet.degenerates(n)
+            for rule in anonymous_rules(n):
+                for mode in (MODE_STRICT, MODE_WEAK):
+                    fast = certify_anonymous(rule, degenerates, mode)
+                    general = certify_p_robust(rule, degenerates, mode)
+                    assert fast.verdict == general.verdict
+                    check_certificate(rule, degenerates, fast)
+
+    @pytest.mark.parametrize("mode", [MODE_STRICT, MODE_WEAK])
+    def test_asymmetric_violator_above_six_gets_its_orbit(self, mode):
+        # A seeded distribution's orbit at n=7, and the constant rule that
+        # opposes its mean vote: the set is one orbit, so the certificate
+        # is the uniform mixture over it.
+        rng = random.Random(7007)
+        n = 7
+        base = rng.randrange(2 ** (n - 1))
+        seed = Distribution.from_weights(n, {base: F(rng.randint(1, 9)),
+                                             base | 2 ** (n - 1): F(rng.randint(1, 9))})
+        pset = DistributionSet(n, relabeling_closure([seed]))
+        assert len(pset) > 1
+        mean_vote = sum(p * (2 * bin(idx).count("1") - n) for idx, p in seed.support)
+        assert mean_vote != 0
+        rule = constant_rule(n, -1 if mean_vote > 0 else 1)
+        cert = certify_anonymous(rule, pset, mode)
+        assert cert.verdict == certify_p_robust(rule, pset, mode).verdict == VERDICT_NOT_ROBUST
+        assert cert.mixture == tuple(F(1, len(pset)) for _ in pset.extreme_points)
+        check_certificate(rule, pset, cert)
+
+    def test_twelve_individuals_need_no_cap(self):
+        rule, degenerates = majority_rule(12, tie=1), DistributionSet.degenerates(12)
+        assert certify_anonymous(rule, degenerates, MODE_WEAK).verdict == VERDICT_ROBUST
+        cert = certify_anonymous(rule, degenerates)
+        assert cert.verdict == VERDICT_NOT_ROBUST
+        check_certificate(rule, degenerates, cert)

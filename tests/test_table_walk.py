@@ -4,6 +4,7 @@ heterogeneity threshold search."""
 
 import itertools
 import json
+import multiprocessing
 
 import pytest
 
@@ -94,7 +95,7 @@ def test_walks_give_the_reference_list(reference_walks, capsys, monkeypatch, n, 
     assert code == 0 and solo["tables"] == expected and solo["count"] == len(expected)
     assert verify_report(solo) == []
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     code, pooled = run_cli(capsys, argv + ["--jobs=4"])
     assert code == 0 and pooled["tables"] == expected

@@ -180,6 +180,29 @@ class TestMutationsAreCaught:
         assert checked >= 24
 
 
+class TestSignClasses:
+    # Each tampered payload still passes every other check, so the sign
+    # class is the one problem found.
+    def test_positive_wmr_weights_with_a_zero_are_rejected(self):
+        code, report = run_cli(["wmr", "--rule=-+-+-+-+", "--signs", "positive",
+                                "--ties", "none"])
+        assert code == 0 and verify_report(report) == []
+        report["weights"]["weights"] = ["1/1", "0/1", "1/2"]
+        assert verify_report(report) == ["wmr: weight payload weights leave the sign class"]
+
+    def test_negative_rtf_weight_declared_nonnegative_is_rejected(self):
+        code, report = run_cli(["rtf", "--weights=-1,1,1", "--signs", "free",
+                                "--dist", "uniform"])
+        assert code == 0 and verify_report(report) == []
+        report["inputs"]["sign_class"] = "nonnegative"
+        assert verify_report(report) == ["rtf: weights leave their declared sign class"]
+
+    def test_an_unknown_sign_class_is_named(self):
+        code, report = run_cli(["rtf", "--weights=1,1,1", "--dist", "uniform"])
+        report["inputs"]["sign_class"] = "bold"
+        assert verify_report(report) == ["unknown sign class 'bold'"]
+
+
 class TestEnumerateRecount:
     def test_recountable_predicate_is_recounted(self):
         code, report = run_cli(["enumerate", "--n", "2", "--predicate", "anonymous"])
