@@ -10,14 +10,16 @@ mixture over extreme points when not.
 
 Over all distributions (the point masses) most verdicts have a certificate
 that needs no solver: two profiles whose columns cancel or sum to -2 e_i
-refute robustness, and the Chow vector, corrected a few times by failing
-columns, proves it.  The LP decides only what this screen leaves open, and
-every certificate, screened or solved, passes the same substitution check.
+refute robustness, and so, for the weak variant, do such pairs together
+with a profile where every other individual votes against the outcome; the
+Chow vector, zero on those individuals for the weak variant and corrected a
+few times by failing columns, proves it.  The LP decides only what this
+screen leaves open, and every certificate, screened or solved, passes the
+same substitution check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from .core import (
     over_common_denominator,
     sign_table,
     table_integer,
+    table_masks,
     twin_set,
     violation_sets,
 )
@@ -141,39 +144,48 @@ def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
     Column x of the matrix is phi(x) * x.  A profile deciding the same as
     its negation gives two columns that cancel, and an own-vote violation of
     individual i at (base, base | bit_i) two columns summing to -2 e_i, so
-    half mass on either pair is a strict mixture; one pair per individual,
-    averaged, holds every row at -1/n, a weak one.  Otherwise the rule is
-    self-dual and monotone, and if it is robust at all it is a tie-free
-    nonnegative WMR: its Chow vector (the row sums) usually clears every
-    column strictly, or does once a failing column is added to it a few
-    times.  At most n such integer corrections are made; no LP runs.
+    half mass on either pair is a strict mixture.  A weak mixture puts equal
+    mass on one pair per violator and, unless everyone is a violator, on the
+    first profile where every other (monotone) individual votes against the
+    outcome: over k profiles, a monotone row is then at -1/k and a
+    violator's at most (1 - 2)/k.  Otherwise the Chow vector (the row sums),
+    corrected by adding a failing column at most n times, usually proves
+    robustness; weak weights must give every violator zero (its pair's
+    columns sum to -2 e_i), so there it starts and stays zero on the
+    violators' rows.  No LP runs.
     """
     strict = mode == MODE_STRICT
     n, size = rule.n, 2**rule.n
     t = table_integer(rule.outcomes)
-    twins = twin_set(n, t)
-    if strict and twins:
+    twins = twin_set(n, t) if strict else 0
+    if twins:
         twin = lowest_bit(twins)
         return AlternativeResult(None, _spread(size, [twin, size - 1 - twin]))
     firsts = {i: lowest_bit(bases)
               for i, bases in enumerate(violation_sets(n, t), start=1) if bases}
-    if strict:
-        firsts = dict(itertools.islice(firsts.items(), 1))
-    if firsts and (strict or len(firsts) == n):
-        pairs = [x for i, base in firsts.items() for x in (base, base | 1 << (i - 1))]
-        return AlternativeResult(None, _spread(size, pairs))
-    if twins or firsts:
-        return None
+    pairs = [x for i, base in firsts.items() for x in (base, base | 1 << (i - 1))]
+    if strict and pairs:
+        return AlternativeResult(None, _spread(size, pairs[:2]))
+    if not strict:
+        masks = table_masks(n)
+        against = masks.full
+        for i, plus in enumerate(masks.plus, start=1):
+            if i not in firsts:
+                against &= t ^ plus
+        if against:
+            profile = [lowest_bit(against)] if len(firsts) < n else []
+            return AlternativeResult(None, _spread(size, pairs + profile))
 
-    weights = [sum(row) for row in matrix]
+    monotone = [i not in firsts for i in range(1, n + 1)]
+    weights = [sum(row) if keep else 0 for keep, row in zip(monotone, matrix)]
     for _ in range(n + 1):
-        j = failed_column(matrix, weights)
+        j = failed_column(matrix, weights, strict=strict)
         if j is None:
-            if min(weights) < 0:
+            if min(weights) < 0 or not any(weights):
                 return None
             total = sum(weights)
             return AlternativeResult(tuple(Fraction(w, total) for w in weights), None)
-        weights = [w + row[j] for w, row in zip(weights, matrix)]
+        weights = [w + row[j] if keep else 0 for w, keep, row in zip(weights, monotone, matrix)]
     return None
 
 
@@ -229,28 +241,35 @@ def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     return matrix_game(responsive)
 
 
-def _relabeled_support(dist: Distribution, permutation) -> tuple[tuple[int, Fraction], ...]:
-    """The support of the relabeled profile, ascending: profile x gets the
-    mass of permute_profile_index(x), so each support atom moves to its
-    index under the inverse relabeling.  A relabeling of a valid support is
-    valid, so nothing is checked here."""
-    inverse = [0] * dist.n
+def _index_map(permutation) -> list[int]:
+    """The map _permuted applies to a support atom's index under the
+    relabeling: profile x gets the mass of permute_profile_index(x), so
+    each atom moves to its index under the inverse relabeling."""
+    inverse = [0] * len(permutation)
     for position, individual in enumerate(permutation, start=1):
         inverse[individual - 1] = position
-    return tuple(sorted((_permuted(idx, inverse), p) for idx, p in dist.support))
+    return inverse
+
+
+def _relabeled_support(dist: Distribution, index_map) -> tuple[tuple[int, Fraction], ...]:
+    """The support of the relabeled profile, ascending, given the
+    relabeling's _index_map.  A relabeling of a valid support is valid, so
+    nothing is checked here."""
+    return tuple(sorted((_permuted(idx, index_map), p) for idx, p in dist.support))
 
 
 def permute_distribution(dist: Distribution, permutation) -> Distribution:
     """The distribution of the relabeled profile."""
-    return Distribution._from_support(
-        dist.n, _relabeled_support(dist, _checked_permutation(dist.n, permutation)))
+    return Distribution._from_support(dist.n, _relabeled_support(
+        dist, _index_map(_checked_permutation(dist.n, permutation))))
 
 
-def _generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """The transposition (1 2) and the n-cycle, which generate every
-    relabeling of n individuals; for n <= 2 the cycle alone does."""
+def _generators(n: int) -> tuple[list[int], ...]:
+    """The index maps of the transposition (1 2) and the n-cycle, which
+    generate every relabeling of n individuals; for n <= 2 the cycle alone
+    does.  Each call builds them once, for all the supports it maps."""
     cycle = (*range(2, n + 1), 1)
-    return ((2, 1, *range(3, n + 1)), cycle) if n > 2 else (cycle,)
+    return tuple(map(_index_map, ((2, 1, *range(3, n + 1)), cycle) if n > 2 else (cycle,)))
 
 
 def is_permutation_invariant(pset: DistributionSet) -> bool:
@@ -260,8 +279,8 @@ def is_permutation_invariant(pset: DistributionSet) -> bool:
     into itself is mapped into itself by every product of them, that is by
     every relabeling, and onto itself because a relabeling is injective."""
     members = {dist.support for dist in pset.extreme_points}
-    return all(_relabeled_support(dist, perm) in members
-               for perm in _generators(pset.n) for dist in pset.extreme_points)
+    return all(_relabeled_support(dist, index_map) in members
+               for index_map in _generators(pset.n) for dist in pset.extreme_points)
 
 
 def _orbit_mixture(
@@ -278,8 +297,8 @@ def _orbit_mixture(
     orbit, frontier = {index}, [index]
     while frontier:
         dist = pset.extreme_points[frontier.pop()]
-        for perm in generators:
-            k = position.get(_relabeled_support(dist, perm))
+        for index_map in generators:
+            k = position.get(_relabeled_support(dist, index_map))
             if k is None:
                 raise ValueError(
                     "distribution set is not permutation invariant: "

@@ -20,11 +20,11 @@ from robustvote.certificates import (
 
 PACKAGE = Path(robustvote.__file__).parent
 
-# The weak question on the status-quo rule ---+ goes past the combinatorial
-# screen (the rule is not self-dual, which settles only the strict question)
-# to alternative_weak, here a stub that records its call and claims weights
-# (1, 0), which fail at profile +-.  The producer's own check must catch it
-# even with asserts stripped.
+# The weak question on the n=3 rule ---+-+-+ goes past the combinatorial
+# screen (no profile has everyone voting against the outcome, and n
+# corrections of its Chow vector still fail) to alternative_weak, here a stub that records its call and claims
+# weights (1, 0, 0), which fail at profile +--.  The producer's own check
+# must catch it even with asserts stripped.
 STUBBED_SOLVER = """
 from fractions import Fraction
 from robustvote import robustness
@@ -37,11 +37,11 @@ calls = []
 
 def stub(matrix):
     calls.append(matrix)
-    return AlternativeResult(weights=(Fraction(1), Fraction(0)), mixture=None)
+    return AlternativeResult(weights=(Fraction(1), Fraction(0), Fraction(0)), mixture=None)
 
 robustness.alternative_weak = stub
 try:
-    cert = robustness.certify_p_robust_full(VotingRule.from_table_string(2, "---+"), "weak")
+    cert = robustness.certify_p_robust_full(VotingRule.from_table_string(3, "---+-+-+"), "weak")
 except InternalError:
     print("internal error", len(calls))
 else:

@@ -2,6 +2,7 @@
 before any LP: it must agree with the LP on every rule it decides, and it
 must decide the rules its certificates exist for without the LP."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from robustvote import (
     VotingRule,
     WmrQuery,
     certify_p_robust_full,
+    constant_rule,
     detect_wmr,
     enumerate_rules,
     inverse_rule,
@@ -19,7 +21,7 @@ from robustvote import (
     weighted_majority_rule,
 )
 from robustvote import robustness
-from robustvote.core import own_vote_violations
+from robustvote.core import STRUCTURAL_PREDICATES, own_vote_violations, table_rule
 from robustvote.robustness import (
     MODE_STRICT,
     MODE_WEAK,
@@ -71,6 +73,19 @@ class TestAgreesWithTheLp:
             found = detect_wmr(rule, TIE_FREE_NONNEGATIVE)
             assert (found is not None) == (lp_verdict(rule, MODE_STRICT) == VERDICT_ROBUST)
 
+    @pytest.mark.parametrize(("n", "count", "seed"), [(4, 1500, 41), (5, 200, 51)])
+    def test_sampled_non_monotone_tables_in_weak_mode(self, n, count, seed):
+        rng, monotone = random.Random(seed), STRUCTURAL_PREDICATES["monotone"]
+        tables = set()
+        while len(tables) < count:
+            t = rng.randrange(2 ** 2**n)
+            if not monotone(n, t):
+                tables.add(t)
+        for t in sorted(tables):
+            rule = table_rule(n, t)
+            assert certify_p_robust_full(rule, MODE_WEAK).verdict == lp_verdict(rule, MODE_WEAK), (
+                rule.to_table_string())
+
 
 class TestDecidesWithoutTheLp:
     def test_rules_that_are_not_self_dual(self, no_lp):
@@ -99,6 +114,39 @@ class TestDecidesWithoutTheLp:
         rows = [sum(a * m for a, m in zip(row, cert.mixture)) for row in matrix]
         assert rows == [F(-1, 3)] * 3
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_weak_majority_with_ties_to_plus(self, no_lp, n):
+        # Not self-dual, so the strict question is refuted by a twin, but
+        # the Chow vector clears every column or ties it.
+        rule = majority_rule(n, tie=1)
+        assert certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_NOT_ROBUST
+        cert = certify_p_robust_full(rule, MODE_WEAK)
+        assert cert.verdict == VERDICT_ROBUST
+        assert cert.weights == (F(1, n),) * n
+
+    @pytest.mark.parametrize("table", ["-+-+----", "---+----"])
+    def test_weak_refutation_by_one_profile_and_the_violation_pairs(self, no_lp, table):
+        # Only individual 3 has a violation pair; at profile +++, in the
+        # second table also the pair's upper profile, individuals 1 and 2
+        # vote against the outcome.  Equal mass on the pair and that
+        # profile, a repeat adding up, holds every row below zero.
+        rule = VotingRule.from_table_string(3, table)
+        assert {i for i, _ in own_vote_violations(rule)} == {3}
+        cert = certify_p_robust_full(rule, MODE_WEAK)
+        assert cert.verdict == VERDICT_NOT_ROBUST
+        assert cert.mixture[7] > 0 and all(3 * m == int(3 * m) for m in cert.mixture)
+        matrix = degenerate_agreement_matrix(rule)
+        rows = [sum(a * m for a, m in zip(row, cert.mixture)) for row in matrix]
+        assert all(row < 0 for row in rows)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_weak_refutation_by_a_single_point_mass(self, no_lp, n):
+        # phi(all -) = +1 with no violation pair: everyone votes against the
+        # outcome at profile 0.
+        cert = certify_p_robust_full(constant_rule(n, 1), MODE_WEAK)
+        assert cert.verdict == VERDICT_NOT_ROBUST
+        assert cert.mixture == (1,) + (0,) * (2**n - 1)
+
     def test_corrected_chow_vector(self, no_lp):
         # The raw Chow vector of this rule fails some profile; corrections
         # by failing columns must still reach weights that clear them all.
@@ -114,8 +162,10 @@ class TestDecidesWithoutTheLp:
 
 
 @pytest.mark.parametrize("rule, mode", [
-    # robust only in the weak sense, which no combinatorial certificate covers
-    (VotingRule.from_table_string(2, "---+"), MODE_WEAK),
+    # robust only in the weak sense, monotone but not self-dual: no profile
+    # has everyone voting against the outcome, and n corrections of its Chow
+    # vector still fail (the LP's weights are 1/2, 1/2, 0)
+    (VotingRule.from_table_string(3, "---+-+-+"), MODE_WEAK),
     # a tie-free WMR whose Chow vector n corrections do not repair
     (weighted_majority_rule(5, [1, 2, 2, 2, 4]), MODE_STRICT),
 ])

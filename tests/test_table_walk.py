@@ -125,6 +125,29 @@ def test_robust_n4_is_the_twelve_tie_free_wmrs(capsys):
     assert code == 0 and report["tables"] == sorted(oracle, key=reference_integer)
 
 
+def test_weakly_robust_n4_is_every_nonnegative_wmr_with_ties_either_way(capsys):
+    # Weakly robust means some nonnegative weights, not all zero, agree
+    # with the outcome or tie at every profile: a weighted majority whose
+    # tied profiles may go either way.  Weights in 0..3 give every such
+    # table at n=4.
+    votes = reference_votes(4)
+    oracle = set()
+    for weights in itertools.product(range(4), repeat=4):
+        if not any(weights):
+            continue
+        sums = [sum(w * v for w, v in zip(weights, x)) for x in votes]
+        ties = [k for k, total in enumerate(sums) if total == 0]
+        fixed = "".join("+" if total > 0 else "-" for total in sums)
+        for fill in itertools.product("-+", repeat=len(ties)):
+            table = list(fixed)
+            for k, outcome in zip(ties, fill):
+                table[k] = outcome
+            oracle.add("".join(table))
+    assert len(oracle) == 1372
+    code, report = run_cli(capsys, ["enumerate", "--n=4", "--predicate=weakly_robust"])
+    assert code == 0 and report["tables"] == sorted(oracle, key=reference_integer)
+
+
 @pytest.mark.parametrize(("n", "level", "table", "value"), [
     (1, "inf", "-+", "1/1"),
     (2, "inf", "-+-+", "1/1"),
