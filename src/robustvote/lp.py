@@ -9,27 +9,29 @@ through the matching check in `certificates` (`satisfies` or
 `certifies_infeasibility`, both importable from here too), and a failure
 raises InternalError.
 
-The solver is a two-phase primal simplex on the standard equality form
+The solver is a single primal simplex run on the standard equality form
 with Bland's anti-cycling pivot rule, which also makes every answer
-deterministic for a given input. Strict inequalities never enter the
-simplex directly: each strict row a.x > b becomes a.x - delta >= b with
-one shared variable delta, 0 <= delta <= 1, and the system is feasible iff
-the maximal delta is positive. Phase one runs only for rows whose slack
-cannot start the basis (equalities and rows with a positive right-hand
-side), so a homogeneous inequality system starts feasible at delta = 0.
-Free variables are split into differences of nonnegative parts first.
+deterministic for a given input. Every system is first made homogeneous
+(Goldman & Tucker 1956): when some right-hand side is nonzero, one more
+variable s >= 0 turns a.x (>=, >, =) b into a.x - b.s (>=, >, =) 0, with
+one more strict row s > 0, and the witness is x / s. Equalities become two
+opposite inequalities, and free variables differences of nonnegative
+parts. Strict rows share one slack variable delta, 0 <= delta <= 1, so
+a.x > 0 becomes a.x - delta >= 0, and the system is feasible iff the
+maximal delta is positive. Each row enters with its own slack column and a
+zero right-hand side, so the slack basis is feasible and one run decides.
 
-Infeasibility certificates are read off the dual values of the final
-simplex basis: the phase-one basis when the weakened system is already
-infeasible, the delta-maximizing basis when the maximum is 0. The cap row
-takes no part in the certificate.
+Infeasibility certificates are read off the dual values of the final,
+delta-maximizing basis. Merged over the two halves of each equality, they
+are multipliers on the original rows; the s-row and the cap row take no
+part in them.
 
 The tableau is fraction-free: sparse integer rows over one common
 denominator, the basis determinant, updated by Bareiss pivots whose
 divisions are exact. Integer systems enter as integers and rational ones
 scaled row by row; Fractions are formed only when a witness, a dual or the
-objective value is read. Each answer carries SolveStats (shape, pivots per
-phase, widest entry), which take no part in equality.
+objective value is read. Each answer carries SolveStats (shape, pivots,
+widest entry), which take no part in equality.
 """
 
 from __future__ import annotations
@@ -99,14 +101,12 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What the simplex did for one answer: the final tableau's shape, the
-    pivots before and after a feasible basis was reached, and the widest
-    integer the tableau held at the end, in bits."""
+    """What the simplex did for one answer: the final tableau's shape, its
+    pivots, and the widest integer the tableau held at the end, in bits."""
 
     rows: int
     columns: int
-    phase1_pivots: int
-    phase2_pivots: int
+    pivots: int
     max_bits: int
 
 
@@ -147,38 +147,28 @@ class _Tableau:
         self.ncols = 0
         self.basis: list[int] = []
         self.init_col: list[int] = []  # identity column of each row at start
-        self.artificials: set[int] = set()
         self.costs: dict[int, int] = {}
         self.cbar: dict[int, int] = {}
         self.zrhs = 0
-        self.phase = 0  # 0 while reaching a feasible basis, then 1
-        self.pivots = [0, 0]
+        self.pivots = 0
 
     def add_column(self) -> int:
         self.ncols += 1
         return self.ncols - 1
 
-    def add_row(self, coeffs: dict[int, int | Fraction], b: int | Fraction,
-                basis_ready_col: int | None) -> None:
-        """Append an equality row with b >= 0; give it an identity column.
-
-        basis_ready_col names an existing +1 unit column for this row (a
-        slack); if None, a fresh artificial column is created.  A row with
-        rational entries is multiplied by the lcm of their denominators.
+    def add_row(self, coeffs: dict[int, int | Fraction], b: int, slack: int) -> None:
+        """Append an equality row with integer b >= 0 whose slack, a +1 unit
+        column among coeffs, starts the basis.  A row with rational entries
+        is multiplied by the lcm of their denominators.
         """
         require(b >= 0, "solver: row with a negative right-hand side")
-        scale = lcm(b.denominator, *(v.denominator for v in coeffs.values()))
-        row = {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items() if v}
-        b = b.numerator * (scale // b.denominator)
-        if basis_ready_col is None:
-            basis_ready_col = self.add_column()
-            row[basis_ready_col] = scale
-            self.artificials.add(basis_ready_col)
-        self.rows.append(row)
-        self.rhs.append(b)
+        scale = lcm(*(v.denominator for v in coeffs.values()))
+        self.rows.append({j: v.numerator * (scale // v.denominator)
+                          for j, v in coeffs.items() if v})
+        self.rhs.append(b * scale)
         self.scales.append(scale)
-        self.basis.append(basis_ready_col)
-        self.init_col.append(basis_ready_col)
+        self.basis.append(slack)
+        self.init_col.append(slack)
 
     def _start(self) -> None:
         """Put the rows over one denominator, once all of them are in.
@@ -216,7 +206,7 @@ class _Tableau:
         self.cbar, self.zrhs = self._eliminate(self.cbar, self.zrhs, e, p, pitems, prhs)
         self.den = p
         self.basis[r] = e
-        self.pivots[self.phase] += 1
+        self.pivots += 1
 
     def _eliminate(self, row, b, e, p, pitems, prhs):
         """One row after a pivot on entry p of column e: (v * p - f * w) / den
@@ -232,8 +222,8 @@ class _Tableau:
             new[j] = new.get(j, 0) - f * w
         return {j: v // den for j, v in new.items() if v}, (b * p - f * prhs) // den
 
-    def run(self, costs: list[int], barred: set[int]) -> None:
-        """Minimize integer costs over the current basis."""
+    def run(self, costs: list[int]) -> None:
+        """Minimize integer costs from the current, feasible basis."""
         self._start()
         rows, rhs, den, basis = self.rows, self.rhs, self.den, self.basis
         self.costs = {j: c for j, c in enumerate(costs) if c}
@@ -249,7 +239,7 @@ class _Tableau:
         self.zrhs = zrhs
         while True:
             enter = min(
-                (j for j, v in self.cbar.items() if v < 0 and j not in barred), default=-1
+                (j for j, v in self.cbar.items() if v < 0), default=-1
             )
             if enter < 0:
                 return
@@ -265,21 +255,6 @@ class _Tableau:
                     leave, best_a = r, a
             require(leave >= 0, "solver: unbounded program")
             self._pivot(leave, enter)
-
-    def drive_out_artificials(self) -> None:
-        """Degenerate-pivot basic artificials onto real columns where possible.
-
-        A row whose real entries are all zero is redundant; its artificial
-        stays basic at level zero and never moves again (every entering
-        column has a zero entry there).
-        """
-        for r, col in enumerate(self.basis):
-            if col in self.artificials:
-                pivot_col = min(
-                    (j for j in self.rows[r] if j not in self.artificials), default=-1
-                )
-                if pivot_col >= 0:
-                    self._pivot(r, pivot_col)
 
     @property
     def value(self) -> Fraction:
@@ -301,60 +276,60 @@ class _Tableau:
         entries = (v for row in self.rows for v in row.values())
         widest = max(map(int.bit_length, itertools.chain(
             entries, self.rhs, self.cbar.values(), (self.zrhs, self.den))))
-        return SolveStats(len(self.rows), self.ncols, self.pivots[0], self.pivots[1], widest)
+        return SolveStats(len(self.rows), self.ncols, self.pivots, widest)
 
 
 class _Encoder:
-    """Builds the standard form for a LinearSystem and maps answers back."""
+    """Builds the standard form of the lifted LinearSystem and maps answers
+    back.  Every lifted row reads g.z (- delta on strict rows) >= 0 and
+    enters negated, -g.z (+ delta) + slack = 0, so the slack basis is
+    feasible; only the cap delta <= 1 has a nonzero right-hand side.
+    """
 
     def __init__(self, system: LinearSystem):
         self.system = system
-        self.tab = _Tableau()
+        self.tab = tab = _Tableau()
         self.part_cols: list[tuple[int, int | None]] = []
         for sign in system.var_signs:
-            pos = self.tab.add_column()
-            neg = self.tab.add_column() if sign == SIGN_FREE else None
+            pos = tab.add_column()
+            neg = tab.add_column() if sign == SIGN_FREE else None
             self.part_cols.append((pos, neg))
-        self.row_flip: list[tuple[int, Fraction]] = []  # (original row index, sign)
+        self.lift = tab.add_column() if any(row.rhs for row in system.rows) else None
+        strict = self.lift is not None or any(row.relation == REL_GT for row in system.rows)
+        self.delta = tab.add_column() if strict else None
+        # (original row index, sign taking the standard row's dual onto it)
+        self.row_sign: list[tuple[int, int]] = []
+        for index, row in enumerate(system.rows):
+            self._add_row(self._coeffs(row, -1), row.relation == REL_GT, index, -1)
+            if row.relation == REL_EQ:
+                self._add_row(self._coeffs(row, 1), False, index, 1)
+        if self.lift is not None:
+            self._add_row({self.lift: -1}, True)  # s > 0
+        if strict:
+            self._add_row({}, True, b=1)  # the cap delta <= 1
 
-    def _base_coeffs(self, row: LinearRow, flip: bool) -> dict[int, int | Fraction]:
+    def _coeffs(self, row: LinearRow, sign: int) -> dict[int, int | Fraction]:
+        """sign times the lifted row's coefficients over the columns."""
         coeffs: dict[int, int | Fraction] = {}
         for (pos, neg), c in zip(self.part_cols, row.coeffs):
-            if c == 0:
-                continue
-            value = -c if flip else c
-            coeffs[pos] = value
-            if neg is not None:
-                coeffs[neg] = -value
+            if c:
+                coeffs[pos] = sign * c
+                if neg is not None:
+                    coeffs[neg] = -sign * c
+        if row.rhs:
+            coeffs[self.lift] = -sign * row.rhs
         return coeffs
 
-    def add_system_row(self, index: int, delta_col: int | None) -> None:
-        row = self.system.rows[index]
-        if row.relation == REL_EQ:
-            flip = row.rhs < 0
-            coeffs = self._base_coeffs(row, flip)
-            self.tab.add_row(coeffs, -row.rhs if flip else row.rhs, None)
-            self.row_flip.append((index, Fraction(-1 if flip else 1)))
-            return
-        # inequality: lhs - delta >= rhs (delta only on strict rows)
-        use_delta = row.relation == REL_GT
-        if row.rhs <= 0:
-            # negate so the slack column enters with +1 and rhs stays >= 0
-            coeffs = self._base_coeffs(row, True)
-            if use_delta:
-                coeffs[delta_col] = 1
-            slack = self.tab.add_column()
-            coeffs[slack] = 1
-            self.tab.add_row(coeffs, -row.rhs, slack)
-            self.row_flip.append((index, Fraction(-1)))
-        else:
-            coeffs = self._base_coeffs(row, False)
-            if use_delta:
-                coeffs[delta_col] = -1
-            surplus = self.tab.add_column()
-            coeffs[surplus] = -1
-            self.tab.add_row(coeffs, row.rhs, None)
-            self.row_flip.append((index, Fraction(1)))
+    def _add_row(self, coeffs: dict[int, int | Fraction], strict: bool,
+                 index: int = -1, sign: int = 0, b: int = 0) -> None:
+        """coeffs (+ delta) + slack = b.  A row with sign 0, the s-row or
+        the cap, takes no part in the certificate."""
+        if strict:
+            coeffs[self.delta] = 1
+        slack = self.tab.add_column()
+        coeffs[slack] = 1
+        self.tab.add_row(coeffs, b, slack)
+        self.row_sign.append((index, sign))
 
     def witness(self) -> tuple[Fraction, ...]:
         sol = self.tab.solution()
@@ -364,60 +339,45 @@ class _Encoder:
             if neg is not None:
                 v -= sol.get(neg, _ZERO)
             values.append(v)
-        return tuple(values)
+        if self.lift is None:
+            return tuple(values)
+        return tuple(v / sol[self.lift] for v in values)
 
     def certificate(self) -> tuple[Fraction, ...]:
-        duals = self.tab.duals()
+        """Minus the dual of each negated row, merged over the two halves of
+        an equality.  The s-row and the cap get no weight: at delta = 0 the
+        cap's dual vanishes, and s > 0 leaves the combined right-hand side
+        at least the s-row's dual, so the rest is a certificate alone."""
         mults = [_ZERO] * len(self.system.rows)
-        for std_index, (orig_index, sign) in enumerate(self.row_flip):
-            mults[orig_index] += sign * duals[std_index]
+        for dual, (index, sign) in zip(self.tab.duals(), self.row_sign):
+            if sign:
+                mults[index] += sign * dual
         return tuple(mults)
-
-
-def _finish_infeasible(system: LinearSystem, enc: _Encoder) -> FeasibilityResult:
-    cert = enc.certificate()
-    require(certifies_infeasibility(system, cert),
-            "solver: invalid infeasibility certificate")
-    return FeasibilityResult(False, None, cert, enc.tab.stats())
-
-
-def _finish_feasible(system: LinearSystem, enc: _Encoder) -> FeasibilityResult:
-    point = enc.witness()
-    require(satisfies(system, point), "solver: witness fails substitution")
-    return FeasibilityResult(True, point, None, enc.tab.stats())
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide the system exactly, with a re-verified witness or certificate.
 
-    Strict rows share one slack delta >= 0, capped at 1. Any strictly
-    feasible point has a positive least slack, and the cap keeps the
-    program bounded without changing the verdict: feasible iff the maximal
-    delta exceeds zero.
+    One simplex run from the slack basis of the lifted cone maximizes the
+    shared delta, capped at 1.  Any strictly feasible point has a positive
+    least slack, and the cap keeps the program bounded without changing
+    the verdict: feasible iff the maximal delta exceeds zero.  A system
+    with no strict row after the lift is feasible at zero without a run.
     """
     enc = _Encoder(system)
     tab = enc.tab
-    strict = any(row.relation == REL_GT for row in system.rows)
-    delta = tab.add_column() if strict else None
-    for index in range(len(system.rows)):
-        enc.add_system_row(index, delta)
-    if strict:
-        cap_slack = tab.add_column()
-        tab.add_row({delta: 1, cap_slack: 1}, 1, cap_slack)
-        enc.row_flip.append((-1, _ZERO))  # the cap carries no certificate weight
-    if tab.artificials:
-        tab.run([1 if j in tab.artificials else 0 for j in range(tab.ncols)], set())
-        if tab.value > 0:
-            return _finish_infeasible(system, enc)
-        tab.drive_out_artificials()
-    if strict:
+    if enc.delta is not None:
         costs = [0] * tab.ncols
-        costs[delta] = -1
-        tab.phase = 1
-        tab.run(costs, tab.artificials)
+        costs[enc.delta] = -1
+        tab.run(costs)
         if tab.value == 0:
-            return _finish_infeasible(system, enc)
-    return _finish_feasible(system, enc)
+            cert = enc.certificate()
+            require(certifies_infeasibility(system, cert),
+                    "solver: invalid infeasibility certificate")
+            return FeasibilityResult(False, None, cert, tab.stats())
+    point = enc.witness()
+    require(satisfies(system, point), "solver: witness fails substitution")
+    return FeasibilityResult(True, point, None, tab.stats())
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +499,7 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
     costs = [0] * tab.ncols
     for col in z_cols:
         costs[col] = -1
-    tab.phase = 1  # the slack basis is already feasible
-    tab.run(costs, set())
+    tab.run(costs)
     sol = tab.solution()
     z = [sol.get(col, _ZERO) for col in z_cols]
     total = sum(z, _ZERO)

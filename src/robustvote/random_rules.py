@@ -15,15 +15,7 @@ from fractions import Fraction
 
 from .certificates import holds_at_half, improves, require, sign_pattern_holds
 from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, set_bits, table_masks
-from .lp import (
-    REL_EQ,
-    REL_GT,
-    SIGN_NONNEG,
-    LinearRow,
-    LinearSystem,
-    alternative_strict,
-    solve_feasibility,
-)
+from .lp import alternative_strict, alternative_weak
 from .respond import SIGN_CLASS_NONNEGATIVE, WeightVector, responsiveness
 from .robustness import degenerate_agreement_matrix
 from .wmr import _smallest_integer_direction
@@ -63,30 +55,25 @@ def find_dominating_deterministic(
     """First deterministic rule, in truth-table order, that beats the
     random rule for every individual under some distribution.
 
-    The distribution is found per candidate by linear feasibility over the
-    probability simplex with a strict improvement row per individual.
+    Per candidate, a mixture lam of the point masses with (B - C) lam < 0,
+    B and C the agreement matrices of the rule and the candidate, is
+    exactly a distribution under which the candidate is strictly more
+    responsive to everyone: the weak alternative finds it or refutes it.
     """
     n = rule.n
     if n > MAX_DOMINATION_N:
         raise ValueError(
             f"deterministic domination search is capped at n={MAX_DOMINATION_N}"
         )
-    size = 2**n
-    simplex_row = LinearRow((Fraction(1),) * size, REL_EQ, Fraction(1))
     base = degenerate_agreement_matrix(rule)
     for candidate in enumerate_rules(n):
-        rows = [simplex_row]
-        for mine, theirs in zip(degenerate_agreement_matrix(candidate), base):
-            coeffs = tuple(c - r for c, r in zip(mine, theirs))
-            rows.append(LinearRow(coeffs, REL_GT, Fraction(0)))
-        result = solve_feasibility(
-            LinearSystem(size, tuple(rows), (SIGN_NONNEG,) * size)
-        )
-        if result.feasible:
-            dist = Distribution(n, result.witness)
-            base = responsiveness(rule, dist).values
-            better = responsiveness(candidate, dist).values
-            require(improves(base, better, strictly=True),
+        gap = [[b - c for b, c in zip(theirs, mine)]
+               for theirs, mine in zip(base, degenerate_agreement_matrix(candidate))]
+        answer = alternative_weak(gap)
+        if answer.mixture is not None:
+            dist = Distribution(n, answer.mixture)
+            require(improves(responsiveness(rule, dist).values,
+                             responsiveness(candidate, dist).values, strictly=True),
                     "domination witness fails the strict inequalities")
             return candidate, dist
     return None

@@ -42,7 +42,6 @@ from .core import (
     twin_set,
     violation_sets,
 )
-from .lp import AlternativeResult, alternative_strict, alternative_weak, matrix_game
 
 MODE_STRICT = "strict"
 MODE_WEAK = "weak"
@@ -124,6 +123,8 @@ def _certificate(matrix, mode: str, weights=None, mixture=None) -> RobustnessCer
 
 
 def _certify_from_matrix(matrix: list[list[Fraction]], mode: str) -> RobustnessCertificate:
+    from .lp import alternative_strict, alternative_weak  # `verify` never solves
+
     alternative = alternative_strict if mode == MODE_STRICT else alternative_weak
     answer = alternative(matrix)
     return _certificate(matrix, mode, answer.weights, answer.mixture)
@@ -138,8 +139,9 @@ def _spread(size: int, profiles: list[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(m, len(profiles)) if m else zero for m in mass)
 
 
-def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
-    """An answer over the point masses that needs no solver, or None.
+def _screen(rule: VotingRule, matrix, mode: str):
+    """An answer over the point masses that needs no solver, as a
+    (weights, mixture) pair with one side None, or None.
 
     Column x of the matrix is phi(x) * x.  A profile deciding the same as
     its negation gives two columns that cancel, and an own-vote violation of
@@ -160,12 +162,12 @@ def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
     twins = twin_set(n, t) if strict else 0
     if twins:
         twin = lowest_bit(twins)
-        return AlternativeResult(None, _spread(size, [twin, size - 1 - twin]))
+        return None, _spread(size, [twin, size - 1 - twin])
     firsts = {i: lowest_bit(bases)
               for i, bases in enumerate(violation_sets(n, t), start=1) if bases}
     pairs = [x for i, base in firsts.items() for x in (base, base | 1 << (i - 1))]
     if strict and pairs:
-        return AlternativeResult(None, _spread(size, pairs[:2]))
+        return None, _spread(size, pairs[:2])
     if not strict:
         masks = table_masks(n)
         against = masks.full
@@ -174,7 +176,7 @@ def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
                 against &= t ^ plus
         if against:
             profile = [lowest_bit(against)] if len(firsts) < n else []
-            return AlternativeResult(None, _spread(size, pairs + profile))
+            return None, _spread(size, pairs + profile)
 
     monotone = [i not in firsts for i in range(1, n + 1)]
     weights = [sum(row) if keep else 0 for keep, row in zip(monotone, matrix)]
@@ -184,7 +186,7 @@ def _screen(rule: VotingRule, matrix, mode: str) -> AlternativeResult | None:
             if min(weights) < 0 or not any(weights):
                 return None
             total = sum(weights)
-            return AlternativeResult(tuple(Fraction(w, total) for w in weights), None)
+            return tuple(Fraction(w, total) for w in weights), None
         weights = [w + row[j] if keep else 0 for w, keep, row in zip(weights, monotone, matrix)]
     return None
 
@@ -222,7 +224,7 @@ def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT) -> Robustne
     answer = _screen(rule, matrix, mode)
     if answer is None:
         return _certify_from_matrix(matrix, mode)
-    return _certificate(matrix, mode, answer.weights, answer.mixture)
+    return _certificate(matrix, mode, *answer)
 
 
 def responsiveness_game(rule: VotingRule, pset: DistributionSet):
@@ -234,6 +236,8 @@ def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     strategies alongside the value, which is above one half exactly when
     the rule is robust and at least one half when it is weakly robust.
     """
+    from .lp import matrix_game
+
     matrix = agreement_matrix(rule, pset)
     responsive = [
         [Fraction(entry + 1, 2) for entry in row] for row in matrix

@@ -156,7 +156,9 @@ class _Tableau:
 class Reference(_Tableau):
     """The reference engine under the hooks the fraction-free tableau adds."""
 
-    phase = 0
+    def run(self, costs: list[Fraction]) -> None:
+        """One run from a feasible basis: nothing is barred."""
+        super().run(costs, set())
 
     def stats(self) -> None:
         return None

@@ -27,7 +27,7 @@ PACKAGE = Path(robustvote.__file__).parent
 # must catch it even with asserts stripped.
 STUBBED_SOLVER = """
 from fractions import Fraction
-from robustvote import robustness
+from robustvote import lp, robustness
 from robustvote.certificates import InternalError
 from robustvote.core import VotingRule
 from robustvote.lp import AlternativeResult
@@ -39,7 +39,7 @@ def stub(matrix):
     calls.append(matrix)
     return AlternativeResult(weights=(Fraction(1), Fraction(0), Fraction(0)), mixture=None)
 
-robustness.alternative_weak = stub
+lp.alternative_weak = stub
 try:
     cert = robustness.certify_p_robust_full(VotingRule.from_table_string(3, "---+-+-+"), "weak")
 except InternalError:
@@ -55,12 +55,9 @@ from fractions import Fraction
 from robustvote import robustness
 from robustvote.certificates import InternalError
 from robustvote.core import VotingRule
-from robustvote.lp import AlternativeResult
 
 assert False, "asserts must be stripped in this run"
-robustness._screen = lambda rule, matrix, mode: AlternativeResult(
-    weights=(Fraction(1, 2), Fraction(1, 2)), mixture=None
-)
+robustness._screen = lambda rule, matrix, mode: ((Fraction(1, 2), Fraction(1, 2)), None)
 try:
     cert = robustness.certify_p_robust_full(VotingRule.from_table_string(2, "---+"))
 except InternalError:

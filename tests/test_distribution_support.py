@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from robustvote import cli, epsilon_lower_witness, robustness
+from robustvote import cli, epsilon_lower_witness, lp
 from robustvote.core import (
     Distribution,
     DistributionSet,
@@ -222,8 +222,8 @@ def test_negative_anonymous_verdict_stays_sparse(dense_point_masses, mode):
 
 def test_point_mass_columns_are_integer(monkeypatch):
     payoffs = []
-    solve = robustness.matrix_game
-    monkeypatch.setattr(robustness, "matrix_game",
+    solve = lp.matrix_game
+    monkeypatch.setattr(lp, "matrix_game",
                         lambda matrix: payoffs.extend(matrix) or solve(matrix))
     rule = weighted_majority_rule(3, [F(3), F(1), F(1)])
     mixed = Distribution.from_weights(3, {0: F(1), 5: F(2)})

@@ -15,8 +15,8 @@ from robustvote import cli
 
 SOURCE = str(Path(robustvote.__file__).parent.parent)
 
-# Modules no `verify` of a certify or wmr report needs.
-SOLVER_SIDE = ("efficiency", "gamma_mechanism", "random_rules", "respond", "wmr")
+# Modules no `verify` of a certify, wmr or classify report needs.
+SOLVER_SIDE = ("efficiency", "gamma_mechanism", "lp", "random_rules", "respond", "wmr")
 
 LOADED = "import sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('robustvote'))))"
 
@@ -45,6 +45,7 @@ def test_importing_the_cli_leaves_multiprocessing_out():
 @pytest.mark.parametrize("argv", [
     ["certify", "--rule=---+-+++", "--pset=degenerates"],
     ["wmr", "--rule=---+-+++", "--ties=none"],
+    ["classify", "--rule=---+-+++"],
 ])
 def test_verify_loads_no_solver_side_module(tmp_path, capsys, argv):
     assert cli.main(argv + ["--quiet"]) == 0

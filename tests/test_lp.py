@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from robustvote import lp
 from robustvote.lp import (
     REL_EQ,
     REL_GE,
@@ -122,6 +123,24 @@ class TestFeasibilityFuzz:
             assert all(type(v) is F for v in vector), f"trial {trial}"
             expected = fm_feasible(_oracle_rows(system), system.num_vars)
             assert result.feasible == expected, f"trial {trial}: {system}"
+
+    def test_one_simplex_run_per_system(self, monkeypatch):
+        """Equalities and nonzero right-hand sides are lifted to a cone whose
+        slack basis is feasible, so no system needs a run to reach one."""
+        runs = []
+        run = lp._Tableau.run
+
+        def counting(tab, costs):
+            runs.append(costs)
+            return run(tab, costs)
+
+        monkeypatch.setattr(lp._Tableau, "run", counting)
+        rng = random.Random(91)
+        for trial in range(1000):
+            system = _random_system(rng)
+            del runs[:]
+            solve_feasibility(system)
+            assert len(runs) <= 1, f"trial {trial}: {system}"
 
     def test_deterministic(self):
         rng = random.Random(7)

@@ -20,7 +20,7 @@ from robustvote import (
     majority_rule,
     weighted_majority_rule,
 )
-from robustvote import robustness
+from robustvote import lp
 from robustvote.core import STRUCTURAL_PREDICATES, own_vote_violations, table_rule
 from robustvote.robustness import (
     MODE_STRICT,
@@ -50,8 +50,8 @@ def no_lp(monkeypatch):
     def refuse(matrix):
         raise RuntimeError("the LP was reached")
 
-    monkeypatch.setattr(robustness, "alternative_strict", refuse)
-    monkeypatch.setattr(robustness, "alternative_weak", refuse)
+    monkeypatch.setattr(lp, "alternative_strict", refuse)
+    monkeypatch.setattr(lp, "alternative_weak", refuse)
 
 
 class TestAgreesWithTheLp:
@@ -171,14 +171,14 @@ class TestDecidesWithoutTheLp:
 ])
 def test_the_lp_decides_what_the_screen_cannot(monkeypatch, rule, mode):
     name = "alternative_strict" if mode == MODE_STRICT else "alternative_weak"
-    original = getattr(robustness, name)
+    original = getattr(lp, name)
     calls = []
 
     def counting(matrix):
         calls.append(matrix)
         return original(matrix)
 
-    monkeypatch.setattr(robustness, name, counting)
+    monkeypatch.setattr(lp, name, counting)
     assert certify_p_robust_full(rule, mode).verdict == VERDICT_ROBUST
     assert len(calls) == 1
 
