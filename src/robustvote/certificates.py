@@ -7,15 +7,22 @@ promise by exact substitution; nothing here solves, searches or normalizes.
 Every producer runs the matching check on the certificate it is about to
 return and raises InternalError when it fails, also under `python -O`;
 `verify` runs the same checks on the certificates embedded in a report.
+
+The vector a check substitutes is put over its common denominator d first,
+and the bound scaled by d, so the sums compared are integer whenever the
+data is.  A column check is row-major: core.combine_rows adds whole rows
+of the matrix, one pass per nonzero weight, giving every column's dot
+product at once, and the first failing column is read off that list.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
-from .core import over_common_denominator, vote_sums
+from .core import combine_rows, over_common_denominator, vote_sums
 
 # The vocabulary of the systems and representations checked here; lp, wmr
 # and respond re-export it.
@@ -80,11 +87,9 @@ def _is_distribution(numerators: list[int], scale: int) -> bool:
 
 
 def _failed_column(matrix, weights: list[int], bound, strict: bool) -> int | None:
-    for j in range(len(matrix[0])):
-        dot = sum(w * row[j] for w, row in zip(weights, matrix) if w)
-        if not (dot > bound if strict else dot >= bound):
-            return j
-    return None
+    holds = list(map(_HOLDS[REL_GT if strict else REL_GE],
+                     combine_rows(weights, matrix), repeat(bound)))
+    return holds.index(False) if False in holds else None
 
 
 def _failed_row(matrix, mixture: list[int], bound, strict: bool) -> int | None:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 MAX_INDIVIDUALS = 16
 MAX_ENUMERATION_INDIVIDUALS = 4
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 class FormatError(ValueError):
@@ -36,9 +36,11 @@ class FormatError(ValueError):
 
 def parse_rational(text: str, field: str = "value") -> Fraction:
     """Parse a "num/den" or bare-integer string into an exact rational."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise FormatError(f"{field}: expected a rational 'num/den' string, got {text!r}")
-    return Fraction(text)
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def format_rational(value: Fraction) -> str:
@@ -78,15 +80,22 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def combine_rows(weights: Sequence[int], rows) -> list:
+    """sum_i weights[i] * rows[i], entry by entry: every column's dot product
+    with the weights at once, in one whole-row pass per nonzero weight.  With
+    integer weights and rows the sums stay integer."""
+    sums = [0] * len(rows[0])
+    for w, row in zip(weights, rows):
+        if w:
+            sums = [s + w * a for s, a in zip(sums, row)]
+    return sums
+
+
 def vote_sums(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     """The weighted vote sum sum_i w_i x_i at every profile, in index order,
     as integers scaled by the weights' common denominator d > 0, with d."""
     numerators, scale = over_common_denominator(weights)
-    sums = [0] * 2 ** len(numerators)
-    for w, row in zip(numerators, sign_table(len(numerators))):
-        if w:
-            sums = [s + w * v for s, v in zip(sums, row)]
-    return sums, scale
+    return combine_rows(numerators, sign_table(len(numerators))), scale
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,8 @@ class RandomVotingRule:
             raise ValueError(
                 f"rule needs {2 ** self.n} outcomes for n={self.n}, got {len(self.outcomes)}"
             )
-        object.__setattr__(self, "outcomes", tuple(Fraction(v) for v in self.outcomes))
+        object.__setattr__(self, "outcomes", tuple(
+            v if type(v) is Fraction else Fraction(v) for v in self.outcomes))
         if any(not -1 <= v <= 1 for v in self.outcomes):
             raise ValueError("random rule outcomes must lie in [-1, 1]")
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import eq, mul
 from typing import Sequence
 
 from .certificates import (
@@ -107,18 +109,21 @@ def responsiveness(
         raise ValueError(f"rule has n={rule.n} but distribution has n={dist.n}")
     deterministic = isinstance(rule, VotingRule)
     support, probs = zip(*dist.support)
-    probs, scale = over_common_denominator(probs)
-    outcomes = [rule.outcomes[idx] for idx in support]
+    probs, prob_scale = over_common_denominator(probs)
+    outcomes, outcome_scale = over_common_denominator([rule.outcomes[idx] for idx in support])
+    # p(x) phi(x) at each atom, as integers over scale; outcome_scale is 1
+    # for a deterministic rule.
+    weighted = list(map(mul, probs, outcomes))
+    scale = prob_scale * outcome_scale
     values = []
     for row in sign_table(rule.n):
-        votes = [row[idx] for idx in support]
-        expectation = sum(p * o * v for p, o, v in zip(probs, outcomes, votes))
-        r = (Fraction(expectation, scale) + 1) / 2
+        votes = list(map(row.__getitem__, support))
+        expectation = sum(map(mul, weighted, votes))
         if deterministic:
-            mass = sum(p for p, o, v in zip(probs, outcomes, votes) if o == v)
-            require(r == Fraction(mass, scale),
+            mass = sum(compress(probs, map(eq, outcomes, votes)))
+            require(2 * mass == expectation + scale,
                     "agreement mass and expectation identity disagree")
-        values.append(r)
+        values.append(Fraction(expectation + scale, 2 * scale))
     return ResponsivenessVector(tuple(values))
 
 

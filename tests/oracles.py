@@ -243,3 +243,25 @@ def orbit_average_over_every_relabeling(pset, index):
             return None
         counts[k] += 1
     return tuple(Fraction(c, len(moves)) for c in counts)
+
+
+def failed_column_by_columns(matrix, weights, bound=0, strict=True):
+    """The first column j whose rational dot product sum_i w_i a_ij, formed
+    one column at a time, is not above bound (strict) or not at least bound,
+    or None."""
+    for j in range(len(matrix[0])):
+        dot = sum((Fraction(w) * row[j] for w, row in zip(weights, matrix)), Fraction(0))
+        if not (dot > bound if strict else dot >= bound):
+            return j
+    return None
+
+
+def responsiveness_by_atoms(rule, dist) -> tuple[Fraction, ...]:
+    """(E[phi(x) x_i] + 1) / 2 for each individual i, the expectation a
+    Fraction sum of p(x) phi(x) x_i over the support, votes read off the
+    profile bits."""
+    return tuple(
+        (sum((p * rule.outcomes[idx] * (1 if idx >> i & 1 else -1)
+              for idx, p in dist.support), Fraction(0)) + 1) / 2
+        for i in range(rule.n)
+    )

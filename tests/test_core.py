@@ -1,5 +1,6 @@
 """Profiles, rules, distributions, and the named-rule constructors."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -322,6 +323,26 @@ class TestRationals:
             parse_rational("0.5", "prob")
         with pytest.raises(FormatError):
             parse_rational("1/0")
+
+    @pytest.mark.parametrize("text", ["1/2\n", "3\n", "\n1/2", " 1/2", "1/2 ", "+1/2", "1/-2",
+                                      "1/02", "1_0/3", "", "-", "/2"])
+    def test_parse_rejects_what_is_not_num_slash_den(self, text):
+        with pytest.raises(FormatError):
+            parse_rational(text)
+
+    def test_parse_equals_fraction_of_the_text(self):
+        rng = random.Random(20261019)
+        texts = ["-0/3", "0", "-0", "007/5", "-007", "10/10", "-12/8"]
+        for _ in range(300):
+            digits = rng.choice((1, 3, 20, 40))
+            numerator = str(rng.randrange(10**digits)).zfill(digits + rng.randint(0, 2))
+            sign = rng.choice(("", "-"))
+            if rng.random() < 0.3:
+                texts.append(sign + numerator)
+            else:
+                texts.append(f"{sign}{numerator}/{rng.randrange(1, 10**rng.choice((1, 3, 40)))}")
+        for text in texts:
+            assert parse_rational(text) == F(text), text
 
     def test_popcount(self):
         assert popcount(0b1011) == 3
