@@ -513,15 +513,20 @@ def set_bits(mask: int) -> Iterator[int]:
         k = digits.find("1", k + 1)
 
 
+def negate_votes(n: int, t: int, individuals: Iterable[int]) -> int:
+    """The table deciding at each profile as t does with the listed votes
+    negated: negating vote i swaps the two halves of plus[i-1]."""
+    steps = table_masks(n).steps
+    for i in individuals:
+        plus, step = steps[i - 1]
+        t = (t & plus) >> step | (t << step) & plus
+    return t
+
+
 def twin_set(n: int, t: int) -> int:
     """The profiles at which t decides as at the negated profile: the
-    complement of t XOR its bit reversal, which is empty iff t is self-dual.
-    Negating individual i's vote swaps the two halves of plus[i-1]."""
-    masks = table_masks(n)
-    flipped = t
-    for plus, step in masks.steps:
-        flipped = (flipped & plus) >> step | (flipped << step) & plus
-    return masks.full & ~(t ^ flipped)
+    complement of t XOR its bit reversal, which is empty iff t is self-dual."""
+    return table_masks(n).full & ~(t ^ negate_votes(n, t, range(1, n + 1)))
 
 
 def violation_sets(n: int, t: int) -> Iterator[int]:

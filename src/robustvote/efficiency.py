@@ -2,12 +2,12 @@
 
 Every random rule within expectation distance of a deterministic rule phi
 can be written through per-profile deviations t_x = 1 - phi(x) * other(x),
-each in [0, 2].  Responsiveness changes are linear in t, so each efficiency
-notion is one feasibility system about the deviation vector: can anyone be
-helped without hurting someone (and how strongly).  Only the direction of
-a solution matters, so the systems drop the box t <= 2 and a witness is
-scaled into the box afterwards; it then converts back to an explicit
-dominating random rule.
+each in [0, 2].  Deviating by t moves E[outcome * x_i] by -(L diag(p) t)_i,
+L the point-mass agreement matrix (column x is phi(x) * x).  With
+lam = diag(p) t, each efficiency notion is a theorem of the alternative on
+the columns of L over supp(p), decided by the robustness certificates or
+`lp.alternative_positive`.  A mixture lam against efficiency gives
+t_x = lam_x / p_x, scaled into the box t <= 2: a dominating random rule.
 """
 
 from __future__ import annotations
@@ -18,20 +18,20 @@ from fractions import Fraction
 from .certificates import improves, require
 from .core import (
     Distribution,
+    DistributionSet,
     RandomVotingRule,
     VotingRule,
     format_rational,
-)
-from .lp import (
-    REL_GE,
-    REL_GT,
-    SIGN_NONNEG,
-    LinearRow,
-    LinearSystem,
-    solve_feasibility,
+    over_common_denominator,
 )
 from .respond import responsiveness
-from .robustness import degenerate_agreement_matrix
+from .robustness import (
+    MODE_STRICT,
+    MODE_WEAK,
+    certify_p_robust,
+    certify_p_robust_full,
+    degenerate_agreement_matrix,
+)
 
 REL_EQUAL = "equal"
 REL_STRICTLY_PREFERRED = "strictly_preferred"
@@ -79,46 +79,15 @@ def pareto_compare(
     """Classify which rule serves every individual at least as well."""
     if first.n != second.n or first.n != dist.n:
         raise ValueError("rules and distribution must share the same n")
-    ra = responsiveness(first, dist)
-    rb = responsiveness(second, dist)
-    deltas = tuple(a - b for a, b in zip(ra.values, rb.values))
-    has_pos = any(d > 0 for d in deltas)
-    has_neg = any(d < 0 for d in deltas)
-    if not has_pos and not has_neg:
+    deltas = tuple(a - b for a, b in zip(responsiveness(first, dist).values,
+                                         responsiveness(second, dist).values))
+    if not any(deltas):
         return ParetoVerdict(REL_EQUAL, DIR_NONE, deltas)
-    if has_pos and has_neg:
+    if min(deltas) < 0 < max(deltas):
         return ParetoVerdict(REL_INCOMPARABLE, DIR_NONE, deltas)
-    if has_pos:
-        relation = REL_STRICTLY_PREFERRED if all(d > 0 for d in deltas) else REL_PREFERRED
-        return ParetoVerdict(relation, DIR_FIRST, deltas)
-    relation = REL_STRICTLY_PREFERRED if all(d < 0 for d in deltas) else REL_PREFERRED
-    return ParetoVerdict(relation, DIR_SECOND, deltas)
-
-
-def _deviation_matrix(rule: VotingRule, dist: Distribution) -> list[list[Fraction]]:
-    # Row i, column x: how deviating at x moves E[outcome * x_i], per unit
-    # of t_x and up to sign (the move is -entry * t_x).
-    return [
-        [p * entry for p, entry in zip(dist.probs, row)]
-        for row in degenerate_agreement_matrix(rule)
-    ]
-
-
-def _rule_from_deviation(
-    rule: VotingRule, deviation: tuple[Fraction, ...]
-) -> RandomVotingRule:
-    outcomes = tuple(
-        Fraction(rule.outcomes[idx]) * (1 - deviation[idx])
-        for idx in range(len(deviation))
-    )
-    return RandomVotingRule(rule.n, outcomes)
-
-
-def _scaled_into_box(witness: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    top = max(witness)
-    if top > 2:
-        return tuple(t * 2 / top for t in witness)
-    return witness
+    # One-signed from here: strict when nobody is left at a zero delta.
+    relation = REL_STRICTLY_PREFERRED if all(deltas) else REL_PREFERRED
+    return ParetoVerdict(relation, DIR_FIRST if max(deltas) > 0 else DIR_SECOND, deltas)
 
 
 def _improves(rule: VotingRule, candidate: RandomVotingRule, dist: Distribution,
@@ -144,31 +113,40 @@ def efficiency_verdict(
     """Decide one of the three efficiency notions, with the dominating
     random rule as witness whenever the answer is negative.
 
-    mode is "strict", "plain", or "weak", ordered from the strongest
-    notion to the weakest.  Each is one system over the deviations t >= 0:
-    nobody hurt (strict, plain) or everybody helped (weak), plus t != 0 as
-    sum(t) >= 1 (strict) or the total helped (plain).
+    mode is "strict", "plain", or "weak", from the strongest notion to the
+    weakest.  Strict efficiency needs full support (a profile without mass
+    can be flipped unnoticed) and then is strict robustness (Ville); weak
+    efficiency is weak robustness over the point masses of supp(p)
+    (Gordan); plain efficiency is positive weights (Stiemke).
     """
     if mode not in EFFICIENCY_MODES:
         raise ValueError(f"unknown efficiency mode {mode!r}")
     if rule.n != dist.n:
         raise ValueError("rule and distribution must share the same n")
-    matrix = _deviation_matrix(rule, dist)
-    size = 2**rule.n
-    help_relation = REL_GT if mode == "weak" else REL_GE
-    rows = [
-        LinearRow(tuple(-entry for entry in row), help_relation, Fraction(0))
-        for row in matrix
-    ]
-    if mode == "strict":
-        rows.append(LinearRow((Fraction(1),) * size, REL_GE, Fraction(1)))
-    elif mode == "plain":
-        total = tuple(-sum(column) for column in zip(*matrix))
-        rows.append(LinearRow(total, REL_GT, Fraction(0)))
-    result = solve_feasibility(LinearSystem(size, tuple(rows), (SIGN_NONNEG,) * size))
-    if not result.feasible:
+    support = dist.support
+    deviation = [Fraction(0)] * 2**rule.n
+    mixture = None  # over supp(p), on the side against efficiency
+    if mode == "strict" and len(support) < len(deviation):
+        # Flipping the outcome at the first profile without mass moves nobody.
+        missing = next((k for k, (idx, _) in enumerate(support) if idx != k), len(support))
+        deviation[missing] = Fraction(2)
+    elif mode == "strict":
+        mixture = certify_p_robust_full(rule, MODE_STRICT).mixture
+    elif mode == "weak":
+        points = tuple(Distribution.degenerate(rule.n, idx) for idx, _ in support)
+        mixture = certify_p_robust(rule, DistributionSet(rule.n, points), MODE_WEAK).mixture
+    else:
+        from .lp import alternative_positive  # `verify` never solves
+
+        matrix = degenerate_agreement_matrix(rule)
+        mixture = alternative_positive([[row[idx] for idx, _ in support] for row in matrix]).mixture
+    for (idx, p), lam in zip(support, mixture or ()):
+        deviation[idx] = lam / p
+    if not any(deviation):
         return True, None
-    candidate = _rule_from_deviation(rule, _scaled_into_box(result.witness))
+    scale = min(Fraction(1), 2 / max(deviation))  # into the box t <= 2
+    candidate = RandomVotingRule(rule.n, tuple(
+        outcome * (1 - t * scale) for outcome, t in zip(rule.outcomes, deviation)))
     require(_improves(rule, candidate, dist, strictly=mode == "weak",
                       in_total=mode == "plain"),
             f"{mode} efficiency witness fails its improvement inequalities")
@@ -191,12 +169,15 @@ def transport_distribution(
         raise ValueError("rules and distribution must share the same n")
     if not _improves(rule, dominating, dist):
         raise ValueError("the random rule does not weakly dominate the base rule")
-    raw = {
-        idx: p * (1 - Fraction(rule.outcomes[idx]) * dominating.outcomes[idx]) / 2
-        for idx, p in dist.support
-    }
-    if not any(raw.values()):
-        raise NoTransportError(
-            "the rules agree on every profile with positive probability"
-        )
-    return Distribution.from_weights(rule.n, raw)
+    # Each atom's mass p_x (1 - phi(x) * dominating(x)), put over the
+    # common denominators of the probabilities and of the outcomes, is an
+    # integer; all of them are normalized by one integer total.
+    probs, _ = over_common_denominator([p for _, p in dist.support])
+    outcomes, scale = over_common_denominator(
+        [dominating.outcomes[idx] for idx, _ in dist.support])
+    raw = [(idx, q * (scale - rule.outcomes[idx] * o))
+           for (idx, _), q, o in zip(dist.support, probs, outcomes)]
+    total = sum(mass for _, mass in raw)
+    if not total:
+        raise NoTransportError("the rules agree on every profile with positive probability")
+    return Distribution._from_support(rule.n, ((idx, Fraction(mass, total)) for idx, mass in raw))

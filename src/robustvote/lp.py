@@ -412,23 +412,22 @@ def _normalized(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(v / total for v in vec)
 
 
+def _solve_cone(rows, relations) -> FeasibilityResult:
+    """Solve row . z (relation) 0 for each row, over z >= 0."""
+    width = len(rows[0])
+    return solve_feasibility(LinearSystem(
+        width, tuple(LinearRow(tuple(row), rel, 0) for row, rel in zip(rows, relations)),
+        (SIGN_NONNEG,) * width))
+
+
 def alternative_strict(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
     """Either w >= 0 with w^T L strictly positive in every column, or a
     nonnegative nonzero column mixture lam with L lam <= 0 componentwise.
     """
     rows = _as_matrix(matrix)
-    n, m = len(rows), len(rows[0])
-    system = LinearSystem(
-        num_vars=n,
-        rows=tuple(
-            LinearRow(tuple(rows[i][j] for i in range(n)), REL_GT, _ZERO)
-            for j in range(m)
-        ),
-        var_signs=tuple([SIGN_NONNEG] * n),
-    )
     # solve_feasibility has checked the witness, and the Farkas multipliers
     # of this system are a mixture with L lam <= 0; scaling keeps both.
-    result = solve_feasibility(system)
+    result = _solve_cone(list(zip(*rows)), [REL_GT] * len(rows[0]))
     if result.feasible:
         return AlternativeResult(weights=_normalized(result.witness), mixture=None)
     return AlternativeResult(weights=None, mixture=_normalized(result.certificate))
@@ -441,21 +440,34 @@ def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
     not be strictly positive.
     """
     rows = _as_matrix(matrix)
-    n, m = len(rows), len(rows[0])
-    system = LinearSystem(
-        num_vars=m,
-        rows=tuple(
-            LinearRow(tuple(-rows[i][j] for j in range(m)), REL_GT, _ZERO)
-            for i in range(n)
-        ),
-        var_signs=tuple([SIGN_NONNEG] * m),
-    )
     # solve_feasibility has checked the witness, and the Farkas multipliers
     # of this system are weights with w^T L >= 0; scaling keeps both.
-    result = solve_feasibility(system)
+    result = _solve_cone([[-a for a in row] for row in rows], [REL_GT] * len(rows))
     if result.feasible:
         return AlternativeResult(weights=None, mixture=_normalized(result.witness))
     return AlternativeResult(weights=_normalized(result.certificate), mixture=None)
+
+
+def alternative_positive(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
+    """Either w > 0, sum 1, with w^T L >= 0 in every column, or a
+    nonnegative column mixture lam, sum 1, with L lam <= 0 in every
+    component and below zero in total (Stiemke 1915).
+
+    One solve of -L lam >= 0, -1^T L lam > 0: a witness is the mixture;
+    otherwise the Farkas multipliers, u on the n rows and v > 0 on the
+    total row, combine to (u + v 1)^T L >= 0, and w = u + v 1 > 0.
+    """
+    rows = _as_matrix(matrix)
+    negated = [[-a for a in row] for row in rows]
+    result = _solve_cone(negated + [list(map(sum, zip(*negated)))],
+                         [REL_GE] * len(rows) + [REL_GT])
+    if result.feasible:
+        return AlternativeResult(weights=None, mixture=_normalized(result.witness))
+    *u, v = result.certificate
+    weights = _normalized([ui + v for ui in u])
+    require(failed_column(rows, weights, strict=False) is None,
+            "solver: positive weights fail a column")
+    return AlternativeResult(weights=weights, mixture=None)
 
 
 # ---------------------------------------------------------------------------

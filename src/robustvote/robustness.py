@@ -213,15 +213,19 @@ def certify_p_robust(
     return _certify_from_matrix(agreement_matrix(rule, pset), mode)
 
 
-def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT) -> RobustnessCertificate:
+def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT,
+                          weights=None) -> RobustnessCertificate:
     """Robustness over all distributions: the extreme points are the 2^n
     point masses and the matrix columns come straight off the truth table.
-    The combinatorial screen answers first; the LP decides the rest.  Either
-    answer passes the same substitution check."""
+    The combinatorial screen answers first; given weights, already known to
+    prove robustness in this mode, answer next; the LP decides the rest.
+    Every answer passes the same substitution check."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     matrix = degenerate_agreement_matrix(rule)
     answer = _screen(rule, matrix, mode)
+    if answer is None and weights is not None:
+        answer = weights, None
     if answer is None:
         return _certify_from_matrix(matrix, mode)
     return _certificate(matrix, mode, *answer)

@@ -338,6 +338,9 @@ def _check_random_certify(report: dict) -> None:
         _expect(sign_class in SIGN_CLASSES, f"unknown sign class {sign_class!r}")
         _expect(in_sign_class(ws, sign_class),
                 "random-certify: weights leave their declared sign class")
+        # Robustness needs nonnegative weights, whatever the report declares.
+        _expect(in_sign_class(ws, SIGN_CLASS_NONNEGATIVE),
+                "random-certify: robustness weights must be nonnegative")
         _expect(sign_pattern_holds(rule, ws),
                 "random-certify: weights fail the outcome sign pattern")
     else:

@@ -1,14 +1,19 @@
 """Weighted-majority representations of deterministic rules.
 
 A rule is a weighted majority rule for a weight vector w when the outcome
-always sides with the sign of the weighted vote sum.  Ties allowed means the
-sum may vanish; ties forbidden means it never does.  Detection is a linear
-feasibility question over the weights, one inequality per profile.  With
-nonnegative weights that question is robustness over the point masses,
-strict when ties are forbidden and weak when they are allowed, so both
-nonnegative answers are read off those certificates.  Free weights with
-ties allowed exclude w = 0 by one weak row on the Chow vector (the rule's
-summed signed profiles, Chow 1961): c.w >= 1.
+always sides with the sign of the weighted vote sum: w^T L >= 0 (ties
+allowed) or > 0 (ties forbidden) in every column of the point-mass
+agreement matrix L, whose column for profile x is phi(x) * x.  So every
+query is a theorem of the alternative on L.  Nonnegative weights are the
+robustness weights over the point masses (strict without ties, weak with).
+Positive weights without ties exist iff the rule is strictly robust: the
+strict certificate's integer direction w has margins of at least 1 and
+|sum_i x_i| <= n, so (n + 1) w + 1 keeps them positive.  Positive weights
+with ties are Stiemke's alternative on L.  Free weights are nonnegative
+weights of the oriented rule, which negates the votes the rule only ever
+opposes (decreasing but not increasing in them), negated back: a weight is
+positive only on an increasing vote, negative only on a decreasing one,
+and a vote the rule ignores may take either sign.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from math import gcd
 from typing import Sequence
 
 from .certificates import (
+    SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
     SIGN_CLASS_POSITIVE,
     SIGN_CLASSES,
     TIE_MODES,
     TIES_ALLOWED,
     TIES_FORBIDDEN,
+    in_sign_class,
     require,
     weights_represent,
 )
@@ -33,17 +40,14 @@ from .core import (
     is_anonymous,
     is_dictatorship,
     is_own_vote_monotone,
+    negate_votes,
     over_common_denominator,
+    table_integer,
+    table_masks,
+    table_rule,
+    violation_sets,
 )
-from .lp import (
-    REL_GE,
-    REL_GT,
-    SIGN_FREE,
-    SIGN_NONNEG,
-    LinearRow,
-    LinearSystem,
-    solve_feasibility,
-)
+from .lp import alternative_positive
 from .respond import WeightVector
 from .robustness import (
     MODE_STRICT,
@@ -73,91 +77,84 @@ class WmrQuery:
 _ROBUSTNESS_MODE = {TIES_FORBIDDEN: MODE_STRICT, TIES_ALLOWED: MODE_WEAK}
 
 
-def _unit_row(n: int, i: int) -> LinearRow:
-    """w_i > 0."""
-    coeffs = tuple(Fraction(1 if j == i else 0) for j in range(n))
-    return LinearRow(coeffs, REL_GT, Fraction(0))
-
-
 def _smallest_integer_direction(ws: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """A nonzero vector scaled to coprime integers."""
     ints, _ = over_common_denominator(ws)
     g = gcd(*ints)
-    if g == 0:
-        return tuple(Fraction(0) for _ in ints)
     return tuple(Fraction(v // g) for v in ints)
 
 
-def _represented(rule: VotingRule, witness, query: WmrQuery) -> WeightVector | None:
-    """The witness scaled to the smallest integer direction, re-checked
-    against every profile, or None when there is no witness."""
-    if witness is None:
+def _represented(rule: VotingRule, weights, query: WmrQuery) -> WeightVector | None:
+    """The weights scaled to the smallest integer direction, re-checked
+    against their sign class and every profile, or None when there are none."""
+    if weights is None:
         return None
-    cleared = _smallest_integer_direction(witness)
-    require(weights_represent(rule, cleared, query.ties),
+    cleared = _smallest_integer_direction(weights)
+    require(in_sign_class(cleared, query.sign_class)
+            and weights_represent(rule, cleared, query.ties),
             "recovered weights fail re-verification")
     return WeightVector(cleared, query.sign_class)
 
 
+def _certify(rule: VotingRule, ties: str):
+    return certify_p_robust_full(rule, _ROBUSTNESS_MODE[ties])
+
+
+def _weights(rule: VotingRule, query: WmrQuery, certify=_certify):
+    """Unchecked weights answering the query, or None; certify(rule, ties)
+    gives the robustness certificate of the matching mode."""
+    ties = query.ties
+    if query.sign_class == SIGN_CLASS_FREE:
+        # Opposed votes: decreasing (violating the negated table), not increasing.
+        n, t = rule.n, table_integer(rule.outcomes)
+        violations = zip(violation_sets(n, t), violation_sets(n, table_masks(n).full ^ t))
+        opposed = [i for i, (up, down) in enumerate(violations, start=1) if up and not down]
+        oriented = table_rule(n, negate_votes(n, t, opposed)) if opposed else rule
+        ws = certify(oriented, ties).weights
+        return ws and tuple(-w if i in opposed else w for i, w in enumerate(ws, start=1))
+    if query.sign_class == SIGN_CLASS_NONNEGATIVE:
+        return certify(rule, ties).weights
+    if ties == TIES_FORBIDDEN:
+        ws = certify(rule, ties).weights
+        return ws and tuple((rule.n + 1) * w + 1 for w in _smallest_integer_direction(ws))
+    return alternative_positive(degenerate_agreement_matrix(rule)).weights
+
+
 def detect_wmr(rule: VotingRule, query: WmrQuery) -> WeightVector | None:
     """Recover a weight vector of the requested kind, or report none exists.
-
-    The recovered vector is scaled to the smallest integer direction and
-    re-checked against every profile before being returned.  Nonnegative
-    weights are read off the robustness certificate of the matching mode,
-    whose weights, when it has them, have passed their own check; every
-    other query is one linear system.
-    """
-    if query.sign_class == SIGN_CLASS_NONNEGATIVE:
-        cert = certify_p_robust_full(rule, _ROBUSTNESS_MODE[query.ties])
-        return _represented(rule, cert.weights, query)
-    n = rule.n
-    matrix = degenerate_agreement_matrix(rule)
-    relation = REL_GT if query.ties == TIES_FORBIDDEN else REL_GE
-    # One row per profile x, phi(x) * x: the columns of the point-mass matrix.
-    rows = [LinearRow(column, relation, Fraction(0)) for column in zip(*matrix)]
-    signs = (SIGN_FREE,) * n
-    if query.sign_class == SIGN_CLASS_POSITIVE:
-        signs = (SIGN_NONNEG,) * n
-        rows.extend(_unit_row(n, i) for i in range(n))
-    elif query.ties == TIES_ALLOWED:
-        # Weak rows alone admit w = 0.  A representing w != 0 agrees
-        # strictly at x = sign(w) (a zero weight voting +1) and disagrees
-        # nowhere, so its dot with the Chow vector c, the sum of the
-        # profile rows, is positive and scales to c.w >= 1, which in turn
-        # excludes w = 0.
-        rows.append(LinearRow(tuple(map(sum, matrix)), REL_GE, Fraction(1)))
-    result = solve_feasibility(LinearSystem(n, tuple(rows), signs))
-    return _represented(rule, result.witness, query)
+    It is scaled to the smallest integer direction and re-checked against
+    its sign class and every profile before being returned."""
+    return _represented(rule, _weights(rule, query), query)
 
 
 def classify_rule(rule: VotingRule) -> dict:
-    """Bundle the structural predicates and certificates for one rule."""
-    certs = {ties: certify_p_robust_full(rule, mode)
-             for ties, mode in _ROBUSTNESS_MODE.items()}
-    strict_cert, weak_cert = certs[TIES_FORBIDDEN], certs[TIES_ALLOWED]
+    """Bundle the structural predicates and certificates for one rule.
+
+    The rule's two robustness certificates serve every query about it but
+    positive weights with ties, Stiemke's alternative, solved once.  Its
+    weights also prove weak robustness, so the weak LP runs only when
+    neither they nor the screen settle it.
+    """
+    positive = alternative_positive(degenerate_agreement_matrix(rule)).weights
+    certs = {TIES_FORBIDDEN: certify_p_robust_full(rule, MODE_STRICT),
+             TIES_ALLOWED: certify_p_robust_full(rule, MODE_WEAK, positive)}
+
+    def certify(target: VotingRule, ties: str):
+        return certs[ties] if target == rule else _certify(target, ties)
+
     wmr_results = {}
     for sign_class in SIGN_CLASSES:
         for ties in TIE_MODES:
             query = WmrQuery(sign_class, ties)
-            if sign_class == SIGN_CLASS_NONNEGATIVE:
-                found = _represented(rule, certs[ties].weights, query)
-            else:
-                found = detect_wmr(rule, query)
-            wmr_results[f"{sign_class}_{ties}"] = (
-                found.to_json() if found is not None else None
-            )
+            ws = (positive if (sign_class, ties) == (SIGN_CLASS_POSITIVE, TIES_ALLOWED)
+                  else _weights(rule, query, certify))
+            found = _represented(rule, ws, query)
+            wmr_results[f"{sign_class}_{ties}"] = found.to_json() if found else None
 
-    robust = strict_cert.verdict == VERDICT_ROBUST
-    weakly_robust = weak_cert.verdict == VERDICT_ROBUST
-
-    nonneg_noties = wmr_results[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_FORBIDDEN}"]
-    nonneg_ties = wmr_results[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_ALLOWED}"]
-    require(
-        robust == (nonneg_noties is not None)
-        and weakly_robust == (nonneg_ties is not None)
-        and (weakly_robust or not robust),
-        "robustness verdicts disagree with the nonnegative representations",
-    )
+    # The nonnegative entries are these certificates' weights.
+    robust = certs[TIES_FORBIDDEN].verdict == VERDICT_ROBUST
+    weakly_robust = certs[TIES_ALLOWED].verdict == VERDICT_ROBUST
+    require(weakly_robust or not robust, "robust rule without weak robustness")
 
     monotone, violation = is_own_vote_monotone(rule)
     dictator = is_dictatorship(rule)
@@ -171,16 +168,13 @@ def classify_rule(rule: VotingRule) -> dict:
         "weakly_robust": weakly_robust,
         "wmr": wmr_results,
         "certificates": {
-            "robust": strict_cert.to_json(),
-            "weakly_robust": weak_cert.to_json(),
+            "robust": certs[TIES_FORBIDDEN].to_json(),
+            "weakly_robust": certs[TIES_ALLOWED].to_json(),
         },
     }
     if not monotone:
         individual, others = violation
-        report["monotone_violation"] = {
-            "individual": individual,
-            "others_votes": list(others),
-        }
+        report["monotone_violation"] = {"individual": individual, "others_votes": list(others)}
     require(dictator is None or (robust and monotone),
             "dictatorship must be robust and monotone")
     return report

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 STRICT = ">"
 WEAK = ">="
@@ -32,36 +33,53 @@ def fm_feasible(constraints, num_vars: int) -> bool:
     constraints is an iterable of (coeffs, rel, rhs) with rel in {">", ">="},
     meaning sum(coeffs[k] * x[k]) rel rhs.  Equalities must be passed as two
     opposite weak rows.  Exact rationals throughout.
+
+    Each row keeps its histories, the sets of input rows it is known to
+    combine, minimal under inclusion.  After k eliminations a combination
+    of more than k + 1 input rows is dropped (Chernikov 1965): its
+    multipliers are no extreme ray of the cone of combinations cancelling
+    those k variables, so it is a positive combination of rows on extreme
+    rays, which elimination still produces (each is a combination of two
+    extreme rays of the previous cone), and it is strict only if one of
+    them is.  The variable with the fewest pairs to combine goes first.
     """
-    rows = set()
-    for coeffs, rel, rhs in constraints:
+    rows: dict = {}  # row -> the minimal histories it is known under
+    for index, (coeffs, rel, rhs) in enumerate(constraints):
         if rel not in (STRICT, WEAK):
             raise ValueError(f"unknown relation {rel!r}")
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != num_vars:
             raise ValueError("coefficient length mismatch")
-        rows.add(_normalize(coeffs, rel == STRICT, Fraction(rhs)))
+        _add_history(rows, _normalize(coeffs, rel == STRICT, Fraction(rhs)), frozenset((index,)))
 
-    for var in range(num_vars):
+    remaining = set(range(num_vars))
+    for eliminated in range(1, num_vars + 1):
+        var = min(remaining, key=lambda v: _combinations(rows, v))
+        remaining.remove(var)
         lowers = []   # rows giving x_var >= or > something
         uppers = []   # rows giving x_var <= or < something
-        others = set()
-        for coeffs, strict, rhs in rows:
-            c = coeffs[var]
+        others = {}
+        for row, histories in rows.items():
+            c = row[0][var]
             if c == 0:
-                others.add((coeffs, strict, rhs))
+                others[row] = histories
             elif c > 0:
-                lowers.append((coeffs, strict, rhs))
+                lowers.append((row, histories))
             else:
-                uppers.append((coeffs, strict, rhs))
-        rows = set(others)
-        for (lc, ls, lr), (uc, us, ur) in itertools.product(lowers, uppers):
+                uppers.append((row, histories))
+        rows = others
+        for ((lc, ls, lr), lhs), ((uc, us, ur), uhs) in itertools.product(lowers, uppers):
+            kept = [lh | uh for lh in lhs for uh in uhs if len(lh | uh) <= eliminated + 1]
+            if not kept:
+                continue
             # Combine with positive multipliers cancelling x_var. The
             # result is strict iff either parent is.
             a = lc[var]
             b = -uc[var]
             coeffs = tuple(b * lc[k] + a * uc[k] for k in range(num_vars))
-            rows.add(_normalize(coeffs, ls or us, b * lr + a * ur))
+            row = _normalize(coeffs, ls or us, b * lr + a * ur)
+            for history in kept:
+                _add_history(rows, row, history)
 
     for coeffs, strict, rhs in rows:
         # An explicit raise, not an assert, so the check survives python -O.
@@ -73,6 +91,21 @@ def fm_feasible(constraints, num_vars: int) -> bool:
         elif not 0 >= rhs:
             return False
     return True
+
+
+def _combinations(rows: dict, var: int) -> int:
+    signs = [row[0][var] for row in rows]
+    return sum(1 for c in signs if c > 0) * sum(1 for c in signs if c < 0)
+
+
+def _add_history(rows: dict, row, history: frozenset) -> None:
+    """Record that row arises from the input rows in history, unless it
+    already arises from a subset of them; drop the supersets it replaces."""
+    known = rows.setdefault(row, [])
+    if any(h <= history for h in known):
+        return
+    known[:] = [h for h in known if not history <= h]
+    known.append(history)
 
 
 def _solve_square(matrix, vector):
@@ -166,17 +199,22 @@ def wmr_exists_by_elimination(rule, sign_class: str, ties: str) -> bool:
     eliminates the n weight variables.  The all-zero vector satisfies every
     weak homogeneous system, so the tie-allowed variants need a nonzero
     guard; scaling invariance lets a single normalization row serve, but
-    only per orthant, so the free tie-allowed query is decided by pinning
-    each coordinate to each sign in turn.
+    only per orthant, so a free query is decided orthant by orthant.
+
+    Under w >= 0 the row of profile x is implied, and left out, when
+    turning one vote x_j that agrees with the outcome against it leaves
+    the outcome unchanged at y: the row of x is the row of y plus 2 w_j.
     """
     n = rule.n
     rows = []
     relation = STRICT if ties == "forbidden" else WEAK
+    signed = sign_class in ("positive", "nonnegative")
     for idx, outcome in enumerate(rule.outcomes):
-        coeffs = tuple(
-            Fraction(outcome if idx >> i & 1 else -outcome) for i in range(n)
-        )
-        rows.append((coeffs, relation, Fraction(0)))
+        votes = [1 if idx >> i & 1 else -1 for i in range(n)]
+        if signed and any(vote == outcome and rule.outcomes[idx ^ 1 << i] == outcome
+                          for i, vote in enumerate(votes)):
+            continue
+        rows.append((tuple(Fraction(outcome * vote) for vote in votes), relation, Fraction(0)))
 
     def unit(i):
         return tuple(Fraction(1 if k == i else 0) for k in range(n))
@@ -193,17 +231,43 @@ def wmr_exists_by_elimination(rule, sign_class: str, ties: str) -> bool:
         guard = (tuple(Fraction(1) for _ in range(n)), STRICT, Fraction(0))
         return fm_feasible(rows + [guard], n)
     if sign_class == "free":
-        if ties == "forbidden":
-            return fm_feasible(rows, n)
-        for i in range(n):
-            for sign in (1, -1):
-                pin = (unit(i), STRICT, Fraction(0)) if sign == 1 else (
-                    tuple(-v for v in unit(i)), STRICT, Fraction(0)
-                )
-                if fm_feasible(rows + [pin], n):
-                    return True
-        return False
+        # w has the signs of some orthant: w_i = -v_i on a set of
+        # individuals and v_i elsewhere, v >= 0, and v represents the rule
+        # that reads those individuals' votes negated.
+        return any(
+            wmr_exists_by_elimination(
+                SimpleNamespace(n=n, outcomes=tuple(rule.outcomes[idx ^ mask]
+                                                    for idx in range(2**n))),
+                "nonnegative", ties)
+            for mask in range(2**n))
     raise ValueError(f"unknown sign class {sign_class!r}")
+
+
+def efficient_by_elimination(rule, dist, mode: str) -> bool:
+    """Efficiency decided by Fourier-Motzkin on the deviation systems.
+
+    Deviating by t_x >= 0 at profile x moves E[outcome * x_i] by
+    -p_x phi(x) x_i t_x.  The rule is inefficient iff some t >= 0 hurts
+    nobody and differs somewhere (strict: sum t >= 1), hurts nobody and
+    helps in total (plain), or helps everybody (weak).
+    """
+    n, size = rule.n, 2**rule.n
+    probs = dist.probs
+    rows = []
+    for i in range(n):
+        moves = tuple(-probs[x] * rule.outcomes[x] * (1 if x >> i & 1 else -1)
+                      for x in range(size))
+        rows.append((moves, STRICT if mode == "weak" else WEAK, Fraction(0)))
+    rows += [(tuple(Fraction(int(k == x)) for k in range(size)), WEAK, Fraction(0))
+             for x in range(size)]
+    if mode == "strict":
+        rows.append(((Fraction(1),) * size, WEAK, Fraction(1)))
+    elif mode == "plain":
+        total = tuple(sum(row[0][x] for row in rows[:n]) for x in range(size))
+        rows.append((total, STRICT, Fraction(0)))
+    elif mode != "weak":
+        raise ValueError(f"unknown efficiency mode {mode!r}")
+    return not fm_feasible(rows, size)
 
 
 @functools.lru_cache(maxsize=None)

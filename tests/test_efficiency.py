@@ -23,6 +23,21 @@ from robustvote import (
 from robustvote.robustness import MODE_STRICT, VERDICT_ROBUST, certify_p_robust_full
 
 from conftest import random_distribution
+from oracles import efficient_by_elimination
+
+MODES = ("strict", "plain", "weak")
+SPARSE = {0: 1, 3: 2, 5: 1, 6: 3, 7: 1}
+SKEWED = {1: 1, 2: 1, 4: 5}
+
+
+def _elimination_cases():
+    """Every rule at n <= 3 under the uniform distribution, and the n = 3
+    rules under two distributions with profiles of zero mass."""
+    cases = [(rule, Distribution.uniform(n)) for n in (1, 2, 3) for rule in enumerate_rules(n)]
+    for weights in (SPARSE, SKEWED):
+        dist = Distribution.from_weights(3, weights)
+        cases += [(rule, dist) for rule in enumerate_rules(3)]
+    return cases
 
 
 class TestParetoCompare:
@@ -162,6 +177,26 @@ class TestEfficiencyLadder:
             efficiency_verdict(majority_rule(3), Distribution.uniform(2), "strict")
 
 
+class TestAgainstElimination:
+    def test_every_mode_matches_fourier_motzkin(self):
+        for rule, dist in _elimination_cases():
+            for mode in MODES:
+                efficient, witness = efficiency_verdict(rule, dist, mode)
+                assert efficient == efficient_by_elimination(rule, dist, mode), (
+                    rule.to_table_string(), dist.support, mode)
+                assert efficient == (witness is None)
+
+    def test_strict_efficiency_needs_full_support(self):
+        # The dictator is strictly robust, yet a profile without mass can
+        # be flipped unnoticed: the witness flips the first such profile.
+        rule = dictatorship_rule(3, 1)
+        efficient, witness = efficiency_verdict(rule, Distribution.from_weights(3, SPARSE), "strict")
+        assert not efficient
+        assert witness.outcomes[1] == -rule.outcomes[1]
+        assert all(a == b for k, (a, b) in enumerate(zip(witness.outcomes, rule.outcomes))
+                   if k != 1)
+
+
 class TestTransport:
     def test_moves_mass_to_deviation_profiles(self):
         dist = Distribution.uniform(3)
@@ -190,6 +225,23 @@ class TestTransport:
         bad = RandomVotingRule.from_deterministic(inverse_rule(majority_rule(3)))
         with pytest.raises(ValueError):
             transport_distribution(dist, majority_rule(3), bad)
+
+    def test_equals_the_atomwise_normalization(self):
+        # One integer total per distribution gives the distribution that
+        # normalizing each atom's Fraction mass gives.
+        for rule, dist in _elimination_cases()[::7]:
+            for mode in MODES:
+                efficient, witness = efficiency_verdict(rule, dist, mode)
+                if efficient:
+                    continue
+                raw = {idx: p * (1 - F(rule.outcomes[idx]) * witness.outcomes[idx]) / 2
+                       for idx, p in dist.support}
+                if not any(raw.values()):
+                    with pytest.raises(NoTransportError):
+                        transport_distribution(dist, rule, witness)
+                    continue
+                expected = Distribution.from_weights(rule.n, raw)
+                assert transport_distribution(dist, rule, witness) == expected
 
     def test_no_transport_when_rules_agree(self):
         dist = Distribution.uniform(3)

@@ -31,6 +31,21 @@ def loaded_after(script: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def loaded_by_verify(tmp_path, capsys) -> list[str]:
+    """The modules a fresh interpreter holds after verifying the report
+    just printed."""
+    path = tmp_path / "report.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    script = (
+        "import contextlib, io\n"
+        "from robustvote import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = cli.main(['verify', '--report', {str(path)!r}, '--quiet'])\n"
+        "assert code == 0 and json.loads(out.getvalue())['ok'], out.getvalue()"
+    )
+    return loaded_after(script)
+
+
 def test_importing_the_package_loads_no_submodule():
     assert loaded_after("import robustvote") == ["robustvote"]
 
@@ -49,18 +64,19 @@ def test_importing_the_cli_leaves_multiprocessing_out():
 ])
 def test_verify_loads_no_solver_side_module(tmp_path, capsys, argv):
     assert cli.main(argv + ["--quiet"]) == 0
-    path = tmp_path / "report.json"
-    path.write_text(capsys.readouterr().out, encoding="utf-8")
-    script = (
-        "import contextlib, io\n"
-        "from robustvote import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        f"    code = cli.main(['verify', '--report', {str(path)!r}, '--quiet'])\n"
-        "assert code == 0 and json.loads(out.getvalue())['ok'], out.getvalue()"
-    )
-    loaded = loaded_after(script)
+    loaded = loaded_by_verify(tmp_path, capsys)
     assert "robustvote.verification" in loaded
     assert not {f"robustvote.{name}" for name in SOLVER_SIDE} & set(loaded)
+
+
+def test_verify_of_an_efficiency_report_loads_no_solver(tmp_path, capsys):
+    # The witness is checked by responsiveness and the transport alone; each
+    # mode imports the solver behind it only where it runs.
+    argv = ["efficiency", "--rule=-------+", "--dist=uniform", "--mode=plain", "--quiet"]
+    assert cli.main(argv) == 1
+    loaded = loaded_by_verify(tmp_path, capsys)
+    assert "robustvote.efficiency" in loaded
+    assert "robustvote.lp" not in loaded
 
 
 def test_every_public_name_is_its_home_modules_object():

@@ -14,6 +14,7 @@ from robustvote.lp import (
     SIGN_NONNEG,
     LinearRow,
     LinearSystem,
+    alternative_positive,
     alternative_strict,
     alternative_weak,
     certifies_infeasibility,
@@ -227,6 +228,46 @@ class TestAlternatives:
             matrix = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
             _check_alternative(matrix, alternative_strict(matrix), strict=True)
             _check_alternative(matrix, alternative_weak(matrix), strict=False)
+
+
+def _check_positive(matrix, result):
+    """Stiemke's sides: positive weights clearing every column weakly, or a
+    mixture holding every row at or below zero and their total below it."""
+    assert (result.weights is None) != (result.mixture is None)
+    if result.weights is not None:
+        w = result.weights
+        assert all(type(x) is F and x > 0 for x in w) and sum(w) == 1
+        assert all(sum((wi * a for wi, a in zip(w, column)), F(0)) >= 0
+                   for column in zip(*matrix))
+    else:
+        lam = result.mixture
+        assert all(type(x) is F and x >= 0 for x in lam) and sum(lam) == 1
+        dots = [sum((a * x for a, x in zip(row, lam)), F(0)) for row in matrix]
+        assert all(d <= 0 for d in dots) and sum(dots) < 0
+
+
+class TestPositiveAlternative:
+    def test_zero_matrix_has_positive_weights(self):
+        assert alternative_positive([[F(0), F(0)], [F(0), F(0)]]).weights == (F(1, 2), F(1, 2))
+
+    def test_a_row_that_must_weigh_zero_has_a_mixture(self):
+        # Column 2 needs w_1 <= 0, so weak weights exist but positive ones do not.
+        matrix = [[F(1), F(-1)], [F(1), F(0)]]
+        assert alternative_weak(matrix).weights is not None
+        result = alternative_positive(matrix)
+        assert result.mixture is not None
+        _check_positive(matrix, result)
+
+    def test_fuzz_against_elimination(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            matrix = _random_matrix(rng, rng.randint(1, 3), rng.randint(1, 4))
+            result = alternative_positive(matrix)
+            _check_positive(matrix, result)
+            n = len(matrix)
+            rows = [(tuple(F(int(k == i)) for k in range(n)), STRICT, F(0)) for i in range(n)]
+            rows += [(column, WEAK, F(0)) for column in zip(*matrix)]
+            assert (result.weights is not None) == fm_feasible(rows, n)
 
 
 class TestMatrixGame:

@@ -197,6 +197,18 @@ class TestSignClasses:
         report["inputs"]["sign_class"] = "nonnegative"
         assert verify_report(report) == ["rtf: weights leave their declared sign class"]
 
+    def test_a_robust_random_rule_needs_nonnegative_weights(self):
+        # The anti-dictator at n=2 is not robust.  Weights (-1, 0) do match
+        # the sign of its outcome at every profile, so the forgery stood
+        # while the declared class (free) was the only one checked.
+        code, report = run_cli(["random-certify", "--rule=+-+-"])
+        assert code == 1 and verify_report(report) == []
+        report["robust"] = True
+        report["counterexample"] = None
+        report["weights"] = {"weights": ["-1/1", "0/1"], "sign_class": "free"}
+        assert verify_report(report) == [
+            "random-certify: robustness weights must be nonnegative"]
+
     def test_an_unknown_sign_class_is_named(self):
         code, report = run_cli(["rtf", "--weights=1,1,1", "--dist", "uniform"])
         report["inputs"]["sign_class"] = "bold"

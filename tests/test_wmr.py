@@ -20,7 +20,8 @@ from robustvote import (
     weighted_majority_rule,
     weights_represent,
 )
-from robustvote import lp, wmr
+from robustvote import lp
+from robustvote.certificates import in_sign_class
 from robustvote.lp import solve_feasibility
 from robustvote.respond import (
     SIGN_CLASS_FREE,
@@ -37,6 +38,19 @@ ALL_VARIANTS = [
     for sign_class in (SIGN_CLASS_FREE, SIGN_CLASS_NONNEGATIVE, SIGN_CLASS_POSITIVE)
     for ties in (TIES_ALLOWED, TIES_FORBIDDEN)
 ]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The systems handed to the solver while the test runs."""
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return solve_feasibility(system)
+
+    monkeypatch.setattr(lp, "solve_feasibility", counted)
+    return calls
 
 
 class TestWeightsRepresent:
@@ -85,26 +99,30 @@ class TestDetectWmr:
         assert all(w.denominator == 1 for w in found.weights)
         assert weights_represent(majority_rule(3), found.weights, TIES_FORBIDDEN)
 
-    def test_nonnegative_queries_are_read_off_the_certificates(self, monkeypatch):
-        # The screen decides majority; only the four free and positive
-        # queries of classify reach the solver, one system each.
-        calls = []
-
-        def counted(system):
-            calls.append(system)
-            return solve_feasibility(system)
-
-        monkeypatch.setattr(lp, "solve_feasibility", counted)
-        monkeypatch.setattr(wmr, "solve_feasibility", counted)
+    def test_nonnegative_queries_are_read_off_the_certificates(self, solver_calls):
+        # The screen decides majority, so every query of classify is read
+        # off its two certificates except positive weights with ties, which
+        # is the one system classify solves.
         rule = majority_rule(5)
         weak = certify_p_robust_full(rule, MODE_WEAK).weights
         query = WmrQuery(SIGN_CLASS_NONNEGATIVE, TIES_ALLOWED)
         found = detect_wmr(rule, query)
-        assert calls == []
+        assert solver_calls == []
         assert found.weights == _smallest_integer_direction(weak) == (F(1),) * 5
         report = classify_rule(rule)
-        assert len(calls) == 4
+        assert len(solver_calls) == 1
         assert report["wmr"]["nonnegative_allowed"] == found.to_json()
+
+    def test_classify_solves_once_where_the_weak_screen_fails(self, solver_calls):
+        # Ties go to +1 at an even total, so the rule is weakly but not
+        # strictly robust, and the weak screen cannot prove it.  The
+        # positive weights of the one system classify solves prove it.
+        rule = weighted_majority_rule(9, [3, 1, 4, 1, 5, 9, 2, 6, 5], tie=1)
+        report = classify_rule(rule)
+        assert [(len(s.rows), s.num_vars) for s in solver_calls] == [(10, 512)]
+        assert report["weakly_robust"] and not report["robust"]
+        assert report["wmr"]["positive_allowed"]["weights"] == [
+            "3/1", "1/1", "4/1", "1/1", "5/1", "9/1", "2/1", "6/1", "5/1"]
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -132,7 +150,7 @@ class TestExhaustiveAgreement:
     def test_tie_allowed_queries_at_n4_match_elimination(self):
         # Random tables, and WMRs whose weights may be negative or zero,
         # broken toward +1 at ties: the free query must find a signed w
-        # through its Chow row, the nonnegative one through the weak
+        # through the oriented rule, the nonnegative one through the weak
         # certificate.
         rng = random.Random(4)
         rules = [VotingRule(4, tuple(rng.choice((-1, 1)) for _ in range(16)))
@@ -147,6 +165,25 @@ class TestExhaustiveAgreement:
                     f"{rule.to_table_string()} {sign_class}")
                 if found is not None:
                     assert weights_represent(rule, found.weights, TIES_ALLOWED)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_signed_wmrs_match_elimination_on_every_query(self, n):
+        # Weights in -3..3, so some votes count against the outcome and
+        # some not at all, with ties broken either way; classify must give
+        # the same six answers as the separate queries.
+        rng = random.Random(n)
+        for _ in range(6):
+            weights = [rng.randint(-3, 3) for _ in range(n)]
+            rule = weighted_majority_rule(n, weights, tie=rng.choice((-1, 1)))
+            report = classify_rule(rule)
+            for sign_class, ties in ALL_VARIANTS:
+                found = detect_wmr(rule, WmrQuery(sign_class, ties))
+                expected = wmr_exists_by_elimination(rule, sign_class, ties)
+                assert (found is not None) == expected, (weights, sign_class, ties)
+                assert (report["wmr"][f"{sign_class}_{ties}"] is not None) == expected
+                if found is not None:
+                    assert in_sign_class(found.weights, sign_class)
+                    assert weights_represent(rule, found.weights, ties)
 
     def test_nonneg_strict_lifts_to_positive(self):
         # A no-ties representation with nonnegative weights can always be
