@@ -24,14 +24,11 @@ from typing import Sequence
 
 from .core import combine_rows, over_common_denominator, vote_sums
 
-# The vocabulary of the systems and representations checked here; lp, wmr
-# and respond re-export it.
+# The vocabulary checked here: the two relations of a cone row g.z >= 0 or
+# g.z > 0 over z >= 0, which lp re-exports, and the tie modes and sign
+# classes of a representation, which wmr and respond re-export.
 REL_GE = ">="
 REL_GT = ">"
-REL_EQ = "="
-
-SIGN_FREE = "free"
-SIGN_NONNEG = "nonneg"
 
 TIES_ALLOWED = "allowed"
 TIES_FORBIDDEN = "forbidden"
@@ -43,7 +40,7 @@ SIGN_CLASS_POSITIVE = "positive"
 SIGN_CLASSES = (SIGN_CLASS_FREE, SIGN_CLASS_NONNEGATIVE, SIGN_CLASS_POSITIVE)
 
 _ZERO = Fraction(0)
-_HOLDS = {REL_GE: operator.ge, REL_GT: operator.gt, REL_EQ: operator.eq}
+_HOLDS = {REL_GE: operator.ge, REL_GT: operator.gt}
 
 
 class InternalError(Exception):
@@ -58,31 +55,19 @@ def require(holds: bool, message: str) -> None:
         raise InternalError(message)
 
 
-def is_distribution(values: Sequence[Fraction]) -> bool:
-    """Nonnegative entries summing to one."""
-    return _is_distribution(*over_common_denominator(values))
-
-
 def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
     """First column j where sum_i weights[i] * matrix[i][j] is not above
     bound (strict) or not at least bound, or None: robustness weights clear
-    zero at every extreme point; a game's row strategy reaches the value."""
+    zero at every extreme point."""
     weights, scale = over_common_denominator(weights)
     return _failed_column(matrix, weights, bound * scale, strict)
 
 
-def failed_row(matrix, mixture, bound=0, strict=False) -> int | None:
-    """First row i where sum_j matrix[i][j] * mixture[j] is not below bound
-    (strict) or not at most bound, or None: a robustness mixture holds every
-    individual to zero; a game's column strategy holds every row to the value."""
-    mixture, scale = over_common_denominator(mixture)
-    return _failed_row(matrix, mixture, bound * scale, strict)
-
-
-# The three checks above on a vector already over its common denominator
-# `scale`, with the bound scaled to match.
+# The distribution, column and row checks on a vector already over its
+# common denominator `scale`, with the bound scaled to match.
 
 def _is_distribution(numerators: list[int], scale: int) -> bool:
+    """Nonnegative entries summing to one."""
     return all(v >= 0 for v in numerators) and sum(numerators) == scale
 
 
@@ -119,54 +104,55 @@ def robustness_problem(matrix, strict: bool, weights=None, mixture=None) -> str 
     return None if i is None else f"mixture leaves individual {i + 1} responsive"
 
 
+def game_problem(matrix, value, row, col) -> str | None:
+    """What is wrong with a claimed solution of the zero-sum game on matrix,
+    or None: both strategies must be distributions, the row strategy must
+    earn at least value in every column, and the column strategy must hold
+    every row to at most value."""
+    row, row_scale = over_common_denominator(row)
+    col, col_scale = over_common_denominator(col)
+    if not (_is_distribution(row, row_scale) and _is_distribution(col, col_scale)):
+        return "game strategies are not distributions"
+    j = _failed_column(matrix, row, value * row_scale, False)
+    if j is not None:
+        return f"row strategy falls below the value in column {j}"
+    i = _failed_row(matrix, col, value * col_scale, False)
+    return None if i is None else f"column strategy exceeds the value in row {i}"
+
+
 def satisfies(system, point: Sequence[Fraction]) -> bool:
-    """Exact substitution of a point into a LinearSystem, including the
-    variable sign domains; with the point over its least common denominator
-    d, each row compares an integer dot product against rhs * d."""
+    """Exact substitution of a point into a homogeneous cone: every entry is
+    nonnegative and every row's dot product is >= 0 or > 0 as it says.
+    Over the point's least common denominator the dot products are integer
+    for integer rows, and their signs do not change."""
     values = [Fraction(v) for v in point]
-    if len(values) != system.num_vars:
+    if len(values) != system.num_vars or any(v < 0 for v in values):
         return False
-    for value, sign in zip(values, system.var_signs):
-        if sign == SIGN_NONNEG and value < 0:
-            return False
-    values, scale = over_common_denominator(values)
+    values, _ = over_common_denominator(values)
     return all(
-        _HOLDS[row.relation](
-            sum(c * v for c, v in zip(row.coeffs, values) if v), row.rhs * scale
-        )
+        _HOLDS[row.relation](sum(c * v for c, v in zip(row.coeffs, values) if v), 0)
         for row in system.rows
     )
 
 
 def certifies_infeasibility(system, multipliers: Sequence[Fraction]) -> bool:
-    """Check that row multipliers combine a LinearSystem into a contradiction.
+    """Check that row multipliers combine a homogeneous cone into 0 > 0.
 
-    Requirements: multipliers on inequality rows are nonnegative; the
-    combined coefficient of every nonnegative variable is <= 0 and of every
-    free variable exactly 0; the combined right-hand side is positive, or
-    zero with positive total weight on strict rows.
+    Requirements: every multiplier is nonnegative; every combined
+    coefficient is <= 0, so the combination is <= 0 at any z >= 0; and
+    some strict row has a positive multiplier, so it must be > 0.
     """
     mults = [Fraction(m) for m in multipliers]
-    if len(mults) != len(system.rows):
+    if len(mults) != len(system.rows) or any(m < 0 for m in mults):
         return False
-    for mult, row in zip(mults, system.rows):
-        if row.relation != REL_EQ and mult < 0:
-            return False
     mults, _ = over_common_denominator(mults)  # every test below is of a sign
     combined = [0] * system.num_vars
     for mult, row in zip(mults, system.rows):
-        if mult == 0:
-            continue
-        for k, c in enumerate(row.coeffs):
-            combined[k] += mult * c
-    for value, sign in zip(combined, system.var_signs):
-        if sign == SIGN_NONNEG and value > 0:
-            return False
-        if sign == SIGN_FREE and value != 0:
-            return False
-    rhs = sum(m * row.rhs for m, row in zip(mults, system.rows))
-    strict_mass = sum(m for m, row in zip(mults, system.rows) if row.relation == REL_GT)
-    return rhs > 0 or (rhs == 0 and strict_mass > 0)
+        if mult:
+            for k, c in enumerate(row.coeffs):
+                combined[k] += mult * c
+    return all(v <= 0 for v in combined) and any(
+        m for m, row in zip(mults, system.rows) if row.relation == REL_GT)
 
 
 def in_sign_class(weights: Sequence[Fraction], sign_class: str) -> bool:

@@ -63,7 +63,7 @@ from .verification import SCHEMA, verify_report
 # The other analysis modules are imported by the handlers that use them, so a
 # process loads only what its subcommand needs.
 
-_TABLE_RE = re.compile(r"^[+-]+$")
+_TABLE_RE = re.compile(r"[+-]+")
 
 _SIGN_ALIASES = {
     "free": SIGN_CLASS_FREE,
@@ -107,13 +107,11 @@ def _read_json(path: str, what: str):
 
 
 def _load_any_rule(value: str, what: str) -> VotingRule | RandomVotingRule:
-    if _TABLE_RE.match(value):
+    if _TABLE_RE.fullmatch(value):
         size = len(value)
         n = size.bit_length() - 1
-        if size < 2 or 2**n != size:
-            raise FormatError(
-                f"{what}: table length {size} is not a power of two"
-            )
+        if n < 1 or 2**n != size:
+            raise FormatError(f"{what}: table length {size} is not 2^n for any n >= 1")
         return VotingRule.from_table_string(n, value)
     return load_rule(_read_json(value, what))
 

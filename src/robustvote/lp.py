@@ -1,30 +1,25 @@
-"""Exact rational linear feasibility with evidence.
+"""Exact decisions of homogeneous cones, with evidence.
 
 Everything here is exact integer and Fraction arithmetic, with no
-tolerances. A query either comes back feasible with a witness point, or
-infeasible with a Farkas-style certificate: nonnegative multipliers on the
-rows (sign-free on equalities) whose combination reduces the system to the
-contradiction 0 > 0 or 0 >= c with c > 0. Before either is returned it goes
-through the matching check in `certificates` (`satisfies` or
+tolerances. Every system is a homogeneous cone, rows g.z >= 0 or g.z > 0
+over z >= 0: each theorem of the alternative below is one. A query either
+comes back feasible with a witness point, or infeasible with a
+Farkas-style certificate: nonnegative multipliers on the rows whose
+combination has no positive coefficient and positive weight on a strict
+row, the contradiction 0 > 0. Before either is returned it goes through
+the matching check in `certificates` (`satisfies` or
 `certifies_infeasibility`, both importable from here too), and a failure
 raises InternalError.
 
 The solver is a single primal simplex run on the standard equality form
 with Bland's anti-cycling pivot rule, which also makes every answer
-deterministic for a given input. Every system is first made homogeneous
-(Goldman & Tucker 1956): when some right-hand side is nonzero, one more
-variable s >= 0 turns a.x (>=, >, =) b into a.x - b.s (>=, >, =) 0, with
-one more strict row s > 0, and the witness is x / s. Equalities become two
-opposite inequalities, and free variables differences of nonnegative
-parts. Strict rows share one slack variable delta, 0 <= delta <= 1, so
-a.x > 0 becomes a.x - delta >= 0, and the system is feasible iff the
-maximal delta is positive. Each row enters with its own slack column and a
-zero right-hand side, so the slack basis is feasible and one run decides.
-
-Infeasibility certificates are read off the dual values of the final,
-delta-maximizing basis. Merged over the two halves of each equality, they
-are multipliers on the original rows; the s-row and the cap row take no
-part in them.
+deterministic for a given input. Strict rows share one slack variable
+delta, 0 <= delta <= 1, so g.z > 0 becomes g.z - delta >= 0, and the cone
+is feasible iff the maximal delta is positive. Each row enters with its own
+slack column and a zero right-hand side, so the slack basis is feasible
+and one run decides. Infeasibility certificates are read off the dual
+values of the final, delta-maximizing basis; the cap row takes no part in
+them.
 
 The tableau is fraction-free: sparse integer rows over one common
 denominator, the basis determinant, updated by Bareiss pivots whose
@@ -43,20 +38,16 @@ from math import lcm, prod
 from typing import Sequence
 
 from .certificates import (
-    REL_EQ,
     REL_GE,
     REL_GT,
-    SIGN_FREE,
-    SIGN_NONNEG,
     certifies_infeasibility,
     failed_column,
-    failed_row,
+    game_problem,
     require,
     satisfies,
 )
 
-_RELATIONS = (REL_GE, REL_GT, REL_EQ)
-_SIGNS = (SIGN_FREE, SIGN_NONNEG)
+_RELATIONS = (REL_GE, REL_GT)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,30 +61,27 @@ def _rational(value) -> int | Fraction:
 
 @dataclass(frozen=True)
 class LinearRow:
+    """One row g.z >= 0 or g.z > 0 of a homogeneous cone."""
+
     coeffs: tuple[int | Fraction, ...]
     relation: str
-    rhs: int | Fraction
 
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
         object.__setattr__(self, "coeffs", tuple(map(_rational, self.coeffs)))
-        object.__setattr__(self, "rhs", _rational(self.rhs))
 
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """A homogeneous cone: rows over num_vars variables z >= 0."""
+
     num_vars: int
     rows: tuple[LinearRow, ...]
-    var_signs: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
             raise ValueError("a system needs at least one variable")
-        if len(self.var_signs) != self.num_vars:
-            raise ValueError("one sign domain is required per variable")
-        if any(s not in _SIGNS for s in self.var_signs):
-            raise ValueError(f"variable signs must be one of {_SIGNS}")
         for row in self.rows:
             if len(row.coeffs) != self.num_vars:
                 raise ValueError("row length does not match the variable count")
@@ -130,7 +118,7 @@ class _Tableau:
 
     Each row holds only its nonzero entries, as ints over one positive
     common denominator `den`, the determinant of the current basis: entry v
-    stands for v / den.  The reduced-cost row `cbar` and `zrhs`, minus the
+    stands for v / den.  The reduced-cost row `cbar` and `zb`, minus the
     objective value, are kept on the same scale.  A pivot on entry p turns
     every entry v whose row has f in the pivot column, and whose column
     has w in the pivot row, into (v * p - f * w) / den; that division is
@@ -141,7 +129,7 @@ class _Tableau:
 
     def __init__(self) -> None:
         self.rows: list[dict[int, int]] = []
-        self.rhs: list[int] = []
+        self.b: list[int] = []  # the right-hand column
         self.scales: list[int] = []  # lcm of the denominators of each input row
         self.den = 1
         self.ncols = 0
@@ -149,7 +137,7 @@ class _Tableau:
         self.init_col: list[int] = []  # identity column of each row at start
         self.costs: dict[int, int] = {}
         self.cbar: dict[int, int] = {}
-        self.zrhs = 0
+        self.zb = 0
         self.pivots = 0
 
     def add_column(self) -> int:
@@ -165,7 +153,7 @@ class _Tableau:
         scale = lcm(*(v.denominator for v in coeffs.values()))
         self.rows.append({j: v.numerator * (scale // v.denominator)
                           for j, v in coeffs.items() if v})
-        self.rhs.append(b * scale)
+        self.b.append(b * scale)
         self.scales.append(scale)
         self.basis.append(slack)
         self.init_col.append(slack)
@@ -186,29 +174,29 @@ class _Tableau:
                 lift = den // scale
                 if lift != 1:
                     self.rows[i] = {j: v * lift for j, v in self.rows[i].items()}
-                    self.rhs[i] *= lift
+                    self.b[i] *= lift
         self.den = den
         self.scales = []
 
     def _pivot(self, r: int, e: int) -> None:
-        rows, rhs = self.rows, self.rhs
+        rows, b = self.rows, self.b
         prow = rows[r]
         p = prow[e]
         if p < 0:
             p = -p
             rows[r] = prow = {j: -v for j, v in prow.items()}
-            rhs[r] = -rhs[r]
+            b[r] = -b[r]
         pitems = prow.items()
-        prhs = rhs[r]
+        pb = b[r]
         for i, row in enumerate(rows):
             if i != r:
-                rows[i], rhs[i] = self._eliminate(row, rhs[i], e, p, pitems, prhs)
-        self.cbar, self.zrhs = self._eliminate(self.cbar, self.zrhs, e, p, pitems, prhs)
+                rows[i], b[i] = self._eliminate(row, b[i], e, p, pitems, pb)
+        self.cbar, self.zb = self._eliminate(self.cbar, self.zb, e, p, pitems, pb)
         self.den = p
         self.basis[r] = e
         self.pivots += 1
 
-    def _eliminate(self, row, b, e, p, pitems, prhs):
+    def _eliminate(self, row, b, e, p, pitems, pb):
         """One row after a pivot on entry p of column e: (v * p - f * w) / den
         on its nonzeros and the pivot row's, divided exactly."""
         den = self.den
@@ -220,36 +208,36 @@ class _Tableau:
         new = {j: v * p for j, v in row.items()}
         for j, w in pitems:
             new[j] = new.get(j, 0) - f * w
-        return {j: v // den for j, v in new.items() if v}, (b * p - f * prhs) // den
+        return {j: v // den for j, v in new.items() if v}, (b * p - f * pb) // den
 
     def run(self, costs: list[int]) -> None:
         """Minimize integer costs from the current, feasible basis."""
         self._start()
-        rows, rhs, den, basis = self.rows, self.rhs, self.den, self.basis
+        rows, b, den, basis = self.rows, self.b, self.den, self.basis
         self.costs = {j: c for j, c in enumerate(costs) if c}
         cbar = {j: c * den for j, c in self.costs.items()}
-        zrhs = 0
+        zb = 0
         for r, col in enumerate(basis):
             cb = self.costs.get(col)
             if cb:
                 for j, v in rows[r].items():
                     cbar[j] = cbar.get(j, 0) - cb * v
-                zrhs -= cb * rhs[r]
+                zb -= cb * b[r]
         self.cbar = {j: v for j, v in cbar.items() if v}
-        self.zrhs = zrhs
+        self.zb = zb
         while True:
             enter = min(
                 (j for j, v in self.cbar.items() if v < 0), default=-1
             )
             if enter < 0:
                 return
-            # Bland's ratio test, rhs[r] / a compared by cross-multiplying.
+            # Bland's ratio test, b[r] / a compared by cross-multiplying.
             leave = -1
             for r, row in enumerate(rows):
                 a = row.get(enter, 0)
                 if a > 0:
                     if leave >= 0:
-                        ratio, best = rhs[r] * best_a, rhs[leave] * a
+                        ratio, best = b[r] * best_a, b[leave] * a
                         if ratio > best or (ratio == best and basis[r] > basis[leave]):
                             continue
                     leave, best_a = r, a
@@ -258,11 +246,11 @@ class _Tableau:
 
     @property
     def value(self) -> Fraction:
-        return Fraction(-self.zrhs, self.den)
+        return Fraction(-self.zb, self.den)
 
     def solution(self) -> dict[int, Fraction]:
         self._start()
-        return {col: Fraction(self.rhs[r], self.den) for r, col in enumerate(self.basis)}
+        return {col: Fraction(self.b[r], self.den) for r, col in enumerate(self.basis)}
 
     def duals(self) -> list[Fraction]:
         """Row duals of the last run: costs[init] - cbar[init] per row."""
@@ -275,109 +263,57 @@ class _Tableau:
     def stats(self) -> SolveStats:
         entries = (v for row in self.rows for v in row.values())
         widest = max(map(int.bit_length, itertools.chain(
-            entries, self.rhs, self.cbar.values(), (self.zrhs, self.den))))
+            entries, self.b, self.cbar.values(), (self.zb, self.den))))
         return SolveStats(len(self.rows), self.ncols, self.pivots, widest)
 
 
-class _Encoder:
-    """Builds the standard form of the lifted LinearSystem and maps answers
-    back.  Every lifted row reads g.z (- delta on strict rows) >= 0 and
-    enters negated, -g.z (+ delta) + slack = 0, so the slack basis is
-    feasible; only the cap delta <= 1 has a nonzero right-hand side.
-    """
-
-    def __init__(self, system: LinearSystem):
-        self.system = system
-        self.tab = tab = _Tableau()
-        self.part_cols: list[tuple[int, int | None]] = []
-        for sign in system.var_signs:
-            pos = tab.add_column()
-            neg = tab.add_column() if sign == SIGN_FREE else None
-            self.part_cols.append((pos, neg))
-        self.lift = tab.add_column() if any(row.rhs for row in system.rows) else None
-        strict = self.lift is not None or any(row.relation == REL_GT for row in system.rows)
-        self.delta = tab.add_column() if strict else None
-        # (original row index, sign taking the standard row's dual onto it)
-        self.row_sign: list[tuple[int, int]] = []
-        for index, row in enumerate(system.rows):
-            self._add_row(self._coeffs(row, -1), row.relation == REL_GT, index, -1)
-            if row.relation == REL_EQ:
-                self._add_row(self._coeffs(row, 1), False, index, 1)
-        if self.lift is not None:
-            self._add_row({self.lift: -1}, True)  # s > 0
-        if strict:
-            self._add_row({}, True, b=1)  # the cap delta <= 1
-
-    def _coeffs(self, row: LinearRow, sign: int) -> dict[int, int | Fraction]:
-        """sign times the lifted row's coefficients over the columns."""
-        coeffs: dict[int, int | Fraction] = {}
-        for (pos, neg), c in zip(self.part_cols, row.coeffs):
-            if c:
-                coeffs[pos] = sign * c
-                if neg is not None:
-                    coeffs[neg] = -sign * c
-        if row.rhs:
-            coeffs[self.lift] = -sign * row.rhs
-        return coeffs
-
-    def _add_row(self, coeffs: dict[int, int | Fraction], strict: bool,
-                 index: int = -1, sign: int = 0, b: int = 0) -> None:
-        """coeffs (+ delta) + slack = b.  A row with sign 0, the s-row or
-        the cap, takes no part in the certificate."""
-        if strict:
-            coeffs[self.delta] = 1
-        slack = self.tab.add_column()
-        coeffs[slack] = 1
-        self.tab.add_row(coeffs, b, slack)
-        self.row_sign.append((index, sign))
-
-    def witness(self) -> tuple[Fraction, ...]:
-        sol = self.tab.solution()
-        values = []
-        for pos, neg in self.part_cols:
-            v = sol.get(pos, _ZERO)
-            if neg is not None:
-                v -= sol.get(neg, _ZERO)
-            values.append(v)
-        if self.lift is None:
-            return tuple(values)
-        return tuple(v / sol[self.lift] for v in values)
-
-    def certificate(self) -> tuple[Fraction, ...]:
-        """Minus the dual of each negated row, merged over the two halves of
-        an equality.  The s-row and the cap get no weight: at delta = 0 the
-        cap's dual vanishes, and s > 0 leaves the combined right-hand side
-        at least the s-row's dual, so the rest is a certificate alone."""
-        mults = [_ZERO] * len(self.system.rows)
-        for dual, (index, sign) in zip(self.tab.duals(), self.row_sign):
-            if sign:
-                mults[index] += sign * dual
-        return tuple(mults)
-
-
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
-    """Decide the system exactly, with a re-verified witness or certificate.
+    """Decide the cone exactly, with a re-verified witness or certificate.
 
-    One simplex run from the slack basis of the lifted cone maximizes the
-    shared delta, capped at 1.  Any strictly feasible point has a positive
-    least slack, and the cap keeps the program bounded without changing
-    the verdict: feasible iff the maximal delta exceeds zero.  A system
-    with no strict row after the lift is feasible at zero without a run.
+    The standard form has the variables as its first columns, then delta
+    when some row is strict, then one slack per row.  Each row g.z >= 0
+    enters negated, -g.z (+ delta) + slack = 0, so the slack basis is
+    feasible, and the cap delta + slack = 1 comes last.  One simplex run
+    maximizes delta: any strictly feasible point has a positive least
+    slack, and the cap keeps the program bounded without changing the
+    verdict, feasible iff the maximal delta exceeds zero.  A cone with no
+    strict row is feasible at zero without a run.
+
+    A certificate is minus the duals of the cone's rows; the cap takes no
+    part, as its dual vanishes at delta = 0.
     """
-    enc = _Encoder(system)
-    tab = enc.tab
-    if enc.delta is not None:
+    nvars = system.num_vars
+    strict = any(row.relation == REL_GT for row in system.rows)
+    delta = nvars  # its column, when some row is strict
+    tab = _Tableau()
+    for _ in range(nvars + strict):
+        tab.add_column()
+    for row in system.rows:
+        coeffs = {j: -c for j, c in enumerate(row.coeffs) if c}
+        if row.relation == REL_GT:
+            coeffs[delta] = 1
+        _add_slack_row(tab, coeffs, 0)
+    if strict:
+        _add_slack_row(tab, {delta: 1}, 1)
         costs = [0] * tab.ncols
-        costs[enc.delta] = -1
+        costs[delta] = -1
         tab.run(costs)
         if tab.value == 0:
-            cert = enc.certificate()
+            cert = tuple(-d for d in tab.duals()[:len(system.rows)])
             require(certifies_infeasibility(system, cert),
                     "solver: invalid infeasibility certificate")
             return FeasibilityResult(False, None, cert, tab.stats())
-    point = enc.witness()
+    sol = tab.solution()
+    point = tuple(sol.get(j, _ZERO) for j in range(nvars))
     require(satisfies(system, point), "solver: witness fails substitution")
     return FeasibilityResult(True, point, None, tab.stats())
+
+
+def _add_slack_row(tab: _Tableau, coeffs: dict[int, int | Fraction], b: int) -> None:
+    """coeffs + slack = b, the slack a new column that starts the basis."""
+    slack = tab.add_column()
+    coeffs[slack] = 1
+    tab.add_row(coeffs, b, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +350,8 @@ def _normalized(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def _solve_cone(rows, relations) -> FeasibilityResult:
     """Solve row . z (relation) 0 for each row, over z >= 0."""
-    width = len(rows[0])
     return solve_feasibility(LinearSystem(
-        width, tuple(LinearRow(tuple(row), rel, 0) for row, rel in zip(rows, relations)),
-        (SIGN_NONNEG,) * width))
+        len(rows[0]), tuple(LinearRow(tuple(row), rel) for row, rel in zip(rows, relations))))
 
 
 def alternative_strict(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
@@ -504,10 +438,7 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
     tab = _Tableau()
     z_cols = [tab.add_column() for _ in range(m)]
     for i in range(n):
-        slack = tab.add_column()
-        coeffs = {z_cols[j]: rows[i][j] + k for j in range(m)}
-        coeffs[slack] = 1
-        tab.add_row(coeffs, 1, slack)
+        _add_slack_row(tab, {z_cols[j]: rows[i][j] + k for j in range(m)}, 1)
     costs = [0] * tab.ncols
     for col in z_cols:
         costs[col] = -1
@@ -521,8 +452,6 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
     value = _ONE / total - k
     col_strategy = tuple(v / total for v in z)
     row_strategy = tuple(v / total for v in u)
-    require(failed_column(rows, row_strategy, value, strict=False) is None,
-            "solver: row strategy below value")
-    require(failed_row(rows, col_strategy, value) is None,
-            "solver: column strategy above value")
+    problem = game_problem(rows, value, row_strategy, col_strategy)
+    require(problem is None, f"solver: {problem}")
     return GameSolution(value, row_strategy, col_strategy, tab.stats())

@@ -20,17 +20,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certificates import (
-    SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
+    SIGN_CLASS_POSITIVE,
     SIGN_CLASSES,
     TIE_MODES,
+    TIES_ALLOWED,
+    TIES_FORBIDDEN,
     attains,
-    failed_column,
-    failed_row,
+    game_problem,
     holds_at_half,
     improves,
     in_sign_class,
-    is_distribution,
     net_gains,
     robustness_problem,
     rtf_maximum,
@@ -149,13 +149,12 @@ def _check_classify(report: dict) -> None:
         _check_monotone_violation(rule, violation)
 
     wmr_map = _field(inner, "wmr", "classify")
+    _check_wmr_map(wmr_map)
     for key, entry in wmr_map.items():
-        if entry is None:
-            continue
-        sign_class, _, ties = key.rpartition("_")
-        _expect(ties in TIE_MODES, f"classify: malformed representation key {key!r}")
-        _check_representation(rule, entry, sign_class, ties, f"classify.wmr.{key}",
-                              f"classify: representation {key}")
+        if entry is not None:
+            sign_class, _, ties = key.rpartition("_")
+            _check_representation(rule, entry, sign_class, ties, f"classify.wmr.{key}",
+                                  f"classify: representation {key}")
 
     certificates = _field(inner, "certificates", "classify")
     matrix = degenerate_agreement_matrix(rule)
@@ -177,12 +176,37 @@ def _check_classify(report: dict) -> None:
             "classify: weak robustness flag disagrees with its certificate")
     _expect(not robust or weakly_robust,
             "classify: robust without weakly robust is impossible")
-    found_strict = wmr_map.get(f"{SIGN_CLASS_NONNEGATIVE}_forbidden") is not None
-    found_weak = wmr_map.get(f"{SIGN_CLASS_NONNEGATIVE}_allowed") is not None
+    found_strict = wmr_map[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_FORBIDDEN}"] is not None
+    found_weak = wmr_map[f"{SIGN_CLASS_NONNEGATIVE}_{TIES_ALLOWED}"] is not None
     _expect(robust == found_strict,
             "classify: robustness flag disagrees with the tie-free representation")
     _expect(weakly_robust == found_weak,
             "classify: weak robustness flag disagrees with the tie-allowed representation")
+
+
+def _check_wmr_map(wmr_map) -> None:
+    """The six `<sign class>_<ties>` keys, and the implications between
+    their verdicts that hold for every rule: a tie-free representation
+    allows ties; positive weights are nonnegative and nonnegative ones
+    free; and tie-free nonnegative weights stay tie-free when every zero
+    weight is raised a little, so they exist iff positive ones do."""
+    keys = {f"{sign_class}_{ties}" for sign_class in SIGN_CLASSES for ties in TIE_MODES}
+    _expect(isinstance(wmr_map, dict) and set(wmr_map) == keys,
+            "classify: the representation keys are not the six sign class and tie pairs")
+
+    def found(sign_class: str, ties: str) -> bool:
+        return wmr_map[f"{sign_class}_{ties}"] is not None
+
+    for sign_class in SIGN_CLASSES:
+        _expect(found(sign_class, TIES_ALLOWED) or not found(sign_class, TIES_FORBIDDEN),
+                f"classify: {sign_class} weights without ties but none with ties")
+    for ties in TIE_MODES:
+        for wide, narrow in zip(SIGN_CLASSES, SIGN_CLASSES[1:]):
+            _expect(found(wide, ties) or not found(narrow, ties),
+                    f"classify: {narrow} weights with ties {ties} but no {wide} ones")
+    _expect(found(SIGN_CLASS_POSITIVE, TIES_FORBIDDEN)
+            == found(SIGN_CLASS_NONNEGATIVE, TIES_FORBIDDEN),
+            "classify: tie-free positive and nonnegative weights disagree")
 
 
 def _check_representation(rule, entry, sign_class, ties, field, label) -> None:
@@ -227,7 +251,7 @@ def _check_rtf(report: dict) -> None:
 
     inputs = _field(report, "inputs", "rtf")
     ws = _rational_list(_field(inputs, "weights", "rtf.inputs"), "rtf.inputs.weights")
-    sign_class = inputs.get("sign_class", SIGN_CLASS_FREE)
+    sign_class = _field(inputs, "sign_class", "rtf.inputs")
     _expect(sign_class in SIGN_CLASSES, f"unknown sign class {sign_class!r}")
     _expect(in_sign_class(ws, sign_class), "rtf: weights leave their declared sign class")
     dist = Distribution.from_json(_field(inputs, "dist", "rtf.inputs"))
@@ -334,7 +358,7 @@ def _check_random_certify(report: dict) -> None:
     if robust:
         ws = _rational_list(_field(weights_json, "weights", "random-certify.weights"),
                             "random-certify.weights.weights", rule.n)
-        sign_class = weights_json.get("sign_class", SIGN_CLASS_FREE)
+        sign_class = _field(weights_json, "sign_class", "random-certify.weights")
         _expect(sign_class in SIGN_CLASSES, f"unknown sign class {sign_class!r}")
         _expect(in_sign_class(ws, sign_class),
                 "random-certify: weights leave their declared sign class")
@@ -412,16 +436,10 @@ def _check_epsilon(report: dict) -> None:
                         "epsilon.binding.individual_weights", n)
     mix = _rational_list(_field(binding, "adversary_mixture", "epsilon.binding"),
                          "epsilon.binding.adversary_mixture", 2**n)
-    _expect(is_distribution(ws) and is_distribution(mix),
-            "epsilon: game strategies are not distributions")
-
     # The game pays responsiveness, (agreement + 1) / 2, at each point mass,
     # so the value v is the agreement level 2v - 1.
-    matrix = degenerate_agreement_matrix(rule)
-    _expect(failed_column(matrix, ws, 2 * value - 1, strict=False) is None,
-            "epsilon: individual weights fail to guarantee the value")
-    _expect(failed_row(matrix, mix, 2 * value - 1) is None,
-            "epsilon: adversary mixture fails to hold the value")
+    problem = game_problem(degenerate_agreement_matrix(rule), 2 * value - 1, ws, mix)
+    _expect(problem is None, f"epsilon: {problem}")
     _expect(value > Fraction(1, 2), "epsilon: binding rule is not robust at its value")
 
     lower = _field(report, "lower", "epsilon")

@@ -13,7 +13,7 @@ import robustvote
 from robustvote.certificates import (
     InternalError,
     failed_column,
-    failed_row,
+    game_problem,
     improves,
     require,
 )
@@ -77,11 +77,31 @@ class TestChecks:
         assert failed_column(matrix, weights, F(-1), strict=True) is None
 
     def test_failed_row_names_the_first_row(self):
+        # The game with value -1: row 1 earns it, column 1 holds both rows to it.
         matrix = [[F(1), F(-1)], [F(-1), F(-1)]]
-        assert failed_row(matrix, (F(1, 2), F(1, 2))) is None
-        assert failed_row(matrix, (F(1, 2), F(1, 2)), strict=True) == 0
-        assert failed_row(matrix, (F(1), F(0))) == 0
-        assert failed_row(matrix, (F(1), F(0)), F(1)) is None
+        row = (F(0), F(1))
+        assert game_problem(matrix, F(-1), row, (F(0), F(1))) is None
+        assert (game_problem(matrix, F(-1), row, (F(1, 2), F(1, 2)))
+                == "column strategy exceeds the value in row 0")
+        assert game_problem(matrix, F(0), row, (F(1, 2), F(1, 2))) == \
+            "row strategy falls below the value in column 0"
+
+    def test_game_problem_rejects_a_negative_entry(self):
+        # (3/2, -1/2) sums to one and earns 2 and -1/2 >= -1 in the columns,
+        # so only the distribution test stops it.
+        matrix = [[F(1), F(-1)], [F(-1), F(-1)]]
+        assert (game_problem(matrix, F(-1), (F(3, 2), F(-1, 2)), (F(0), F(1)))
+                == "game strategies are not distributions")
+        assert (game_problem(matrix, F(-1), (F(0), F(1)), (F(-1), F(2)))
+                == "game strategies are not distributions")
+
+    def test_game_problem_rejects_a_strategy_off_the_value(self):
+        # Optimal strategies checked against a value they do not guarantee.
+        matrix = [[F(1), F(-1)], [F(-1), F(-1)]]
+        assert (game_problem(matrix, F(-1, 2), (F(0), F(1)), (F(0), F(1)))
+                == "row strategy falls below the value in column 0")
+        assert (game_problem(matrix, F(-2), (F(0), F(1)), (F(0), F(1)))
+                == "column strategy exceeds the value in row 0")
 
     def test_improves(self):
         base = (F(1, 2), F(1, 2))

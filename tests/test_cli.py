@@ -129,6 +129,20 @@ class TestDiagnostics:
         assert proc.returncode == 2
         assert "table length" in proc.stderr or "rule" in proc.stderr
 
+    def test_a_one_entry_table_is_too_short(self):
+        # One entry is 2^0, and a rule needs at least one individual.
+        proc = run(["classify", "--rule=+"])
+        assert proc.returncode == 2
+        assert "table length 1 is not 2^n for any n >= 1" in proc.stderr
+
+    def test_a_table_with_a_trailing_newline_is_no_table(self):
+        # Matched as a whole, "+-+-\n" is not a four-entry table of length 5:
+        # it is read as a file name, and there is no such file.
+        proc = run(["classify", "--rule=+-+-\n"])
+        assert proc.returncode == 2
+        assert "table length" not in proc.stderr
+        assert "cannot read" in proc.stderr
+
     def test_invalid_json_file(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

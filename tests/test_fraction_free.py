@@ -17,11 +17,8 @@ import robustvote
 from robustvote import lp
 from robustvote.core import DistributionSet, VotingRule, majority_rule, weighted_majority_rule
 from robustvote.lp import (
-    REL_EQ,
     REL_GE,
     REL_GT,
-    SIGN_FREE,
-    SIGN_NONNEG,
     LinearRow,
     LinearSystem,
     SolveStats,
@@ -68,15 +65,12 @@ def _all_fractions(*vectors) -> bool:
 
 
 def _rational_system(rng):
-    """Like test_lp's systems, with coefficients over denominators 2..6."""
+    """Like test_lp's cones, with coefficients over denominators 2..6."""
     num_vars = rng.randint(1, 4)
-    rows = []
-    for _ in range(rng.randint(1, 5)):
-        coeffs = tuple(F(rng.randint(-6, 6), rng.randint(2, 6)) for _ in range(num_vars))
-        relation = rng.choice((REL_GE, REL_GT, REL_EQ))
-        rows.append(LinearRow(coeffs, relation, F(rng.randint(-6, 6), rng.randint(2, 6))))
-    signs = tuple(rng.choice((SIGN_FREE, SIGN_NONNEG)) for _ in range(num_vars))
-    return LinearSystem(num_vars, tuple(rows), signs)
+    rows = [LinearRow(tuple(F(rng.randint(-6, 6), rng.randint(2, 6)) for _ in range(num_vars)),
+                      rng.choice((REL_GE, REL_GT)))
+            for _ in range(rng.randint(1, 5))]
+    return LinearSystem(num_vars, tuple(rows))
 
 
 def _n3_rules():
@@ -136,18 +130,17 @@ class TestSolveStats:
     SYSTEM = LinearSystem(
         2,
         (
-            LinearRow((F(1), F(1)), REL_GE, F(1)),
-            LinearRow((F(1), F(-1)), REL_GT, F(1, 3)),
-            LinearRow((F(0), F(1)), REL_GT, F(0)),
+            LinearRow((F(1), F(-2)), REL_GE),
+            LinearRow((F(1), F(-1, 3)), REL_GT),
+            LinearRow((F(0), F(1)), REL_GT),
         ),
-        (SIGN_NONNEG, SIGN_NONNEG),
     )
 
     def test_a_nontrivial_system_pivots(self):
         stats = solve_feasibility(self.SYSTEM).stats
         assert isinstance(stats, SolveStats)
         assert stats.pivots > 0
-        assert stats.rows == 5 and stats.max_bits > 0  # three rows, s > 0 and the cap
+        assert stats.rows == 4 and stats.max_bits > 0  # three rows and the cap
 
     def test_two_solves_compare_equal(self):
         first, second = solve_feasibility(self.SYSTEM), solve_feasibility(self.SYSTEM)

@@ -7,11 +7,8 @@ import pytest
 
 from robustvote import lp
 from robustvote.lp import (
-    REL_EQ,
     REL_GE,
     REL_GT,
-    SIGN_FREE,
-    SIGN_NONNEG,
     LinearRow,
     LinearSystem,
     alternative_positive,
@@ -26,85 +23,64 @@ from robustvote.lp import (
 from oracles import STRICT, WEAK, fm_feasible, game_value_by_supports
 
 
-def _system(rows, signs):
-    return LinearSystem(len(signs), tuple(rows), tuple(signs))
+def _system(*rows):
+    return LinearSystem(len(rows[0].coeffs), rows)
 
 
 class TestSatisfies:
     def test_each_relation(self):
-        sys2 = _system(
-            [
-                LinearRow((F(1), F(1)), REL_GE, F(1)),
-                LinearRow((F(1), F(-1)), REL_GT, F(0)),
-                LinearRow((F(1), F(0)), REL_EQ, F(2)),
-            ],
-            (SIGN_FREE, SIGN_FREE),
-        )
+        sys2 = _system(LinearRow((F(1), F(-1)), REL_GE), LinearRow((F(2), F(-1)), REL_GT))
         assert satisfies(sys2, (F(2), F(1)))
-        assert not satisfies(sys2, (F(2), F(2)))      # strict row at equality
-        assert not satisfies(sys2, (F(3), F(1)))      # equality row off
+        assert satisfies(sys2, (F(1), F(1)))          # weak row at equality
+        assert not satisfies(sys2, (F(1), F(2)))      # both rows off
+        assert not satisfies(sys2, (F(0), F(0)))      # strict row at equality
         assert not satisfies(sys2, (F(2),))           # wrong arity
 
     def test_sign_domain(self):
-        sys1 = _system([LinearRow((F(1),), REL_GE, F(-5))], (SIGN_NONNEG,))
+        # -z >= 0 holds at z = -1, but every variable is nonnegative.
+        sys1 = _system(LinearRow((F(-1),), REL_GE))
+        assert satisfies(sys1, (F(0),))
         assert not satisfies(sys1, (F(-1),))
 
     def test_rational_point_against_integer_rows(self):
-        # 3x + 2y = 5/2 holds at (1/2, 1/2): over the point's denominator 2
-        # the right-hand side is compared as 5, not 5/2.
-        sys1 = _system([LinearRow((3, 2), REL_EQ, F(5, 2))], (SIGN_NONNEG, SIGN_NONNEG))
-        assert satisfies(sys1, (F(1, 2), F(1, 2)))
-        assert not satisfies(sys1, (F(1, 2), F(1, 3)))
+        # 3x - 2y > 0 at (1/2, 1/3) is 1/2 > 0: over the point's denominator
+        # 6 the dot product is the integer 3, of the same sign.
+        sys1 = _system(LinearRow((3, -2), REL_GT))
+        assert satisfies(sys1, (F(1, 2), F(1, 3)))
+        assert not satisfies(sys1, (F(1, 2), F(3, 4)))
 
 
 class TestCertificate:
     def test_textbook_contradiction(self):
-        # x >= 1 and -x >= 0 cannot hold together.
-        sys1 = _system(
-            [
-                LinearRow((F(1),), REL_GE, F(1)),
-                LinearRow((F(-1),), REL_GE, F(0)),
-            ],
-            (SIGN_FREE,),
-        )
+        # x - y > 0 and y - x >= 0 cannot hold together.
+        sys1 = _system(LinearRow((F(1), F(-1)), REL_GT), LinearRow((F(-1), F(1)), REL_GE))
         assert certifies_infeasibility(sys1, (F(1), F(1)))
         assert not certifies_infeasibility(sys1, (F(1), F(0)))
+        assert not certifies_infeasibility(sys1, (F(0), F(1)))   # no strict weight
+        assert not certifies_infeasibility(sys1, (F(-1), F(-1)))  # negative multipliers
 
     def test_rational_multipliers(self):
-        # x >= 1 and -2x >= 0: multipliers (1, 1/2) cancel x exactly.
-        sys1 = _system(
-            [LinearRow((1,), REL_GE, 1), LinearRow((-2,), REL_GE, 0)], (SIGN_FREE,)
-        )
+        # x > 0 and -2x >= 0: multipliers (1, 1/2) cancel x exactly.
+        sys1 = _system(LinearRow((1,), REL_GT), LinearRow((-2,), REL_GE))
         assert certifies_infeasibility(sys1, (F(1), F(1, 2)))
         assert not certifies_infeasibility(sys1, (F(1), F(1, 3)))
 
 
 def _random_system(rng):
+    """A random cone; with one to four rows, often none of them strict."""
     num_vars = rng.randint(1, 3)
-    num_rows = rng.randint(1, 4)
-    rows = []
-    for _ in range(num_rows):
-        coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(num_vars))
-        relation = rng.choice((REL_GE, REL_GT, REL_EQ))
-        rhs = F(rng.randint(-4, 4), rng.randint(1, 3))
-        rows.append(LinearRow(coeffs, relation, rhs))
-    signs = tuple(rng.choice((SIGN_FREE, SIGN_NONNEG)) for _ in range(num_vars))
-    return _system(rows, signs)
+    rows = [LinearRow(tuple(F(rng.randint(-3, 3)) for _ in range(num_vars)),
+                      rng.choice((REL_GE, REL_GT)))
+            for _ in range(rng.randint(1, 4))]
+    return LinearSystem(num_vars, tuple(rows))
 
 
 def _oracle_rows(system):
-    rows = []
-    for row in system.rows:
-        if row.relation == REL_EQ:
-            rows.append((row.coeffs, WEAK, row.rhs))
-            rows.append((tuple(-c for c in row.coeffs), WEAK, -row.rhs))
-        else:
-            rel = STRICT if row.relation == REL_GT else WEAK
-            rows.append((row.coeffs, rel, row.rhs))
-    for k, sign in enumerate(system.var_signs):
-        if sign == SIGN_NONNEG:
-            unit = tuple(F(1 if j == k else 0) for j in range(system.num_vars))
-            rows.append((unit, WEAK, F(0)))
+    """The cone's rows, then z_k >= 0 for every variable."""
+    rows = [(row.coeffs, STRICT if row.relation == REL_GT else WEAK, F(0))
+            for row in system.rows]
+    for k in range(system.num_vars):
+        rows.append((tuple(F(int(j == k)) for j in range(system.num_vars)), WEAK, F(0)))
     return rows
 
 
@@ -126,8 +102,8 @@ class TestFeasibilityFuzz:
             assert result.feasible == expected, f"trial {trial}: {system}"
 
     def test_one_simplex_run_per_system(self, monkeypatch):
-        """Equalities and nonzero right-hand sides are lifted to a cone whose
-        slack basis is feasible, so no system needs a run to reach one."""
+        """The slack basis of every cone is feasible, so a cone with a
+        strict row takes one run, and one without takes none."""
         runs = []
         run = lp._Tableau.run
 
@@ -141,7 +117,8 @@ class TestFeasibilityFuzz:
             system = _random_system(rng)
             del runs[:]
             solve_feasibility(system)
-            assert len(runs) <= 1, f"trial {trial}: {system}"
+            strict = any(row.relation == REL_GT for row in system.rows)
+            assert len(runs) == strict, f"trial {trial}: {system}"
 
     def test_deterministic(self):
         rng = random.Random(7)
@@ -153,21 +130,15 @@ class TestFeasibilityFuzz:
 
 class TestUnboundedDirections:
     def test_strict_needs_a_ray(self):
-        # x > 0 alone is satisfiable only by scaling out; the engine must
+        # x - y > 0 is satisfiable only by scaling out; the engine must
         # still find a point rather than a limit.
-        sys1 = _system([LinearRow((F(1),), REL_GT, F(0))], (SIGN_FREE,))
+        sys1 = _system(LinearRow((F(1), F(-1)), REL_GT))
         result = solve_feasibility(sys1)
-        assert result.feasible and result.witness[0] > 0
+        assert result.feasible and result.witness[0] > result.witness[1]
 
     def test_infeasible_strict_at_bound(self):
-        # x > 0 and x <= 0.
-        sys1 = _system(
-            [
-                LinearRow((F(1),), REL_GT, F(0)),
-                LinearRow((F(-1),), REL_GE, F(0)),
-            ],
-            (SIGN_FREE,),
-        )
+        # x - y > 0 and x - y <= 0.
+        sys1 = _system(LinearRow((F(1), F(-1)), REL_GT), LinearRow((F(-1), F(1)), REL_GE))
         result = solve_feasibility(sys1)
         assert not result.feasible
         assert certifies_infeasibility(sys1, result.certificate)
@@ -308,8 +279,9 @@ class TestMatrixGame:
 class TestValidation:
     def test_row_arity_checked(self):
         with pytest.raises(ValueError):
-            _system([LinearRow((F(1),), REL_GE, F(0))], (SIGN_FREE, SIGN_FREE))
+            LinearSystem(2, (LinearRow((F(1),), REL_GE),))
 
     def test_unknown_relation_rejected(self):
-        with pytest.raises(ValueError):
-            LinearRow((F(1),), "<", F(0))
+        for relation in ("<", "="):
+            with pytest.raises(ValueError):
+                LinearRow((F(1),), relation)

@@ -215,6 +215,58 @@ class TestSignClasses:
         assert verify_report(report) == ["unknown sign class 'bold'"]
 
 
+class TestClassifyRepresentations:
+    """The six representation verdicts of a classify report, and the
+    implications between them that hold for every rule."""
+
+    @pytest.fixture
+    def report(self, reports):
+        # Majority on three: all six representations exist.
+        return copy.deepcopy(reports["classify"])
+
+    def test_missing_keys_are_rejected(self, report):
+        del report["report"]["wmr"]["free_allowed"]
+        del report["report"]["wmr"]["positive_forbidden"]
+        assert verify_report(report) == [
+            "classify: the representation keys are not the six sign class and tie pairs"]
+
+    def test_an_extra_key_is_rejected(self, report):
+        report["report"]["wmr"]["bogus_allowed"] = None
+        assert verify_report(report) == [
+            "classify: the representation keys are not the six sign class and tie pairs"]
+
+    def test_tie_free_weights_imply_weights_with_ties(self, report):
+        report["report"]["wmr"]["positive_allowed"] = None
+        assert verify_report(report) == [
+            "classify: positive weights without ties but none with ties"]
+
+    def test_narrow_sign_classes_imply_wide_ones(self, report):
+        report["report"]["wmr"]["free_allowed"] = None
+        report["report"]["wmr"]["free_forbidden"] = None
+        assert verify_report(report) == [
+            "classify: nonnegative weights with ties allowed but no free ones"]
+
+    def test_tie_free_positive_and_nonnegative_weights_agree(self, report):
+        for key in ("positive_forbidden", "positive_allowed"):
+            report["report"]["wmr"][key] = None
+        assert verify_report(report) == [
+            "classify: tie-free positive and nonnegative weights disagree"]
+
+
+class TestDeclaredSignClassIsRequired:
+    def test_rtf(self, reports):
+        report = copy.deepcopy(reports["rtf"])
+        del report["inputs"]["sign_class"]
+        assert verify_report(report) == ["rtf.inputs: missing field 'sign_class'"]
+
+    def test_random_certify(self):
+        code, report = run_cli(["random-certify", "--rule=---+-+++"])
+        assert code == 0 and verify_report(report) == []
+        del report["weights"]["sign_class"]
+        assert verify_report(report) == [
+            "random-certify.weights: missing field 'sign_class'"]
+
+
 class TestEnumerateRecount:
     def test_recountable_predicate_is_recounted(self):
         code, report = run_cli(["enumerate", "--n", "2", "--predicate", "anonymous"])
