@@ -10,9 +10,13 @@ return and raises InternalError when it fails, also under `python -O`;
 
 The vector a check substitutes is put over its common denominator d first,
 and the bound scaled by d, so the sums compared are integer whenever the
-data is.  A column check is row-major: core.combine_rows adds whole rows
-of the matrix, one pass per nonzero weight, giving every column's dot
+data is.  A column check on a general matrix is row-major: core.combine_rows
+adds whole rows, one pass per nonzero weight, giving every column's dot
 product at once, and the first failing column is read off that list.
+
+Over the 2^n point masses no matrix is built: the column for profile x is
+phi(x) * x, so one core.vote_sums pass prices every column, for the
+robustness, representation and sign-pattern checks alike.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Sequence
 
-from .core import combine_rows, over_common_denominator, vote_sums
+from .core import combine_rows, over_common_denominator, sign_table, vote_sums
 
 # The vocabulary checked here: the two relations of a cone row g.z >= 0 or
 # g.z > 0 over z >= 0, which lp re-exports, and the tie modes and sign
@@ -60,7 +64,14 @@ def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
     bound (strict) or not at least bound, or None: robustness weights clear
     zero at every extreme point."""
     weights, scale = over_common_denominator(weights)
-    return _failed_column(matrix, weights, bound * scale, strict)
+    return _first_failure(combine_rows(weights, matrix), bound * scale, strict)
+
+
+def failed_point_mass(outcomes, weights, strict: bool = True) -> int | None:
+    """failed_column on the point-mass agreement matrix, without it: column
+    x is phi(x) * x, so its dot product with the weights is phi(x) times the
+    vote sum at x.  The kernel of every point-mass check."""
+    return _first_failure(map(operator.mul, outcomes, vote_sums(weights)[0]), 0, strict)
 
 
 # The distribution, column and row checks on a vector already over its
@@ -71,9 +82,10 @@ def _is_distribution(numerators: list[int], scale: int) -> bool:
     return all(v >= 0 for v in numerators) and sum(numerators) == scale
 
 
-def _failed_column(matrix, weights: list[int], bound, strict: bool) -> int | None:
-    holds = list(map(_HOLDS[REL_GT if strict else REL_GE],
-                     combine_rows(weights, matrix), repeat(bound)))
+def _first_failure(sums, bound, strict: bool) -> int | None:
+    """The first index whose sum is not above bound (strict) or not at
+    least bound, or None."""
+    holds = list(map(_HOLDS[REL_GT if strict else REL_GE], sums, repeat(bound)))
     return holds.index(False) if False in holds else None
 
 
@@ -95,13 +107,35 @@ def robustness_problem(matrix, strict: bool, weights=None, mixture=None) -> str 
         numerators, scale = over_common_denominator(weights)
         if not _is_distribution(numerators, scale):
             return "weights are not a distribution over individuals"
-        j = _failed_column(matrix, numerators, 0, strict)
+        j = _first_failure(combine_rows(numerators, matrix), 0, strict)
         return None if j is None else f"weights fail extreme point {j}"
     numerators, scale = over_common_denominator(mixture)
     if not _is_distribution(numerators, scale):
         return "mixture is not a distribution over extreme points"
     i = _failed_row(matrix, numerators, 0, not strict)
     return None if i is None else f"mixture leaves individual {i + 1} responsive"
+
+
+def point_mass_problem(outcomes, strict: bool, weights=None, mixture=None) -> str | None:
+    """robustness_problem, answers and messages alike, on the point-mass
+    agreement matrix of the rule with these outcomes, without the matrix:
+    a mixture's row for individual i is phi(x) * x_i over its support."""
+    if weights is not None:
+        numerators, scale = over_common_denominator(weights)
+        if not _is_distribution(numerators, scale):
+            return "weights are not a distribution over individuals"
+        j = failed_point_mass(outcomes, numerators, strict)
+        return None if j is None else f"weights fail extreme point {j}"
+    support = [x for x, m in enumerate(mixture) if m]
+    masses, scale = over_common_denominator([mixture[x] for x in support])
+    if not _is_distribution(masses, scale):
+        return "mixture is not a distribution over extreme points"
+    signed = [m * outcomes[x] for m, x in zip(masses, support)]
+    for i, votes in enumerate(sign_table(len(outcomes).bit_length() - 1)):
+        dot = sum(m * votes[x] for m, x in zip(signed, support))
+        if not (dot <= 0 if strict else dot < 0):
+            return f"mixture leaves individual {i + 1} responsive"
+    return None
 
 
 def game_problem(matrix, value, row, col) -> str | None:
@@ -113,7 +147,7 @@ def game_problem(matrix, value, row, col) -> str | None:
     col, col_scale = over_common_denominator(col)
     if not (_is_distribution(row, row_scale) and _is_distribution(col, col_scale)):
         return "game strategies are not distributions"
-    j = _failed_column(matrix, row, value * row_scale, False)
+    j = _first_failure(combine_rows(row, matrix), value * row_scale, False)
     if j is not None:
         return f"row strategy falls below the value in column {j}"
     i = _failed_row(matrix, col, value * col_scale, False)
@@ -176,17 +210,13 @@ def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
         raise ValueError(f"{len(ws)} weights for n={rule.n}")
     if all(w == 0 for w in ws):
         return False
-    for outcome, total in zip(rule.outcomes, vote_sums(ws)[0]):
-        signed = outcome * total
-        if signed < 0 or (signed == 0 and ties == TIES_FORBIDDEN):
-            return False
-    return True
+    return failed_point_mass(rule.outcomes, ws, ties == TIES_FORBIDDEN) is None
 
 
 def sign_pattern_holds(rule, weights: Sequence[Fraction]) -> bool:
     """Whether the weighted vote sum has the strict sign of the expected
     outcome at every profile: the certificate of a robust random rule."""
-    return all(o * total > 0 for o, total in zip(rule.outcomes, vote_sums(weights)[0]))
+    return failed_point_mass(rule.outcomes, weights) is None
 
 
 def holds_at_half(values: Sequence[Fraction]) -> bool:

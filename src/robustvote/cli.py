@@ -47,6 +47,7 @@ from .core import (
     enumerate_tables,
     format_rational,
     load_rule,
+    monotone_tables,
     parse_rational,
     table_rule,
 )
@@ -101,9 +102,9 @@ def _read_json(path: str, what: str):
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise FormatError(f"{what}: cannot read {path}: {exc}") from exc
+        raise FormatError(f"{what}: cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{what}: {path} is not valid JSON: {exc}") from exc
+        raise FormatError(f"{what}: {path!r} is not valid JSON: {exc}") from exc
 
 
 def _load_any_rule(value: str, what: str) -> VotingRule | RandomVotingRule:
@@ -388,7 +389,9 @@ def _cmd_enumerate(args):
         )
     total = 2 ** (2**n)
     jobs = min(max(1, args.jobs), os.cpu_count() or 1)
-    if jobs == 1:
+    if args.predicate == "monotone":  # built, not tested table by table
+        tables = [table_rule(n, t).to_table_string() for t in monotone_tables(n)]
+    elif jobs == 1:
         tables = _enumerate_worker((n, args.predicate, 0, total))
     else:
         import multiprocessing

@@ -93,9 +93,14 @@ def combine_rows(weights: Sequence[int], rows) -> list:
 
 def vote_sums(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     """The weighted vote sum sum_i w_i x_i at every profile, in index order,
-    as integers scaled by the weights' common denominator d > 0, with d."""
+    as integers scaled by the weights' common denominator d > 0, with d.
+    Built by doubling, 2 * 2^n additions in all: individual i, bit i-1,
+    turns the sums so far into those minus w_i, then those plus w_i."""
     numerators, scale = over_common_denominator(weights)
-    return combine_rows(numerators, sign_table(len(numerators))), scale
+    sums = [0]
+    for w in numerators:
+        sums = [s - w for s in sums] + [s + w for s in sums]
+    return sums, scale
 
 
 @dataclass(frozen=True)
@@ -604,17 +609,34 @@ def is_own_vote_monotone(
     return True, None
 
 
+def _check_enumerable(n: int) -> None:
+    _check_n(n)
+    if n > MAX_ENUMERATION_INDIVIDUALS:
+        raise ValueError(f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_INDIVIDUALS}")
+
+
 def enumerate_tables(
     n: int, test: Callable[[int, int], bool] | None = None, start: int = 0, stop: int | None = None
 ) -> Iterator[int]:
     """The exhaustive walk: every table integer t in [start, stop) on n
     individuals for which test(n, t) holds, ascending.  Refused above
     n = 4 (2**32 tables)."""
-    _check_n(n)
-    if n > MAX_ENUMERATION_INDIVIDUALS:
-        raise ValueError(f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_INDIVIDUALS}")
+    _check_enumerable(n)
     tables = range(start, 2 ** 2**n if stop is None else stop)
     return iter(tables) if test is None else filter(partial(test, n), tables)
+
+
+def monotone_tables(n: int) -> list[int]:
+    """Every own-vote-monotone table integer on n individuals, ascending,
+    built rather than searched: t = t0 | t1 << 2**(n-1) is monotone iff its
+    halves t0 (individual n votes -1) and t1 (+1) are monotone on the others
+    and t0 is a subset of t1.  Refused above n = 4, as enumerate_tables."""
+    _check_enumerable(n)
+    tables = [0, 1]  # the two constant tables on no individuals
+    for i in range(n):
+        half = 2**i
+        tables = [t0 | t1 << half for t1 in tables for t0 in tables if not t0 & ~t1]
+    return tables
 
 
 def enumerate_rules(

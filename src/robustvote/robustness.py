@@ -13,9 +13,11 @@ that needs no solver: two profiles whose columns cancel or sum to -2 e_i
 refute robustness, and so, for the weak variant, do such pairs together
 with a profile where every other individual votes against the outcome; the
 Chow vector, zero on those individuals for the weak variant and corrected a
-few times by failing columns, proves it.  The LP decides only what this
-screen leaves open, and every certificate, screened or solved, passes the
-same substitution check.
+few times by failing columns, proves it.  The screen reads these off the
+table integer and the vote sums, and certificates.point_mass_problem checks
+its answers, so the point-mass matrix is built only for the LP, which
+decides what the screen leaves open.  Every certificate, screened or
+solved, passes a substitution check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import failed_column, require, robustness_problem
+from .certificates import (
+    failed_column,
+    failed_point_mass,
+    point_mass_problem,
+    require,
+    robustness_problem,
+)
 from .core import (
     STRUCTURAL_PREDICATES,
     Distribution,
@@ -87,18 +95,19 @@ class RobustnessCertificate:
 
 def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[int | Fraction]]:
     """Expected outcome-vote products, one row per individual, one column
-    per extreme point: the point-mass matrix mixed by that extreme point,
-    an integer dot over its support divided by its common denominator.  A
-    column over denominator 1, such as a point mass of a deterministic
-    rule, stays integer."""
+    per extreme point: phi(x) * x mixed by that extreme point, an integer
+    dot over its support divided by its common denominator.  A column over
+    denominator 1, such as a point mass of a deterministic rule, stays
+    integer."""
     if rule.n != pset.n:
         raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
-    points = degenerate_agreement_matrix(rule)
+    signs = sign_table(rule.n)
     columns = []
     for dist in pset.extreme_points:
         support, probs = zip(*dist.support)
         probs, scale = over_common_denominator(probs)
-        dots = [sum(p * row[idx] for idx, p in zip(support, probs)) for row in points]
+        signed = [p * rule.outcomes[idx] for idx, p in zip(support, probs)]
+        dots = [sum(p * votes[idx] for idx, p in zip(support, signed)) for votes in signs]
         columns.append(dots if scale == 1 else [Fraction(dot, scale) for dot in dots])
     return [list(row) for row in zip(*columns)]
 
@@ -113,11 +122,19 @@ def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[lis
     ]
 
 
-def _certificate(matrix, mode: str, weights=None, mixture=None) -> RobustnessCertificate:
+def is_point_mass_set(n: int, pset: DistributionSet) -> bool:
+    """Whether pset is the 2^n point masses on n individuals in profile
+    order, whose certificates point_mass_problem checks."""
+    return pset.n == n and len(pset) == 2**n and all(
+        dist.support == ((k, 1),) for k, dist in enumerate(pset.extreme_points))
+
+
+def _certificate(problem, data, mode: str, weights=None, mixture=None) -> RobustnessCertificate:
     """The certificate for whichever vector is given, once it has passed
-    its substitution check against the matrix."""
-    problem = robustness_problem(matrix, mode == MODE_STRICT, weights, mixture)
-    require(problem is None, f"robustness certificate: {problem}")
+    its substitution check: problem is robustness_problem on a matrix or
+    point_mass_problem on a rule's outcomes, and data is that argument."""
+    found = problem(data, mode == MODE_STRICT, weights, mixture)
+    require(found is None, f"robustness certificate: {found}")
     verdict = VERDICT_ROBUST if weights is not None else VERDICT_NOT_ROBUST
     return RobustnessCertificate(verdict, mode, weights, mixture)
 
@@ -127,38 +144,41 @@ def _certify_from_matrix(matrix: list[list[Fraction]], mode: str) -> RobustnessC
 
     alternative = alternative_strict if mode == MODE_STRICT else alternative_weak
     answer = alternative(matrix)
-    return _certificate(matrix, mode, answer.weights, answer.mixture)
+    return _certificate(robustness_problem, matrix, mode, answer.weights, answer.mixture)
 
 
 def _spread(size: int, profiles: list[int]) -> tuple[Fraction, ...]:
     """Equal mass on each listed profile (a repeat adds up), over all 2^n."""
-    mass = [0] * size
-    for x in profiles:
-        mass[x] += 1
-    zero = Fraction(0)
-    return tuple(Fraction(m, len(profiles)) if m else zero for m in mass)
+    mass = [Fraction(0)] * size
+    for x in set(profiles):
+        mass[x] = Fraction(profiles.count(x), len(profiles))
+    return tuple(mass)
 
 
-def _screen(rule: VotingRule, matrix, mode: str):
+def _screen(rule: VotingRule, mode: str):
     """An answer over the point masses that needs no solver, as a
     (weights, mixture) pair with one side None, or None.
 
-    Column x of the matrix is phi(x) * x.  A profile deciding the same as
-    its negation gives two columns that cancel, and an own-vote violation of
-    individual i at (base, base | bit_i) two columns summing to -2 e_i, so
-    half mass on either pair is a strict mixture.  A weak mixture puts equal
-    mass on one pair per violator and, unless everyone is a violator, on the
-    first profile where every other (monotone) individual votes against the
-    outcome: over k profiles, a monotone row is then at -1/k and a
-    violator's at most (1 - 2)/k.  Otherwise the Chow vector (the row sums),
-    corrected by adding a failing column at most n times, usually proves
-    robustness; weak weights must give every violator zero (its pair's
-    columns sum to -2 e_i), so there it starts and stays zero on the
-    violators' rows.  No LP runs.
+    Column x of the point-mass matrix is phi(x) * x.  A profile deciding
+    the same as its negation gives two columns that cancel, and an own-vote
+    violation of individual i at (base, base | bit_i) two columns summing
+    to -2 e_i, so half mass on either pair is a strict mixture.  A weak
+    mixture puts equal mass on one pair per violator and, unless everyone
+    is a violator, on the first profile where every other (monotone)
+    individual votes against the outcome: over k profiles, a monotone row
+    is then at -1/k and a violator's at most (1 - 2)/k.  Otherwise the Chow
+    vector (the row sums), corrected by adding a failing column at most n
+    times, usually proves robustness; weak weights must give every violator
+    zero (its pair's columns sum to -2 e_i), so there it starts and stays
+    zero on the violators' rows.  No LP runs and no matrix is built: Chow
+    entry i is twice the number of profiles where i agrees with the
+    outcome, minus 2^n; column j is phi(j) times column j of the sign
+    table; and the failing column is read off the vote sums.
     """
     strict = mode == MODE_STRICT
     n, size = rule.n, 2**rule.n
     t = table_integer(rule.outcomes)
+    masks = table_masks(n)
     twins = twin_set(n, t) if strict else 0
     if twins:
         twin = lowest_bit(twins)
@@ -169,7 +189,6 @@ def _screen(rule: VotingRule, matrix, mode: str):
     if strict and pairs:
         return None, _spread(size, pairs[:2])
     if not strict:
-        masks = table_masks(n)
         against = masks.full
         for i, plus in enumerate(masks.plus, start=1):
             if i not in firsts:
@@ -179,15 +198,19 @@ def _screen(rule: VotingRule, matrix, mode: str):
             return None, _spread(size, pairs + profile)
 
     monotone = [i not in firsts for i in range(1, n + 1)]
-    weights = [sum(row) if keep else 0 for keep, row in zip(monotone, matrix)]
+    weights = [2 * (masks.full & ~(t ^ plus)).bit_count() - size if keep else 0
+               for keep, plus in zip(monotone, masks.plus)]
+    signs = sign_table(n)
     for _ in range(n + 1):
-        j = failed_column(matrix, weights, strict=strict)
+        j = failed_point_mass(rule.outcomes, weights, strict)
         if j is None:
             if min(weights) < 0 or not any(weights):
                 return None
             total = sum(weights)
             return tuple(Fraction(w, total) for w in weights), None
-        weights = [w + row[j] if keep else 0 for w, keep, row in zip(weights, monotone, matrix)]
+        phi = rule.outcomes[j]
+        weights = [w + phi * votes[j] if keep else 0
+                   for w, keep, votes in zip(weights, monotone, signs)]
     return None
 
 
@@ -207,8 +230,7 @@ def certify_p_robust(
         raise ValueError(f"unknown mode {mode!r}")
     if not pset.extreme_points:
         raise ValueError("distribution set must have at least one extreme point")
-    if pset.n == rule.n and len(pset) == 2**rule.n and all(
-            dist.support == ((k, 1),) for k, dist in enumerate(pset.extreme_points)):
+    if is_point_mass_set(rule.n, pset):
         return certify_p_robust_full(rule, mode)
     return _certify_from_matrix(agreement_matrix(rule, pset), mode)
 
@@ -218,17 +240,17 @@ def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT,
     """Robustness over all distributions: the extreme points are the 2^n
     point masses and the matrix columns come straight off the truth table.
     The combinatorial screen answers first; given weights, already known to
-    prove robustness in this mode, answer next; the LP decides the rest.
-    Every answer passes the same substitution check."""
+    prove robustness in this mode, answer next, both checked by
+    point_mass_problem with no matrix; the LP decides the rest, on the
+    point-mass matrix built for it."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    matrix = degenerate_agreement_matrix(rule)
-    answer = _screen(rule, matrix, mode)
+    answer = _screen(rule, mode)
     if answer is None and weights is not None:
         answer = weights, None
     if answer is None:
-        return _certify_from_matrix(matrix, mode)
-    return _certificate(matrix, mode, *answer)
+        return _certify_from_matrix(degenerate_agreement_matrix(rule), mode)
+    return _certificate(point_mass_problem, rule.outcomes, mode, *answer)
 
 
 def responsiveness_game(rule: VotingRule, pset: DistributionSet):
@@ -344,5 +366,6 @@ def certify_anonymous(
     uniform = tuple(Fraction(1, rule.n) for _ in range(rule.n))
     violator = failed_column(matrix, uniform, strict=mode == MODE_STRICT)
     if violator is None:
-        return _certificate(matrix, mode, weights=uniform)
-    return _certificate(matrix, mode, mixture=_orbit_mixture(pset, violator))
+        return _certificate(robustness_problem, matrix, mode, weights=uniform)
+    return _certificate(robustness_problem, matrix, mode,
+                        mixture=_orbit_mixture(pset, violator))

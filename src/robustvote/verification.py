@@ -32,6 +32,7 @@ from .certificates import (
     improves,
     in_sign_class,
     net_gains,
+    point_mass_problem,
     robustness_problem,
     rtf_maximum,
     sign_pattern_holds,
@@ -51,6 +52,7 @@ from .core import (
     is_dictatorship,
     is_own_vote_monotone,
     load_rule,
+    monotone_tables,
     own_vote_violations,
     parse_rational,
     table_integer,
@@ -63,6 +65,7 @@ from .robustness import (
     VERDICT_ROBUST,
     agreement_matrix,
     degenerate_agreement_matrix,
+    is_point_mass_set,
 )
 
 # efficiency, gamma_mechanism and respond are imported by the checkers of
@@ -97,10 +100,14 @@ def _rational_list(values, field: str, length: int | None = None) -> list[Fracti
 
 
 def _check_robustness_certificate(
-    matrix: list[list[Fraction]], mode: str, certificate: dict, context: str
+    rule: VotingRule, pset: DistributionSet | None, mode: str, certificate: dict, context: str
 ) -> str:
-    """Replay one robustness certificate against the agreement matrix
-    (individuals by extreme points) and return its verdict."""
+    """Replay one robustness certificate over the extreme points of pset,
+    None for the point masses, which need no matrix, and return its verdict."""
+    if pset is None or is_point_mass_set(rule.n, pset):
+        problem, data, points = point_mass_problem, rule.outcomes, 2**rule.n
+    else:
+        problem, data, points = robustness_problem, agreement_matrix(rule, pset), len(pset)
     _expect(mode in MODES, f"{context}: unknown mode {mode!r}")
     verdict = _field(certificate, "verdict", context)
     _expect(
@@ -109,15 +116,15 @@ def _check_robustness_certificate(
     )
     if verdict == VERDICT_ROBUST:
         ws = _rational_list(_field(certificate, "weights", context),
-                            f"{context}.weights", len(matrix))
-        problem = robustness_problem(matrix, mode == MODE_STRICT, weights=ws)
+                            f"{context}.weights", rule.n)
+        found = problem(data, mode == MODE_STRICT, weights=ws)
     elif verdict == VERDICT_NOT_ROBUST:
         mix = _rational_list(_field(certificate, "mixture", context),
-                             f"{context}.mixture", len(matrix[0]))
-        problem = robustness_problem(matrix, mode == MODE_STRICT, mixture=mix)
+                             f"{context}.mixture", points)
+        found = problem(data, mode == MODE_STRICT, mixture=mix)
     else:
         raise Mismatch(f"{context}: unknown verdict {verdict!r}")
-    _expect(problem is None, f"{context}: {problem}")
+    _expect(found is None, f"{context}: {found}")
     return verdict
 
 
@@ -127,7 +134,7 @@ def _check_certify(report: dict) -> None:
     pset = DistributionSet.from_json(_field(inputs, "pset", "certify.inputs"))
     mode = _field(inputs, "mode", "certify.inputs")
     # The certificate fields sit at the top level of a certify report.
-    _check_robustness_certificate(agreement_matrix(rule, pset), mode, report, "certify")
+    _check_robustness_certificate(rule, pset, mode, report, "certify")
 
 
 def _check_classify(report: dict) -> None:
@@ -157,14 +164,13 @@ def _check_classify(report: dict) -> None:
                                   f"classify: representation {key}")
 
     certificates = _field(inner, "certificates", "classify")
-    matrix = degenerate_agreement_matrix(rule)
     strict_verdict = _check_robustness_certificate(
-        matrix, MODE_STRICT,
+        rule, None, MODE_STRICT,
         _field(certificates, "robust", "classify.certificates"),
         "classify.certificates.robust",
     )
     weak_verdict = _check_robustness_certificate(
-        matrix, MODE_WEAK,
+        rule, None, MODE_WEAK,
         _field(certificates, "weakly_robust", "classify.certificates"),
         "classify.certificates.weakly_robust",
     )
@@ -410,7 +416,8 @@ def _check_enumerate(report: dict) -> None:
             listed.append(t)
             seen.add(t)
     if predicate in STRUCTURAL_PREDICATES:
-        matches = list(enumerate_tables(n, STRUCTURAL_PREDICATES[predicate]))
+        matches = (monotone_tables(n) if predicate == "monotone"
+                   else list(enumerate_tables(n, STRUCTURAL_PREDICATES[predicate])))
         _expect(count == len(matches), "enumerate: count disagrees with a recount")
         if tables is not None:
             _expect(listed == matches,

@@ -329,3 +329,12 @@ def responsiveness_by_atoms(rule, dist) -> tuple[Fraction, ...]:
               for idx, p in dist.support), Fraction(0)) + 1) / 2
         for i in range(rule.n)
     )
+
+
+def vote_sums_by_rows(weights) -> list[Fraction]:
+    """sum_i w_i x_i at every profile as exact rationals, one whole row of
+    votes added per individual, the votes read off the profile bits."""
+    sums = [Fraction(0)] * 2 ** len(weights)
+    for i, w in enumerate(weights):
+        sums = [s + (w if idx >> i & 1 else -w) for idx, s in enumerate(sums)]
+    return sums

@@ -57,7 +57,7 @@ from robustvote.certificates import InternalError
 from robustvote.core import VotingRule
 
 assert False, "asserts must be stripped in this run"
-robustness._screen = lambda rule, matrix, mode: ((Fraction(1, 2), Fraction(1, 2)), None)
+robustness._screen = lambda rule, mode: ((Fraction(1, 2), Fraction(1, 2)), None)
 try:
     cert = robustness.certify_p_robust_full(VotingRule.from_table_string(2, "---+"))
 except InternalError:

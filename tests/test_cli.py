@@ -143,6 +143,14 @@ class TestDiagnostics:
         assert "table length" not in proc.stderr
         assert "cannot read" in proc.stderr
 
+    def test_a_flag_value_is_quoted_in_a_one_line_diagnostic(self):
+        # The raw value's newline would split the message; quoted, it is
+        # escaped and the diagnostic stays one line.
+        proc = run(["classify", "--rule=+-+-\n"])
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "cannot read '+-+-\\n'" in proc.stderr
+
     def test_invalid_json_file(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

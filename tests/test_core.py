@@ -31,7 +31,15 @@ from robustvote import (
     unanimity_rule,
     weighted_majority_rule,
 )
-from robustvote.core import format_rational, parse_rational, popcount, vote_in_profile
+from robustvote.core import (
+    STRUCTURAL_PREDICATES,
+    enumerate_tables,
+    format_rational,
+    monotone_tables,
+    parse_rational,
+    popcount,
+    vote_in_profile,
+)
 
 
 class TestProfiles:
@@ -254,6 +262,14 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ValueError):
             list(enumerate_rules(5))
+        with pytest.raises(ValueError):
+            monotone_tables(5)
+
+    @pytest.mark.parametrize("n, count", [(1, 3), (2, 6), (3, 20), (4, 168)])
+    def test_monotone_tables_are_the_monotone_walk(self, n, count):
+        tables = monotone_tables(n)
+        assert len(tables) == count
+        assert tables == list(enumerate_tables(n, STRUCTURAL_PREDICATES["monotone"]))
 
 
 class TestNamedRules:

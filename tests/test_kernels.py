@@ -1,15 +1,27 @@
-"""The row-major substitution kernels against column-by-column references."""
+"""The substitution kernels against references: the row-major column
+check column by column, the doubling vote sums row by row, and the
+matrix-free point-mass check against the check on the dense matrix."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from robustvote import Distribution, RandomVotingRule, VotingRule, responsiveness
-from robustvote.certificates import failed_column, robustness_problem
+from robustvote import (
+    Distribution,
+    RandomVotingRule,
+    VotingRule,
+    certify_p_robust_full,
+    responsiveness,
+    weighted_majority_rule,
+)
+from robustvote.certificates import failed_column, point_mass_problem, robustness_problem
+from robustvote.core import table_rule, vote_sums
+from robustvote.robustness import MODES, degenerate_agreement_matrix
 
 from conftest import random_distribution
-from oracles import failed_column_by_columns, responsiveness_by_atoms
+from oracles import failed_column_by_columns, responsiveness_by_atoms, vote_sums_by_rows
 
 
 def _entry(rng: random.Random, rational: bool):
@@ -77,3 +89,83 @@ def test_responsiveness_matches_the_atom_by_atom_sum(n):
         for dist in _distributions(rng, n):
             for rule in (deterministic, random_rule):
                 assert responsiveness(rule, dist).values == responsiveness_by_atoms(rule, dist)
+
+
+def _vote_weights(rng: random.Random, n: int, kind: str):
+    if kind == "int":
+        return [rng.randint(-9, 9) for _ in range(n)]
+    if kind == "zero":
+        return [F(0)] * n
+    weights = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+    return weights if kind == "fraction" else [-abs(w) for w in weights]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", ["int", "fraction", "zero", "negative"])
+def test_doubling_vote_sums_match_the_row_by_row_reference(n, kind):
+    rng = random.Random(f"vote-sums-{n}-{kind}")
+    for _ in range(1 if n > 9 else 4):
+        weights = _vote_weights(rng, n, kind)
+        sums, scale = vote_sums(weights)
+        assert scale > 0 and all(type(s) is int for s in sums)
+        assert [F(s, scale) for s in sums] == vote_sums_by_rows(weights)
+
+
+def _moved(rng: random.Random, vector):
+    """The vector with part or all of one nonzero entry's mass moved to
+    another entry, still a distribution; and with that entry negated, no
+    longer one."""
+    source = rng.choice([k for k, v in enumerate(vector) if v])
+    target = rng.choice([k for k in range(len(vector)) if k != source] or [source])
+    share = vector[source] * rng.choice((F(1), F(1, 2), F(1, 3)))
+    moved = list(vector)
+    moved[source] -= share
+    moved[target] += share
+    negated = list(vector)
+    negated[source] = -negated[source]
+    return [moved, negated]
+
+
+def _random_mass(rng: random.Random, size: int):
+    raw = [rng.randint(0, 3) * rng.randint(0, 1) for _ in range(size)]
+    raw[rng.randrange(size)] += 1
+    return [F(v, sum(raw)) for v in raw]
+
+
+def _point_mass_rules():
+    for n in (1, 2, 3):
+        for t in range(2 ** 2**n):
+            yield table_rule(n, t)
+    rng = random.Random("point-mass-rules")
+    for n in (4, 5, 6, 7, 8):
+        for _ in range(4):
+            weights = [rng.randint(0, 12) for _ in range(n)]
+            yield weighted_majority_rule(n, weights, tie=rng.choice((-1, 1)))
+            yield VotingRule(n, tuple(rng.choice((-1, 1)) for _ in range(2**n)))
+
+
+def test_point_mass_problem_matches_the_dense_check():
+    rng = random.Random("point-mass-problem")
+    messages = set()
+    for rule in _point_mass_rules():
+        matrix = degenerate_agreement_matrix(rule)
+        weights, mixtures = [_random_mass(rng, rule.n)], [_random_mass(rng, 2**rule.n)]
+        for mode in MODES:
+            cert = certify_p_robust_full(rule, mode)
+            for vectors, vector in ((weights, cert.weights), (mixtures, cert.mixture)):
+                if vector is not None:
+                    vectors += [list(vector)] + _moved(rng, vector)
+        weights += _moved(rng, weights[0])
+        mixtures += _moved(rng, mixtures[0])
+        for strict in (True, False):
+            for ws in weights:
+                found = point_mass_problem(rule.outcomes, strict, weights=ws)
+                assert found == robustness_problem(matrix, strict, weights=ws)
+                messages.add(found and re.sub(r"\d+", "#", found))
+            for mix in mixtures:
+                found = point_mass_problem(rule.outcomes, strict, mixture=mix)
+                assert found == robustness_problem(matrix, strict, mixture=mix)
+                messages.add(found and re.sub(r"\d+", "#", found))
+    assert messages == {None, "weights fail extreme point #", "mixture leaves individual # responsive",
+                        "weights are not a distribution over individuals",
+                        "mixture is not a distribution over extreme points"}

@@ -2,11 +2,16 @@
 before any LP: it must agree with the LP on every rule it decides, and it
 must decide the rules its certificates exist for without the LP."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import robustvote
 from robustvote import (
     VotingRule,
     WmrQuery,
@@ -192,3 +197,47 @@ def test_violations_come_in_individual_then_profile_order():
     assert not base & bit
     assert rule.outcomes[base] == 1 and rule.outcomes[base | bit] == -1
     assert list(own_vote_violations(majority_rule(3))) == []
+
+
+# A tie-free WMR at n = 12 whose Chow vector n + 1 corrections repair in
+# both modes (most weight vectors in 1..20 at n = 12 need the LP).
+SCREENED_WEIGHTS = (7, 4, 15, 11, 8, 7, 16, 16, 6, 16, 10, 15)
+
+# Certify and verify with the point-mass matrix refused: the screen, the
+# certificate check and the replay of certify and classify certificates
+# all price the 2^n point masses without it.  The classify report is made
+# first, since its Stiemke weights come from the LP.
+NO_MATRIX = f"""
+import contextlib, io, json
+from robustvote import cli, robustness
+from robustvote.core import DistributionSet, majority_rule, weighted_majority_rule
+from robustvote.verification import verify_report
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.main(["classify", "--rule=" + majority_rule(5).to_table_string()])
+classify_report = json.loads(out.getvalue())
+
+def refuse(rule):
+    raise RuntimeError("the point-mass matrix was built")
+
+robustness.degenerate_agreement_matrix = refuse
+for rule in (majority_rule(9), weighted_majority_rule(12, {SCREENED_WEIGHTS!r})):
+    for mode in robustness.MODES:
+        cert = robustness.certify_p_robust_full(rule, mode)
+        report = dict(schema="robustvote/1", command="certify", **cert.to_json(), inputs=dict(
+            rule=rule.to_json(), pset=DistributionSet.degenerates(rule.n).to_json(), mode=mode))
+        print(cert.verdict, verify_report(report))
+print(verify_report(classify_report))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_screened_answers_build_no_matrix(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(robustvote.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, *flags, "-c", NO_MATRIX], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["robust []"] * 4 + ["[]"]
