@@ -14,9 +14,10 @@ data is.  A column check on a general matrix is row-major: core.combine_rows
 adds whole rows, one pass per nonzero weight, giving every column's dot
 product at once, and the first failing column is read off that list.
 
-Over the 2^n point masses no matrix is built: the column for profile x is
-phi(x) * x, so one core.vote_sums pass prices every column, for the
-robustness, representation and sign-pattern checks alike.
+Robustness certificates, over any extreme points, need no matrix: one
+core.vote_sums pass prices weights at every profile, as it does for the
+representation and sign-pattern checks, and a mixture is checked as the
+distribution it blends, by core.vote_leans, the sums responsiveness takes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Sequence
 
-from .core import combine_rows, over_common_denominator, sign_table, vote_sums
+from .core import combine_rows, over_common_denominator, vote_leans, vote_sums
 
 # The vocabulary checked here: the two relations of a cone row g.z >= 0 or
 # g.z > 0 over z >= 0, which lp re-exports, and the tie modes and sign
@@ -61,17 +62,22 @@ def require(holds: bool, message: str) -> None:
 
 def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
     """First column j where sum_i weights[i] * matrix[i][j] is not above
-    bound (strict) or not at least bound, or None: robustness weights clear
-    zero at every extreme point."""
+    bound (strict) or not at least bound, or None: the check of weights an
+    alternative returns for its matrix."""
     weights, scale = over_common_denominator(weights)
     return _first_failure(combine_rows(weights, matrix), bound * scale, strict)
 
 
-def failed_point_mass(outcomes, weights, strict: bool = True) -> int | None:
-    """failed_column on the point-mass agreement matrix, without it: column
-    x is phi(x) * x, so its dot product with the weights is phi(x) times the
-    vote sum at x.  The kernel of every point-mass check."""
-    return _first_failure(map(operator.mul, outcomes, vote_sums(weights)[0]), 0, strict)
+def failed_extreme_point(outcomes, weights, strict: bool = True, points=None) -> int | None:
+    """The first extreme point where sum_i w_i E[phi(x) x_i] is not above
+    zero (strict) or not at least zero, or None, with no matrix: profile x
+    costs phi(x) times its vote sum, and an extreme point sums its support
+    (points; None for the 2^n point masses in profile order)."""
+    prices = map(operator.mul, outcomes, vote_sums(weights)[0])
+    if points is not None:
+        at = list(prices)
+        prices = [sum(p * at[x] for x, p in support) for support in points]
+    return _first_failure(prices, 0, strict)
 
 
 # The distribution, column and row checks on a vector already over its
@@ -97,44 +103,34 @@ def _failed_row(matrix, mixture: list[int], bound, strict: bool) -> int | None:
     return None
 
 
-def robustness_problem(matrix, strict: bool, weights=None, mixture=None) -> str | None:
-    """What is wrong with robustness weights, or else a mixture, over the
-    agreement matrix (individuals by extreme points), or None.  Both must be
-    distributions; weights clear every column (strictly when strict), and a
-    mixture holds every row at or below zero (below zero when not strict).
-    The vector is put over its common denominator once, for both tests."""
+def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
+                       points=None) -> str | None:
+    """What is wrong with robustness weights, or else a mixture, for the
+    rule with these outcomes over the extreme points with supports points
+    (None: the point masses), or None.  Both must be distributions; weights
+    must pass failed_extreme_point, and under the distribution q a mixture
+    blends, every lean sum_x q(x) phi(x) x_i must be at most zero (below
+    zero when not strict).  A mixture's zero entries are never read."""
     if weights is not None:
         numerators, scale = over_common_denominator(weights)
         if not _is_distribution(numerators, scale):
             return "weights are not a distribution over individuals"
-        j = _first_failure(combine_rows(numerators, matrix), 0, strict)
+        j = failed_extreme_point(outcomes, numerators, strict, points)
         return None if j is None else f"weights fail extreme point {j}"
-    numerators, scale = over_common_denominator(mixture)
-    if not _is_distribution(numerators, scale):
-        return "mixture is not a distribution over extreme points"
-    i = _failed_row(matrix, numerators, 0, not strict)
-    return None if i is None else f"mixture leaves individual {i + 1} responsive"
-
-
-def point_mass_problem(outcomes, strict: bool, weights=None, mixture=None) -> str | None:
-    """robustness_problem, answers and messages alike, on the point-mass
-    agreement matrix of the rule with these outcomes, without the matrix:
-    a mixture's row for individual i is phi(x) * x_i over its support."""
-    if weights is not None:
-        numerators, scale = over_common_denominator(weights)
-        if not _is_distribution(numerators, scale):
-            return "weights are not a distribution over individuals"
-        j = failed_point_mass(outcomes, numerators, strict)
-        return None if j is None else f"weights fail extreme point {j}"
-    support = [x for x, m in enumerate(mixture) if m]
-    masses, scale = over_common_denominator([mixture[x] for x in support])
+    support = [k for k, m in enumerate(mixture) if m]
+    masses, scale = over_common_denominator([mixture[k] for k in support])
     if not _is_distribution(masses, scale):
         return "mixture is not a distribution over extreme points"
+    if points is not None:
+        blend: dict[int, Fraction] = {}
+        for k, m in zip(support, masses):
+            for x, p in points[k]:
+                blend[x] = blend.get(x, 0) + m * p
+        support, masses = list(blend), over_common_denominator(list(blend.values()))[0]
     signed = [m * outcomes[x] for m, x in zip(masses, support)]
-    for i, votes in enumerate(sign_table(len(outcomes).bit_length() - 1)):
-        dot = sum(m * votes[x] for m, x in zip(signed, support))
-        if not (dot <= 0 if strict else dot < 0):
-            return f"mixture leaves individual {i + 1} responsive"
+    for i, lean in enumerate(vote_leans(len(outcomes).bit_length() - 1, support, signed), 1):
+        if not (lean <= 0 if strict else lean < 0):
+            return f"mixture leaves individual {i} responsive"
     return None
 
 
@@ -210,19 +206,13 @@ def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
         raise ValueError(f"{len(ws)} weights for n={rule.n}")
     if all(w == 0 for w in ws):
         return False
-    return failed_point_mass(rule.outcomes, ws, ties == TIES_FORBIDDEN) is None
+    return failed_extreme_point(rule.outcomes, ws, ties == TIES_FORBIDDEN) is None
 
 
 def sign_pattern_holds(rule, weights: Sequence[Fraction]) -> bool:
     """Whether the weighted vote sum has the strict sign of the expected
     outcome at every profile: the certificate of a robust random rule."""
-    return failed_point_mass(rule.outcomes, weights) is None
-
-
-def holds_at_half(values: Sequence[Fraction]) -> bool:
-    """Whether no responsiveness exceeds one half: the counterexample to the
-    robustness of a random rule."""
-    return all(2 * v <= 1 for v in values)
+    return failed_extreme_point(rule.outcomes, weights) is None
 
 
 def rtf_maximum(weights: Sequence[Fraction], dist) -> Fraction:

@@ -22,12 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_INDIVIDUALS = 16
 MAX_ENUMERATION_INDIVIDUALS = 4
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+_BITS = str.maketrans("+-", "10")  # a profile string's characters as index bits
 
 
 class FormatError(ValueError):
@@ -101,6 +103,13 @@ def vote_sums(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     for w in numerators:
         sums = [s - w for s in sums] + [s + w for s in sums]
     return sums, scale
+
+
+def vote_leans(n: int, support: Sequence[int], masses: Sequence) -> list:
+    """sum_k masses[k] * x_i at profile support[k], for each individual i:
+    with masses p(x) * phi(x), individual i's lean toward agreeing with the
+    outcome, twice its responsiveness minus one, times p's scale."""
+    return [sum(map(mul, masses, map(votes.__getitem__, support))) for votes in sign_table(n)]
 
 
 @dataclass(frozen=True)
@@ -372,7 +381,10 @@ class Distribution:
                 raise FormatError(
                     f"atoms[{k}].profile: expected {n} characters of '+'/'-', got {profile!r}"
                 )
-            idx = DecisionProfile.from_string(profile, f"atoms[{k}].profile").index
+            if profile.strip("+-"):
+                raise FormatError(
+                    f"atoms[{k}].profile: expected '+'/'-' characters, got {profile!r}")
+            idx = int(profile[::-1].translate(_BITS), 2)  # individual 1 is bit 0
             if idx in probs:
                 raise FormatError(f"atoms[{k}].profile: duplicate profile {profile!r}")
             probs[idx] = parse_rational(atom.get("prob"), f"atoms[{k}].prob")

@@ -112,7 +112,7 @@ def epsilon_lower_witness(n: int):
     enumerates first.
     """
     if not 1 <= n <= MAX_THRESHOLD_N:
-        raise ValueError(f"threshold enumeration is capped at n={MAX_THRESHOLD_N}")
+        raise ValueError(f"threshold enumeration is limited to 1 <= n <= {MAX_THRESHOLD_N}")
     degenerates = DistributionSet.degenerates(n)
     best: ExtendedRational | None = None
     binding = None

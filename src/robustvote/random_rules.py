@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certificates import holds_at_half, improves, require, sign_pattern_holds
+from .certificates import improves, require, robustness_problem, sign_pattern_holds
 from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, set_bits, table_masks
 from .lp import alternative_strict, alternative_weak
 from .respond import SIGN_CLASS_NONNEGATIVE, WeightVector, responsiveness
@@ -43,10 +43,9 @@ def certify_random(
         require(sign_pattern_holds(rule, cleared),
                 "recovered weights fail the per-profile sign agreement")
         return WeightVector(cleared, SIGN_CLASS_NONNEGATIVE), None
-    counterexample = Distribution(n, answer.mixture)
-    require(holds_at_half(responsiveness(rule, counterexample).values),
+    require(robustness_problem(rule.outcomes, True, mixture=answer.mixture) is None,
             "counterexample distribution leaves an individual above one half")
-    return None, counterexample
+    return None, Distribution(n, answer.mixture)
 
 
 def find_dominating_deterministic(

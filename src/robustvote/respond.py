@@ -32,6 +32,7 @@ from .core import (
     is_anonymous,
     over_common_denominator,
     sign_table,
+    vote_leans,
     vote_sums,
 )
 
@@ -115,16 +116,12 @@ def responsiveness(
     # for a deterministic rule.
     weighted = list(map(mul, probs, outcomes))
     scale = prob_scale * outcome_scale
-    values = []
-    for row in sign_table(rule.n):
-        votes = list(map(row.__getitem__, support))
-        expectation = sum(map(mul, weighted, votes))
-        if deterministic:
-            mass = sum(compress(probs, map(eq, outcomes, votes)))
-            require(2 * mass == expectation + scale,
-                    "agreement mass and expectation identity disagree")
-        values.append(Fraction(expectation + scale, 2 * scale))
-    return ResponsivenessVector(tuple(values))
+    leans = vote_leans(rule.n, support, weighted)
+    if deterministic:
+        for row, lean in zip(sign_table(rule.n), leans):
+            mass = sum(compress(probs, map(eq, outcomes, map(row.__getitem__, support))))
+            require(2 * mass == lean + scale, "agreement mass and expectation identity disagree")
+    return ResponsivenessVector(tuple(Fraction(lean + scale, 2 * scale) for lean in leans))
 
 
 def agreement_counts(rule: VotingRule) -> tuple[int, ...]:

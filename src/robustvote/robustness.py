@@ -14,10 +14,11 @@ refute robustness, and so, for the weak variant, do such pairs together
 with a profile where every other individual votes against the outcome; the
 Chow vector, zero on those individuals for the weak variant and corrected a
 few times by failing columns, proves it.  The screen reads these off the
-table integer and the vote sums, and certificates.point_mass_problem checks
-its answers, so the point-mass matrix is built only for the LP, which
-decides what the screen leaves open.  Every certificate, screened or
-solved, passes a substitution check.
+table integer and the vote sums, and the LP decides what it leaves open.
+
+Every certificate, over the point masses or any extreme points, passes
+certificates.robustness_problem, which builds no matrix: an agreement
+matrix is only ever the input of the LP or of the responsiveness game.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import (
-    failed_column,
-    failed_point_mass,
-    point_mass_problem,
-    require,
-    robustness_problem,
-)
+from .certificates import failed_extreme_point, require, robustness_problem
 from .core import (
     STRUCTURAL_PREDICATES,
     Distribution,
@@ -122,29 +117,39 @@ def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[lis
     ]
 
 
-def is_point_mass_set(n: int, pset: DistributionSet) -> bool:
-    """Whether pset is the 2^n point masses on n individuals in profile
-    order, whose certificates point_mass_problem checks."""
-    return pset.n == n and len(pset) == 2**n and all(
-        dist.support == ((k, 1),) for k, dist in enumerate(pset.extreme_points))
+def extreme_supports(rule, pset: DistributionSet):
+    """The points of certificates.robustness_problem for pset: None for the
+    2^n point masses in profile order, else each extreme point's support."""
+    if rule.n != pset.n:
+        raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
+    if len(pset) == 2**rule.n and all(
+            dist.support == ((k, 1),) for k, dist in enumerate(pset.extreme_points)):
+        return None
+    return [dist.support for dist in pset.extreme_points]
 
 
-def _certificate(problem, data, mode: str, weights=None, mixture=None) -> RobustnessCertificate:
+def _certificate(rule, mode: str, weights=None, mixture=None,
+                 points=None) -> RobustnessCertificate:
     """The certificate for whichever vector is given, once it has passed
-    its substitution check: problem is robustness_problem on a matrix or
-    point_mass_problem on a rule's outcomes, and data is that argument."""
-    found = problem(data, mode == MODE_STRICT, weights, mixture)
+    robustness_problem over the extreme points with these supports."""
+    found = robustness_problem(rule.outcomes, mode == MODE_STRICT, weights, mixture, points)
     require(found is None, f"robustness certificate: {found}")
     verdict = VERDICT_ROBUST if weights is not None else VERDICT_NOT_ROBUST
     return RobustnessCertificate(verdict, mode, weights, mixture)
 
 
-def _certify_from_matrix(matrix: list[list[Fraction]], mode: str) -> RobustnessCertificate:
+def _certify_by_lp(rule: VotingRule, mode: str,
+                   pset: DistributionSet | None = None) -> RobustnessCertificate:
+    """The LP's verdict over pset, None for the point masses, on the
+    agreement matrix built for it, with a checked certificate."""
     from .lp import alternative_strict, alternative_weak  # `verify` never solves
 
     alternative = alternative_strict if mode == MODE_STRICT else alternative_weak
-    answer = alternative(matrix)
-    return _certificate(robustness_problem, matrix, mode, answer.weights, answer.mixture)
+    if pset is None:
+        answer, points = alternative(degenerate_agreement_matrix(rule)), None
+    else:
+        answer, points = alternative(agreement_matrix(rule, pset)), extreme_supports(rule, pset)
+    return _certificate(rule, mode, answer.weights, answer.mixture, points)
 
 
 def _spread(size: int, profiles: list[int]) -> tuple[Fraction, ...]:
@@ -202,7 +207,7 @@ def _screen(rule: VotingRule, mode: str):
                for keep, plus in zip(monotone, masks.plus)]
     signs = sign_table(n)
     for _ in range(n + 1):
-        j = failed_point_mass(rule.outcomes, weights, strict)
+        j = failed_extreme_point(rule.outcomes, weights, strict)
         if j is None:
             if min(weights) < 0 or not any(weights):
                 return None
@@ -230,9 +235,9 @@ def certify_p_robust(
         raise ValueError(f"unknown mode {mode!r}")
     if not pset.extreme_points:
         raise ValueError("distribution set must have at least one extreme point")
-    if is_point_mass_set(rule.n, pset):
+    if extreme_supports(rule, pset) is None:
         return certify_p_robust_full(rule, mode)
-    return _certify_from_matrix(agreement_matrix(rule, pset), mode)
+    return _certify_by_lp(rule, mode, pset)
 
 
 def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT,
@@ -240,17 +245,16 @@ def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT,
     """Robustness over all distributions: the extreme points are the 2^n
     point masses and the matrix columns come straight off the truth table.
     The combinatorial screen answers first; given weights, already known to
-    prove robustness in this mode, answer next, both checked by
-    point_mass_problem with no matrix; the LP decides the rest, on the
-    point-mass matrix built for it."""
+    prove robustness in this mode, answer next, both checked with no
+    matrix; the LP decides the rest, on the point-mass matrix built for it."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     answer = _screen(rule, mode)
     if answer is None and weights is not None:
         answer = weights, None
     if answer is None:
-        return _certify_from_matrix(degenerate_agreement_matrix(rule), mode)
-    return _certificate(point_mass_problem, rule.outcomes, mode, *answer)
+        return _certify_by_lp(rule, mode)
+    return _certificate(rule, mode, *answer)
 
 
 def responsiveness_game(rule: VotingRule, pset: DistributionSet):
@@ -362,10 +366,9 @@ def certify_anonymous(
     if not is_permutation_invariant(pset):
         raise ValueError("distribution set is not permutation invariant")
 
-    matrix = agreement_matrix(rule, pset)
+    points = extreme_supports(rule, pset)
     uniform = tuple(Fraction(1, rule.n) for _ in range(rule.n))
-    violator = failed_column(matrix, uniform, strict=mode == MODE_STRICT)
+    violator = failed_extreme_point(rule.outcomes, uniform, mode == MODE_STRICT, points)
     if violator is None:
-        return _certificate(robustness_problem, matrix, mode, weights=uniform)
-    return _certificate(robustness_problem, matrix, mode,
-                        mixture=_orbit_mixture(pset, violator))
+        return _certificate(rule, mode, weights=uniform, points=points)
+    return _certificate(rule, mode, mixture=_orbit_mixture(pset, violator), points=points)

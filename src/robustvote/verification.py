@@ -7,7 +7,8 @@ certificate to the same substitution checks in `certificates` that its
 producer ran before emitting it; a failed check becomes a problem string.
 Nothing here solves a feasibility problem, so a tampered certificate fails
 because the arithmetic it promises does not hold, not because a solver
-disagrees.
+disagrees.  Robustness certificates and random-rule counterexamples go to
+the one check certificates.robustness_problem, which builds no matrix.
 
 Affirmative claims are re-derived in full.  Claims of nonexistence (no
 weight vector, no dominating rule) carry no finite certificate; they are
@@ -28,11 +29,9 @@ from .certificates import (
     TIES_FORBIDDEN,
     attains,
     game_problem,
-    holds_at_half,
     improves,
     in_sign_class,
     net_gains,
-    point_mass_problem,
     robustness_problem,
     rtf_maximum,
     sign_pattern_holds,
@@ -63,9 +62,8 @@ from .robustness import (
     MODES,
     VERDICT_NOT_ROBUST,
     VERDICT_ROBUST,
-    agreement_matrix,
     degenerate_agreement_matrix,
-    is_point_mass_set,
+    extreme_supports,
 )
 
 # efficiency, gamma_mechanism and respond are imported by the checkers of
@@ -103,11 +101,9 @@ def _check_robustness_certificate(
     rule: VotingRule, pset: DistributionSet | None, mode: str, certificate: dict, context: str
 ) -> str:
     """Replay one robustness certificate over the extreme points of pset,
-    None for the point masses, which need no matrix, and return its verdict."""
-    if pset is None or is_point_mass_set(rule.n, pset):
-        problem, data, points = point_mass_problem, rule.outcomes, 2**rule.n
-    else:
-        problem, data, points = robustness_problem, agreement_matrix(rule, pset), len(pset)
+    None for the point masses, and return its verdict."""
+    points = None if pset is None else extreme_supports(rule, pset)
+    count = 2**rule.n if points is None else len(points)
     _expect(mode in MODES, f"{context}: unknown mode {mode!r}")
     verdict = _field(certificate, "verdict", context)
     _expect(
@@ -117,11 +113,12 @@ def _check_robustness_certificate(
     if verdict == VERDICT_ROBUST:
         ws = _rational_list(_field(certificate, "weights", context),
                             f"{context}.weights", rule.n)
-        found = problem(data, mode == MODE_STRICT, weights=ws)
+        found = robustness_problem(rule.outcomes, mode == MODE_STRICT, ws, points=points)
     elif verdict == VERDICT_NOT_ROBUST:
         mix = _rational_list(_field(certificate, "mixture", context),
-                             f"{context}.mixture", points)
-        found = problem(data, mode == MODE_STRICT, mixture=mix)
+                             f"{context}.mixture", count)
+        found = robustness_problem(rule.outcomes, mode == MODE_STRICT, mixture=mix,
+                                   points=points)
     else:
         raise Mismatch(f"{context}: unknown verdict {verdict!r}")
     _expect(found is None, f"{context}: {found}")
@@ -348,8 +345,6 @@ def _check_dominance(report: dict) -> None:
 
 
 def _check_random_certify(report: dict) -> None:
-    from .respond import responsiveness
-
     inputs = _field(report, "inputs", "random-certify")
     rule = load_rule(_field(inputs, "rule", "random-certify.inputs"))
     if isinstance(rule, VotingRule):
@@ -375,7 +370,9 @@ def _check_random_certify(report: dict) -> None:
                 "random-certify: weights fail the outcome sign pattern")
     else:
         cx = Distribution.from_json(counterexample_json)
-        _expect(holds_at_half(responsiveness(rule, cx).values),
+        if cx.n != rule.n:
+            raise ValueError(f"rule has n={rule.n} but distribution has n={cx.n}")
+        _expect(robustness_problem(rule.outcomes, True, mixture=cx.probs) is None,
                 "random-certify: counterexample leaves someone responsive")
 
 

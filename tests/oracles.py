@@ -338,3 +338,31 @@ def vote_sums_by_rows(weights) -> list[Fraction]:
     for i, w in enumerate(weights):
         sums = [s + (w if idx >> i & 1 else -w) for idx, s in enumerate(sums)]
     return sums
+
+
+def agreement_matrix_by_atoms(outcomes, supports) -> list[list[Fraction]]:
+    """Row i, column j: sum of p(x) phi(x) x_i over the j-th support, a
+    Fraction sum with the votes read off the profile bits."""
+    n = len(outcomes).bit_length() - 1
+    return [[sum((p * outcomes[idx] * (1 if idx >> i & 1 else -1) for idx, p in support),
+                 Fraction(0)) for support in supports] for i in range(n)]
+
+
+def robustness_problem_on_matrix(matrix, strict, weights=None, mixture=None):
+    """The robustness certificate check on the agreement matrix itself
+    (individuals by extreme points), in rationals, column by column and row
+    by row: weights must be a distribution clearing every column (strictly
+    when strict), a mixture a distribution holding every row at or below
+    zero (below zero when not strict).  The messages are the package's."""
+    if weights is not None:
+        if any(w < 0 for w in weights) or sum(weights) != 1:
+            return "weights are not a distribution over individuals"
+        j = failed_column_by_columns(matrix, weights, 0, strict)
+        return None if j is None else f"weights fail extreme point {j}"
+    if any(m < 0 for m in mixture) or sum(mixture) != 1:
+        return "mixture is not a distribution over extreme points"
+    for i, row in enumerate(matrix, start=1):
+        dot = sum((a * m for a, m in zip(row, mixture)), Fraction(0))
+        if not (dot <= 0 if strict else dot < 0):
+            return f"mixture leaves individual {i} responsive"
+    return None

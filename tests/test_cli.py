@@ -151,6 +151,14 @@ class TestDiagnostics:
         assert len(proc.stderr.splitlines()) == 1
         assert "cannot read '+-+-\\n'" in proc.stderr
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_epsilon_names_the_range_of_n(self, capsys, n):
+        # In-process: the message is decided before any rule is enumerated.
+        assert cli.main(["epsilon", f"--n={n}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: threshold enumeration is limited to 1 <= n <= 4\n"
+
     def test_invalid_json_file(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -106,6 +106,28 @@ def test_sparse_constructors_keep_the_dense_messages():
         Distribution.from_json(bad_sum)
 
 
+@pytest.mark.parametrize(("profile", "message"), [
+    ("+x-", r"^atoms\[1\]\.profile: expected '\+'/'-' characters, got '\+x-'$"),
+    ("1-0", r"^atoms\[1\]\.profile: expected '\+'/'-' characters, got '1-0'$"),
+    ("-+ ", r"^atoms\[1\]\.profile: expected '\+'/'-' characters, got '-\+ '$"),
+    ("++", r"^atoms\[1\]\.profile: expected 3 characters of '\+'/'-', got '\+\+'$"),
+    ("++++", r"^atoms\[1\]\.profile: expected 3 characters of '\+'/'-', got '\+\+\+\+'$"),
+    (7, r"^atoms\[1\]\.profile: expected 3 characters of '\+'/'-', got 7$"),
+])
+def test_from_json_names_a_malformed_profile(profile, message):
+    data = {"n": 3, "atoms": [{"profile": "+--", "prob": "1/2"},
+                              {"profile": profile, "prob": "1/2"}]}
+    with pytest.raises(FormatError, match=message):
+        Distribution.from_json(data)
+
+
+def test_from_json_reads_individual_one_as_the_lowest_bit():
+    for n in (1, 3, 5):
+        for idx in range(2**n):
+            dist = Distribution.degenerate(n, idx)
+            assert Distribution.from_json(dist.to_json()) == dist
+
+
 @pytest.mark.parametrize("first", ["0/1", "1/2", "1/1"])
 def test_from_json_rejects_any_repeated_profile(first):
     data = {"n": 2, "atoms": [{"profile": "++", "prob": first},

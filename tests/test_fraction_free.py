@@ -29,7 +29,7 @@ from robustvote.lp import (
 )
 from robustvote.robustness import (
     MODES,
-    _certify_from_matrix,
+    _certify_by_lp,
     degenerate_agreement_matrix,
     responsiveness_game,
 )
@@ -115,8 +115,7 @@ class TestSameAnswersAsTheFractionTableau:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_n3_rule(self, both, mode):
         for rule in _n3_rules():
-            matrix = degenerate_agreement_matrix(rule)
-            new, old = both(_certify_from_matrix, matrix, mode)
+            new, old = both(_certify_by_lp, rule, mode)
             assert new == old, rule.outcomes
 
     def test_every_n3_responsiveness_game(self, both):

@@ -1,6 +1,7 @@
 """The substitution kernels against references: the row-major column
 check column by column, the doubling vote sums row by row, and the
-matrix-free point-mass check against the check on the dense matrix."""
+matrix-free robustness check against the check on the dense matrix, over
+the point masses, general extreme points and random-rule outcomes."""
 
 import random
 import re
@@ -10,18 +11,31 @@ import pytest
 
 from robustvote import (
     Distribution,
+    DistributionSet,
     RandomVotingRule,
     VotingRule,
+    certify_p_robust,
     certify_p_robust_full,
+    certify_random,
     responsiveness,
     weighted_majority_rule,
 )
-from robustvote.certificates import failed_column, point_mass_problem, robustness_problem
+from robustvote.certificates import failed_column, robustness_problem
 from robustvote.core import table_rule, vote_sums
-from robustvote.robustness import MODES, degenerate_agreement_matrix
+from robustvote.robustness import MODES
 
 from conftest import random_distribution
-from oracles import failed_column_by_columns, responsiveness_by_atoms, vote_sums_by_rows
+from oracles import (
+    agreement_matrix_by_atoms,
+    failed_column_by_columns,
+    responsiveness_by_atoms,
+    robustness_problem_on_matrix,
+    vote_sums_by_rows,
+)
+
+MESSAGES = {None, "weights fail extreme point #", "mixture leaves individual # responsive",
+            "weights are not a distribution over individuals",
+            "mixture is not a distribution over extreme points"}
 
 
 def _entry(rng: random.Random, rational: bool):
@@ -58,18 +72,33 @@ def test_failed_column_matches_the_column_by_column_reference(rational):
     assert None in failures and len(failures) > 10
 
 
+def _general_set(rng: random.Random, n: int) -> DistributionSet:
+    """One to six extreme points, each on one to five random profiles."""
+    points = []
+    for _ in range(rng.randint(1, 6)):
+        atoms = rng.sample(range(2**n), rng.randint(1, min(5, 2**n)))
+        points.append(Distribution.from_weights(n, {x: F(rng.randint(1, 9)) for x in atoms}))
+    return DistributionSet(n, tuple(points))
+
+
 def test_robustness_problem_names_the_reference_column():
     rng = random.Random("robustness-problem")
+    failures = set()
     for _ in range(200):
-        rows, columns = rng.randint(1, 5), rng.randint(1, 16)
-        matrix = _matrix(rng, rows, columns, rng.random() < 0.5)
-        raw = [rng.randint(0, 3) for _ in range(rows)]
-        raw[rng.randrange(rows)] += 1
+        n = rng.randint(1, 5)
+        pset = _general_set(rng, n)
+        points = [dist.support for dist in pset.extreme_points]
+        outcomes = [rng.choice((-1, 1)) for _ in range(2**n)]
+        matrix = agreement_matrix_by_atoms(outcomes, points)
+        raw = [rng.randint(0, 3) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
         weights = [F(v, sum(raw)) for v in raw]
         for strict in (True, False):
             j = failed_column_by_columns(matrix, weights, 0, strict)
             expected = None if j is None else f"weights fail extreme point {j}"
-            assert robustness_problem(matrix, strict, weights=weights) == expected
+            assert robustness_problem(outcomes, strict, weights=weights, points=points) == expected
+            failures.add(j)
+    assert None in failures and len(failures) > 3
 
 
 def _distributions(rng: random.Random, n: int):
@@ -144,11 +173,27 @@ def _point_mass_rules():
             yield VotingRule(n, tuple(rng.choice((-1, 1)) for _ in range(2**n)))
 
 
+def _check_against_the_dense_check(outcomes, points, weights, mixtures, messages):
+    """robustness_problem against the reference on the agreement matrix, in
+    both modes, for every vector; points None stands for the point masses."""
+    size = len(outcomes)
+    supports = [((x, F(1)),) for x in range(size)] if points is None else points
+    matrix = agreement_matrix_by_atoms(outcomes, supports)
+    for strict in (True, False):
+        for ws in weights:
+            found = robustness_problem(outcomes, strict, weights=ws, points=points)
+            assert found == robustness_problem_on_matrix(matrix, strict, weights=ws)
+            messages.add(found and re.sub(r"\d+", "#", found))
+        for mix in mixtures:
+            found = robustness_problem(outcomes, strict, mixture=mix, points=points)
+            assert found == robustness_problem_on_matrix(matrix, strict, mixture=mix)
+            messages.add(found and re.sub(r"\d+", "#", found))
+
+
 def test_point_mass_problem_matches_the_dense_check():
     rng = random.Random("point-mass-problem")
     messages = set()
     for rule in _point_mass_rules():
-        matrix = degenerate_agreement_matrix(rule)
         weights, mixtures = [_random_mass(rng, rule.n)], [_random_mass(rng, 2**rule.n)]
         for mode in MODES:
             cert = certify_p_robust_full(rule, mode)
@@ -157,15 +202,53 @@ def test_point_mass_problem_matches_the_dense_check():
                     vectors += [list(vector)] + _moved(rng, vector)
         weights += _moved(rng, weights[0])
         mixtures += _moved(rng, mixtures[0])
-        for strict in (True, False):
-            for ws in weights:
-                found = point_mass_problem(rule.outcomes, strict, weights=ws)
-                assert found == robustness_problem(matrix, strict, weights=ws)
-                messages.add(found and re.sub(r"\d+", "#", found))
-            for mix in mixtures:
-                found = point_mass_problem(rule.outcomes, strict, mixture=mix)
-                assert found == robustness_problem(matrix, strict, mixture=mix)
-                messages.add(found and re.sub(r"\d+", "#", found))
-    assert messages == {None, "weights fail extreme point #", "mixture leaves individual # responsive",
-                        "weights are not a distribution over individuals",
-                        "mixture is not a distribution over extreme points"}
+        _check_against_the_dense_check(rule.outcomes, None, weights, mixtures, messages)
+    assert messages == MESSAGES
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_general_sets_match_the_dense_check(n):
+    rng = random.Random(f"general-sets-{n}")
+    messages = set()
+    for _ in range(40 if n < 5 else 15):
+        pset = _general_set(rng, n)
+        points = [dist.support for dist in pset.extreme_points]
+        rule = VotingRule(n, tuple(rng.choice((-1, 1)) for _ in range(2**n)))
+        if rng.random() < 0.5:
+            rule = weighted_majority_rule(n, [rng.randint(0, 5) for _ in range(n)], tie=1)
+        weights, mixtures = [_random_mass(rng, n)], [_random_mass(rng, len(points))]
+        for mode in MODES:
+            cert = certify_p_robust(rule, pset, mode)
+            for vectors, vector in ((weights, cert.weights), (mixtures, cert.mixture)):
+                if vector is not None:
+                    vectors += [list(vector)] + _moved(rng, vector)
+        weights += _moved(rng, weights[0])
+        mixtures += _moved(rng, mixtures[0])
+        _check_against_the_dense_check(rule.outcomes, points, weights, mixtures, messages)
+    assert messages == MESSAGES
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_random_rule_outcomes_match_the_dense_check(n):
+    rng = random.Random(f"random-outcomes-{n}")
+    messages = set()
+    for trial in range(60):
+        rule = RandomVotingRule(n, tuple(rng.choice((F(-1), F(-1, 2), F(0), F(1, 3), F(1)))
+                                         for _ in range(2**n)))
+        weights, mixtures = [_random_mass(rng, n)], [_random_mass(rng, 2**n)]
+        found, counterexample = certify_random(rule)
+        if found is not None:
+            total = sum(found.weights)
+            weights += [[w / total for w in found.weights]]
+        else:
+            mixtures += [list(counterexample.probs)] + _moved(rng, counterexample.probs)
+        weights += _moved(rng, weights[0])
+        mixtures += _moved(rng, mixtures[0])
+        points = None
+        if trial % 2:
+            pset = _general_set(rng, n)
+            points = [dist.support for dist in pset.extreme_points]
+            mixtures = [_random_mass(rng, len(points))]
+            mixtures += _moved(rng, mixtures[0])
+        _check_against_the_dense_check(rule.outcomes, points, weights, mixtures, messages)
+    assert messages == MESSAGES

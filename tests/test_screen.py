@@ -33,7 +33,7 @@ from robustvote.robustness import (
     MODES,
     VERDICT_NOT_ROBUST,
     VERDICT_ROBUST,
-    _certify_from_matrix,
+    _certify_by_lp,
     degenerate_agreement_matrix,
 )
 
@@ -42,7 +42,7 @@ TIE_FREE_NONNEGATIVE = WmrQuery("nonnegative", "forbidden")
 
 def lp_verdict(rule, mode):
     """The verdict of the LP alone, with no screen in front of it."""
-    return _certify_from_matrix(degenerate_agreement_matrix(rule), mode).verdict
+    return _certify_by_lp(rule, mode).verdict
 
 
 @pytest.fixture(scope="module")
@@ -203,34 +203,68 @@ def test_violations_come_in_individual_then_profile_order():
 # both modes (most weight vectors in 1..20 at n = 12 need the LP).
 SCREENED_WEIGHTS = (7, 4, 15, 11, 8, 7, 16, 16, 6, 16, 10, 15)
 
-# Certify and verify with the point-mass matrix refused: the screen, the
-# certificate check and the replay of certify and classify certificates
-# all price the 2^n point masses without it.  The classify report is made
-# first, since its Stiemke weights come from the LP.
+# Certify and verify with both agreement-matrix builders refused, in every
+# module that holds them: the screen, certify_anonymous, the certificate
+# check and the replay of certify (point-mass and general sets), classify
+# and random-certify certificates all price the extreme points without a
+# matrix.  The reports whose certificates come from the LP are made first.
 NO_MATRIX = f"""
-import contextlib, io, json
+import contextlib, io, json, sys, tempfile
+from fractions import Fraction
 from robustvote import cli, robustness
-from robustvote.core import DistributionSet, majority_rule, weighted_majority_rule
+from robustvote.core import (Distribution, DistributionSet, RandomVotingRule, majority_rule,
+                             table_rule, weighted_majority_rule)
 from robustvote.verification import verify_report
 
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    cli.main(["classify", "--rule=" + majority_rule(5).to_table_string()])
-classify_report = json.loads(out.getvalue())
+def report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv + ["--quiet"])
+    return json.loads(out.getvalue())
 
-def refuse(rule):
-    raise RuntimeError("the point-mass matrix was built")
+def certify_report(rule, pset, mode, cert):
+    return dict(schema="robustvote/1", command="certify", **cert.to_json(), inputs=dict(
+        rule=rule.to_json(), pset=pset.to_json(), mode=mode))
 
-robustness.degenerate_agreement_matrix = refuse
+reports = [report(["classify", "--rule=" + majority_rule(5).to_table_string()])]
+general = DistributionSet(3, (Distribution.uniform(3), Distribution.degenerate(3, 5),
+                              Distribution.from_weights(3, {{1: Fraction(2), 6: Fraction(1)}})))
+for rule in (majority_rule(3), table_rule(3, 0b00010110)):
+    for mode in robustness.MODES:
+        reports.append(certify_report(rule, general, mode,
+                                      robustness.certify_p_robust(rule, general, mode)))
+with tempfile.TemporaryDirectory() as tmp:
+    half = Fraction(1, 2)
+    for k, outcomes in enumerate(((-1, -half, -half, 1, -half, 1, Fraction(1, 3), 1),
+                                  (1, -half, -half, Fraction(1, 3)))):
+        path = f"{{tmp}}/random-{{k}}.json"
+        rule = RandomVotingRule(len(outcomes).bit_length() - 1, outcomes)
+        with open(path, "w") as handle:
+            json.dump(rule.to_json(), handle)
+        reports.append(report(["random-certify", "--rule", path]))
+print([r.get("verdict", r.get("robust")) for r in reports[1:]])
+
+def refuse(*args):
+    raise RuntimeError("an agreement matrix was built")
+
+for module in list(sys.modules.values()):
+    for name in ("agreement_matrix", "degenerate_agreement_matrix"):
+        if module.__name__.startswith("robustvote") and hasattr(module, name):
+            setattr(module, name, refuse)
 for rule in (majority_rule(9), weighted_majority_rule(12, {SCREENED_WEIGHTS!r})):
     for mode in robustness.MODES:
         cert = robustness.certify_p_robust_full(rule, mode)
-        report = dict(schema="robustvote/1", command="certify", **cert.to_json(), inputs=dict(
-            rule=rule.to_json(), pset=DistributionSet.degenerates(rule.n).to_json(), mode=mode))
-        print(cert.verdict, verify_report(report))
-print(verify_report(classify_report))
+        print(cert.verdict, verify_report(certify_report(
+            rule, DistributionSet.degenerates(rule.n), mode, cert)))
+for rule, pset in ((majority_rule(5), DistributionSet.degenerates(5)),
+                   (majority_rule(4, tie=1), DistributionSet.degenerates(4)),
+                   (majority_rule(3), DistributionSet(3, (Distribution.uniform(3),))),
+                   (table_rule(3, 0), DistributionSet(3, (Distribution.uniform(3),)))):
+    for mode in robustness.MODES:
+        cert = robustness.certify_anonymous(rule, pset, mode)
+        print(cert.verdict, verify_report(certify_report(rule, pset, mode, cert)))
+print([verify_report(r) for r in reports])
 """
-
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_screened_answers_build_no_matrix(flags):
@@ -240,4 +274,10 @@ def test_screened_answers_build_no_matrix(flags):
     proc = subprocess.run([sys.executable, *flags, "-c", NO_MATRIX], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["robust []"] * 4 + ["[]"]
+    made, *screened, replayed = proc.stdout.splitlines()
+    # Each verdict of the general set, and both random-certify verdicts.
+    assert made == str(["robust", "robust", "not_robust", "not_robust", True, False])
+    # Four screened answers, then certify_anonymous strict and weak on each set.
+    assert screened == ["robust []"] * 4 + ["robust []"] * 2 + [
+        "not_robust []", "robust []"] + ["robust []"] * 2 + ["not_robust []", "robust []"]
+    assert replayed == str([[]] * 7)
