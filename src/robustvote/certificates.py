@@ -240,9 +240,12 @@ def improves(base, new, strictly: bool = False, in_total: bool = False) -> bool:
 def net_gains(rule, utilities, mixture: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """What each individual expects from the rule over its inverse when the
     state is drawn from mixture; utilities[x][i] is i's pair (payoff if +1,
-    payoff if -1) in the state tied to profile x."""
-    gains = [_ZERO] * rule.n
-    for share, outcome, row in zip(mixture, rule.outcomes, utilities):
-        for i, (hi, lo) in enumerate(row):
-            gains[i] += share * (hi - lo if outcome == 1 else lo - hi)
-    return tuple(gains)
+    payoff if -1) in the state tied to profile x.  The payoffs and the
+    mixture are each put over one common denominator, so each gain is one
+    integer sum sum_x m_x phi(x) (hi - lo)."""
+    shares, share_scale = over_common_denominator(mixture)
+    payoffs, scale = over_common_denominator([v for row in utilities for pair in row for v in pair])
+    spreads = list(map(operator.sub, payoffs[::2], payoffs[1::2]))  # state-major, n per state
+    signed = list(map(operator.mul, shares, rule.outcomes))
+    return tuple(Fraction(sum(map(operator.mul, signed, spreads[i::rule.n])), scale * share_scale)
+                 for i in range(rule.n))

@@ -36,13 +36,19 @@ class FormatError(ValueError):
     """Malformed on-disk data. The message names the offending field."""
 
 
-def parse_rational(text: str, field: str = "value") -> Fraction:
-    """Parse a "num/den" or bare-integer string into an exact rational."""
+def rational_parts(text: str, field: str = "value") -> tuple[int, int]:
+    """The integers of a "num/den" or bare-integer string, as written
+    (not reduced; den >= 1), so a check can cross-multiply them."""
     match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise FormatError(f"{field}: expected a rational 'num/den' string, got {text!r}")
     numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator or 1))
+    return int(numerator), int(denominator or 1)
+
+
+def parse_rational(text: str, field: str = "value") -> Fraction:
+    """Parse a "num/den" or bare-integer string into an exact rational."""
+    return Fraction(*rational_parts(text, field))
 
 
 def format_rational(value: Fraction) -> str:
@@ -74,12 +80,24 @@ def sign_table(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def profile_strings(n: int) -> tuple[str, ...]:
+    """Every profile's string, in index order, built by doubling as
+    vote_sums is: individual i, bit i-1, appends '-' then '+'."""
+    _check_n(n)
+    strings = [""]
+    for _ in range(n):
+        strings = [s + "-" for s in strings] + [s + "+" for s in strings]
+    return tuple(strings)
+
+
 def over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of rationals over their least common denominator
     d > 0, with d: multiplying an inequality by d keeps it, and integer
     dot products are far cheaper than rational ones."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    denominators = [v.denominator for v in values]
+    scale = lcm(*denominators)
+    return [v.numerator * (scale // d) for v, d in zip(values, denominators)], scale
 
 
 def combine_rows(weights: Sequence[int], rows) -> list:
@@ -224,9 +242,10 @@ class RandomVotingRule:
             raise ValueError(
                 f"rule needs {2 ** self.n} outcomes for n={self.n}, got {len(self.outcomes)}"
             )
-        object.__setattr__(self, "outcomes", tuple(
-            v if type(v) is Fraction else Fraction(v) for v in self.outcomes))
-        if any(not -1 <= v <= 1 for v in self.outcomes):
+        outcomes = tuple(v if type(v) is Fraction else Fraction(v) for v in self.outcomes)
+        object.__setattr__(self, "outcomes", outcomes)
+        numerators, scale = over_common_denominator(outcomes)
+        if max(map(abs, numerators)) > scale:
             raise ValueError("random rule outcomes must lie in [-1, 1]")
 
     def outcome(self, profile: "DecisionProfile | int") -> Fraction:
@@ -302,21 +321,23 @@ class Distribution:
         return dist
 
     def _set_support(self, n: int, atoms: Iterable[tuple[int, Fraction]]) -> None:
-        # The one validation every constructor runs.
-        size, support = 2 ** n, []
+        # The one validation every constructor runs, in integers over the
+        # probabilities' common denominator.
+        size, indices, probs = 2 ** n, [], []
         for idx, p in atoms:
             if not 0 <= idx < size:
                 raise ValueError(f"profile index {idx} out of range for n={n}")
-            p = p if type(p) is Fraction else Fraction(p)
-            if p:
-                support.append((idx, p))
-        if any(p < 0 for _, p in support):
+            indices.append(idx)
+            probs.append(p if type(p) is Fraction else Fraction(p))
+        numerators, scale = over_common_denominator(probs)
+        if any(v < 0 for v in numerators):
             raise ValueError("probabilities must be nonnegative")
-        total = sum(p for _, p in support)
-        if total != 1:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
+        total = sum(numerators)
+        if total != scale:
+            raise ValueError(f"probabilities must sum to 1, got {Fraction(total, scale)}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "support", tuple(sorted(support)))
+        object.__setattr__(self, "support", tuple(sorted(
+            (idx, p) for idx, p, v in zip(indices, probs, numerators) if v)))
 
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:
@@ -360,10 +381,8 @@ class Distribution:
         return cls._from_support(n, ((idx, Fraction(w) / total) for idx, w in weights.items()))
 
     def to_json(self) -> dict:
-        atoms = [
-            {"profile": DecisionProfile(self.n, k).to_string(), "prob": format_rational(p)}
-            for k, p in self.support
-        ]
+        profiles = profile_strings(self.n)
+        atoms = [{"profile": profiles[k], "prob": format_rational(p)} for k, p in self.support]
         return {"n": self.n, "atoms": atoms}
 
     @classmethod
@@ -454,6 +473,24 @@ class DistributionSet:
                 raise FormatError(f"extreme_points[{k}].n: does not match the set's n")
             dists.append(dist)
         return cls(n, tuple(dists))
+
+
+@lru_cache(maxsize=None)
+def _point_masses_json(n: int) -> dict:
+    # DistributionSet.degenerates(n).to_json(), without the distributions.
+    one = format_rational(Fraction(1))
+    return {"n": n, "extreme_points": [{"n": n, "atoms": [{"profile": profile, "prob": one}]}
+                                       for profile in profile_strings(n)]}
+
+
+def lists_point_masses(data, n: int) -> bool:
+    """Whether the JSON of a distribution set is the 2^n point masses of n
+    individuals in profile order, as to_json writes them, read off the
+    atoms before any Distribution is built.  Anything else, well formed or
+    not, is False and left to DistributionSet.from_json."""
+    # Equality takes True for 1 and 1.0 for 1, which _json_n refuses.
+    return (data == _point_masses_json(n) and type(data["n"]) is int
+            and all(type(point["n"]) is int for point in data["extreme_points"]))
 
 
 # ---------------------------------------------------------------------------

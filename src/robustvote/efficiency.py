@@ -169,6 +169,13 @@ def transport_distribution(
         raise ValueError("rules and distribution must share the same n")
     if not _improves(rule, dominating, dist):
         raise ValueError("the random rule does not weakly dominate the base rule")
+    return _transport(dist, rule, dominating)
+
+
+def _transport(dist: Distribution, rule: VotingRule,
+               dominating: RandomVotingRule) -> Distribution:
+    """transport_distribution once its domination precondition holds, as
+    `verify` has checked it on an efficiency witness."""
     # Each atom's mass p_x (1 - phi(x) * dominating(x)), put over the
     # common denominators of the probabilities and of the outcomes, is an
     # integer; all of them are normalized by one integer total.

@@ -173,15 +173,12 @@ def gamma_utilities(
     """The per-state utility pairs: the favored decision pays, a small
     amount when the rule already agrees with the vote and a full unit when
     it does not."""
-    small = Fraction(1, 2**rule.n - 1)
-    table = []
-    for outcome, votes in zip(rule.outcomes, zip(*sign_table(rule.n))):
-        row = []
-        for vote in votes:
-            amount = small if outcome == vote else Fraction(1)
-            row.append((amount, Fraction(0)) if vote == 1 else (Fraction(0), amount))
-        table.append(tuple(row))
-    return tuple(table)
+    small, one, zero = Fraction(1, 2**rule.n - 1), Fraction(1), Fraction(0)
+    # The pair of each vote, in a state where the rule decides +1 or -1.
+    pairs = {1: {1: (small, zero), -1: (zero, one)},
+             -1: {1: (one, zero), -1: (zero, small)}}
+    return tuple(tuple(map(pairs[outcome].__getitem__, votes))
+                 for outcome, votes in zip(rule.outcomes, zip(*sign_table(rule.n))))
 
 
 def gamma_counterexample(rule: VotingRule) -> GammaWitness:

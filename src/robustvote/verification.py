@@ -9,6 +9,9 @@ Nothing here solves a feasibility problem, so a tampered certificate fails
 because the arithmetic it promises does not hold, not because a solver
 disagrees.  Robustness certificates and random-rule counterexamples go to
 the one check certificates.robustness_problem, which builds no matrix.
+Where a check only compares rationals, it reads each as the integer pair
+core.rational_parts returns and cross-multiplies, and the point masses of
+a certify report are recognised in its JSON, with no Distribution built.
 
 Affirmative claims are re-derived in full.  Claims of nonexistence (no
 weight vector, no dominating rule) carry no finite certificate; they are
@@ -50,10 +53,12 @@ from .core import (
     is_anonymous,
     is_dictatorship,
     is_own_vote_monotone,
+    lists_point_masses,
     load_rule,
     monotone_tables,
     own_vote_violations,
     parse_rational,
+    rational_parts,
     table_integer,
 )
 from .robustness import (
@@ -89,12 +94,23 @@ def _field(data: dict, key: str, context: str):
     return data[key]
 
 
-def _rational_list(values, field: str, length: int | None = None) -> list[Fraction]:
+def _parts_list(values, field: str, length: int | None = None) -> list[tuple[int, int]]:
+    """The (numerator, denominator) pairs of a list of rational strings."""
     if not isinstance(values, list):
         raise Mismatch(f"{field}: expected a list of rationals")
     if length is not None and len(values) != length:
         raise Mismatch(f"{field}: expected {length} entries, got {len(values)}")
-    return [parse_rational(v, f"{field}[{k}]") for k, v in enumerate(values)]
+    return [rational_parts(v, f"{field}[{k}]") for k, v in enumerate(values)]
+
+
+def _rational_list(values, field: str, length: int | None = None) -> list[Fraction]:
+    return [Fraction(*parts) for parts in _parts_list(values, field, length)]
+
+
+def _equals(parts: tuple[int, int], value: Fraction) -> bool:
+    """Whether a (numerator, denominator) pair is value, by cross-multiplying."""
+    numerator, denominator = parts
+    return numerator * value.denominator == value.numerator * denominator
 
 
 def _check_robustness_certificate(
@@ -128,7 +144,10 @@ def _check_robustness_certificate(
 def _check_certify(report: dict) -> None:
     inputs = _field(report, "inputs", "certify")
     rule = VotingRule.from_json(_field(inputs, "rule", "certify.inputs"))
-    pset = DistributionSet.from_json(_field(inputs, "pset", "certify.inputs"))
+    pset_json = _field(inputs, "pset", "certify.inputs")
+    # None stands for the point masses in profile order, read off the JSON.
+    pset = (None if lists_point_masses(pset_json, rule.n)
+            else DistributionSet.from_json(pset_json))
     mode = _field(inputs, "mode", "certify.inputs")
     # The certificate fields sit at the top level of a certify report.
     _check_robustness_certificate(rule, pset, mode, report, "certify")
@@ -285,7 +304,7 @@ def _check_wmr(report: dict) -> None:
 
 
 def _check_efficiency(report: dict) -> None:
-    from .efficiency import EFFICIENCY_MODES, NoTransportError, transport_distribution
+    from .efficiency import EFFICIENCY_MODES, NoTransportError, _transport
     from .respond import responsiveness
 
     inputs = _field(report, "inputs", "efficiency")
@@ -307,7 +326,7 @@ def _check_efficiency(report: dict) -> None:
     if mode == "strict":
         _expect(improves(base, new),
                 "efficiency: witness drops below the rule somewhere")
-        _expect(witness.outcomes != RandomVotingRule.from_deterministic(rule).outcomes,
+        _expect(witness.outcomes != rule.outcomes,
                 "efficiency: witness does not differ from the rule")
     elif mode == "plain":
         _expect(improves(base, new, in_total=True),
@@ -316,12 +335,17 @@ def _check_efficiency(report: dict) -> None:
         _expect(improves(base, new, strictly=True),
                 "efficiency: witness fails the strict improvement")
 
+    # Every mode's check above includes weak domination, the transport's
+    # precondition.  The transport is reported exactly when one exists.
+    try:
+        expected = _transport(dist, rule, witness)
+    except NoTransportError:
+        expected = None
     transport_json = report.get("transport")
-    if transport_json is not None:
-        try:
-            expected = transport_distribution(dist, rule, witness)
-        except NoTransportError as exc:
-            raise Mismatch("efficiency: transport reported where none exists") from exc
+    if transport_json is None:
+        _expect(expected is None, "efficiency: transport missing where one exists")
+    else:
+        _expect(expected is not None, "efficiency: transport reported where none exists")
         _expect(Distribution.from_json(transport_json) == expected,
                 "efficiency: transport distribution does not match a recomputation")
 
@@ -472,34 +496,32 @@ def _check_gamma(report: dict) -> None:
     raw = _field(witness, "utilities", "gamma-witness")
     _expect(isinstance(raw, list) and len(raw) == size,
             "gamma-witness: utility table has the wrong height")
-    utilities = []
-    for idx, row in enumerate(raw):
+    # Every entry is read before a mismatch is reported, so a malformed
+    # entry is named wherever it sits.
+    expected = gamma_utilities(rule)
+    matches = True
+    for idx, (row, pairs) in enumerate(zip(raw, expected)):
         _expect(isinstance(row, list) and len(row) == rule.n
                 and all(isinstance(pair, list) and len(pair) == 2 for pair in row),
                 f"gamma-witness: malformed utility row {idx}")
-        utilities.append(
-            [
-                (
-                    parse_rational(pair[0], f"utilities[{idx}][{i}][0]"),
-                    parse_rational(pair[1], f"utilities[{idx}][{i}][1]"),
-                )
-                for i, pair in enumerate(row)
-            ]
-        )
-    expected = gamma_utilities(rule)
-    _expect(all(tuple(utilities[idx]) == expected[idx] for idx in range(size)),
-            "gamma-witness: utility table does not match the construction")
+        for i, (pair, (hi, lo)) in enumerate(zip(row, pairs)):
+            matches &= (_equals(rational_parts(pair[0], f"utilities[{idx}][{i}][0]"), hi)
+                        & _equals(rational_parts(pair[1], f"utilities[{idx}][{i}][1]"), lo))
+    _expect(matches, "gamma-witness: utility table does not match the construction")
 
-    mixture = _rational_list(_field(witness, "mixture", "gamma-witness"),
-                             "gamma-witness.mixture", size)
-    _expect(all(m == Fraction(1, size) for m in mixture),
+    mixture = _parts_list(_field(witness, "mixture", "gamma-witness"),
+                          "gamma-witness.mixture", size)
+    _expect(all(numerator * size == denominator for numerator, denominator in mixture),
             "gamma-witness: mixture is not uniform over states")
 
-    gains = _rational_list(_field(witness, "net_gains", "gamma-witness"),
-                           "gamma-witness.net_gains", rule.n)
-    for i, (total, claimed) in enumerate(zip(net_gains(rule, utilities, mixture), gains), 1):
-        _expect(total == claimed, f"gamma-witness: net gain for individual {i} is wrong")
-        _expect(claimed <= 0, f"gamma-witness: individual {i} would gain from the rule")
+    # The table and the mixture are the construction's, by value, so the
+    # net gains are recomputed from it.
+    gains = _parts_list(_field(witness, "net_gains", "gamma-witness"),
+                        "gamma-witness.net_gains", rule.n)
+    uniform = [Fraction(1, size)] * size
+    for i, (total, claimed) in enumerate(zip(net_gains(rule, expected, uniform), gains), 1):
+        _expect(_equals(claimed, total), f"gamma-witness: net gain for individual {i} is wrong")
+        _expect(claimed[0] <= 0, f"gamma-witness: individual {i} would gain from the rule")
 
 
 _CHECKS = {

@@ -366,3 +366,26 @@ def robustness_problem_on_matrix(matrix, strict, weights=None, mixture=None):
         if not (dot <= 0 if strict else dot < 0):
             return f"mixture leaves individual {i} responsive"
     return None
+
+
+def net_gains_by_fractions(rule, utilities, mixture) -> tuple[Fraction, ...]:
+    """Each individual's expected payoff from the rule over its inverse, a
+    Fraction sum state by state: share * (hi - lo) where the rule decides
+    +1, share * (lo - hi) where it decides -1."""
+    gains = [Fraction(0)] * rule.n
+    for share, outcome, row in zip(mixture, rule.outcomes, utilities):
+        for i, (hi, lo) in enumerate(row):
+            gains[i] += share * (hi - lo if outcome == 1 else lo - hi)
+    return tuple(gains)
+
+
+def transport_by_atoms(dist, rule, dominating) -> dict[int, Fraction] | None:
+    """The transport as {profile index: probability} over its support:
+    each atom's Fraction mass p(x) (1 - phi(x) dominating(x)) / 2, divided
+    by their Fraction total; None when no mass moves."""
+    raw = {idx: p * (1 - rule.outcomes[idx] * Fraction(dominating.outcomes[idx])) / 2
+           for idx, p in dist.support}
+    total = sum(raw.values(), Fraction(0))
+    if not total:
+        return None
+    return {idx: mass / total for idx, mass in raw.items() if mass}

@@ -17,6 +17,7 @@ from robustvote.core import (
     FormatError,
     VotingRule,
     constant_rule,
+    lists_point_masses,
     permute_profile_index,
     weighted_majority_rule,
 )
@@ -126,6 +127,15 @@ def test_from_json_reads_individual_one_as_the_lowest_bit():
         for idx in range(2**n):
             dist = Distribution.degenerate(n, idx)
             assert Distribution.from_json(dist.to_json()) == dist
+
+
+def test_the_point_masses_are_recognised_as_to_json_writes_them():
+    for n in range(1, 7):
+        data = DistributionSet.degenerates(n).to_json()
+        assert lists_point_masses(data, n)
+        assert not lists_point_masses(data, n + 1)
+        data["extreme_points"].pop()
+        assert not lists_point_masses(data, n)
 
 
 @pytest.mark.parametrize("first", ["0/1", "1/2", "1/1"])

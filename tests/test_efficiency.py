@@ -23,7 +23,7 @@ from robustvote import (
 from robustvote.robustness import MODE_STRICT, VERDICT_ROBUST, certify_p_robust_full
 
 from conftest import random_distribution
-from oracles import efficient_by_elimination
+from oracles import efficient_by_elimination, transport_by_atoms
 
 MODES = ("strict", "plain", "weak")
 SPARSE = {0: 1, 3: 2, 5: 1, 6: 3, 7: 1}
@@ -234,14 +234,12 @@ class TestTransport:
                 efficient, witness = efficiency_verdict(rule, dist, mode)
                 if efficient:
                     continue
-                raw = {idx: p * (1 - F(rule.outcomes[idx]) * witness.outcomes[idx]) / 2
-                       for idx, p in dist.support}
-                if not any(raw.values()):
+                expected = transport_by_atoms(dist, rule, witness)
+                if expected is None:
                     with pytest.raises(NoTransportError):
                         transport_distribution(dist, rule, witness)
                     continue
-                expected = Distribution.from_weights(rule.n, raw)
-                assert transport_distribution(dist, rule, witness) == expected
+                assert dict(transport_distribution(dist, rule, witness).support) == expected
 
     def test_no_transport_when_rules_agree(self):
         dist = Distribution.uniform(3)

@@ -1,7 +1,8 @@
 """The substitution kernels against references: the row-major column
-check column by column, the doubling vote sums row by row, and the
+check column by column, the doubling vote sums row by row, the
 matrix-free robustness check against the check on the dense matrix, over
-the point masses, general extreme points and random-rule outcomes."""
+the point masses, general extreme points and random-rule outcomes, and the
+common-denominator net gains and transport against Fraction sums."""
 
 import random
 import re
@@ -20,16 +21,26 @@ from robustvote import (
     responsiveness,
     weighted_majority_rule,
 )
-from robustvote.certificates import failed_column, robustness_problem
-from robustvote.core import table_rule, vote_sums
+from robustvote.certificates import failed_column, net_gains, robustness_problem
+from robustvote.core import is_dictatorship, table_rule, vote_sums
+from robustvote.efficiency import (
+    EFFICIENCY_MODES,
+    NoTransportError,
+    _transport,
+    efficiency_verdict,
+    transport_distribution,
+)
+from robustvote.gamma_mechanism import gamma_counterexample, gamma_utilities
 from robustvote.robustness import MODES
 
 from conftest import random_distribution
 from oracles import (
     agreement_matrix_by_atoms,
     failed_column_by_columns,
+    net_gains_by_fractions,
     responsiveness_by_atoms,
     robustness_problem_on_matrix,
+    transport_by_atoms,
     vote_sums_by_rows,
 )
 
@@ -252,3 +263,55 @@ def test_random_rule_outcomes_match_the_dense_check(n):
             mixtures += _moved(rng, mixtures[0])
         _check_against_the_dense_check(rule.outcomes, points, weights, mixtures, messages)
     assert messages == MESSAGES
+
+
+def _dictatorless_rules():
+    """Every dictatorless rule at n <= 3, and seeded ones at n = 4..6."""
+    rules = [table_rule(n, t) for n in (1, 2, 3) for t in range(2 ** 2**n)]
+    rng = random.Random("dictatorless")
+    rules += [table_rule(n, rng.getrandbits(2**n)) for n in (4, 5, 6) for _ in range(6)]
+    return [rule for rule in rules if is_dictatorship(rule) is None]
+
+
+def test_net_gains_match_the_fraction_sums():
+    rng = random.Random("net-gains")
+    for rule in _dictatorless_rules():
+        size = 2**rule.n
+        table = gamma_utilities(rule)
+        uniform = [F(1, size)] * size
+        reference = net_gains_by_fractions(rule, table, uniform)
+        assert net_gains(rule, table, uniform) == reference
+        assert gamma_counterexample(rule).net_gains == reference
+        # Any payoffs and any mixture, not just the construction's.
+        table = [[(F(rng.randint(-5, 5), rng.randint(1, 9)), F(rng.randint(-5, 5), rng.randint(1, 9)))
+                  for _ in range(rule.n)] for _ in range(size)]
+        shares = [rng.randint(0, 6) for _ in range(size)]
+        mixture = [F(v, sum(shares) or 1) for v in shares]
+        assert net_gains(rule, table, mixture) == net_gains_by_fractions(rule, table, mixture)
+
+
+def _transport_or_none(dist, rule, dominating):
+    try:
+        return dict(_transport(dist, rule, dominating).support)
+    except NoTransportError:
+        return None
+
+
+def test_transport_matches_the_fraction_sums():
+    rng = random.Random("transport")
+    outcomes = [F(k, 4) for k in range(-4, 5)]
+    for rule in _dictatorless_rules():
+        dists = [Distribution.uniform(rule.n), random_distribution(rng, rule.n)]
+        for dist in dists:
+            # The efficiency witnesses, which dominate the rule weakly.
+            for mode in EFFICIENCY_MODES if rule.n <= 4 else ():
+                efficient, witness = efficiency_verdict(rule, dist, mode)
+                if efficient:
+                    continue
+                expected = transport_by_atoms(dist, rule, witness)
+                assert _transport_or_none(dist, rule, witness) == expected
+                if expected is not None:
+                    assert dict(transport_distribution(dist, rule, witness).support) == expected
+            # And any random rule, dominating or not.
+            other = RandomVotingRule(rule.n, tuple(rng.choice(outcomes) for _ in rule.outcomes))
+            assert _transport_or_none(dist, rule, other) == transport_by_atoms(dist, rule, other)

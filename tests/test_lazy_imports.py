@@ -79,6 +79,16 @@ def test_verify_of_an_efficiency_report_loads_no_solver(tmp_path, capsys):
     assert "robustvote.lp" not in loaded
 
 
+def test_verify_of_a_gamma_witness_report_loads_no_solver(tmp_path, capsys):
+    # The utility table is compared with gamma_utilities and the net gains
+    # recomputed by certificates.net_gains; nothing solves or searches.
+    assert cli.main(["gamma-witness", "--rule=---+-+++", "--quiet"]) == 0
+    loaded = set(loaded_by_verify(tmp_path, capsys))
+    assert "robustvote.gamma_mechanism" in loaded
+    assert not {f"robustvote.{name}"
+                for name in ("lp", "efficiency", "random_rules", "wmr")} & loaded
+
+
 def test_every_public_name_is_its_home_modules_object():
     assert len(robustvote.__all__) == len(set(robustvote.__all__)) == 66
     for name in robustvote.__all__:

@@ -146,6 +146,10 @@ def mutations(name, report):
     elif name == "efficiency":
         yield "verdict flip", patched(("efficient",), True)
         yield "witness tamper", patched(("witness", "table", 7), "-1/1")
+        dropped = copy.deepcopy(report)
+        del dropped["transport"]
+        yield "transport dropped", dropped
+        yield "transport tampered", patched(("transport", "atoms", 0, "profile"), "---")
     elif name == "dominance":
         yield "relation tamper", patched(("relation",), "equal")
         yield "delta tamper", patched(("deltas", 0), "0/1")
@@ -177,7 +181,7 @@ class TestMutationsAreCaught:
                 problems = verify_report(tampered)
                 assert problems != [], f"{name}: {label} slipped through"
                 checked += 1
-        assert checked >= 24
+        assert checked >= 26
 
 
 class TestSignClasses:
@@ -286,3 +290,150 @@ class TestEnumerateRecount:
         broken = copy.deepcopy(report)
         broken["tables"][0] = "-+-+-+"
         assert verify_report(broken) != []
+
+
+class TestEfficiencyTransport:
+    """A transport is reported exactly when the witness moves some mass."""
+
+    def test_a_transport_that_exists_must_be_reported(self, reports):
+        report = copy.deepcopy(reports["efficiency"])
+        assert report["transport"] is not None
+        report["transport"] = None
+        assert verify_report(report) == ["efficiency: transport missing where one exists"]
+        del report["transport"]
+        assert verify_report(report) == ["efficiency: transport missing where one exists"]
+
+    def test_a_witness_off_the_support_has_no_transport(self, tmp_path):
+        # Unanimity is not strictly efficient without mass on +++: flipping
+        # the outcome there moves nobody, and no mass.
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"n": 3, "atoms": [{"profile": "---", "prob": "1/1"}]}))
+        code, report = run_cli(["efficiency", "--rule=-------+", "--dist", str(path),
+                                "--mode", "strict"])
+        assert code == 1 and report["transport"] is None
+        assert verify_report(report) == []
+        report["transport"] = {"n": 3, "atoms": [{"profile": "---", "prob": "1/1"}]}
+        assert verify_report(report) == ["efficiency: transport reported where none exists"]
+
+
+class TestGammaWitness:
+    """The utility table, mixture and net gains are compared by value."""
+
+    @pytest.fixture
+    def report(self, reports):
+        # Majority on three: the small payoff is 1/7 and every net gain -1/7.
+        return copy.deepcopy(reports["gamma-witness"])
+
+    def test_a_tampered_utility_entry_is_rejected(self, report):
+        hi, lo = report["witness"]["utilities"][5][2]
+        report["witness"]["utilities"][5][2] = [lo, hi]
+        assert verify_report(report) == [
+            "gamma-witness: utility table does not match the construction"]
+
+    def test_a_malformed_utility_rational_is_named(self, report):
+        report["witness"]["utilities"][3][1][1] = "0.5"
+        # A wrong entry before it does not hide it: every entry is read first.
+        report["witness"]["utilities"][0][0] = ["9/1", "9/1"]
+        assert verify_report(report) == [
+            "utilities[3][1][1]: expected a rational 'num/den' string, got '0.5'"]
+
+    def test_value_equal_spellings_are_accepted(self, report):
+        witness = report["witness"]
+        respelled = {"1/7": "2/14", "1/1": "1", "0/1": "0"}
+        witness["utilities"] = [[[respelled[v] for v in pair] for pair in row]
+                                for row in witness["utilities"]]
+        witness["mixture"] = ["2/16"] * 8
+        assert witness["net_gains"] == ["-1/7"] * 3
+        witness["net_gains"] = ["-2/14"] * 3
+        assert verify_report(report) == []
+
+    def test_an_integer_net_gain_may_be_written_bare(self):
+        # Against individual 1 always: nobody else is a dictator, and
+        # individual 1's net gain is -1.
+        code, report = run_cli(["gamma-witness", "--rule=+-+-+-+-"])
+        assert code == 0 and report["witness"]["net_gains"][0] == "-1/1"
+        report["witness"]["net_gains"][0] = "-1"
+        assert verify_report(report) == []
+        report["witness"]["net_gains"][0] = "-2/3"
+        assert verify_report(report) == ["gamma-witness: net gain for individual 1 is wrong"]
+
+
+def certify_report(table: str, *flags: str) -> dict:
+    code, report = run_cli(["certify", f"--rule={table}", "--pset=degenerates", *flags])
+    assert report is not None and verify_report(report) == []
+    return report
+
+
+# certify --pset=degenerates of a strictly robust rule, of a weakly robust
+# one and of one that is not robust.
+POINT_MASS_RULES = [("---+-+++",), ("-+-+-+-+", "--weak"), ("-+++---+",)]
+
+
+class TestPointMassRecognition:
+    """The 2^n point masses are read off the JSON atoms; any other set goes
+    through DistributionSet.from_json, with the same outcomes as before."""
+
+    @staticmethod
+    def _points(report) -> list:
+        return report["inputs"]["pset"]["extreme_points"]
+
+    @pytest.mark.parametrize("argv", POINT_MASS_RULES)
+    def test_swapped_points(self, argv):
+        report = certify_report(*argv)
+        points = self._points(report)
+        points[0], points[1] = points[1], points[0]
+        robust = report["verdict"] == "robust"
+        assert verify_report(report) == (
+            [] if robust else ["certify: mixture leaves individual 2 responsive"])
+
+    @pytest.mark.parametrize("prob", ["2/2", "1"])
+    @pytest.mark.parametrize("argv", POINT_MASS_RULES)
+    def test_a_unit_mass_in_another_spelling(self, argv, prob):
+        report = certify_report(*argv)
+        self._points(report)[4]["atoms"][0]["prob"] = prob
+        assert verify_report(report) == []
+
+    @pytest.mark.parametrize("argv", POINT_MASS_RULES)
+    def test_a_duplicate_point(self, argv):
+        report = certify_report(*argv)
+        points = self._points(report)
+        points.append(copy.deepcopy(points[3]))
+        assert verify_report(report) == []
+
+    @pytest.mark.parametrize("argv", POINT_MASS_RULES)
+    def test_a_point_of_half_mass(self, argv):
+        report = certify_report(*argv)
+        self._points(report)[2]["atoms"][0]["prob"] = "1/2"
+        assert verify_report(report) == [
+            "extreme_points[2].atoms: probabilities must sum to 1, got 1/2"]
+
+    @pytest.mark.parametrize("argv", POINT_MASS_RULES)
+    def test_a_point_moved_onto_another(self, argv):
+        report = certify_report(*argv)
+        self._points(report)[2]["atoms"][0]["profile"] = "+++"
+        robust = report["verdict"] == "robust"
+        assert verify_report(report) == (
+            [] if robust else ["certify.mixture: expected 7 entries, got 8"])
+
+    def test_an_n_that_only_equals_an_integer_is_refused(self):
+        # JSON true and 1.0 compare equal to 1, yet are no integer n.
+        report = certify_report("-+")
+        pset = report["inputs"]["pset"]
+        pset["n"] = True
+        assert verify_report(report) == ["n: expected an integer in [1, 16], got True"]
+        pset["n"] = 1
+        pset["extreme_points"][1]["n"] = 1.0
+        assert verify_report(report) == [
+            "extreme_points[1].n: expected an integer in [1, 16], got 1.0"]
+
+    @pytest.mark.parametrize("argv", POINT_MASS_RULES)
+    def test_the_point_masses_build_no_distribution(self, argv, monkeypatch):
+        from robustvote.core import Distribution
+
+        report = certify_report(*argv)
+
+        def refuse(*args):
+            raise AssertionError("a Distribution was built")
+
+        monkeypatch.setattr(Distribution, "_set_support", refuse)
+        assert verify_report(report) == []
