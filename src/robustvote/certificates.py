@@ -16,8 +16,9 @@ product at once, and the first failing column is read off that list.
 
 Robustness certificates, over any extreme points, need no matrix: one
 core.vote_sums pass prices weights at every profile, as it does for the
-representation and sign-pattern checks, and a mixture is checked as the
-distribution it blends, by core.vote_leans, the sums responsiveness takes.
+representation and sign-pattern checks, and a mixture, given by its
+support, is checked as the distribution it blends, by core.vote_leans, the
+sums responsiveness takes.
 """
 
 from __future__ import annotations
@@ -104,21 +105,25 @@ def _failed_row(matrix, mixture: list[int], bound, strict: bool) -> int | None:
 
 
 def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
-                       points=None) -> str | None:
+                       points=None, scale: int = 1) -> str | None:
     """What is wrong with robustness weights, or else a mixture, for the
     rule with these outcomes over the extreme points with supports points
-    (None: the point masses), or None.  Both must be distributions; weights
-    must pass failed_extreme_point, and under the distribution q a mixture
-    blends, every lean sum_x q(x) phi(x) x_i must be at most zero (below
-    zero when not strict).  A mixture's zero entries are never read."""
+    (None: the point masses), or None.  A mixture is given by its support:
+    (extreme point, mass) pairs, each point once, the masses rationals
+    (scale 1) or integers over scale; a point left out has mass zero, so no
+    dense vector is read.  Both must be distributions; weights must pass
+    failed_extreme_point, and under the distribution q a mixture blends,
+    every lean sum_x q(x) phi(x) x_i must be at most zero (below zero when
+    not strict)."""
     if weights is not None:
-        numerators, scale = over_common_denominator(weights)
-        if not _is_distribution(numerators, scale):
+        numerators, common = over_common_denominator(weights)
+        if not _is_distribution(numerators, common):
             return "weights are not a distribution over individuals"
         j = failed_extreme_point(outcomes, numerators, strict, points)
         return None if j is None else f"weights fail extreme point {j}"
-    support = [k for k, m in enumerate(mixture) if m]
-    masses, scale = over_common_denominator([mixture[k] for k in support])
+    support, masses = zip(*mixture) if mixture else ((), ())
+    if scale == 1:  # rational masses, put over their common denominator
+        masses, scale = over_common_denominator(masses)
     if not _is_distribution(masses, scale):
         return "mixture is not a distribution over extreme points"
     if points is not None:
@@ -127,7 +132,7 @@ def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
             for x, p in points[k]:
                 blend[x] = blend.get(x, 0) + m * p
         support, masses = list(blend), over_common_denominator(list(blend.values()))[0]
-    signed = [m * outcomes[x] for m, x in zip(masses, support)]
+    signed = list(map(operator.mul, masses, map(outcomes.__getitem__, support)))
     for i, lean in enumerate(vote_leans(len(outcomes).bit_length() - 1, support, signed), 1):
         if not (lean <= 0 if strict else lean < 0):
             return f"mixture leaves individual {i} responsive"

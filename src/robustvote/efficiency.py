@@ -125,23 +125,29 @@ def efficiency_verdict(
         raise ValueError("rule and distribution must share the same n")
     support = dist.support
     deviation = [Fraction(0)] * 2**rule.n
-    mixture = None  # over supp(p), on the side against efficiency
+    # Against efficiency: (k, mass) pairs, the masses over denominator, mass
+    # on the k-th profile of supp(p), which is profile k when p has full support.
+    masses, denominator, cert = (), 1, None
     if mode == "strict" and len(support) < len(deviation):
         # Flipping the outcome at the first profile without mass moves nobody.
         missing = next((k for k, (idx, _) in enumerate(support) if idx != k), len(support))
         deviation[missing] = Fraction(2)
     elif mode == "strict":
-        mixture = certify_p_robust_full(rule, MODE_STRICT).mixture
+        cert = certify_p_robust_full(rule, MODE_STRICT)
     elif mode == "weak":
         points = tuple(Distribution.degenerate(rule.n, idx) for idx, _ in support)
-        mixture = certify_p_robust(rule, DistributionSet(rule.n, points), MODE_WEAK).mixture
+        cert = certify_p_robust(rule, DistributionSet(rule.n, points), MODE_WEAK)
     else:
         from .lp import alternative_positive  # `verify` never solves
 
         matrix = degenerate_agreement_matrix(rule)
         mixture = alternative_positive([[row[idx] for idx, _ in support] for row in matrix]).mixture
-    for (idx, p), lam in zip(support, mixture or ()):
-        deviation[idx] = lam / p
+        masses = enumerate(mixture or ())
+    if cert is not None:
+        masses, denominator = cert.support or (), cert.scale
+    for k, mass in masses:
+        idx, p = support[k]
+        deviation[idx] = Fraction(mass, denominator) / p
     if not any(deviation):
         return True, None
     scale = min(Fraction(1), 2 / max(deviation))  # into the box t <= 2

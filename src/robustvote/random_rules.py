@@ -43,9 +43,10 @@ def certify_random(
         require(sign_pattern_holds(rule, cleared),
                 "recovered weights fail the per-profile sign agreement")
         return WeightVector(cleared, SIGN_CLASS_NONNEGATIVE), None
-    require(robustness_problem(rule.outcomes, True, mixture=answer.mixture) is None,
+    support = [(idx, p) for idx, p in enumerate(answer.mixture) if p]
+    require(robustness_problem(rule.outcomes, True, mixture=support) is None,
             "counterexample distribution leaves an individual above one half")
-    return None, Distribution(n, answer.mixture)
+    return None, Distribution._from_support(n, support)
 
 
 def find_dominating_deterministic(

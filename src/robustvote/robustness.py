@@ -19,12 +19,19 @@ table integer and the vote sums, and the LP decides what it leaves open.
 Every certificate, over the point masses or any extreme points, passes
 certificates.robustness_problem, which builds no matrix: an agreement
 matrix is only ever the input of the LP or of the responsiveness game.
+A refutation lists few extreme points (by Caratheodory at most n + 1 are
+needed, and the screen lists 2 to 2n + 1), so it is kept and checked as
+its support, integer masses over one scale; the screen's are counts over
+the number of profiles listed, the LP's the nonzero entries of its
+mixture.  The dense mixture over all extreme points is built only when
+read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .certificates import failed_extreme_point, require, robustness_problem
 from .core import (
@@ -54,30 +61,72 @@ VERDICT_ROBUST = "robust"
 VERDICT_NOT_ROBUST = "not_robust"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class RobustnessCertificate:
     """A verdict together with the vector that proves it.
 
     weights is a nonnegative sum-one vector over individuals whose weighted
     responsiveness sum clears one half at every extreme point.  mixture is a
-    nonnegative sum-one vector over extreme points under whose blend no
-    individual clears one half.  Exactly one of the two is present.
+    nonnegative sum-one vector over the size extreme points under whose
+    blend no individual clears one half.  Exactly one of the two is present.
+
+    A mixture is stored, compared and hashed as its support: the ascending
+    (extreme point, numerator) pairs with a nonzero numerator, over the
+    integer scale, in lowest terms.  A refutation lists a few extreme
+    points, so the dense tuple `mixture` is built only when a caller first
+    reads it, as Distribution.probs is.
     """
 
     verdict: str
     mode: str
-    weights: tuple[Fraction, ...] | None = None
-    mixture: tuple[Fraction, ...] | None = None
+    weights: tuple[Fraction, ...] | None
+    support: tuple[tuple[int, int], ...] | None
+    scale: int
+    size: int
+    _dense: tuple | None = field(repr=False, compare=False)  # mixture, once read
 
-    def __post_init__(self) -> None:
-        if self.verdict not in (VERDICT_ROBUST, VERDICT_NOT_ROBUST):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.weights is None) == (self.mixture is None):
+    def __init__(self, verdict: str, mode: str, weights=None, mixture=None) -> None:
+        if verdict not in (VERDICT_ROBUST, VERDICT_NOT_ROBUST):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if (weights is None) == (mixture is None):
             raise ValueError("exactly one of weights and mixture must be present")
-        if (self.verdict == VERDICT_ROBUST) != (self.weights is not None):
+        if (verdict == VERDICT_ROBUST) != (weights is not None):
             raise ValueError("verdict does not match the certificate kind")
+        if mixture is None:
+            self._set(verdict, mode, weights, None, 1, 0, None)
+        else:
+            self._set(verdict, mode, None, *_over_scale(mixture), len(mixture), tuple(mixture))
+
+    @classmethod
+    def _refutation(cls, mode: str, size: int, support, scale: int) -> "RobustnessCertificate":
+        """The not-robust certificate, in a mode the caller has checked,
+        whose mixture over size extreme points has this support, already as
+        stored: ascending, no numerator zero, in lowest terms with scale."""
+        cert = cls.__new__(cls)
+        cert._set(VERDICT_NOT_ROBUST, mode, None, tuple(support), scale, size, None)
+        return cert
+
+    def _set(self, verdict, mode, weights, support, scale, size, dense) -> None:
+        # Frozen: each field is set once, here, past __setattr__.
+        put = object.__setattr__
+        put(self, "verdict", verdict)
+        put(self, "mode", mode)
+        put(self, "weights", weights)
+        put(self, "support", support)
+        put(self, "scale", scale)
+        put(self, "size", size)
+        put(self, "_dense", dense)
+
+    @property
+    def mixture(self) -> tuple[Fraction, ...] | None:
+        if self._dense is None and self.support is not None:
+            dense = [Fraction(0)] * self.size
+            for k, m in self.support:
+                dense[k] = Fraction(m, self.scale)
+            object.__setattr__(self, "_dense", tuple(dense))
+        return self._dense
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "mode": self.mode}
@@ -86,6 +135,16 @@ class RobustnessCertificate:
         if self.mixture is not None:
             payload["mixture"] = [format_rational(m) for m in self.mixture]
         return payload
+
+
+def _over_scale(mixture) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The nonzero entries of a dense rational mixture, as (extreme point,
+    numerator) pairs over their least common denominator, with it: the
+    support a certificate stores (over the least common denominator of
+    reduced fractions, the numerators have no common factor with it)."""
+    points = [k for k, m in enumerate(mixture) if m]
+    masses, scale = over_common_denominator([mixture[k] for k in points])
+    return tuple(zip(points, masses)), scale
 
 
 def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[int | Fraction]]:
@@ -130,12 +189,19 @@ def extreme_supports(rule, pset: DistributionSet):
 
 def _certificate(rule, mode: str, weights=None, mixture=None,
                  points=None) -> RobustnessCertificate:
-    """The certificate for whichever vector is given, once it has passed
-    robustness_problem over the extreme points with these supports."""
-    found = robustness_problem(rule.outcomes, mode == MODE_STRICT, weights, mixture, points)
+    """The certificate for whichever is given, weights or a mixture as its
+    (support, scale) pair, stored as RobustnessCertificate does, once it has
+    passed robustness_problem over the extreme points with these supports
+    (None: the point masses)."""
+    if weights is not None:
+        cert = RobustnessCertificate(VERDICT_ROBUST, mode, weights)
+    else:
+        size = len(rule.outcomes) if points is None else len(points)
+        cert = RobustnessCertificate._refutation(mode, size, *mixture)
+    found = robustness_problem(rule.outcomes, mode == MODE_STRICT, weights, cert.support,
+                               points, cert.scale)
     require(found is None, f"robustness certificate: {found}")
-    verdict = VERDICT_ROBUST if weights is not None else VERDICT_NOT_ROBUST
-    return RobustnessCertificate(verdict, mode, weights, mixture)
+    return cert
 
 
 def _certify_by_lp(rule: VotingRule, mode: str,
@@ -149,20 +215,23 @@ def _certify_by_lp(rule: VotingRule, mode: str,
         answer, points = alternative(degenerate_agreement_matrix(rule)), None
     else:
         answer, points = alternative(agreement_matrix(rule, pset)), extreme_supports(rule, pset)
-    return _certificate(rule, mode, answer.weights, answer.mixture, points)
+    mixture = None if answer.mixture is None else _over_scale(answer.mixture)
+    return _certificate(rule, mode, answer.weights, mixture, points)
 
 
-def _spread(size: int, profiles: list[int]) -> tuple[Fraction, ...]:
-    """Equal mass on each listed profile (a repeat adds up), over all 2^n."""
-    mass = [Fraction(0)] * size
-    for x in set(profiles):
-        mass[x] = Fraction(profiles.count(x), len(profiles))
-    return tuple(mass)
+def _spread(profiles: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """Equal mass on each listed profile (a repeat adds up), as a stored
+    support: counts over the number listed, in lowest terms."""
+    points = sorted(set(profiles))
+    counts = [profiles.count(x) for x in points]
+    common = gcd(len(profiles), *counts)
+    return [(x, c // common) for x, c in zip(points, counts)], len(profiles) // common
 
 
 def _screen(rule: VotingRule, mode: str):
     """An answer over the point masses that needs no solver, as a
-    (weights, mixture) pair with one side None, or None.
+    (weights, mixture) pair with one side None, the mixture as the
+    (support, scale) pair _spread gives, or None.
 
     Column x of the point-mass matrix is phi(x) * x.  A profile deciding
     the same as its negation gives two columns that cancel, and an own-vote
@@ -187,12 +256,12 @@ def _screen(rule: VotingRule, mode: str):
     twins = twin_set(n, t) if strict else 0
     if twins:
         twin = lowest_bit(twins)
-        return None, _spread(size, [twin, size - 1 - twin])
+        return None, _spread([twin, size - 1 - twin])
     firsts = {i: lowest_bit(bases)
               for i, bases in enumerate(violation_sets(n, t), start=1) if bases}
     pairs = [x for i, base in firsts.items() for x in (base, base | 1 << (i - 1))]
     if strict and pairs:
-        return None, _spread(size, pairs[:2])
+        return None, _spread(pairs[:2])
     if not strict:
         against = masks.full
         for i, plus in enumerate(masks.plus, start=1):
@@ -200,7 +269,7 @@ def _screen(rule: VotingRule, mode: str):
                 against &= t ^ plus
         if against:
             profile = [lowest_bit(against)] if len(firsts) < n else []
-            return None, _spread(size, pairs + profile)
+            return None, _spread(pairs + profile)
 
     monotone = [i not in firsts for i in range(1, n + 1)]
     weights = [2 * (masks.full & ~(t ^ plus)).bit_count() - size if keep else 0
@@ -317,11 +386,10 @@ def is_permutation_invariant(pset: DistributionSet) -> bool:
                for index_map in _generators(pset.n) for dist in pset.extreme_points)
 
 
-def _orbit_mixture(
-    pset: DistributionSet, index: int
-) -> tuple[Fraction, ...]:
-    """Mixture weights that average the orbit of one extreme point over all
-    relabelings, expressed over the input extreme points.
+def _orbit(pset: DistributionSet, index: int) -> set[int]:
+    """The extreme points in the orbit of one of them under relabeling, as
+    positions in pset; equal mass on each is the orbit's average over all
+    relabelings.
 
     The orbit is searched along the generators.  Each orbit member is the
     image of |stabilizer| of the n! relabelings, so their average is the
@@ -341,8 +409,7 @@ def _orbit_mixture(
             if k not in orbit:
                 orbit.add(k)
                 frontier.append(k)
-    share, zero = Fraction(1, len(orbit)), Fraction(0)
-    return tuple(share if k in orbit else zero for k in range(len(pset)))
+    return orbit
 
 
 def certify_anonymous(
@@ -371,4 +438,5 @@ def certify_anonymous(
     violator = failed_extreme_point(rule.outcomes, uniform, mode == MODE_STRICT, points)
     if violator is None:
         return _certificate(rule, mode, weights=uniform, points=points)
-    return _certificate(rule, mode, mixture=_orbit_mixture(pset, violator), points=points)
+    orbit = sorted(_orbit(pset, violator))
+    return _certificate(rule, mode, mixture=([(k, 1) for k in orbit], len(orbit)), points=points)

@@ -131,9 +131,11 @@ def _check_robustness_certificate(
                             f"{context}.weights", rule.n)
         found = robustness_problem(rule.outcomes, mode == MODE_STRICT, ws, points=points)
     elif verdict == VERDICT_NOT_ROBUST:
-        mix = _rational_list(_field(certificate, "mixture", context),
-                             f"{context}.mixture", count)
-        found = robustness_problem(rule.outcomes, mode == MODE_STRICT, mixture=mix,
+        # Every entry is parsed; the check reads the nonzero ones, a
+        # negative one included.
+        mix = _parts_list(_field(certificate, "mixture", context), f"{context}.mixture", count)
+        support = [(k, Fraction(*parts)) for k, parts in enumerate(mix) if parts[0]]
+        found = robustness_problem(rule.outcomes, mode == MODE_STRICT, mixture=support,
                                    points=points)
     else:
         raise Mismatch(f"{context}: unknown verdict {verdict!r}")
@@ -396,7 +398,7 @@ def _check_random_certify(report: dict) -> None:
         cx = Distribution.from_json(counterexample_json)
         if cx.n != rule.n:
             raise ValueError(f"rule has n={rule.n} but distribution has n={cx.n}")
-        _expect(robustness_problem(rule.outcomes, True, mixture=cx.probs) is None,
+        _expect(robustness_problem(rule.outcomes, True, mixture=cx.support) is None,
                 "random-certify: counterexample leaves someone responsive")
 
 

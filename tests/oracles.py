@@ -368,6 +368,45 @@ def robustness_problem_on_matrix(matrix, strict, weights=None, mixture=None):
     return None
 
 
+def spread_dense(size: int, profiles: list[int]) -> tuple[Fraction, ...]:
+    """Equal mass on each listed profile (a repeat adds up), as a dense
+    tuple over all size profiles: the screen's refutation mixture."""
+    mass = [Fraction(0)] * size
+    for x in set(profiles):
+        mass[x] = Fraction(profiles.count(x), len(profiles))
+    return tuple(mass)
+
+
+def screened_profiles(n: int, t: int, strict: bool) -> list[int] | None:
+    """The profiles the screen's refutation of table t lists, read off the
+    truth table one profile at a time, or None when it lists none: a profile
+    deciding as its negation with that negation (strict); else the first
+    own-vote violation pair of each violator, the first two profiles of
+    them when strict, and, unless everyone is a violator, the first profile
+    where every non-violator votes against the outcome."""
+    size = 2**n
+    outcome = [1 if t >> x & 1 else -1 for x in range(size)]
+    if strict:
+        twin = next((x for x in range(size) if outcome[x] == outcome[size - 1 - x]), None)
+        if twin is not None:
+            return [twin, size - 1 - twin]
+    pairs, violators = [], set()
+    for i in range(n):
+        bit = 1 << i
+        base = next((x for x in range(size) if not x & bit
+                     and outcome[x] == 1 and outcome[x | bit] == -1), None)
+        if base is not None:
+            pairs += [base, base | bit]
+            violators.add(i)
+    if strict:
+        return pairs[:2] or None
+    against = next((x for x in range(size) if all(
+        (1 if x >> i & 1 else -1) != outcome[x] for i in range(n) if i not in violators)), None)
+    if against is None:
+        return None
+    return pairs + ([against] if len(violators) < n else [])
+
+
 def net_gains_by_fractions(rule, utilities, mixture) -> tuple[Fraction, ...]:
     """Each individual's expected payoff from the rule over its inverse, a
     Fraction sum state by state: share * (hi - lo) where the rule decides

@@ -7,6 +7,7 @@ common-denominator net gains and transport against Fraction sums."""
 import random
 import re
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -184,9 +185,19 @@ def _point_mass_rules():
             yield VotingRule(n, tuple(rng.choice((-1, 1)) for _ in range(2**n)))
 
 
+def _supports(mixture):
+    """A dense mixture as the supports robustness_problem takes: its nonzero
+    entries as rationals (scale 1), and as integers over their common
+    denominator."""
+    atoms = [(k, F(m)) for k, m in enumerate(mixture) if m]
+    scale = lcm(*(m.denominator for _, m in atoms))
+    return [(atoms, 1), ([(k, int(m * scale)) for k, m in atoms], scale)]
+
+
 def _check_against_the_dense_check(outcomes, points, weights, mixtures, messages):
     """robustness_problem against the reference on the agreement matrix, in
-    both modes, for every vector; points None stands for the point masses."""
+    both modes, for every vector, a mixture given by its support; points
+    None stands for the point masses."""
     size = len(outcomes)
     supports = [((x, F(1)),) for x in range(size)] if points is None else points
     matrix = agreement_matrix_by_atoms(outcomes, supports)
@@ -196,9 +207,11 @@ def _check_against_the_dense_check(outcomes, points, weights, mixtures, messages
             assert found == robustness_problem_on_matrix(matrix, strict, weights=ws)
             messages.add(found and re.sub(r"\d+", "#", found))
         for mix in mixtures:
-            found = robustness_problem(outcomes, strict, mixture=mix, points=points)
-            assert found == robustness_problem_on_matrix(matrix, strict, mixture=mix)
-            messages.add(found and re.sub(r"\d+", "#", found))
+            expected = robustness_problem_on_matrix(matrix, strict, mixture=mix)
+            for support, scale in _supports(mix):
+                assert robustness_problem(outcomes, strict, mixture=support, points=points,
+                                          scale=scale) == expected
+            messages.add(expected and re.sub(r"\d+", "#", expected))
 
 
 def test_point_mass_problem_matches_the_dense_check():

@@ -33,7 +33,7 @@ from robustvote.robustness import (
     VERDICT_NOT_ROBUST,
     VERDICT_ROBUST,
     RobustnessCertificate,
-    _orbit_mixture,
+    _orbit,
     is_permutation_invariant,
     permute_distribution,
 )
@@ -43,6 +43,12 @@ from oracles import (
     invariant_under_every_relabeling,
     orbit_average_over_every_relabeling,
 )
+
+
+def _orbit_mixture(pset, index):
+    """The uniform mixture over the orbit _orbit finds, over all of pset."""
+    orbit = _orbit(pset, index)
+    return tuple(F(1, len(orbit)) if k in orbit else F(0) for k in range(len(pset)))
 
 
 def check_certificate(rule, pset, certificate):
@@ -123,6 +129,33 @@ class TestCertificateShape:
             )
         with pytest.raises(ValueError):
             RobustnessCertificate("maybe", MODE_STRICT, weights=(F(1),))
+
+    def test_dense_and_support_built_certificates_are_equal(self):
+        # A certificate built from a dense mixture, as callers outside the
+        # package build one, equals the producer's support-built one in
+        # value, hash and JSON; so does a dense tuple of ints.
+        pset = DistributionSet(3, (Distribution.uniform(3), Distribution.degenerate(3, 6)))
+        certs = [certify_p_robust_full(rule, mode)
+                 for rule in enumerate_rules(2) for mode in (MODE_STRICT, MODE_WEAK)]
+        certs += [certify_p_robust(majority_rule(3), pset, mode) for mode in (MODE_STRICT, MODE_WEAK)]
+        certs += [certify_anonymous(unanimity_rule(3), DistributionSet.degenerates(3))]
+        refutations = 0
+        for cert in certs:
+            dense = RobustnessCertificate(cert.verdict, cert.mode, cert.weights, cert.mixture)
+            assert dense == cert and hash(dense) == hash(cert)
+            assert dense.to_json() == cert.to_json()
+            refutations += cert.mixture is not None
+        assert refutations > 5
+        size = 8
+        screened = certify_p_robust_full(constant_rule(3, 1), MODE_WEAK)
+        ints = RobustnessCertificate(VERDICT_NOT_ROBUST, MODE_WEAK, mixture=(1,) + (0,) * 7)
+        assert ints == screened and hash(ints) == hash(screened)
+        assert ints.mixture == (1,) + (0,) * 7
+        uniform = RobustnessCertificate(VERDICT_NOT_ROBUST, MODE_STRICT,
+                                        mixture=(F(1, size),) * size)
+        assert uniform.support == tuple((k, 1) for k in range(size)) and uniform.scale == size
+        assert uniform != RobustnessCertificate(VERDICT_NOT_ROBUST, MODE_WEAK,
+                                                mixture=(F(1, size),) * size)
 
     def test_json_shape(self):
         cert = certify_p_robust_full(majority_rule(3), MODE_STRICT)

@@ -2,6 +2,7 @@
 before any LP: it must agree with the LP on every rule it decides, and it
 must decide the rules its certificates exist for without the LP."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -26,7 +27,14 @@ from robustvote import (
     weighted_majority_rule,
 )
 from robustvote import lp
-from robustvote.core import STRUCTURAL_PREDICATES, own_vote_violations, table_rule
+from robustvote.core import (
+    STRUCTURAL_PREDICATES,
+    own_vote_violations,
+    sign_table,
+    table_integer,
+    table_masks,
+    table_rule,
+)
 from robustvote.robustness import (
     MODE_STRICT,
     MODE_WEAK,
@@ -36,6 +44,8 @@ from robustvote.robustness import (
     _certify_by_lp,
     degenerate_agreement_matrix,
 )
+
+from oracles import screened_profiles, spread_dense
 
 TIE_FREE_NONNEGATIVE = WmrQuery("nonnegative", "forbidden")
 
@@ -186,6 +196,69 @@ def test_the_lp_decides_what_the_screen_cannot(monkeypatch, rule, mode):
     monkeypatch.setattr(lp, name, counting)
     assert certify_p_robust_full(rule, mode).verdict == VERDICT_ROBUST
     assert len(calls) == 1
+
+
+def _screened_rules():
+    yield from enumerate_rules(3)
+    rng = random.Random("screened-mixtures")
+    for n in (1, 2, 4, 5, 6):
+        for _ in range(40 if n < 6 else 10):
+            yield table_rule(n, rng.getrandbits(2**n))
+
+
+def test_screened_mixtures_equal_the_dense_reference():
+    # Wherever the truth table names a screen refutation, the certificate's
+    # support is that equal-mass spread, and the dense tuple built from it
+    # on demand equals the spread built over all 2^n profiles.
+    listed = 0
+    for rule in _screened_rules():
+        t = table_integer(rule.outcomes)
+        for mode in MODES:
+            profiles = screened_profiles(rule.n, t, mode == MODE_STRICT)
+            if profiles is None:
+                continue
+            listed += 1
+            cert = certify_p_robust_full(rule, mode)
+            assert cert.verdict == VERDICT_NOT_ROBUST
+            assert cert.mixture == spread_dense(2**rule.n, profiles)
+            assert [x for x, _ in cert.support] == sorted(set(profiles))
+    assert listed > 500
+
+
+class _CountingFraction:
+    """Counts every Fraction constructed while it is installed."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        original = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            self.count += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_n16_refutation_is_dense_only_when_read(monkeypatch, mode):
+    n, size = 16, 2**16
+    rng = random.Random(f"n16-{mode}")
+    rule = table_rule(n, rng.getrandbits(size))
+    t = table_integer(rule.outcomes)
+    profiles = screened_profiles(n, t, mode == MODE_STRICT)
+    assert profiles is not None and len(profiles) <= 2 * n + 1
+    sign_table(n), table_masks(n)  # the shared per-n tables, built once
+    fractions = _CountingFraction(monkeypatch)
+    cert = certify_p_robust_full(rule, mode)
+    # Screened and checked in integers: no Fraction, and the certificate
+    # holds its support, not a 2^n-entry sequence.
+    assert fractions.count == 0
+    held = [getattr(cert, field.name) for field in dataclasses.fields(cert)]
+    assert cert.verdict == VERDICT_NOT_ROBUST
+    assert all(len(value) < size for value in held if isinstance(value, tuple))
+    dense = spread_dense(size, profiles)
+    assert cert.mixture == dense and cert.mixture is cert.mixture
+    assert cert.to_json()["mixture"] == [f"{m.numerator}/{m.denominator}" for m in dense]
 
 
 def test_violations_come_in_individual_then_profile_order():

@@ -437,3 +437,56 @@ class TestPointMassRecognition:
 
         monkeypatch.setattr(Distribution, "_set_support", refuse)
         assert verify_report(report) == []
+
+
+class TestMixtureEntries:
+    """A robustness mixture is checked on its nonzero entries, but every
+    entry is still parsed and validated, and a negative one is kept."""
+
+    @staticmethod
+    def _refutation(kind: str):
+        """A refuted report, its mixture, the mixture's field name, and the
+        positions of a zero entry and of a nonzero one."""
+        if kind == "certify":
+            report, field = certify_report("-+++---+"), "certify"
+            certificate = report
+        else:
+            _, report = run_cli(["classify", "--rule=-+++---+"])
+            field = "classify.certificates.robust"
+            certificate = report["report"]["certificates"]["robust"]
+        assert certificate["verdict"] == "not_robust" and verify_report(report) == []
+        mixture = certificate["mixture"]
+        zero = next(k for k, m in enumerate(mixture) if m == "0/1")
+        mass = next(k for k, m in enumerate(mixture) if m != "0/1")
+        return report, mixture, field, zero, mass
+
+    @pytest.mark.parametrize("kind", ["certify", "classify"])
+    def test_a_malformed_zero_entry(self, kind):
+        report, mixture, field, zero, _ = self._refutation(kind)
+        mixture[zero] = "none"
+        assert verify_report(report) == [
+            f"{field}.mixture[{zero}]: expected a rational 'num/den' string, got 'none'"]
+
+    @pytest.mark.parametrize("kind", ["certify", "classify"])
+    def test_a_zero_in_another_spelling(self, kind):
+        report, mixture, _, zero, _ = self._refutation(kind)
+        mixture[zero] = "0/7"
+        assert verify_report(report) == []
+
+    @pytest.mark.parametrize("kind", ["certify", "classify"])
+    def test_a_negative_entry_is_read(self, kind):
+        # Mass moved from a nonzero entry leaves a negative zero entry; the
+        # sum stays one, so only the sign is wrong.
+        report, mixture, field, zero, mass = self._refutation(kind)
+        numerator, denominator = map(int, mixture[mass].split("/"))
+        mixture[mass] = f"{numerator * 4 + denominator}/{denominator * 4}"
+        mixture[zero] = "-1/4"
+        context = "certify" if kind == "certify" else field
+        assert verify_report(report) == [
+            f"{context}: mixture is not a distribution over extreme points"]
+
+    @pytest.mark.parametrize("kind", ["certify", "classify"])
+    def test_a_missing_entry(self, kind):
+        report, mixture, field, _, _ = self._refutation(kind)
+        mixture.pop()
+        assert verify_report(report) == [f"{field}.mixture: expected 8 entries, got 7"]
