@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 from typing import Sequence
 
 from .core import combine_rows, over_common_denominator, vote_leans, vote_sums
@@ -126,12 +127,13 @@ def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
         masses, scale = over_common_denominator(masses)
     if not _is_distribution(masses, scale):
         return "mixture is not a distribution over extreme points"
-    if points is not None:
-        blend: dict[int, Fraction] = {}
+    if points is not None:  # the blend, over its points' common denominator
+        common = lcm(*(p.denominator for k in support for _, p in points[k]))
+        blend: dict[int, int] = {}
         for k, m in zip(support, masses):
             for x, p in points[k]:
-                blend[x] = blend.get(x, 0) + m * p
-        support, masses = list(blend), over_common_denominator(list(blend.values()))[0]
+                blend[x] = blend.get(x, 0) + m * p.numerator * (common // p.denominator)
+        support, masses = list(blend), list(blend.values())
     signed = list(map(operator.mul, masses, map(outcomes.__getitem__, support)))
     for i, lean in enumerate(vote_leans(len(outcomes).bit_length() - 1, support, signed), 1):
         if not (lean <= 0 if strict else lean < 0):
@@ -224,7 +226,7 @@ def rtf_maximum(weights: Sequence[Fraction], dist) -> Fraction:
     """The maximum over all rules of sum_i w_i r_i under dist, in closed
     form: (E[|sum_i w_i x_i|] + sum_i w_i) / 2."""
     sums, scale = vote_sums(weights)
-    expectation = sum((p * abs(sums[idx]) for idx, p in dist.support), _ZERO) / scale
+    expectation = Fraction(sum(m * abs(sums[idx]) for idx, m in dist.masses), scale * dist.scale)
     return (expectation + sum(weights, _ZERO)) / 2
 
 

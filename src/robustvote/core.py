@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -294,57 +294,82 @@ def _json_n(data: dict) -> int:
     return n
 
 
-@dataclass(frozen=True, init=False)
-class Distribution:
-    """Probability distribution over the 2**n profiles, exact rationals.
+def nonzero_masses(values) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The nonzero entries of a dense rational vector as a Mixture stores
+    them: (index, numerator) pairs over their least common denominator."""
+    points = [k for k, v in enumerate(values) if v]
+    masses, scale = over_common_denominator([values[k] for k in points])
+    return tuple(zip(points, masses)), scale
 
-    Stored, compared and hashed as n and its support: the ascending
-    (index, prob) pairs with prob > 0. The dense table `probs` is built
-    only when a caller first reads it.
+
+@dataclass(frozen=True)
+class Mixture:
+    """Exact masses on the indices 0..size-1, as a Distribution over the
+    profiles and a robustness refutation over extreme points both are:
+    stored (and so constructed), compared and hashed as the ascending
+    (index, numerator) pairs with no numerator zero, over the integer
+    scale, in lowest terms.  The Fraction views, `support` pairs and the
+    dense tuple `probs`, are built only when first read."""
+
+    size: int
+    masses: tuple[tuple[int, int], ...]
+    scale: int
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((k, Fraction(m, self.scale)) for k, m in self.masses)
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        probs = [Fraction(0)] * self.size
+        for k, m in self.masses:
+            probs[k] = Fraction(m, self.scale)
+        return tuple(probs)
+
+
+@dataclass(frozen=True, init=False)
+class Distribution(Mixture):
+    """Probability distribution over the 2**n profiles, exact rationals: a
+    Mixture over size = 2**n indices whose numerators sum to scale, with
+    its n.  Every constructor validates through _set_support.
     """
 
     n: int
-    support: tuple[tuple[int, Fraction], ...]
 
     def __init__(self, n: int, probs: Sequence[Fraction]) -> None:
         _check_n(n)
         if len(probs) != 2 ** n:
             raise ValueError(f"distribution needs {2 ** n} probabilities for n={n}")
-        self._set_support(n, enumerate(probs))
+        self._set_support(n, *nonzero_masses(
+            [p if type(p) is Fraction else Fraction(p) for p in probs]))
 
     @classmethod
-    def _from_support(cls, n: int, atoms: Iterable[tuple[int, Fraction]]) -> "Distribution":
-        """The distribution with these (index, prob) atoms, each index once."""
+    def _from_masses(cls, n: int, atoms: Iterable[tuple[int, int]], scale: int) -> "Distribution":
+        """The distribution with these (index, numerator) atoms over the
+        integer scale > 0, each index once."""
         _check_n(n)
         dist = cls.__new__(cls)
-        dist._set_support(n, atoms)
+        dist._set_support(n, atoms, scale)
         return dist
 
-    def _set_support(self, n: int, atoms: Iterable[tuple[int, Fraction]]) -> None:
-        # The one validation every constructor runs, in integers over the
-        # probabilities' common denominator.
-        size, indices, probs = 2 ** n, [], []
-        for idx, p in atoms:
+    def _set_support(self, n: int, atoms: Iterable[tuple[int, int]], scale: int) -> None:
+        # The one validation every constructor runs, in integers.
+        size, masses = 2 ** n, []
+        for idx, m in atoms:
             if not 0 <= idx < size:
                 raise ValueError(f"profile index {idx} out of range for n={n}")
-            indices.append(idx)
-            probs.append(p if type(p) is Fraction else Fraction(p))
-        numerators, scale = over_common_denominator(probs)
-        if any(v < 0 for v in numerators):
+            if m:
+                masses.append((idx, m))
+        numerators = [m for _, m in masses]
+        if min(numerators, default=0) < 0:
             raise ValueError("probabilities must be nonnegative")
-        total = sum(numerators)
-        if total != scale:
-            raise ValueError(f"probabilities must sum to 1, got {Fraction(total, scale)}")
+        if sum(numerators) != scale:
+            raise ValueError(f"probabilities must sum to 1, got {Fraction(sum(numerators), scale)}")
+        common = gcd(scale, *numerators)
+        masses.sort()
+        Mixture.__init__(self, size, tuple((idx, m // common) for idx, m in masses),
+                         scale // common)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "support", tuple(sorted(
-            (idx, p) for idx, p, v in zip(indices, probs, numerators) if v)))
-
-    @cached_property
-    def probs(self) -> tuple[Fraction, ...]:
-        probs = [Fraction(0)] * 2 ** self.n
-        for idx, p in self.support:
-            probs[idx] = p
-        return tuple(probs)
 
     def prob(self, profile: "DecisionProfile | int") -> Fraction:
         index = profile.index if isinstance(profile, DecisionProfile) else profile
@@ -352,33 +377,32 @@ class Distribution:
 
     def is_strictly_positive(self) -> bool:
         """True iff every profile has positive probability (interior of the simplex)."""
-        return len(self.support) == 2 ** self.n
+        return len(self.masses) == self.size
 
     def expectation(self, values: Sequence[Fraction]) -> Fraction:
         """E[f] for a profile-indexed value table f."""
         if len(values) != 2 ** self.n:
             raise ValueError("value table length does not match the profile space")
-        return sum((p * Fraction(values[idx]) for idx, p in self.support), Fraction(0))
+        return sum((m * Fraction(values[idx]) for idx, m in self.masses), Fraction(0)) / self.scale
 
     @classmethod
     def degenerate(cls, n: int, index: "DecisionProfile | int") -> "Distribution":
         idx = index.index if isinstance(index, DecisionProfile) else index
-        return cls._from_support(n, ((idx, Fraction(1)),))
+        return cls._from_masses(n, ((idx, 1),), 1)
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
         _check_n(n)
-        p = Fraction(1, 2 ** n)
-        return cls(n, tuple([p] * 2 ** n))
+        return cls._from_masses(n, ((k, 1) for k in range(2 ** n)), 2 ** n)
 
     @classmethod
     def from_weights(cls, n: int, weights: dict[int, Fraction]) -> "Distribution":
         """Distribution proportional to the given nonnegative profile weights."""
         _check_n(n)
-        total = sum(weights.values(), Fraction(0))
-        if total <= 0:
+        numerators, _ = over_common_denominator([Fraction(w) for w in weights.values()])
+        if sum(numerators) <= 0:
             raise ValueError("weights must have positive total mass")
-        return cls._from_support(n, ((idx, Fraction(w) / total) for idx, w in weights.items()))
+        return cls._from_masses(n, zip(weights, numerators), sum(numerators))
 
     def to_json(self) -> dict:
         profiles = profile_strings(self.n)
@@ -391,7 +415,7 @@ class Distribution:
         atoms = data.get("atoms")
         if not isinstance(atoms, list):
             raise FormatError("atoms: expected a list of {profile, prob} objects")
-        probs: dict[int, Fraction] = {}
+        parts: dict[int, tuple[int, int]] = {}
         for k, atom in enumerate(atoms):
             if not isinstance(atom, dict):
                 raise FormatError(f"atoms[{k}]: expected an object")
@@ -404,11 +428,13 @@ class Distribution:
                 raise FormatError(
                     f"atoms[{k}].profile: expected '+'/'-' characters, got {profile!r}")
             idx = int(profile[::-1].translate(_BITS), 2)  # individual 1 is bit 0
-            if idx in probs:
+            if idx in parts:
                 raise FormatError(f"atoms[{k}].profile: duplicate profile {profile!r}")
-            probs[idx] = parse_rational(atom.get("prob"), f"atoms[{k}].prob")
+            parts[idx] = rational_parts(atom.get("prob"), f"atoms[{k}].prob")
+        scale = lcm(*(den for _, den in parts.values()))
         try:
-            return cls._from_support(n, probs.items())
+            return cls._from_masses(n, ((idx, num * (scale // den))
+                                        for idx, (num, den) in parts.items()), scale)
         except ValueError as exc:
             raise FormatError(f"atoms: {exc}") from exc
 
@@ -439,14 +465,15 @@ class DistributionSet:
         """The convex combination of the extreme points with these coefficients."""
         if len(coefficients) != len(self.extreme_points):
             raise ValueError("coefficient count does not match extreme point count")
-        coeffs = [Fraction(c) for c in coefficients]
-        if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
+        weights, scale = over_common_denominator([Fraction(c) for c in coefficients])
+        if min(weights) < 0 or sum(weights) != scale:
             raise ValueError("mixture coefficients must be nonnegative and sum to 1")
-        probs: dict[int, Fraction] = {}
-        for c, dist in zip(coeffs, self.extreme_points):
-            for k, p in dist.support:
-                probs[k] = probs.get(k, 0) + c * p
-        return Distribution._from_support(self.n, probs.items())
+        common = lcm(*(dist.scale for dist in self.extreme_points))
+        masses: dict[int, int] = {}
+        for w, dist in zip(weights, self.extreme_points):
+            for k, m in dist.masses:
+                masses[k] = masses.get(k, 0) + w * m * (common // dist.scale)
+        return Distribution._from_masses(self.n, masses.items(), scale * common)
 
     @classmethod
     def degenerates(cls, n: int) -> "DistributionSet":

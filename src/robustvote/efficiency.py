@@ -123,7 +123,7 @@ def efficiency_verdict(
         raise ValueError(f"unknown efficiency mode {mode!r}")
     if rule.n != dist.n:
         raise ValueError("rule and distribution must share the same n")
-    support = dist.support
+    support = dist.masses
     deviation = [Fraction(0)] * 2**rule.n
     # Against efficiency: (k, mass) pairs, the masses over denominator, mass
     # on the k-th profile of supp(p), which is profile k when p has full support.
@@ -146,8 +146,8 @@ def efficiency_verdict(
     if cert is not None:
         masses, denominator = cert.support or (), cert.scale
     for k, mass in masses:
-        idx, p = support[k]
-        deviation[idx] = Fraction(mass, denominator) / p
+        idx, q = support[k]  # p_x is q / dist.scale
+        deviation[idx] = Fraction(mass * dist.scale, denominator * q)
     if not any(deviation):
         return True, None
     scale = min(Fraction(1), 2 / max(deviation))  # into the box t <= 2
@@ -182,15 +182,13 @@ def _transport(dist: Distribution, rule: VotingRule,
                dominating: RandomVotingRule) -> Distribution:
     """transport_distribution once its domination precondition holds, as
     `verify` has checked it on an efficiency witness."""
-    # Each atom's mass p_x (1 - phi(x) * dominating(x)), put over the
-    # common denominators of the probabilities and of the outcomes, is an
-    # integer; all of them are normalized by one integer total.
-    probs, _ = over_common_denominator([p for _, p in dist.support])
-    outcomes, scale = over_common_denominator(
-        [dominating.outcomes[idx] for idx, _ in dist.support])
+    # Each atom's mass p_x (1 - phi(x) * dominating(x)) is an integer over the
+    # scales of p and of the outcomes: the transport is these over their total.
+    support, probs = zip(*dist.masses)
+    outcomes, scale = over_common_denominator([dominating.outcomes[idx] for idx in support])
     raw = [(idx, q * (scale - rule.outcomes[idx] * o))
-           for (idx, _), q, o in zip(dist.support, probs, outcomes)]
+           for idx, q, o in zip(support, probs, outcomes)]
     total = sum(mass for _, mass in raw)
     if not total:
         raise NoTransportError("the rules agree on every profile with positive probability")
-    return Distribution._from_support(rule.n, ((idx, Fraction(mass, total)) for idx, mass in raw))
+    return Distribution._from_masses(rule.n, raw, total)

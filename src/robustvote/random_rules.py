@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certificates import improves, require, robustness_problem, sign_pattern_holds
-from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, set_bits, table_masks
+from .core import (Distribution, RandomVotingRule, VotingRule, enumerate_rules, nonzero_masses,
+                   set_bits, table_masks)
 from .lp import alternative_strict, alternative_weak
 from .respond import SIGN_CLASS_NONNEGATIVE, WeightVector, responsiveness
 from .robustness import degenerate_agreement_matrix
@@ -43,10 +44,10 @@ def certify_random(
         require(sign_pattern_holds(rule, cleared),
                 "recovered weights fail the per-profile sign agreement")
         return WeightVector(cleared, SIGN_CLASS_NONNEGATIVE), None
-    support = [(idx, p) for idx, p in enumerate(answer.mixture) if p]
-    require(robustness_problem(rule.outcomes, True, mixture=support) is None,
+    masses, scale = nonzero_masses(answer.mixture)
+    require(robustness_problem(rule.outcomes, True, mixture=masses, scale=scale) is None,
             "counterexample distribution leaves an individual above one half")
-    return None, Distribution._from_support(n, support)
+    return None, Distribution._from_masses(n, masses, scale)
 
 
 def find_dominating_deterministic(

@@ -44,7 +44,7 @@ class ResponsivenessVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         for i, v in enumerate(vals, start=1):
             if not 0 <= v <= 1:
@@ -109,13 +109,12 @@ def responsiveness(
     if rule.n != dist.n:
         raise ValueError(f"rule has n={rule.n} but distribution has n={dist.n}")
     deterministic = isinstance(rule, VotingRule)
-    support, probs = zip(*dist.support)
-    probs, prob_scale = over_common_denominator(probs)
+    support, probs = zip(*dist.masses)
     outcomes, outcome_scale = over_common_denominator([rule.outcomes[idx] for idx in support])
     # p(x) phi(x) at each atom, as integers over scale; outcome_scale is 1
     # for a deterministic rule.
     weighted = list(map(mul, probs, outcomes))
-    scale = prob_scale * outcome_scale
+    scale = dist.scale * outcome_scale
     leans = vote_leans(rule.n, support, weighted)
     if deterministic:
         for row, lean in zip(sign_table(rule.n), leans):

@@ -20,16 +20,16 @@ Every certificate, over the point masses or any extreme points, passes
 certificates.robustness_problem, which builds no matrix: an agreement
 matrix is only ever the input of the LP or of the responsiveness game.
 A refutation lists few extreme points (by Caratheodory at most n + 1 are
-needed, and the screen lists 2 to 2n + 1), so it is kept and checked as
-its support, integer masses over one scale; the screen's are counts over
-the number of profiles listed, the LP's the nonzero entries of its
-mixture.  The dense mixture over all extreme points is built only when
-read.
+needed, and the screen lists 2 to 2n + 1), so it is kept and checked as a
+core.Mixture, integer masses over one scale, as every extreme point (a
+Distribution) is read too; the screen's are counts over the number of
+profiles listed, the LP's the nonzero entries of its mixture.  The dense
+mixture over all extreme points is built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -38,6 +38,7 @@ from .core import (
     STRUCTURAL_PREDICATES,
     Distribution,
     DistributionSet,
+    Mixture,
     RandomVotingRule,
     VotingRule,
     _checked_permutation,
@@ -45,12 +46,13 @@ from .core import (
     format_rational,
     is_anonymous,
     lowest_bit,
-    over_common_denominator,
+    nonzero_masses,
     sign_table,
     table_integer,
     table_masks,
     twin_set,
     violation_sets,
+    vote_leans,
 )
 
 MODE_STRICT = "strict"
@@ -66,24 +68,18 @@ class RobustnessCertificate:
     """A verdict together with the vector that proves it.
 
     weights is a nonnegative sum-one vector over individuals whose weighted
-    responsiveness sum clears one half at every extreme point.  mixture is a
-    nonnegative sum-one vector over the size extreme points under whose
-    blend no individual clears one half.  Exactly one of the two is present.
-
-    A mixture is stored, compared and hashed as its support: the ascending
-    (extreme point, numerator) pairs with a nonzero numerator, over the
-    integer scale, in lowest terms.  A refutation lists a few extreme
-    points, so the dense tuple `mixture` is built only when a caller first
-    reads it, as Distribution.probs is.
+    responsiveness sum clears one half at every extreme point.  The
+    refutation is a core.Mixture over the extreme points under whose blend
+    no individual clears one half, stored, compared and hashed as its
+    integer masses over one scale; its dense tuple `mixture` is built only
+    when a caller first reads it, as Distribution.probs is, and `support`
+    and `scale` read its masses.  Exactly one of the two is present.
     """
 
     verdict: str
     mode: str
     weights: tuple[Fraction, ...] | None
-    support: tuple[tuple[int, int], ...] | None
-    scale: int
-    size: int
-    _dense: tuple | None = field(repr=False, compare=False)  # mixture, once read
+    refutation: Mixture | None
 
     def __init__(self, verdict: str, mode: str, weights=None, mixture=None) -> None:
         if verdict not in (VERDICT_ROBUST, VERDICT_NOT_ROBUST):
@@ -94,39 +90,28 @@ class RobustnessCertificate:
             raise ValueError("exactly one of weights and mixture must be present")
         if (verdict == VERDICT_ROBUST) != (weights is not None):
             raise ValueError("verdict does not match the certificate kind")
-        if mixture is None:
-            self._set(verdict, mode, weights, None, 1, 0, None)
-        else:
-            self._set(verdict, mode, None, *_over_scale(mixture), len(mixture), tuple(mixture))
+        refutation = None if mixture is None else Mixture(len(mixture), *nonzero_masses(mixture))
+        self._set(mode, weights, refutation)
 
-    @classmethod
-    def _refutation(cls, mode: str, size: int, support, scale: int) -> "RobustnessCertificate":
-        """The not-robust certificate, in a mode the caller has checked,
-        whose mixture over size extreme points has this support, already as
-        stored: ascending, no numerator zero, in lowest terms with scale."""
-        cert = cls.__new__(cls)
-        cert._set(VERDICT_NOT_ROBUST, mode, None, tuple(support), scale, size, None)
-        return cert
-
-    def _set(self, verdict, mode, weights, support, scale, size, dense) -> None:
-        # Frozen: each field is set once, here, past __setattr__.
+    def _set(self, mode: str, weights, refutation: Mixture | None) -> None:
+        # Frozen: set once, past __setattr__; a producer calls it on cls.__new__(cls).
         put = object.__setattr__
-        put(self, "verdict", verdict)
+        put(self, "verdict", VERDICT_ROBUST if refutation is None else VERDICT_NOT_ROBUST)
         put(self, "mode", mode)
         put(self, "weights", weights)
-        put(self, "support", support)
-        put(self, "scale", scale)
-        put(self, "size", size)
-        put(self, "_dense", dense)
+        put(self, "refutation", refutation)
+
+    @property
+    def support(self) -> tuple[tuple[int, int], ...] | None:
+        return None if self.refutation is None else self.refutation.masses
+
+    @property
+    def scale(self) -> int:
+        return 1 if self.refutation is None else self.refutation.scale
 
     @property
     def mixture(self) -> tuple[Fraction, ...] | None:
-        if self._dense is None and self.support is not None:
-            dense = [Fraction(0)] * self.size
-            for k, m in self.support:
-                dense[k] = Fraction(m, self.scale)
-            object.__setattr__(self, "_dense", tuple(dense))
-        return self._dense
+        return None if self.refutation is None else self.refutation.probs
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "mode": self.mode}
@@ -137,16 +122,6 @@ class RobustnessCertificate:
         return payload
 
 
-def _over_scale(mixture) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The nonzero entries of a dense rational mixture, as (extreme point,
-    numerator) pairs over their least common denominator, with it: the
-    support a certificate stores (over the least common denominator of
-    reduced fractions, the numerators have no common factor with it)."""
-    points = [k for k, m in enumerate(mixture) if m]
-    masses, scale = over_common_denominator([mixture[k] for k in points])
-    return tuple(zip(points, masses)), scale
-
-
 def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[int | Fraction]]:
     """Expected outcome-vote products, one row per individual, one column
     per extreme point: phi(x) * x mixed by that extreme point, an integer
@@ -155,14 +130,11 @@ def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[int |
     integer."""
     if rule.n != pset.n:
         raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
-    signs = sign_table(rule.n)
     columns = []
     for dist in pset.extreme_points:
-        support, probs = zip(*dist.support)
-        probs, scale = over_common_denominator(probs)
-        signed = [p * rule.outcomes[idx] for idx, p in zip(support, probs)]
-        dots = [sum(p * votes[idx] for idx, p in zip(support, signed)) for votes in signs]
-        columns.append(dots if scale == 1 else [Fraction(dot, scale) for dot in dots])
+        support = [idx for idx, _ in dist.masses]
+        dots = vote_leans(rule.n, support, [m * rule.outcomes[idx] for idx, m in dist.masses])
+        columns.append(dots if dist.scale == 1 else [Fraction(dot, dist.scale) for dot in dots])
     return [list(row) for row in zip(*columns)]
 
 
@@ -182,24 +154,20 @@ def extreme_supports(rule, pset: DistributionSet):
     if rule.n != pset.n:
         raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
     if len(pset) == 2**rule.n and all(
-            dist.support == ((k, 1),) for k, dist in enumerate(pset.extreme_points)):
+            dist.masses == ((k, 1),) for k, dist in enumerate(pset.extreme_points)):
         return None
     return [dist.support for dist in pset.extreme_points]
 
 
-def _certificate(rule, mode: str, weights=None, mixture=None,
+def _certificate(rule, mode: str, weights=None, mixture: Mixture | None = None,
                  points=None) -> RobustnessCertificate:
-    """The certificate for whichever is given, weights or a mixture as its
-    (support, scale) pair, stored as RobustnessCertificate does, once it has
-    passed robustness_problem over the extreme points with these supports
-    (None: the point masses)."""
-    if weights is not None:
-        cert = RobustnessCertificate(VERDICT_ROBUST, mode, weights)
-    else:
-        size = len(rule.outcomes) if points is None else len(points)
-        cert = RobustnessCertificate._refutation(mode, size, *mixture)
-    found = robustness_problem(rule.outcomes, mode == MODE_STRICT, weights, cert.support,
-                               points, cert.scale)
+    """The certificate for whichever is given, weights or a mixture, once it
+    has passed robustness_problem over the extreme points with these
+    supports (None: the point masses)."""
+    cert = RobustnessCertificate.__new__(RobustnessCertificate)
+    cert._set(mode, weights, mixture)
+    masses, scale = (None, 1) if mixture is None else (mixture.masses, mixture.scale)
+    found = robustness_problem(rule.outcomes, mode == MODE_STRICT, weights, masses, points, scale)
     require(found is None, f"robustness certificate: {found}")
     return cert
 
@@ -215,23 +183,25 @@ def _certify_by_lp(rule: VotingRule, mode: str,
         answer, points = alternative(degenerate_agreement_matrix(rule)), None
     else:
         answer, points = alternative(agreement_matrix(rule, pset)), extreme_supports(rule, pset)
-    mixture = None if answer.mixture is None else _over_scale(answer.mixture)
+    mixture = answer.mixture and Mixture(len(answer.mixture), *nonzero_masses(answer.mixture))
     return _certificate(rule, mode, answer.weights, mixture, points)
 
 
-def _spread(profiles: list[int]) -> tuple[list[tuple[int, int]], int]:
-    """Equal mass on each listed profile (a repeat adds up), as a stored
-    support: counts over the number listed, in lowest terms."""
+def _spread(size: int, profiles: list[int]) -> Mixture:
+    """Equal mass on each listed profile of size (a repeat adds up), as
+    stored: counts over the number listed, in lowest terms."""
     points = sorted(set(profiles))
-    counts = [profiles.count(x) for x in points]
+    counts = list(map(profiles.count, points))
     common = gcd(len(profiles), *counts)
-    return [(x, c // common) for x, c in zip(points, counts)], len(profiles) // common
+    if common > 1:
+        counts = [c // common for c in counts]
+    return Mixture(size, tuple(zip(points, counts)), len(profiles) // common)
 
 
 def _screen(rule: VotingRule, mode: str):
     """An answer over the point masses that needs no solver, as a
-    (weights, mixture) pair with one side None, the mixture as the
-    (support, scale) pair _spread gives, or None.
+    (weights, mixture) pair with one side None, the mixture as _spread
+    gives it, or None.
 
     Column x of the point-mass matrix is phi(x) * x.  A profile deciding
     the same as its negation gives two columns that cancel, and an own-vote
@@ -256,12 +226,12 @@ def _screen(rule: VotingRule, mode: str):
     twins = twin_set(n, t) if strict else 0
     if twins:
         twin = lowest_bit(twins)
-        return None, _spread([twin, size - 1 - twin])
+        return None, _spread(size, [twin, size - 1 - twin])
     firsts = {i: lowest_bit(bases)
               for i, bases in enumerate(violation_sets(n, t), start=1) if bases}
     pairs = [x for i, base in firsts.items() for x in (base, base | 1 << (i - 1))]
     if strict and pairs:
-        return None, _spread(pairs[:2])
+        return None, _spread(size, pairs[:2])
     if not strict:
         against = masks.full
         for i, plus in enumerate(masks.plus, start=1):
@@ -269,7 +239,7 @@ def _screen(rule: VotingRule, mode: str):
                 against &= t ^ plus
         if against:
             profile = [lowest_bit(against)] if len(firsts) < n else []
-            return None, _spread(pairs + profile)
+            return None, _spread(size, pairs + profile)
 
     monotone = [i not in firsts for i in range(1, n + 1)]
     weights = [2 * (masks.full & ~(t ^ plus)).bit_count() - size if keep else 0
@@ -354,17 +324,18 @@ def _index_map(permutation) -> list[int]:
     return inverse
 
 
-def _relabeled_support(dist: Distribution, index_map) -> tuple[tuple[int, Fraction], ...]:
-    """The support of the relabeled profile, ascending, given the
-    relabeling's _index_map.  A relabeling of a valid support is valid, so
-    nothing is checked here."""
-    return tuple(sorted((_permuted(idx, index_map), p) for idx, p in dist.support))
+def _relabeled_support(dist: Distribution, index_map) -> tuple[tuple[int, int], ...]:
+    """The masses of the relabeled profile, ascending, over dist.scale,
+    given the relabeling's _index_map.  A relabeling of a valid support is
+    valid, so nothing is checked here.  Masses sum to their scale, so at
+    one n they alone tell distributions apart."""
+    return tuple(sorted((_permuted(idx, index_map), m) for idx, m in dist.masses))
 
 
 def permute_distribution(dist: Distribution, permutation) -> Distribution:
     """The distribution of the relabeled profile."""
-    return Distribution._from_support(dist.n, _relabeled_support(
-        dist, _index_map(_checked_permutation(dist.n, permutation))))
+    return Distribution._from_masses(dist.n, _relabeled_support(
+        dist, _index_map(_checked_permutation(dist.n, permutation))), dist.scale)
 
 
 def _generators(n: int) -> tuple[list[int], ...]:
@@ -381,7 +352,7 @@ def is_permutation_invariant(pset: DistributionSet) -> bool:
     Only the two generators are tried: a finite set that each of them maps
     into itself is mapped into itself by every product of them, that is by
     every relabeling, and onto itself because a relabeling is injective."""
-    members = {dist.support for dist in pset.extreme_points}
+    members = {dist.masses for dist in pset.extreme_points}
     return all(_relabeled_support(dist, index_map) in members
                for index_map in _generators(pset.n) for dist in pset.extreme_points)
 
@@ -394,7 +365,7 @@ def _orbit(pset: DistributionSet, index: int) -> set[int]:
     The orbit is searched along the generators.  Each orbit member is the
     image of |stabilizer| of the n! relabelings, so their average is the
     uniform mixture over the orbit."""
-    position = {dist.support: k for k, dist in enumerate(pset.extreme_points)}
+    position = {dist.masses: k for k, dist in enumerate(pset.extreme_points)}
     generators = _generators(pset.n)
     orbit, frontier = {index}, [index]
     while frontier:
@@ -439,4 +410,5 @@ def certify_anonymous(
     if violator is None:
         return _certificate(rule, mode, weights=uniform, points=points)
     orbit = sorted(_orbit(pset, violator))
-    return _certificate(rule, mode, mixture=([(k, 1) for k in orbit], len(orbit)), points=points)
+    mixture = Mixture(len(pset), tuple((k, 1) for k in orbit), len(orbit))
+    return _certificate(rule, mode, mixture=mixture, points=points)

@@ -262,12 +262,12 @@ def _check_respond(report: dict) -> None:
     rule = load_rule(_field(inputs, "rule", "respond.inputs"))
     dist = Distribution.from_json(_field(inputs, "dist", "respond.inputs"))
     values = responsiveness(rule, dist).values
-    reported = _rational_list(_field(report, "responsiveness", "respond"),
-                              "respond.responsiveness", rule.n)
-    _expect(list(values) == reported,
+    reported = _parts_list(_field(report, "responsiveness", "respond"),
+                           "respond.responsiveness", rule.n)
+    _expect(all(map(_equals, reported, values)),
             "respond: responsiveness does not match a recomputation")
-    minimum = parse_rational(_field(report, "minimum", "respond"), "respond.minimum")
-    _expect(minimum == min(values), "respond: minimum entry is wrong")
+    minimum = rational_parts(_field(report, "minimum", "respond"), "respond.minimum")
+    _expect(_equals(minimum, min(values)), "respond: minimum entry is wrong")
 
 
 def _check_rtf(report: dict) -> None:
@@ -283,10 +283,10 @@ def _check_rtf(report: dict) -> None:
     _expect(len(ws) == n, "rtf: weight count does not match the distribution")
 
     closed_form = rtf_maximum(ws, dist)
-    value = parse_rational(_field(report, "value", "rtf"), "rtf.value")
-    _expect(value == closed_form, "rtf: value disagrees with the closed form")
+    value = rational_parts(_field(report, "value", "rtf"), "rtf.value")
+    _expect(_equals(value, closed_form), "rtf: value disagrees with the closed form")
     argmax = VotingRule.from_json(_field(report, "argmax", "rtf"))
-    _expect(attains(ws, responsiveness(argmax, dist).values, value),
+    _expect(attains(ws, responsiveness(argmax, dist).values, closed_form),
             "rtf: the argmax rule does not attain the value")
 
 
@@ -364,9 +364,8 @@ def _check_dominance(report: dict) -> None:
             "dominance: relation does not match a recomputation")
     _expect(report.get("direction") == verdict.direction,
             "dominance: direction does not match a recomputation")
-    deltas = _rational_list(_field(report, "deltas", "dominance"),
-                            "dominance.deltas", first.n)
-    _expect(deltas == list(verdict.deltas),
+    deltas = _parts_list(_field(report, "deltas", "dominance"), "dominance.deltas", first.n)
+    _expect(all(map(_equals, deltas, verdict.deltas)),
             "dominance: deltas do not match a recomputation")
 
 
@@ -398,7 +397,8 @@ def _check_random_certify(report: dict) -> None:
         cx = Distribution.from_json(counterexample_json)
         if cx.n != rule.n:
             raise ValueError(f"rule has n={rule.n} but distribution has n={cx.n}")
-        _expect(robustness_problem(rule.outcomes, True, mixture=cx.support) is None,
+        _expect(robustness_problem(rule.outcomes, True, mixture=cx.masses,
+                                   scale=cx.scale) is None,
                 "random-certify: counterexample leaves someone responsive")
 
 

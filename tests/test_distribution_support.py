@@ -48,7 +48,9 @@ def run_cli(capsys, argv):
 
 def test_a_distribution_stores_its_n_and_its_ascending_support():
     dist = Distribution(2, (F(1, 2), 0, 0, F(1, 2)))
-    assert [field.name for field in dataclasses.fields(Distribution)] == ["n", "support"]
+    assert [field.name for field in dataclasses.fields(Distribution)] == [
+        "size", "masses", "scale", "n"]
+    assert (dist.size, dist.masses, dist.scale, dist.n) == (4, ((0, 1), (3, 1)), 2, 2)
     assert dist.support == ((0, F(1, 2)), (3, F(1, 2)))
     assert Distribution.from_weights(2, {3: 1, 0: 1}).support == dist.support
 
