@@ -5,7 +5,9 @@ stderr unless --quiet, and deterministic exit codes: 0 for an affirmative
 verdict, 1 for a negative one, 2 for usage or malformed input, 3 for an
 internal error such as a certificate that failed its own check.  Every
 report embeds its inputs and certificates so `verify` can re-check it
-later without re-running any search.
+later without re-running any search.  Every subcommand runs in this one
+process: `enumerate` walks the table integers and writes a table string
+only for those that pass.
 
 Rule arguments accept either a path to a JSON file or, for deterministic
 rules, a bare truth table such as ---+-+++ (profiles in ascending index
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -371,12 +372,6 @@ def _cmd_random_dominate(args):
     return inputs, payload, 0, summary
 
 
-def _enumerate_worker(task):
-    n, predicate, start, stop = task
-    return [table_rule(n, t).to_table_string()
-            for t in enumerate_tables(n, PREDICATES[predicate], start, stop)]
-
-
 def _cmd_enumerate(args):
     if args.predicate not in PREDICATES:
         raise FormatError(
@@ -388,20 +383,9 @@ def _cmd_enumerate(args):
             f"n: exhaustive enumeration is limited to 1 <= n <= {MAX_ENUMERATION_INDIVIDUALS}"
         )
     total = 2 ** (2**n)
-    jobs = min(max(1, args.jobs), os.cpu_count() or 1)
-    if args.predicate == "monotone":  # built, not tested table by table
-        tables = [table_rule(n, t).to_table_string() for t in monotone_tables(n)]
-    elif jobs == 1:
-        tables = _enumerate_worker((n, args.predicate, 0, total))
-    else:
-        import multiprocessing
-
-        step = max(1, total // (jobs * 4))
-        chunks = [(n, args.predicate, start, min(total, start + step))
-                  for start in range(0, total, step)]
-        with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-            parts = pool.map(_enumerate_worker, chunks)
-        tables = [table for part in parts for table in part]
+    matches = (monotone_tables(n) if args.predicate == "monotone"  # built, not searched
+               else enumerate_tables(n, PREDICATES[args.predicate]))
+    tables = [table_rule(n, t).to_table_string() for t in matches]
     inputs = {"n": n, "predicate": args.predicate}
     payload: dict = {"count": len(tables)}
     if not args.count:
@@ -544,8 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="one of " + ", ".join(sorted(PREDICATES)))
     cmd.add_argument("--count", action="store_true",
                      help="emit the count only, omitting the table list")
-    cmd.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; output order is deterministic")
 
     cmd = add("epsilon", _cmd_epsilon,
               "heterogeneity thresholds with the binding rule's game certificate")

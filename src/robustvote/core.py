@@ -29,7 +29,9 @@ MAX_INDIVIDUALS = 16
 MAX_ENUMERATION_INDIVIDUALS = 4
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
-_BITS = str.maketrans("+-", "10")  # a profile string's characters as index bits
+_BITS = str.maketrans("+-", "10")  # a profile or table string's characters as bits
+_SIGNS = str.maketrans("10", "+-")
+_OUTCOME = {"1": 1, "0": -1}.__getitem__
 
 
 class FormatError(ValueError):
@@ -59,6 +61,14 @@ def format_rational(value: Fraction) -> str:
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or not 1 <= n <= MAX_INDIVIDUALS:
         raise ValueError(f"n must be an integer in [1, {MAX_INDIVIDUALS}], got {n!r}")
+
+
+def _profile_index(n: int, profile: "DecisionProfile | int") -> int:
+    """The index of a profile of n individuals, given as one or as its index."""
+    index = profile.index if isinstance(profile, DecisionProfile) else profile
+    if not 0 <= index < 2 ** n:
+        raise ValueError(f"profile index {index} out of range for n={n}")
+    return index
 
 
 def popcount(index: int) -> int:
@@ -139,8 +149,7 @@ class DecisionProfile:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
-        if not 0 <= self.index < 2 ** self.n:
-            raise ValueError(f"profile index {self.index} out of range for n={self.n}")
+        _profile_index(self.n, self.index)
 
     def vote(self, individual: int) -> int:
         if not 1 <= individual <= self.n:
@@ -179,31 +188,47 @@ def all_profiles(n: int) -> Iterator[DecisionProfile]:
         yield DecisionProfile(n, index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VotingRule:
     """Deterministic rule: one +1/-1 outcome per profile.
 
-    outcomes[k] is the outcome at profile index k.
+    Stored, compared, hashed and pickled as n and its table integer: bit k
+    of table is set iff the outcome at profile index k is +1.  outcomes[k],
+    the outcome at profile index k, is built from table when first read,
+    as Distribution.probs is; VotingRule(n, outcomes) keeps the tuple it
+    was given.
     """
 
     n: int
-    outcomes: tuple[int, ...]
+    table: int
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        if len(self.outcomes) != 2 ** self.n:
-            raise ValueError(
-                f"rule needs {2 ** self.n} outcomes for n={self.n}, got {len(self.outcomes)}"
-            )
-        if any(v not in (-1, 1) for v in self.outcomes):
+    def __init__(self, n: int, outcomes: Sequence[int]) -> None:
+        _check_n(n)
+        if len(outcomes) != 2 ** n:
+            raise ValueError(f"rule needs {2 ** n} outcomes for n={n}, got {len(outcomes)}")
+        if any(v not in (-1, 1) for v in outcomes):
             raise ValueError("rule outcomes must all be +1 or -1")
+        self._set(n, table_integer(outcomes))
+        object.__setattr__(self, "outcomes", tuple(outcomes))
+
+    def _set(self, n: int, table: int) -> "VotingRule":
+        # Frozen: set once, past __setattr__, by every constructor.
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
+        return self
+
+    def __reduce__(self):  # a pickle holds n and the table, not the tuple
+        return table_rule, (self.n, self.table)
+
+    @cached_property
+    def outcomes(self) -> tuple[int, ...]:
+        return tuple(map(_OUTCOME, f"{self.table:0{2 ** self.n}b}"[::-1]))
 
     def outcome(self, profile: "DecisionProfile | int") -> int:
-        index = profile.index if isinstance(profile, DecisionProfile) else profile
-        return self.outcomes[index]
+        return self.outcomes[_profile_index(self.n, profile)]
 
     def to_table_string(self) -> str:
-        return "".join("+" if v == 1 else "-" for v in self.outcomes)
+        return f"{self.table:0{2 ** self.n}b}"[::-1].translate(_SIGNS)
 
     @classmethod
     def from_table_string(cls, n: int, table: str, field: str = "table") -> "VotingRule":
@@ -212,7 +237,7 @@ class VotingRule:
             raise FormatError(
                 f"{field}: expected {2 ** n} characters of '+'/'-' for n={n}, got {table!r}"
             )
-        return cls(n, tuple(1 if c == "+" else -1 for c in table))
+        return cls.__new__(cls)._set(n, int(table[::-1].translate(_BITS), 2))
 
     def to_json(self) -> dict:
         return {"n": self.n, "table": self.to_table_string()}
@@ -249,8 +274,7 @@ class RandomVotingRule:
             raise ValueError("random rule outcomes must lie in [-1, 1]")
 
     def outcome(self, profile: "DecisionProfile | int") -> Fraction:
-        index = profile.index if isinstance(profile, DecisionProfile) else profile
-        return self.outcomes[index]
+        return self.outcomes[_profile_index(self.n, profile)]
 
     @classmethod
     def from_deterministic(cls, rule: VotingRule) -> "RandomVotingRule":
@@ -372,8 +396,7 @@ class Distribution(Mixture):
         object.__setattr__(self, "n", n)
 
     def prob(self, profile: "DecisionProfile | int") -> Fraction:
-        index = profile.index if isinstance(profile, DecisionProfile) else profile
-        return self.probs[index]
+        return self.probs[_profile_index(self.n, profile)]
 
     def is_strictly_positive(self) -> bool:
         """True iff every profile has positive probability (interior of the simplex)."""
@@ -527,7 +550,7 @@ def lists_point_masses(data, n: int) -> bool:
 def inverse_rule(rule: VotingRule | RandomVotingRule):
     """The rule that always decides the opposite way."""
     if isinstance(rule, VotingRule):
-        return VotingRule(rule.n, tuple(-v for v in rule.outcomes))
+        return table_rule(rule.n, table_masks(rule.n).full ^ rule.table)
     return RandomVotingRule(rule.n, tuple(-v for v in rule.outcomes))
 
 
@@ -564,19 +587,17 @@ def table_masks(n: int) -> TableMasks:
 
 
 def table_integer(signs: Sequence[int]) -> int:
-    """The set of indices k with signs[k] == 1: table_integer(rule.outcomes)
-    inverts table_rule."""
+    """The set of indices k with signs[k] == 1, as a table integer."""
     return int("".join(["1" if v == 1 else "0" for v in reversed(signs)]), 2)
 
 
 def table_rule(n: int, t: int) -> VotingRule:
     """The rule whose outcome at profile index k is bit k of the table
-    integer t (+1 when set)."""
+    integer t (+1 when set): rule.table is t."""
     _check_n(n)
-    size = 2**n
-    if not 0 <= t < 1 << size:
+    if not 0 <= t < 1 << 2**n:
         raise ValueError(f"table integer {t} out of range for n={n}")
-    return VotingRule(n, tuple(1 if c == "1" else -1 for c in reversed(f"{t:0{size}b}")))
+    return VotingRule.__new__(VotingRule)._set(n, t)
 
 
 def lowest_bit(mask: int) -> int:
@@ -645,7 +666,7 @@ def is_anonymous(rule: "VotingRule | RandomVotingRule") -> bool:
 
 def is_self_dual(rule: VotingRule) -> bool:
     """True iff negating every vote negates the outcome."""
-    return not twin_set(rule.n, table_integer(rule.outcomes))
+    return not twin_set(rule.n, rule.table)
 
 
 def is_dictatorship(rule: VotingRule) -> int | None:
@@ -654,7 +675,7 @@ def is_dictatorship(rule: VotingRule) -> int | None:
     For n >= 2 at most one individual can qualify, since two individuals
     disagree on some profile.
     """
-    return table_dictator(rule.n, table_integer(rule.outcomes))
+    return table_dictator(rule.n, rule.table)
 
 
 def own_vote_violations(rule: VotingRule) -> Iterator[tuple[int, int]]:
@@ -663,7 +684,7 @@ def own_vote_violations(rule: VotingRule) -> Iterator[tuple[int, int]]:
 
     Pairs come in ascending individual order, then ascending base index.
     """
-    for i, bases in enumerate(violation_sets(rule.n, table_integer(rule.outcomes)), 1):
+    for i, bases in enumerate(violation_sets(rule.n, rule.table), 1):
         yield from ((i, base) for base in set_bits(bases))
 
 
@@ -691,14 +712,11 @@ def _check_enumerable(n: int) -> None:
         raise ValueError(f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_INDIVIDUALS}")
 
 
-def enumerate_tables(
-    n: int, test: Callable[[int, int], bool] | None = None, start: int = 0, stop: int | None = None
-) -> Iterator[int]:
-    """The exhaustive walk: every table integer t in [start, stop) on n
-    individuals for which test(n, t) holds, ascending.  Refused above
-    n = 4 (2**32 tables)."""
+def enumerate_tables(n: int, test: Callable[[int, int], bool] | None = None) -> Iterator[int]:
+    """The exhaustive walk: every table integer t on n individuals for
+    which test(n, t) holds, ascending.  Refused above n = 4 (2**32 tables)."""
     _check_enumerable(n)
-    tables = range(start, 2 ** 2**n if stop is None else stop)
+    tables = range(2 ** 2**n)
     return iter(tables) if test is None else filter(partial(test, n), tables)
 
 
@@ -819,7 +837,7 @@ def dictatorship_rule(n: int, individual: int) -> VotingRule:
     _check_n(n)
     if not 1 <= individual <= n:
         raise ValueError(f"individual {individual} out of range for n={n}")
-    return VotingRule(n, sign_table(n)[individual - 1])
+    return table_rule(n, table_masks(n).plus[individual - 1])
 
 
 def parity_rule(n: int) -> VotingRule:
@@ -832,7 +850,7 @@ def constant_rule(n: int, outcome: int) -> VotingRule:
     _check_n(n)
     if outcome not in (-1, 1):
         raise ValueError("outcome must be +1 or -1")
-    return VotingRule(n, tuple([outcome] * 2 ** n))
+    return table_rule(n, table_masks(n).full if outcome == 1 else 0)
 
 
 def count_distribution(n: int, count_probs: Sequence[Fraction]) -> Distribution:

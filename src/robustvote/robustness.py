@@ -48,7 +48,6 @@ from .core import (
     lowest_bit,
     nonzero_masses,
     sign_table,
-    table_integer,
     table_masks,
     twin_set,
     violation_sets,
@@ -221,7 +220,7 @@ def _screen(rule: VotingRule, mode: str):
     """
     strict = mode == MODE_STRICT
     n, size = rule.n, 2**rule.n
-    t = table_integer(rule.outcomes)
+    t = rule.table
     masks = table_masks(n)
     twins = twin_set(n, t) if strict else 0
     if twins:

@@ -59,7 +59,6 @@ from .core import (
     own_vote_violations,
     parse_rational,
     rational_parts,
-    table_integer,
 )
 from .robustness import (
     MODE_STRICT,
@@ -434,7 +433,7 @@ def _check_enumerate(report: dict) -> None:
                 "enumerate: count disagrees with the table list")
         listed, seen = [], set()
         for table in tables:
-            t = table_integer(VotingRule.from_table_string(n, table).outcomes)
+            t = VotingRule.from_table_string(n, table).table
             _expect(t not in seen, f"enumerate: table {table} listed twice")
             listed.append(t)
             seen.add(t)

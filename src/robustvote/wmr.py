@@ -42,7 +42,6 @@ from .core import (
     is_own_vote_monotone,
     negate_votes,
     over_common_denominator,
-    table_integer,
     table_masks,
     table_rule,
     violation_sets,
@@ -106,7 +105,7 @@ def _weights(rule: VotingRule, query: WmrQuery, certify=_certify):
     ties = query.ties
     if query.sign_class == SIGN_CLASS_FREE:
         # Opposed votes: decreasing (violating the negated table), not increasing.
-        n, t = rule.n, table_integer(rule.outcomes)
+        n, t = rule.n, rule.table
         violations = zip(violation_sets(n, t), violation_sets(n, table_masks(n).full ^ t))
         opposed = [i for i, (up, down) in enumerate(violations, start=1) if up and not down]
         oriented = table_rule(n, negate_votes(n, t, opposed)) if opposed else rule

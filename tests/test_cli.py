@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: exit codes, schema, determinism."""
 
 import json
-import multiprocessing
 import re
 import subprocess
 import sys
@@ -173,42 +172,6 @@ class TestCommandPayloads:
         assert code == 0
         assert report["count"] == 4
         assert "tables" not in report
-
-    def test_enumerate_jobs_deterministic(self):
-        solo = run_json(["enumerate", "--n", "3", "--predicate", "anonymous"])[1]
-        pooled = run_json(["enumerate", "--n", "3", "--predicate", "anonymous", "--jobs", "4"])[1]
-        assert solo["tables"] == pooled["tables"]
-        assert solo["count"] == pooled["count"] == 16
-
-    @pytest.mark.parametrize(
-        ("n", "cpus", "pool_size"), [(1, 8, 4), (2, 8, 8), (2, 2, 2), (2, None, None)]
-    )
-    def test_enumerate_jobs_are_capped(self, monkeypatch, capsys, n, cpus, pool_size):
-        # A fake pool records its size and maps in-process, so no worker starts.
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, items):
-                return [func(item) for item in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        argv = ["enumerate", f"--n={n}", "--predicate=anonymous", "--quiet"]
-        assert cli.main(argv + ["--jobs=1000000"]) == 0
-        pooled = json.loads(capsys.readouterr().out)
-        assert sizes == ([] if pool_size is None else [pool_size])
-        assert cli.main(argv) == 0
-        solo = json.loads(capsys.readouterr().out)
-        assert pooled["tables"] == solo["tables"]
 
     def test_epsilon_payload(self):
         code, report, _ = run_json(["epsilon", "--n", "3"])

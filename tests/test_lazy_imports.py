@@ -51,7 +51,7 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():
-    # Only `enumerate --jobs` above 1 starts a pool, and it imports the module then.
+    # The CLI is one process: no subcommand starts a worker pool.
     script = ("import sys\nimport robustvote.cli\n"
               "if 'multiprocessing' in sys.modules:\n    raise SystemExit('multiprocessing is loaded')")
     assert "robustvote.cli" in loaded_after(script)

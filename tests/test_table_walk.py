@@ -1,10 +1,9 @@
 """The one exhaustive walk over table integers and its callers: verify's
-recount, `enumerate` (solo and in chunks), the robust pre-filter and the
-heterogeneity threshold search."""
+recount, `enumerate`, the robust pre-filter and the heterogeneity
+threshold search."""
 
 import itertools
 import json
-import multiprocessing
 
 import pytest
 
@@ -66,39 +65,18 @@ def run_cli(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
-class FakePool:
-    """Maps in-process, so the --jobs chunks run without any worker."""
-
-    def __init__(self, processes):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, items):
-        return [func(item) for item in items]
-
-
 @pytest.mark.parametrize("n", range(1, 5))
 @pytest.mark.parametrize("predicate", sorted(STRUCTURAL_PREDICATES))
-def test_walks_give_the_reference_list(reference_walks, capsys, monkeypatch, n, predicate):
+def test_walks_give_the_reference_list(reference_walks, capsys, n, predicate):
     expected = reference_walks[n, predicate]
     recount = [table_rule(n, t).to_table_string()
                for t in enumerate_tables(n, STRUCTURAL_PREDICATES[predicate])]
     assert recount == expected
 
     argv = ["enumerate", f"--n={n}", f"--predicate={predicate}"]
-    code, solo = run_cli(capsys, argv)
-    assert code == 0 and solo["tables"] == expected and solo["count"] == len(expected)
-    assert verify_report(solo) == []
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    code, pooled = run_cli(capsys, argv + ["--jobs=4"])
-    assert code == 0 and pooled["tables"] == expected
+    code, report = run_cli(capsys, argv)
+    assert code == 0 and report["tables"] == expected and report["count"] == len(expected)
+    assert verify_report(report) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -175,14 +153,15 @@ def monotone_report(reference_walks):
 
 
 def test_recount_builds_no_rule_beyond_the_listed_tables(monkeypatch, monotone_report):
+    # Every VotingRule constructor stores its (n, table) through _set.
     built = []
-    original = VotingRule.__post_init__
+    original = VotingRule._set
 
-    def counting(self):
-        built.append(self)
-        original(self)
+    def counting(self, n, table):
+        built.append(table)
+        return original(self, n, table)
 
-    monkeypatch.setattr(VotingRule, "__post_init__", counting)
+    monkeypatch.setattr(VotingRule, "_set", counting)
     assert verify_report(monotone_report) == []
     assert 0 < len(built) <= monotone_report["count"]
     built.clear()
