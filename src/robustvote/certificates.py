@@ -29,7 +29,7 @@ from itertools import repeat
 from math import lcm
 from typing import Sequence
 
-from .core import combine_rows, over_common_denominator, vote_leans, vote_sums
+from .core import VotingRule, combine_rows, over_common_denominator, vote_leans, vote_sums
 
 # The vocabulary checked here: the two relations of a cone row g.z >= 0 or
 # g.z > 0 over z >= 0, which lp re-exports, and the tie modes and sign
@@ -108,18 +108,21 @@ def _failed_row(matrix, mixture: list[int], bound, strict: bool) -> int | None:
 def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
                        points=None, scale: int = 1) -> str | None:
     """What is wrong with robustness weights, or else a mixture, for the
-    rule with these outcomes over the extreme points with supports points
-    (None: the point masses), or None.  A mixture is given by its support:
-    (extreme point, mass) pairs, each point once, the masses rationals
-    (scale 1) or integers over scale; a point left out has mass zero, so no
-    dense vector is read.  Both must be distributions; weights must pass
-    failed_extreme_point, and under the distribution q a mixture blends,
-    every lean sum_x q(x) phi(x) x_i must be at most zero (below zero when
-    not strict)."""
+    rule with these outcomes (or a deterministic rule, whose outcomes a
+    mixture reads off its table at its support) over the extreme points
+    with supports points (None: the point masses), or None.  A mixture is
+    given by its support: (extreme point, mass) pairs, each point once, the
+    masses rationals (scale 1) or integers over scale; a point left out has
+    mass zero, so no dense vector is read.  Both must be distributions;
+    weights must pass failed_extreme_point, and under the distribution q a
+    mixture blends, every lean sum_x q(x) phi(x) x_i must be at most zero
+    (below zero when not strict)."""
     if weights is not None:
         numerators, common = over_common_denominator(weights)
         if not _is_distribution(numerators, common):
             return "weights are not a distribution over individuals"
+        if isinstance(outcomes, VotingRule):
+            outcomes = outcomes.outcomes
         j = failed_extreme_point(outcomes, numerators, strict, points)
         return None if j is None else f"weights fail extreme point {j}"
     support, masses = zip(*mixture) if mixture else ((), ())
@@ -134,8 +137,12 @@ def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
             for x, p in points[k]:
                 blend[x] = blend.get(x, 0) + m * p.numerator * (common // p.denominator)
         support, masses = list(blend), list(blend.values())
-    signed = list(map(operator.mul, masses, map(outcomes.__getitem__, support)))
-    for i, lean in enumerate(vote_leans(len(outcomes).bit_length() - 1, support, signed), 1):
+    if isinstance(outcomes, VotingRule):
+        n, signs = outcomes.n, outcomes.outcomes_at(support)
+    else:
+        n, signs = len(outcomes).bit_length() - 1, map(outcomes.__getitem__, support)
+    signed = list(map(operator.mul, masses, signs))
+    for i, lean in enumerate(vote_leans(n, support, signed), 1):
         if not (lean <= 0 if strict else lean < 0):
             return f"mixture leaves individual {i} responsive"
     return None

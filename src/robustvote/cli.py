@@ -49,7 +49,7 @@ from .core import (
     format_rational,
     load_rule,
     monotone_tables,
-    parse_rational,
+    rational_list,
     table_rule,
 )
 from .robustness import (
@@ -152,7 +152,7 @@ def _parse_weights(text: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or parts == [""]:
         raise FormatError("weights: expected a comma-separated list of rationals")
-    return [parse_rational(p, f"weights[{k}]") for k, p in enumerate(parts)]
+    return rational_list(parts, "weights", Fraction)
 
 
 def _sign_class(value: str) -> str:

@@ -10,8 +10,8 @@ Encoding conventions, used everywhere in this package:
 * A deterministic rule is a truth table over all 2**n profiles, written as
   a string of '+' and '-' characters in ascending profile-index order.
 * All probabilities and outcomes are exact rationals. On disk they are
-  "numerator/denominator" strings (a bare integer string is also accepted
-  on input). No floats are ever read or written.
+  "numerator/denominator" strings of ASCII digits (a bare integer string
+  is also accepted on input). No floats are ever read or written.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 MAX_INDIVIDUALS = 16
 MAX_ENUMERATION_INDIVIDUALS = 4
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits only
 _BITS = str.maketrans("+-", "10")  # a profile or table string's characters as bits
 _SIGNS = str.maketrans("10", "+-")
+_UNSIGNED = str.maketrans("", "", "+-")  # a table string's other characters
 _OUTCOME = {"1": 1, "0": -1}.__getitem__
 
 
@@ -41,11 +42,27 @@ class FormatError(ValueError):
 def rational_parts(text: str, field: str = "value") -> tuple[int, int]:
     """The integers of a "num/den" or bare-integer string, as written
     (not reduced; den >= 1), so a check can cross-multiply them."""
-    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        raise FormatError(f"{field}: expected a rational 'num/den' string, got {text!r}")
-    numerator, denominator = match.groups()
-    return int(numerator), int(denominator or 1)
+    return rational_list([text], lambda _: field)[0]
+
+
+def rational_list(values: list, field, make=None) -> list:
+    """rational_parts of each entry, or make(numerator, denominator), each
+    distinct string matched and converted once per call (a uniform input is
+    2^n copies of one); the first malformed entry is named field[k], or field(k)."""
+    try:
+        read = dict.fromkeys(values)
+        for text in read:  # TypeError: unhashable or not a string; AttributeError: no match
+            numerator, denominator = _RATIONAL_RE.fullmatch(text).groups()
+            pair = int(numerator), int(denominator or 1)
+            read[text] = pair if make is None else make(*pair)
+        return list(map(read.__getitem__, values))
+    except (TypeError, AttributeError):
+        name = field if callable(field) else f"{field}[{{}}]".format
+        for k, text in enumerate(values):
+            if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text)):
+                raise FormatError(
+                    f"{name(k)}: expected a rational 'num/den' string, got {text!r}") from None
+        raise
 
 
 def parse_rational(text: str, field: str = "value") -> Fraction:
@@ -56,6 +73,17 @@ def parse_rational(text: str, field: str = "value") -> Fraction:
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+class _cached(cached_property):
+    """cached_property without the lock it takes on every first read up to
+    Python 3.11: a non-data descriptor that fills the instance's __dict__."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 def _check_n(n: int) -> None:
@@ -99,6 +127,11 @@ def profile_strings(n: int) -> tuple[str, ...]:
     for _ in range(n):
         strings = [s + "-" for s in strings] + [s + "+" for s in strings]
     return tuple(strings)
+
+
+@lru_cache(maxsize=None)
+def _profile_indices(n: int) -> dict[str, int]:  # profile_strings(n), inverted
+    return {text: k for k, text in enumerate(profile_strings(n))}
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
@@ -220,12 +253,17 @@ class VotingRule:
     def __reduce__(self):  # a pickle holds n and the table, not the tuple
         return table_rule, (self.n, self.table)
 
-    @cached_property
+    @_cached
     def outcomes(self) -> tuple[int, ...]:
         return tuple(map(_OUTCOME, f"{self.table:0{2 ** self.n}b}"[::-1]))
 
     def outcome(self, profile: "DecisionProfile | int") -> int:
         return self.outcomes[_profile_index(self.n, profile)]
+
+    def outcomes_at(self, profiles: Iterable[int]) -> list[int]:
+        """outcomes[k] for each profile index k, read off the table."""
+        table = self.table
+        return [1 if table >> k & 1 else -1 for k in profiles]
 
     def to_table_string(self) -> str:
         return f"{self.table:0{2 ** self.n}b}"[::-1].translate(_SIGNS)
@@ -233,7 +271,7 @@ class VotingRule:
     @classmethod
     def from_table_string(cls, n: int, table: str, field: str = "table") -> "VotingRule":
         _check_n(n)
-        if not isinstance(table, str) or len(table) != 2 ** n or set(table) - {"+", "-"}:
+        if not isinstance(table, str) or len(table) != 2 ** n or table.translate(_UNSIGNED):
             raise FormatError(
                 f"{field}: expected {2 ** n} characters of '+'/'-' for n={n}, got {table!r}"
             )
@@ -295,7 +333,7 @@ class RandomVotingRule:
         table = data.get("table")
         if not isinstance(table, list) or len(table) != 2 ** n:
             raise FormatError(f"table: expected a list of {2 ** n} rationals for n={n}")
-        return cls(n, tuple(parse_rational(v, f"table[{k}]") for k, v in enumerate(table)))
+        return cls(n, tuple(rational_list(table, "table", Fraction)))
 
 
 def load_rule(data: dict) -> "VotingRule | RandomVotingRule":
@@ -339,11 +377,11 @@ class Mixture:
     masses: tuple[tuple[int, int], ...]
     scale: int
 
-    @cached_property
+    @_cached
     def support(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple((k, Fraction(m, self.scale)) for k, m in self.masses)
 
-    @cached_property
+    @_cached
     def probs(self) -> tuple[Fraction, ...]:
         probs = [Fraction(0)] * self.size
         for k, m in self.masses:
@@ -438,26 +476,33 @@ class Distribution(Mixture):
         atoms = data.get("atoms")
         if not isinstance(atoms, list):
             raise FormatError("atoms: expected a list of {profile, prob} objects")
-        parts: dict[int, tuple[int, int]] = {}
-        for k, atom in enumerate(atoms):
-            if not isinstance(atom, dict):
-                raise FormatError(f"atoms[{k}]: expected an object")
-            profile = atom.get("profile")
-            if not isinstance(profile, str) or len(profile) != n:
-                raise FormatError(
-                    f"atoms[{k}].profile: expected {n} characters of '+'/'-', got {profile!r}"
-                )
-            if profile.strip("+-"):
-                raise FormatError(
-                    f"atoms[{k}].profile: expected '+'/'-' characters, got {profile!r}")
-            idx = int(profile[::-1].translate(_BITS), 2)  # individual 1 is bit 0
-            if idx in parts:
-                raise FormatError(f"atoms[{k}].profile: duplicate profile {profile!r}")
-            parts[idx] = rational_parts(atom.get("prob"), f"atoms[{k}].prob")
-        scale = lcm(*(den for _, den in parts.values()))
+        index = _profile_indices(n)
+        try:  # KeyError, TypeError: a malformed atom or profile, named below
+            indices = [index[atom["profile"]] for atom in atoms]
+            probs = [atom["prob"] for atom in atoms]
+        except (KeyError, TypeError):
+            indices = None
+        if indices is None or len(set(indices)) < len(atoms):
+            seen = set()  # the first malformed atom raises, as one at a time would
+            for k, atom in enumerate(atoms):
+                if not isinstance(atom, dict):
+                    raise FormatError(f"atoms[{k}]: expected an object")
+                profile = atom.get("profile")
+                if not isinstance(profile, str) or len(profile) != n:
+                    raise FormatError(f"atoms[{k}].profile: expected {n} characters of "
+                                      f"'+'/'-', got {profile!r}")
+                if profile.strip("+-"):
+                    raise FormatError(
+                        f"atoms[{k}].profile: expected '+'/'-' characters, got {profile!r}")
+                if profile in seen:
+                    raise FormatError(f"atoms[{k}].profile: duplicate profile {profile!r}")
+                seen.add(profile)
+                rational_parts(atom.get("prob"), f"atoms[{k}].prob")
+        parts = rational_list(probs, "atoms[{}].prob".format)
+        scale = lcm(*{den for _, den in parts})
         try:
             return cls._from_masses(n, ((idx, num * (scale // den))
-                                        for idx, (num, den) in parts.items()), scale)
+                                        for idx, (num, den) in zip(indices, parts)), scale)
         except ValueError as exc:
             raise FormatError(f"atoms: {exc}") from exc
 

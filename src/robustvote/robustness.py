@@ -166,7 +166,7 @@ def _certificate(rule, mode: str, weights=None, mixture: Mixture | None = None,
     cert = RobustnessCertificate.__new__(RobustnessCertificate)
     cert._set(mode, weights, mixture)
     masses, scale = (None, 1) if mixture is None else (mixture.masses, mixture.scale)
-    found = robustness_problem(rule.outcomes, mode == MODE_STRICT, weights, masses, points, scale)
+    found = robustness_problem(rule, mode == MODE_STRICT, weights, masses, points, scale)
     require(found is None, f"robustness certificate: {found}")
     return cert
 

@@ -9,9 +9,11 @@ Nothing here solves a feasibility problem, so a tampered certificate fails
 because the arithmetic it promises does not hold, not because a solver
 disagrees.  Robustness certificates and random-rule counterexamples go to
 the one check certificates.robustness_problem, which builds no matrix.
-Where a check only compares rationals, it reads each as the integer pair
-core.rational_parts returns and cross-multiplies, and the point masses of
-a certify report are recognised in its JSON, with no Distribution built.
+Every list of rationals is read by core.rational_list, each distinct
+string once per call, with no cache across calls.  Where a check only
+compares rationals, it compares integer pairs in lowest terms, and the
+point masses of a certify report are recognised in its JSON, with no
+Distribution built.
 
 Affirmative claims are re-derived in full.  Claims of nonexistence (no
 weight vector, no dominating rule) carry no finite certificate; they are
@@ -22,6 +24,7 @@ certificate-only audit can give.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .certificates import (
     SIGN_CLASS_NONNEGATIVE,
@@ -58,6 +61,7 @@ from .core import (
     monotone_tables,
     own_vote_violations,
     parse_rational,
+    rational_list,
     rational_parts,
 )
 from .robustness import (
@@ -93,23 +97,19 @@ def _field(data: dict, key: str, context: str):
     return data[key]
 
 
-def _parts_list(values, field: str, length: int | None = None) -> list[tuple[int, int]]:
-    """The (numerator, denominator) pairs of a list of rational strings."""
+def _rational_list(values, field: str, length: int | None = None, make=Fraction) -> list:
+    """core.rational_list of a list of rational strings, of length if given."""
     if not isinstance(values, list):
         raise Mismatch(f"{field}: expected a list of rationals")
     if length is not None and len(values) != length:
         raise Mismatch(f"{field}: expected {length} entries, got {len(values)}")
-    return [rational_parts(v, f"{field}[{k}]") for k, v in enumerate(values)]
+    return rational_list(values, field, make)
 
 
-def _rational_list(values, field: str, length: int | None = None) -> list[Fraction]:
-    return [Fraction(*parts) for parts in _parts_list(values, field, length)]
-
-
-def _equals(parts: tuple[int, int], value: Fraction) -> bool:
-    """Whether a (numerator, denominator) pair is value, by cross-multiplying."""
-    numerator, denominator = parts
-    return numerator * value.denominator == value.numerator * denominator
+def _lowest(numerator: int, denominator: int) -> tuple[int, int]:
+    """A rational's integers in lowest terms, as Fraction.as_integer_ratio."""
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
 def _check_robustness_certificate(
@@ -128,14 +128,13 @@ def _check_robustness_certificate(
     if verdict == VERDICT_ROBUST:
         ws = _rational_list(_field(certificate, "weights", context),
                             f"{context}.weights", rule.n)
-        found = robustness_problem(rule.outcomes, mode == MODE_STRICT, ws, points=points)
+        found = robustness_problem(rule, mode == MODE_STRICT, ws, points=points)
     elif verdict == VERDICT_NOT_ROBUST:
         # Every entry is parsed; the check reads the nonzero ones, a
         # negative one included.
-        mix = _parts_list(_field(certificate, "mixture", context), f"{context}.mixture", count)
-        support = [(k, Fraction(*parts)) for k, parts in enumerate(mix) if parts[0]]
-        found = robustness_problem(rule.outcomes, mode == MODE_STRICT, mixture=support,
-                                   points=points)
+        mix = _rational_list(_field(certificate, "mixture", context), f"{context}.mixture", count)
+        found = robustness_problem(rule, mode == MODE_STRICT,
+                                   mixture=[(k, m) for k, m in enumerate(mix) if m], points=points)
     else:
         raise Mismatch(f"{context}: unknown verdict {verdict!r}")
     _expect(found is None, f"{context}: {found}")
@@ -261,12 +260,13 @@ def _check_respond(report: dict) -> None:
     rule = load_rule(_field(inputs, "rule", "respond.inputs"))
     dist = Distribution.from_json(_field(inputs, "dist", "respond.inputs"))
     values = responsiveness(rule, dist).values
-    reported = _parts_list(_field(report, "responsiveness", "respond"),
-                           "respond.responsiveness", rule.n)
-    _expect(all(map(_equals, reported, values)),
+    reported = _rational_list(_field(report, "responsiveness", "respond"),
+                              "respond.responsiveness", rule.n, _lowest)
+    _expect(reported == [v.as_integer_ratio() for v in values],
             "respond: responsiveness does not match a recomputation")
     minimum = rational_parts(_field(report, "minimum", "respond"), "respond.minimum")
-    _expect(_equals(minimum, min(values)), "respond: minimum entry is wrong")
+    _expect(_lowest(*minimum) == min(values).as_integer_ratio(),
+            "respond: minimum entry is wrong")
 
 
 def _check_rtf(report: dict) -> None:
@@ -283,7 +283,8 @@ def _check_rtf(report: dict) -> None:
 
     closed_form = rtf_maximum(ws, dist)
     value = rational_parts(_field(report, "value", "rtf"), "rtf.value")
-    _expect(_equals(value, closed_form), "rtf: value disagrees with the closed form")
+    _expect(_lowest(*value) == closed_form.as_integer_ratio(),
+            "rtf: value disagrees with the closed form")
     argmax = VotingRule.from_json(_field(report, "argmax", "rtf"))
     _expect(attains(ws, responsiveness(argmax, dist).values, closed_form),
             "rtf: the argmax rule does not attain the value")
@@ -363,8 +364,9 @@ def _check_dominance(report: dict) -> None:
             "dominance: relation does not match a recomputation")
     _expect(report.get("direction") == verdict.direction,
             "dominance: direction does not match a recomputation")
-    deltas = _parts_list(_field(report, "deltas", "dominance"), "dominance.deltas", first.n)
-    _expect(all(map(_equals, deltas, verdict.deltas)),
+    deltas = _rational_list(_field(report, "deltas", "dominance"), "dominance.deltas", first.n,
+                            _lowest)
+    _expect(deltas == [d.as_integer_ratio() for d in verdict.deltas],
             "dominance: deltas do not match a recomputation")
 
 
@@ -497,31 +499,32 @@ def _check_gamma(report: dict) -> None:
     raw = _field(witness, "utilities", "gamma-witness")
     _expect(isinstance(raw, list) and len(raw) == size,
             "gamma-witness: utility table has the wrong height")
-    # Every entry is read before a mismatch is reported, so a malformed
-    # entry is named wherever it sits.
+    n = rule.n
+    shaped = [isinstance(row, list) and len(row) == n
+              and all(isinstance(pair, list) and len(pair) == 2 for pair in row) for row in raw]
+    rows = shaped.index(False) if False in shaped else size
+    # Every entry above the first malformed row is read, in lowest terms,
+    # before that row or a mismatch is reported, so a malformed entry is
+    # named wherever it sits.
+    read = rational_list([v for row in raw[:rows] for pair in row for v in pair],
+                         lambda k: f"utilities[{k // (2 * n)}][{k // 2 % n}][{k % 2}]", _lowest)
+    _expect(rows == size, f"gamma-witness: malformed utility row {rows}")
     expected = gamma_utilities(rule)
-    matches = True
-    for idx, (row, pairs) in enumerate(zip(raw, expected)):
-        _expect(isinstance(row, list) and len(row) == rule.n
-                and all(isinstance(pair, list) and len(pair) == 2 for pair in row),
-                f"gamma-witness: malformed utility row {idx}")
-        for i, (pair, (hi, lo)) in enumerate(zip(row, pairs)):
-            matches &= (_equals(rational_parts(pair[0], f"utilities[{idx}][{i}][0]"), hi)
-                        & _equals(rational_parts(pair[1], f"utilities[{idx}][{i}][1]"), lo))
-    _expect(matches, "gamma-witness: utility table does not match the construction")
+    _expect(read == [v.as_integer_ratio() for pairs in expected for pair in pairs for v in pair],
+            "gamma-witness: utility table does not match the construction")
 
-    mixture = _parts_list(_field(witness, "mixture", "gamma-witness"),
-                          "gamma-witness.mixture", size)
-    _expect(all(numerator * size == denominator for numerator, denominator in mixture),
-            "gamma-witness: mixture is not uniform over states")
+    mixture = _rational_list(_field(witness, "mixture", "gamma-witness"),
+                             "gamma-witness.mixture", size, _lowest)
+    _expect(mixture == [(1, size)] * size, "gamma-witness: mixture is not uniform over states")
 
     # The table and the mixture are the construction's, by value, so the
     # net gains are recomputed from it.
-    gains = _parts_list(_field(witness, "net_gains", "gamma-witness"),
-                        "gamma-witness.net_gains", rule.n)
+    gains = _rational_list(_field(witness, "net_gains", "gamma-witness"),
+                           "gamma-witness.net_gains", rule.n, _lowest)
     uniform = [Fraction(1, size)] * size
     for i, (total, claimed) in enumerate(zip(net_gains(rule, expected, uniform), gains), 1):
-        _expect(_equals(claimed, total), f"gamma-witness: net gain for individual {i} is wrong")
+        _expect(claimed == total.as_integer_ratio(),
+                f"gamma-witness: net gain for individual {i} is wrong")
         _expect(claimed[0] <= 0, f"gamma-witness: individual {i} would gain from the rule")
 
 

@@ -261,6 +261,17 @@ def test_an_n16_refutation_is_dense_only_when_read(monkeypatch, mode):
     assert cert.to_json()["mixture"] == [f"{m.numerator}/{m.denominator}" for m in dense]
 
 
+def test_an_n16_refutation_reads_the_outcomes_off_the_table():
+    """The certificate check reads a deterministic rule's outcome at each
+    profile of the refutation's support off its table, so no 2^n tuple is
+    built for a refuted rule."""
+    rng = random.Random("n16-table")
+    for _ in range(3):
+        rule = table_rule(16, rng.getrandbits(2**16))
+        assert certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_NOT_ROBUST
+        assert "outcomes" not in vars(rule)
+
+
 def test_violations_come_in_individual_then_profile_order():
     rule = inverse_rule(majority_rule(3))
     pairs = list(own_vote_violations(rule))
