@@ -97,14 +97,6 @@ def _first_failure(sums, bound, strict: bool) -> int | None:
     return holds.index(False) if False in holds else None
 
 
-def _failed_row(matrix, mixture: list[int], bound, strict: bool) -> int | None:
-    for i, row in enumerate(matrix):
-        dot = sum(a * m for a, m in zip(row, mixture) if m)
-        if not (dot < bound if strict else dot <= bound):
-            return i
-    return None
-
-
 def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
                        points=None, scale: int = 1) -> str | None:
     """What is wrong with robustness weights, or else a mixture, for the
@@ -152,49 +144,45 @@ def game_problem(matrix, value, row, col) -> str | None:
     """What is wrong with a claimed solution of the zero-sum game on matrix,
     or None: both strategies must be distributions, the row strategy must
     earn at least value in every column, and the column strategy must hold
-    every row to at most value."""
+    every row to at most value.  Both sides are scaled by the value's
+    denominator too, so an integer matrix is checked in integers."""
     row, row_scale = over_common_denominator(row)
     col, col_scale = over_common_denominator(col)
     if not (_is_distribution(row, row_scale) and _is_distribution(col, col_scale)):
         return "game strategies are not distributions"
-    j = _first_failure(combine_rows(row, matrix), value * row_scale, False)
+    value, den = value.as_integer_ratio()
+    j = _first_failure([den * s for s in combine_rows(row, matrix)], value * row_scale, False)
     if j is not None:
         return f"row strategy falls below the value in column {j}"
-    i = _failed_row(matrix, col, value * col_scale, False)
+    bound = value * col_scale  # each row's dot with col, times den, at most the bound
+    i = _first_failure([bound - den * sum(map(operator.mul, r, col)) for r in matrix], 0, False)
     return None if i is None else f"column strategy exceeds the value in row {i}"
 
 
 def satisfies(system, point: Sequence[Fraction]) -> bool:
-    """Exact substitution of a point into a homogeneous cone: every entry is
-    nonnegative and every row's dot product is >= 0 or > 0 as it says.
-    Over the point's least common denominator the dot products are integer
-    for integer rows, and their signs do not change."""
-    values = [Fraction(v) for v in point]
+    """Exact substitution of a point, rationals or integer numerators over
+    a positive scale, into a homogeneous cone: every entry is nonnegative
+    and every row's dot product is >= 0 or > 0 as it says.  Over the point's
+    least common denominator no sign changes, and integer rows stay integer."""
+    values, _ = over_common_denominator(list(point))
     if len(values) != system.num_vars or any(v < 0 for v in values):
         return False
-    values, _ = over_common_denominator(values)
-    return all(
-        _HOLDS[row.relation](sum(c * v for c, v in zip(row.coeffs, values) if v), 0)
-        for row in system.rows
-    )
+    return all(_HOLDS[row.relation](sum(map(operator.mul, row.coeffs, values)), 0)
+               for row in system.rows)
 
 
 def certifies_infeasibility(system, multipliers: Sequence[Fraction]) -> bool:
-    """Check that row multipliers combine a homogeneous cone into 0 > 0.
+    """Check that row multipliers, rationals or integer numerators over a
+    positive scale, combine a homogeneous cone into 0 > 0.
 
     Requirements: every multiplier is nonnegative; every combined
     coefficient is <= 0, so the combination is <= 0 at any z >= 0; and
     some strict row has a positive multiplier, so it must be > 0.
     """
-    mults = [Fraction(m) for m in multipliers]
+    mults, _ = over_common_denominator(list(multipliers))  # every test below is of a sign
     if len(mults) != len(system.rows) or any(m < 0 for m in mults):
         return False
-    mults, _ = over_common_denominator(mults)  # every test below is of a sign
-    combined = [0] * system.num_vars
-    for mult, row in zip(mults, system.rows):
-        if mult:
-            for k, c in enumerate(row.coeffs):
-                combined[k] += mult * c
+    combined = combine_rows(mults, [row.coeffs for row in system.rows]) if mults else []
     return all(v <= 0 for v in combined) and any(
         m for m, row in zip(mults, system.rows) if row.relation == REL_GT)
 

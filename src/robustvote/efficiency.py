@@ -125,29 +125,26 @@ def efficiency_verdict(
         raise ValueError("rule and distribution must share the same n")
     support = dist.masses
     deviation = [Fraction(0)] * 2**rule.n
-    # Against efficiency: (k, mass) pairs, the masses over denominator, mass
-    # on the k-th profile of supp(p), which is profile k when p has full support.
-    masses, denominator, cert = (), 1, None
+    # Against efficiency: a core.Mixture whose index k is the k-th profile of
+    # supp(p), which is profile k when p has full support.
+    against = None
     if mode == "strict" and len(support) < len(deviation):
         # Flipping the outcome at the first profile without mass moves nobody.
         missing = next((k for k, (idx, _) in enumerate(support) if idx != k), len(support))
         deviation[missing] = Fraction(2)
     elif mode == "strict":
-        cert = certify_p_robust_full(rule, MODE_STRICT)
+        against = certify_p_robust_full(rule, MODE_STRICT).refutation
     elif mode == "weak":
         points = tuple(Distribution.degenerate(rule.n, idx) for idx, _ in support)
-        cert = certify_p_robust(rule, DistributionSet(rule.n, points), MODE_WEAK)
+        against = certify_p_robust(rule, DistributionSet(rule.n, points), MODE_WEAK).refutation
     else:
         from .lp import alternative_positive  # `verify` never solves
 
-        matrix = degenerate_agreement_matrix(rule)
-        mixture = alternative_positive([[row[idx] for idx, _ in support] for row in matrix]).mixture
-        masses = enumerate(mixture or ())
-    if cert is not None:
-        masses, denominator = cert.support or (), cert.scale
-    for k, mass in masses:
+        columns = [[row[idx] for idx, _ in support] for row in degenerate_agreement_matrix(rule)]
+        against = alternative_positive(columns).column_side
+    for k, mass in against.masses if against else ():
         idx, q = support[k]  # p_x is q / dist.scale
-        deviation[idx] = Fraction(mass * dist.scale, denominator * q)
+        deviation[idx] = Fraction(mass * dist.scale, against.scale * q)
     if not any(deviation):
         return True, None
     scale = min(Fraction(1), 2 / max(deviation))  # into the box t <= 2

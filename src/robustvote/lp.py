@@ -24,8 +24,9 @@ them.
 The tableau is fraction-free: sparse integer rows over one common
 denominator, the basis determinant, updated by Bareiss pivots whose
 divisions are exact. Integer systems enter as integers and rational ones
-scaled row by row; Fractions are formed only when a witness, a dual or the
-objective value is read. Each answer carries SolveStats (shape, pivots,
+scaled row by row. Witnesses and duals are read, checked and stored as
+integer numerators; Fractions are formed only when a caller reads a vector,
+or once for a game's answer. Each answer carries SolveStats (shape, pivots,
 widest entry), which take no part in equality.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 from typing import Sequence
 
 from .certificates import (
@@ -46,17 +47,20 @@ from .certificates import (
     require,
     satisfies,
 )
+from .core import Mixture, over_common_denominator
 
 _RELATIONS = (REL_GE, REL_GT)
+_EXACT = {int, Fraction}
+_INT = {int}
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _rational(value) -> int | Fraction:
-    """An int stays an int, so integer systems reach the solver as integers;
-    anything else becomes a Fraction."""
-    return value if type(value) is int else Fraction(value)
+def _rationals(values) -> tuple[int | Fraction, ...]:
+    """Ints stay ints, so integer systems reach the solver as integers, and
+    anything else but a Fraction becomes one."""
+    values = tuple(values)
+    if _EXACT.issuperset(map(type, values)):
+        return values
+    return tuple(v if type(v) is int else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class LinearRow:
     def __post_init__(self) -> None:
         if self.relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(map(_rational, self.coeffs)))
+        object.__setattr__(self, "coeffs", _rationals(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,36 @@ class SolveStats:
     max_bits: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeasibilityResult:
     """Outcome of a feasibility query. Exactly one of witness and
-    certificate is set; stats are not part of the answer."""
+    certificate is set, as rationals or as integers over the positive scale
+    given; it is stored, compared and hashed as `numerators` over `scale` in
+    lowest terms, and its tuple is built when read.  stats are not part of
+    the answer."""
 
     feasible: bool
-    witness: tuple[Fraction, ...] | None
-    certificate: tuple[Fraction, ...] | None
+    numerators: tuple[int, ...]
+    scale: int
     stats: SolveStats | None = field(default=None, compare=False)
+
+    def __init__(self, feasible: bool, witness, certificate, stats=None, scale: int = 1) -> None:
+        numerators, den = over_common_denominator(witness if feasible else certificate)
+        den *= scale
+        common = gcd(den, *numerators)
+        put = object.__setattr__
+        put(self, "feasible", feasible)
+        put(self, "numerators", tuple(v // common for v in numerators))
+        put(self, "scale", den // common)
+        put(self, "stats", stats)
+
+    @property
+    def witness(self) -> tuple[Fraction, ...] | None:
+        return tuple(Fraction(v, self.scale) for v in self.numerators) if self.feasible else None
+
+    @property
+    def certificate(self) -> tuple[Fraction, ...] | None:
+        return None if self.feasible else tuple(Fraction(v, self.scale) for v in self.numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +148,13 @@ class _Tableau:
     every entry v whose row has f in the pivot column, and whose column
     has w in the pivot row, into (v * p - f * w) / den; that division is
     exact (Edmonds 1967; Bareiss 1968), and p becomes the new denominator,
-    with the tableau negated when p < 0.  Rationals are formed only when
-    `solution`, `duals` or `value` is read.
+    with the tableau negated when p < 0.  `solution` and `duals` are read
+    as integer numerators over that denominator, with it.
     """
 
     def __init__(self) -> None:
         self.rows: list[dict[int, int]] = []
         self.b: list[int] = []  # the right-hand column
-        self.scales: list[int] = []  # lcm of the denominators of each input row
         self.den = 1
         self.ncols = 0
         self.basis: list[int] = []
@@ -144,39 +168,14 @@ class _Tableau:
         self.ncols += 1
         return self.ncols - 1
 
-    def add_row(self, coeffs: dict[int, int | Fraction], b: int, slack: int) -> None:
-        """Append an equality row with integer b >= 0 whose slack, a +1 unit
-        column among coeffs, starts the basis.  A row with rational entries
-        is multiplied by the lcm of their denominators.
-        """
+    def add_row(self, coeffs: dict[int, int], b: int, slack: int) -> None:
+        """Append an equality row of ints, its nonzero entries and b >= 0,
+        whose slack, a +1 unit column among them, starts the basis."""
         require(b >= 0, "solver: row with a negative right-hand side")
-        scale = lcm(*(v.denominator for v in coeffs.values()))
-        self.rows.append({j: v.numerator * (scale // v.denominator)
-                          for j, v in coeffs.items() if v})
-        self.b.append(b * scale)
-        self.scales.append(scale)
+        self.rows.append(coeffs)
+        self.b.append(b)
         self.basis.append(slack)
         self.init_col.append(slack)
-
-    def _start(self) -> None:
-        """Put the rows over one denominator, once all of them are in.
-
-        Row i was multiplied by scales[i] to make it integer, so the
-        starting basis is diag(scales) with determinant prod(scales); over
-        that denominator row i stands for itself times prod / scales[i].
-        A smaller denominator would break the exact divisions.
-        """
-        if not self.scales:
-            return
-        den = prod(self.scales)
-        if den != 1:
-            for i, scale in enumerate(self.scales):
-                lift = den // scale
-                if lift != 1:
-                    self.rows[i] = {j: v * lift for j, v in self.rows[i].items()}
-                    self.b[i] *= lift
-        self.den = den
-        self.scales = []
 
     def _pivot(self, r: int, e: int) -> None:
         rows, b = self.rows, self.b
@@ -212,7 +211,6 @@ class _Tableau:
 
     def run(self, costs: list[int]) -> None:
         """Minimize integer costs from the current, feasible basis."""
-        self._start()
         rows, b, den, basis = self.rows, self.b, self.den, self.basis
         self.costs = {j: c for j, c in enumerate(costs) if c}
         cbar = {j: c * den for j, c in self.costs.items()}
@@ -226,9 +224,7 @@ class _Tableau:
         self.cbar = {j: v for j, v in cbar.items() if v}
         self.zb = zb
         while True:
-            enter = min(
-                (j for j, v in self.cbar.items() if v < 0), default=-1
-            )
+            enter = min((j for j, v in self.cbar.items() if v < 0), default=-1)
             if enter < 0:
                 return
             # Bland's ratio test, b[r] / a compared by cross-multiplying.
@@ -244,24 +240,17 @@ class _Tableau:
             require(leave >= 0, "solver: unbounded program")
             self._pivot(leave, enter)
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(-self.zb, self.den)
+    def solution(self) -> tuple[dict[int, int], int]:
+        """The basic variables' numerators, and their denominator."""
+        return dict(zip(self.basis, self.b)), self.den
 
-    def solution(self) -> dict[int, Fraction]:
-        self._start()
-        return {col: Fraction(self.b[r], self.den) for r, col in enumerate(self.basis)}
-
-    def duals(self) -> list[Fraction]:
-        """Row duals of the last run: costs[init] - cbar[init] per row."""
+    def duals(self) -> tuple[list[int], int]:
+        """Row duals of the last run, costs[init] - cbar[init], likewise."""
         den, costs, cbar = self.den, self.costs, self.cbar
-        return [
-            Fraction(costs.get(col, 0) * den - cbar.get(col, 0), den)
-            for col in self.init_col
-        ]
+        return [costs.get(col, 0) * den - cbar.get(col, 0) for col in self.init_col], den
 
     def stats(self) -> SolveStats:
-        entries = (v for row in self.rows for v in row.values())
+        entries = itertools.chain.from_iterable(map(dict.values, self.rows))
         widest = max(map(int.bit_length, itertools.chain(
             entries, self.b, self.cbar.values(), (self.zb, self.den))))
         return SolveStats(len(self.rows), self.ncols, self.pivots, widest)
@@ -288,64 +277,94 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     tab = _Tableau()
     for _ in range(nvars + strict):
         tab.add_column()
+    scales = []
     for row in system.rows:
         coeffs = {j: -c for j, c in enumerate(row.coeffs) if c}
         if row.relation == REL_GT:
             coeffs[delta] = 1
-        _add_slack_row(tab, coeffs, 0)
+        scales.append(_add_slack_row(tab, coeffs, 0))
     if strict:
         _add_slack_row(tab, {delta: 1}, 1)
         costs = [0] * tab.ncols
         costs[delta] = -1
         tab.run(costs)
-        if tab.value == 0:
-            cert = tuple(-d for d in tab.duals()[:len(system.rows)])
-            require(certifies_infeasibility(system, cert),
-                    "solver: invalid infeasibility certificate")
-            return FeasibilityResult(False, None, cert, tab.stats())
-    sol = tab.solution()
-    point = tuple(sol.get(j, _ZERO) for j in range(nvars))
-    require(satisfies(system, point), "solver: witness fails substitution")
-    return FeasibilityResult(True, point, None, tab.stats())
+    point, den = tab.solution()
+    if strict and not point.get(delta):
+        duals, den = tab.duals()
+        cert = [-d * scale for d, scale in zip(duals, scales)]
+        require(certifies_infeasibility(system, cert),
+                "solver: invalid infeasibility certificate")
+        return FeasibilityResult(False, None, cert, tab.stats(), den)
+    witness = [point.get(j, 0) for j in range(nvars)]
+    require(satisfies(system, witness), "solver: witness fails substitution")
+    return FeasibilityResult(True, witness, None, tab.stats(), den)
 
 
-def _add_slack_row(tab: _Tableau, coeffs: dict[int, int | Fraction], b: int) -> None:
-    """coeffs + slack = b, the slack a new column that starts the basis."""
+def _add_slack_row(tab: _Tableau, coeffs: dict[int, int | Fraction], b: int) -> int:
+    """coeffs + slack = b, the slack a new column that starts the basis, in
+    integers: a row with other entries than ints is multiplied, b with it,
+    by the lcm s of their denominators, its slack standing for s times its
+    own.  No sign of a reduced cost and no ratio changes, so neither does a
+    pivot, and the row's dual is divided by s, which is returned."""
+    scale = 1
+    if not _INT.issuperset(map(type, coeffs.values())):
+        scale = lcm(*(v.denominator for v in coeffs.values()))
+        coeffs = {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items()}
     slack = tab.add_column()
     coeffs[slack] = 1
-    tab.add_row(coeffs, b, slack)
+    tab.add_row(coeffs, b * scale, slack)
+    return scale
 
 
 # ---------------------------------------------------------------------------
 # Theorems of the alternative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AlternativeResult:
     """Exactly one of the two mutually exclusive sides.
 
     weights: the combining vector over matrix rows (normalized to sum 1).
     mixture: the opposing vector over matrix columns (normalized to sum 1).
+    Either is given as rationals or integer numerators over a positive scale
+    and stored, compared and hashed as a core.Mixture, `row_side` or
+    `column_side`, coprime integers over their total, read on demand.
     """
 
-    weights: tuple[Fraction, ...] | None
-    mixture: tuple[Fraction, ...] | None
+    row_side: Mixture | None
+    column_side: Mixture | None
+
+    def __init__(self, weights, mixture) -> None:
+        object.__setattr__(self, "row_side", None if weights is None else _normalized(weights))
+        object.__setattr__(self, "column_side", None if mixture is None else _normalized(mixture))
+
+    @property
+    def weights(self) -> tuple[Fraction, ...] | None:
+        return self.row_side and self.row_side.probs
+
+    @property
+    def mixture(self) -> tuple[Fraction, ...] | None:
+        return self.column_side and self.column_side.probs
 
 
-def _as_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[list[int | Fraction]]:
-    rows = [list(map(_rational, row)) for row in matrix]
+def _as_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[int | Fraction, ...]]:
+    rows = list(map(_rationals, matrix))
     if not rows or not rows[0]:
         raise ValueError("the matrix must be nonempty")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
+    if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("matrix rows must have equal length")
     return rows
 
 
-def _normalized(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    total = sum(vec, _ZERO)
+def _normalized(values) -> Mixture:
+    """Nonnegative rationals, or integer numerators over a positive scale,
+    scaled to sum one: their direction in coprime integers over its total."""
+    numerators, _ = over_common_denominator(values)
+    total = sum(numerators)
     require(total > 0, "solver: vector has no mass to normalize")
-    return tuple(v / total for v in vec)
+    common = gcd(*numerators)
+    masses = tuple((k, v // common) for k, v in enumerate(numerators) if v)
+    return Mixture(len(numerators), masses, total // common)
 
 
 def _solve_cone(rows, relations) -> FeasibilityResult:
@@ -362,9 +381,8 @@ def alternative_strict(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResul
     # solve_feasibility has checked the witness, and the Farkas multipliers
     # of this system are a mixture with L lam <= 0; scaling keeps both.
     result = _solve_cone(list(zip(*rows)), [REL_GT] * len(rows[0]))
-    if result.feasible:
-        return AlternativeResult(weights=_normalized(result.witness), mixture=None)
-    return AlternativeResult(weights=None, mixture=_normalized(result.certificate))
+    side = result.numerators
+    return AlternativeResult(side, None) if result.feasible else AlternativeResult(None, side)
 
 
 def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
@@ -377,9 +395,8 @@ def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
     # solve_feasibility has checked the witness, and the Farkas multipliers
     # of this system are weights with w^T L >= 0; scaling keeps both.
     result = _solve_cone([[-a for a in row] for row in rows], [REL_GT] * len(rows))
-    if result.feasible:
-        return AlternativeResult(weights=None, mixture=_normalized(result.witness))
-    return AlternativeResult(weights=_normalized(result.certificate), mixture=None)
+    side = result.numerators
+    return AlternativeResult(None, side) if result.feasible else AlternativeResult(side, None)
 
 
 def alternative_positive(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
@@ -396,12 +413,12 @@ def alternative_positive(matrix: Sequence[Sequence[Fraction]]) -> AlternativeRes
     result = _solve_cone(negated + [list(map(sum, zip(*negated)))],
                          [REL_GE] * len(rows) + [REL_GT])
     if result.feasible:
-        return AlternativeResult(weights=None, mixture=_normalized(result.witness))
-    *u, v = result.certificate
-    weights = _normalized([ui + v for ui in u])
+        return AlternativeResult(None, result.numerators)
+    *u, v = result.numerators
+    weights = [ui + v for ui in u]
     require(failed_column(rows, weights, strict=False) is None,
             "solver: positive weights fail a column")
-    return AlternativeResult(weights=weights, mixture=None)
+    return AlternativeResult(weights, None)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +447,28 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
     entries, solve max sum(z) subject to (A + k) z <= 1, z >= 0 (the slack
     basis is immediately feasible), and scale the primal and dual optima
     back into strategies. The shift k cancels out of the reported value.
+    Both optima are read as integer numerators, each over its own total.
     """
     rows = _as_matrix(matrix)
-    n, m = len(rows), len(rows[0])
-    low = min(min(row) for row in rows)
+    m = len(rows[0])
+    low = min(map(min, rows))
     k = 1 - low if low < 1 else 0
     tab = _Tableau()
-    z_cols = [tab.add_column() for _ in range(m)]
-    for i in range(n):
-        _add_slack_row(tab, {z_cols[j]: rows[i][j] + k for j in range(m)}, 1)
-    costs = [0] * tab.ncols
-    for col in z_cols:
-        costs[col] = -1
-    tab.run(costs)
-    sol = tab.solution()
-    z = [sol.get(col, _ZERO) for col in z_cols]
-    total = sum(z, _ZERO)
+    for _ in range(m):
+        tab.add_column()
+    scales = [_add_slack_row(tab, {j: a + k for j, a in enumerate(row)}, 1) for row in rows]
+    tab.run([-1] * m + [0] * len(rows))
+    sol, den = tab.solution()
+    z = [sol.get(j, 0) for j in range(m)]
+    total = sum(z)
     require(total > 0, "solver: game normalization degenerated")
-    u = [-d for d in tab.duals()]  # dual multipliers of the <= rows, nonnegative
-    require(sum(u, _ZERO) == total, "solver: game duality gap")
-    value = _ONE / total - k
-    col_strategy = tuple(v / total for v in z)
-    row_strategy = tuple(v / total for v in u)
+    duals, dual_den = tab.duals()
+    u = [-d * scale for d, scale in zip(duals, scales)]  # the <= rows' multipliers
+    u_total = sum(u)
+    require(u_total * den == total * dual_den, "solver: game duality gap")
+    value = Fraction(den, total) - k
+    col_strategy = tuple(Fraction(v, total) for v in z)
+    row_strategy = tuple(Fraction(v, u_total) for v in u)
     problem = game_problem(rows, value, row_strategy, col_strategy)
     require(problem is None, f"solver: {problem}")
     return GameSolution(value, row_strategy, col_strategy, tab.stats())

@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certificates import improves, require, robustness_problem, sign_pattern_holds
-from .core import (Distribution, RandomVotingRule, VotingRule, enumerate_rules, nonzero_masses,
-                   set_bits, table_masks)
+from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, set_bits, table_masks
 from .lp import alternative_strict, alternative_weak
 from .respond import SIGN_CLASS_NONNEGATIVE, WeightVector, responsiveness
 from .robustness import degenerate_agreement_matrix
@@ -44,10 +43,10 @@ def certify_random(
         require(sign_pattern_holds(rule, cleared),
                 "recovered weights fail the per-profile sign agreement")
         return WeightVector(cleared, SIGN_CLASS_NONNEGATIVE), None
-    masses, scale = nonzero_masses(answer.mixture)
-    require(robustness_problem(rule.outcomes, True, mixture=masses, scale=scale) is None,
-            "counterexample distribution leaves an individual above one half")
-    return None, Distribution._from_masses(n, masses, scale)
+    found = answer.column_side
+    require(robustness_problem(rule.outcomes, True, mixture=found.masses, scale=found.scale)
+            is None, "counterexample distribution leaves an individual above one half")
+    return None, Distribution._from_masses(n, found.masses, found.scale)
 
 
 def find_dominating_deterministic(
@@ -70,9 +69,9 @@ def find_dominating_deterministic(
     for candidate in enumerate_rules(n):
         gap = [[b - c for b, c in zip(theirs, mine)]
                for theirs, mine in zip(base, degenerate_agreement_matrix(candidate))]
-        answer = alternative_weak(gap)
-        if answer.mixture is not None:
-            dist = Distribution(n, answer.mixture)
+        found = alternative_weak(gap).column_side
+        if found is not None:
+            dist = Distribution._from_masses(n, found.masses, found.scale)
             require(improves(responsiveness(rule, dist).values,
                              responsiveness(candidate, dist).values, strictly=True),
                     "domination witness fails the strict inequalities")

@@ -23,8 +23,8 @@ A refutation lists few extreme points (by Caratheodory at most n + 1 are
 needed, and the screen lists 2 to 2n + 1), so it is kept and checked as a
 core.Mixture, integer masses over one scale, as every extreme point (a
 Distribution) is read too; the screen's are counts over the number of
-profiles listed, the LP's the nonzero entries of its mixture.  The dense
-mixture over all extreme points is built only when read.
+profiles listed, the LP's its mixture's coprime integers over their total.
+The dense mixture over all extreme points is built only when read.
 """
 
 from __future__ import annotations
@@ -182,8 +182,7 @@ def _certify_by_lp(rule: VotingRule, mode: str,
         answer, points = alternative(degenerate_agreement_matrix(rule)), None
     else:
         answer, points = alternative(agreement_matrix(rule, pset)), extreme_supports(rule, pset)
-    mixture = answer.mixture and Mixture(len(answer.mixture), *nonzero_masses(answer.mixture))
-    return _certificate(rule, mode, answer.weights, mixture, points)
+    return _certificate(rule, mode, answer.weights, answer.column_side, points)
 
 
 def _spread(size: int, profiles: list[int]) -> Mixture:
@@ -300,17 +299,16 @@ def responsiveness_game(rule: VotingRule, pset: DistributionSet):
     every individual's responsiveness down.
 
     Rows are individuals, columns are the extreme points, payoffs are
-    responsiveness values. The returned solution carries both optimal
-    strategies alongside the value, which is above one half exactly when
-    the rule is robust and at least one half when it is weakly robust.
+    responsiveness values (integers 0 and 1 at point masses). The returned
+    solution carries both optimal strategies alongside the value, which is
+    above one half exactly when the rule is robust and at least one half
+    when it is weakly robust.
     """
     from .lp import matrix_game
 
-    matrix = agreement_matrix(rule, pset)
-    responsive = [
-        [Fraction(entry + 1, 2) for entry in row] for row in matrix
-    ]
-    return matrix_game(responsive)
+    if extreme_supports(rule, pset) is None:
+        return matrix_game([[(a + 1) // 2 for a in r] for r in degenerate_agreement_matrix(rule)])
+    return matrix_game([[Fraction(a + 1, 2) for a in row] for row in agreement_matrix(rule, pset)])
 
 
 def _index_map(permutation) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from robustvote.certificates import require
+from robustvote.core import over_common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -154,11 +155,21 @@ class _Tableau:
 
 
 class Reference(_Tableau):
-    """The reference engine under the hooks the fraction-free tableau adds."""
+    """The reference engine under the hooks the fraction-free tableau adds.
+    Its readers give the dense tableau's rationals as the fraction-free ones
+    give theirs: integer numerators over one denominator, with it."""
 
     def run(self, costs: list[Fraction]) -> None:
         """One run from a feasible basis: nothing is barred."""
         super().run(costs, set())
+
+    def solution(self) -> tuple[dict[int, int], int]:
+        values = super().solution()
+        numerators, den = over_common_denominator(list(values.values()))
+        return dict(zip(values, numerators)), den
+
+    def duals(self) -> tuple[list[int], int]:
+        return over_common_denominator(super().duals())
 
     def stats(self) -> None:
         return None

@@ -15,7 +15,14 @@ import pytest
 
 import robustvote
 from robustvote import lp
-from robustvote.core import DistributionSet, VotingRule, majority_rule, weighted_majority_rule
+from robustvote.core import (
+    DistributionSet,
+    VotingRule,
+    majority_rule,
+    monotone_tables,
+    table_rule,
+    weighted_majority_rule,
+)
 from robustvote.lp import (
     REL_GE,
     REL_GT,
@@ -28,8 +35,11 @@ from robustvote.lp import (
     solve_feasibility,
 )
 from robustvote.robustness import (
+    MODE_STRICT,
     MODES,
+    VERDICT_ROBUST,
     _certify_by_lp,
+    certify_p_robust_full,
     degenerate_agreement_matrix,
     responsiveness_game,
 )
@@ -123,6 +133,74 @@ class TestSameAnswersAsTheFractionTableau:
         for rule in _n3_rules():
             new, old = both(responsiveness_game, rule, degenerates)
             assert new == old, rule.outcomes
+
+
+class TestIntegerAnswersOnTheSweepTables:
+    """Every own-vote-monotone n=4 table, the ones a sweep of n=4 rules
+    brings to the LP among them, and the robust ones' games: the integer
+    readers and the Fraction tableau must give equal answers, entry for
+    entry, in both modes."""
+
+    @staticmethod
+    def _rules():
+        return [table_rule(4, t) for t in monotone_tables(4)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_monotone_n4_rule(self, both, mode):
+        rules = self._rules()
+        assert len(rules) == 168
+        for rule in rules:
+            new, old = both(_certify_by_lp, rule, mode)
+            assert new == old, rule.to_table_string()
+            assert (new.weights, new.mixture) == (old.weights, old.mixture)
+            assert _all_fractions(new.weights, new.mixture)
+
+    def test_the_twelve_robust_n4_games(self, both):
+        robust = [rule for rule in self._rules()
+                  if certify_p_robust_full(rule, MODE_STRICT).verdict == VERDICT_ROBUST]
+        assert len(robust) == 12
+        degenerates = DistributionSet.degenerates(4)
+        for rule in robust:
+            new, old = both(responsiveness_game, rule, degenerates)
+            assert new == old, rule.to_table_string()
+            assert new.value > F(1, 2)
+            assert _all_fractions((new.value,), new.row_strategy, new.col_strategy)
+
+
+class TestNoFractionUntilRead:
+    """An alternative on an integer matrix is solved, checked and stored in
+    integers: the Fractions of its side are formed when it is read."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        calls = []
+        new = F.__new__
+
+        def spy(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", spy)
+        return calls
+
+    @pytest.mark.parametrize("table", ["---+-+++", "--------", "-++-+--+"])
+    @pytest.mark.parametrize("alternative", [alternative_strict, alternative_weak])
+    def test_an_integer_point_mass_alternative(self, made, table, alternative):
+        matrix = degenerate_agreement_matrix(VotingRule.from_table_string(3, table))
+        assert all(type(v) is int for row in matrix for v in row)
+        del made[:]
+        answer = alternative(matrix)
+        assert made == []
+        side = answer.weights if answer.row_side is not None else answer.mixture
+        assert made and _all_fractions(side) and sum(side) == 1
+
+    def test_the_solver_answer_too(self, made):
+        system = LinearSystem(2, tuple(LinearRow(row, REL_GT) for row in ((1, -2), (-1, 3))))
+        del made[:]
+        result = solve_feasibility(system)
+        assert made == [] and result.feasible
+        assert all(type(v) is int for v in (*result.numerators, result.scale))
+        assert result.witness == tuple(F(v, result.scale) for v in result.numerators) and made
 
 
 class TestSolveStats:

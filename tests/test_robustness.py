@@ -27,6 +27,8 @@ from robustvote import (
     unanimity_rule,
     weighted_majority_rule,
 )
+from robustvote import robustness
+from robustvote.certificates import game_problem
 from robustvote.robustness import (
     MODE_STRICT,
     MODE_WEAK,
@@ -284,6 +286,27 @@ class TestResponsivenessGame:
             assert responsiveness_game(rule, pset3).value == game_value_by_supports(
                 responsive
             )
+
+    def test_point_masses_are_read_off_the_table(self, monkeypatch):
+        monkeypatch.setattr(robustness, "agreement_matrix",
+                            lambda *args: pytest.fail("agreement_matrix was built"))
+        game = responsiveness_game(majority_rule(3), DistributionSet.degenerates(3))
+        assert game.value == F(2, 3)
+
+    def test_reordered_point_masses_keep_their_column_order(self):
+        # Only the point masses in profile order are read off the table.
+        points = DistributionSet.degenerates(3).extreme_points
+        pset = DistributionSet(3, points[1:] + points[:1])
+        for table in ("---+-+++", "-+++-+--", "-++-+--+"):
+            rule = VotingRule.from_table_string(3, table)
+            game = responsiveness_game(rule, pset)
+            payoffs = [[F(a + 1, 2) for a in row] for row in agreement_matrix(rule, pset)]
+            assert game_problem(payoffs, game.value, game.row_strategy,
+                                game.col_strategy) is None, table
+
+    def test_a_mismatched_n_is_refused(self):
+        with pytest.raises(ValueError, match="rule has n=3 but distribution set has n=4"):
+            responsiveness_game(majority_rule(3), DistributionSet.degenerates(4))
 
     def test_value_characterizes_robustness(self):
         pset = DistributionSet.degenerates(2)
