@@ -14,11 +14,12 @@ data is.  A column check on a general matrix is row-major: core.combine_rows
 adds whole rows, one pass per nonzero weight, giving every column's dot
 product at once, and the first failing column is read off that list.
 
-Robustness certificates, over any extreme points, need no matrix: one
-core.vote_sums pass prices weights at every profile, as it does for the
-representation and sign-pattern checks, and a mixture, given by its
-support, is checked as the distribution it blends, by core.vote_leans, the
-sums responsiveness takes.
+Weights need no matrix.  Over the point masses the profiles they fail
+are one mask of core.sign_tables (where w.x > 0, where w.x >= 0) and the
+outcome tables, as for a representation and a random rule's sign pattern;
+over other extreme points one core.vote_sums pass prices every profile.
+A mixture, given by its support, is checked as the distribution it blends,
+by core.vote_leans, the sums responsiveness takes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from itertools import repeat
 from math import lcm
 from typing import Sequence
 
-from .core import VotingRule, combine_rows, over_common_denominator, vote_leans, vote_sums
+from .core import (VotingRule, combine_rows, lowest_bit, over_common_denominator, sign_tables,
+                   table_integer, table_masks, vote_leans, vote_sums)
 
 # The vocabulary checked here: the two relations of a cone row g.z >= 0 or
 # g.z > 0 over z >= 0, which lp re-exports, and the tie modes and sign
@@ -70,16 +72,28 @@ def failed_column(matrix, weights, bound=0, strict=True) -> int | None:
     return _first_failure(combine_rows(weights, matrix), bound * scale, strict)
 
 
-def failed_extreme_point(outcomes, weights, strict: bool = True, points=None) -> int | None:
+def failed_extreme_point(rule, weights: Sequence[int], strict: bool = True,
+                         points=None) -> int | None:
     """The first extreme point where sum_i w_i E[phi(x) x_i] is not above
-    zero (strict) or not at least zero, or None, with no matrix: profile x
-    costs phi(x) times its vote sum, and an extreme point sums its support
-    (points; None for the 2^n point masses in profile order)."""
-    prices = map(operator.mul, outcomes, vote_sums(weights)[0])
+    zero (strict) or not at least zero, or None, for integer weights and a
+    deterministic or random rule, with no matrix.  Over the point masses
+    (points None) it is the lowest profile of the fail mask: an outcome
+    positive where w.x is not above zero (strict) or below zero, negative
+    where it is not below zero or above zero, or (strict) zero.  Else each
+    extreme point's support (points) is priced by phi(x) times w.x."""
     if points is not None:
-        at = list(prices)
-        prices = [sum(p * at[x] for x, p in support) for support in points]
-    return _first_failure(prices, 0, strict)
+        sums, phi = vote_sums(weights)[0], rule.outcomes
+        return _first_failure([sum(p * phi[x] * sums[x] for x, p in support)
+                               for support in points], 0, strict)
+    gt, ge = sign_tables(weights)
+    if isinstance(rule, VotingRule):
+        pos, neg = rule.table, table_masks(rule.n).full ^ rule.table
+    else:
+        signs = [(v > 0) - (v < 0) for v in rule.outcomes]
+        pos, neg = table_integer(signs), table_integer([-v for v in signs])
+    fails = (pos & ~gt | neg & ge | table_masks(rule.n).full & ~(pos | neg) if strict
+             else pos & ~ge | neg & gt)
+    return lowest_bit(fails) if fails else None
 
 
 # The distribution, column and row checks on a vector already over its
@@ -97,25 +111,25 @@ def _first_failure(sums, bound, strict: bool) -> int | None:
     return holds.index(False) if False in holds else None
 
 
-def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
+def robustness_problem(rule, strict: bool, weights=None, mixture=None,
                        points=None, scale: int = 1) -> str | None:
-    """What is wrong with robustness weights, or else a mixture, for the
-    rule with these outcomes (or a deterministic rule, whose outcomes a
-    mixture reads off its table at its support) over the extreme points
-    with supports points (None: the point masses), or None.  A mixture is
-    given by its support: (extreme point, mass) pairs, each point once, the
-    masses rationals (scale 1) or integers over scale; a point left out has
-    mass zero, so no dense vector is read.  Both must be distributions;
-    weights must pass failed_extreme_point, and under the distribution q a
-    mixture blends, every lean sum_x q(x) phi(x) x_i must be at most zero
-    (below zero when not strict)."""
+    """What is wrong with robustness weights, or else a mixture, for a
+    deterministic or random rule over the extreme points with supports
+    points (None: the point masses), or None.  Weights are rationals
+    (scale 1) or integer numerators over scale.  A mixture is given by its
+    support: (extreme point, mass) pairs, each point once, the masses
+    rationals (scale 1) or integers over scale; a point left out has mass
+    zero, so no dense vector is read.  Both must be distributions; weights
+    must pass failed_extreme_point, and under the distribution q a mixture
+    blends, every lean sum_x q(x) phi(x) x_i must be at most zero (below
+    zero when not strict).  A deterministic rule's outcomes are read off
+    its table."""
     if weights is not None:
-        numerators, common = over_common_denominator(weights)
-        if not _is_distribution(numerators, common):
+        if scale == 1:  # rational weights, put over their common denominator
+            weights, scale = over_common_denominator(weights)
+        if not _is_distribution(weights, scale):
             return "weights are not a distribution over individuals"
-        if isinstance(outcomes, VotingRule):
-            outcomes = outcomes.outcomes
-        j = failed_extreme_point(outcomes, numerators, strict, points)
+        j = failed_extreme_point(rule, weights, strict, points)
         return None if j is None else f"weights fail extreme point {j}"
     support, masses = zip(*mixture) if mixture else ((), ())
     if scale == 1:  # rational masses, put over their common denominator
@@ -129,12 +143,12 @@ def robustness_problem(outcomes, strict: bool, weights=None, mixture=None,
             for x, p in points[k]:
                 blend[x] = blend.get(x, 0) + m * p.numerator * (common // p.denominator)
         support, masses = list(blend), list(blend.values())
-    if isinstance(outcomes, VotingRule):
-        n, signs = outcomes.n, outcomes.outcomes_at(support)
+    if isinstance(rule, VotingRule):
+        signs = rule.outcomes_at(support)
     else:
-        n, signs = len(outcomes).bit_length() - 1, map(outcomes.__getitem__, support)
+        signs = map(rule.outcomes.__getitem__, support)
     signed = list(map(operator.mul, masses, signs))
-    for i, lean in enumerate(vote_leans(n, support, signed), 1):
+    for i, lean in enumerate(vote_leans(rule.n, support, signed), 1):
         if not (lean <= 0 if strict else lean < 0):
             return f"mixture leaves individual {i} responsive"
     return None
@@ -203,18 +217,17 @@ def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
     """Exact check that the weighted sum sides with every outcome."""
     if ties not in TIE_MODES:
         raise ValueError(f"unknown tie mode {ties!r}")
-    ws = [Fraction(w) for w in weights]
-    if len(ws) != rule.n:
-        raise ValueError(f"{len(ws)} weights for n={rule.n}")
-    if all(w == 0 for w in ws):
-        return False
-    return failed_extreme_point(rule.outcomes, ws, ties == TIES_FORBIDDEN) is None
+    if len(weights) != rule.n:
+        raise ValueError(f"{len(weights)} weights for n={rule.n}")
+    numerators, _ = over_common_denominator(weights)
+    return any(numerators) and failed_extreme_point(
+        rule, numerators, ties == TIES_FORBIDDEN) is None
 
 
 def sign_pattern_holds(rule, weights: Sequence[Fraction]) -> bool:
     """Whether the weighted vote sum has the strict sign of the expected
     outcome at every profile: the certificate of a robust random rule."""
-    return failed_extreme_point(rule.outcomes, weights) is None
+    return failed_extreme_point(rule, over_common_denominator(weights)[0]) is None
 
 
 def rtf_maximum(weights: Sequence[Fraction], dist) -> Fraction:

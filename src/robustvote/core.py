@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import gcd, lcm
-from operator import mul
+from itertools import compress, repeat
+from operator import floordiv, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_INDIVIDUALS = 16
@@ -164,6 +165,24 @@ def vote_sums(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     for w in numerators:
         sums = [s - w for s in sums] + [s + w for s in sums]
     return sums, scale
+
+
+def sign_tables(weights: Sequence[int]) -> tuple[int, int]:
+    """Table integers of the profiles where the vote sum of integer weights
+    is above zero, and where it is at least zero: vote_sums' doubling on one
+    integer of 2^n lanes of b = bitlen(sum |w_i|) + 1 bits (Lamport 1975),
+    lane k holding profile k's sum + 2^(b-1) - 1, so no lane borrows or
+    carries and its top bit is set iff the sum is above zero (at least zero
+    once one is added)."""
+    b = sum(map(abs, weights)).bit_length() + 1
+    sums, ones, span = (1 << b - 1) - 1, 1, b
+    for w in weights:
+        step = w * ones
+        sums = (sums - step) | (sums + step) << span
+        ones |= ones << span
+        span *= 2
+    return (int(format(sums, "b").zfill(span)[::b], 2),
+            int(format(sums + ones, "b").zfill(span)[::b], 2))
 
 
 def vote_leans(n: int, support: Sequence[int], masses: Sequence) -> list:
@@ -381,6 +400,11 @@ class Mixture:
     def support(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple((k, Fraction(m, self.scale)) for k, m in self.masses)
 
+    @property
+    def numerators(self) -> list[int]:
+        """The dense numerators over scale, zeros included."""
+        return list(map(dict(self.masses).get, range(self.size), repeat(0)))
+
     @_cached
     def probs(self) -> tuple[Fraction, ...]:
         probs = [Fraction(0)] * self.size
@@ -415,22 +439,24 @@ class Distribution(Mixture):
         return dist
 
     def _set_support(self, n: int, atoms: Iterable[tuple[int, int]], scale: int) -> None:
-        # The one validation every constructor runs, in integers.
-        size, masses = 2 ** n, []
-        for idx, m in atoms:
-            if not 0 <= idx < size:
-                raise ValueError(f"profile index {idx} out of range for n={n}")
-            if m:
-                masses.append((idx, m))
-        numerators = [m for _, m in masses]
+        # The one validation every constructor runs, in integers, by C-level
+        # passes; only a failure walks the indices, to name the first bad one.
+        size, pairs = 2 ** n, tuple(atoms)
+        indices, numerators = zip(*pairs) if pairs else ((), ())
+        if indices and not (min(indices) >= 0 and max(indices) < size):
+            idx = next(idx for idx in indices if not 0 <= idx < size)
+            raise ValueError(f"profile index {idx} out of range for n={n}")
+        if 0 in numerators:  # zero masses are left out
+            kept = list(map(bool, numerators))
+            indices, numerators = tuple(compress(indices, kept)), tuple(compress(numerators, kept))
         if min(numerators, default=0) < 0:
             raise ValueError("probabilities must be nonnegative")
         if sum(numerators) != scale:
             raise ValueError(f"probabilities must sum to 1, got {Fraction(sum(numerators), scale)}")
         common = gcd(scale, *numerators)
-        masses.sort()
-        Mixture.__init__(self, size, tuple((idx, m // common) for idx, m in masses),
-                         scale // common)
+        if common > 1:
+            numerators = map(floordiv, numerators, repeat(common))
+        Mixture.__init__(self, size, tuple(sorted(zip(indices, numerators))), scale // common)
         object.__setattr__(self, "n", n)
 
     def prob(self, profile: "DecisionProfile | int") -> Fraction:
@@ -478,8 +504,8 @@ class Distribution(Mixture):
             raise FormatError("atoms: expected a list of {profile, prob} objects")
         index = _profile_indices(n)
         try:  # KeyError, TypeError: a malformed atom or profile, named below
-            indices = [index[atom["profile"]] for atom in atoms]
-            probs = [atom["prob"] for atom in atoms]
+            indices = list(map(index.__getitem__, map(itemgetter("profile"), atoms)))
+            probs = list(map(itemgetter("prob"), atoms))
         except (KeyError, TypeError):
             indices = None
         if indices is None or len(set(indices)) < len(atoms):
@@ -498,11 +524,13 @@ class Distribution(Mixture):
                     raise FormatError(f"atoms[{k}].profile: duplicate profile {profile!r}")
                 seen.add(profile)
                 rational_parts(atom.get("prob"), f"atoms[{k}].prob")
-        parts = rational_list(probs, "atoms[{}].prob".format)
-        scale = lcm(*{den for _, den in parts})
+        nums, dens = zip(*rational_list(probs, "atoms[{}].prob".format)) if atoms else ((), ())
+        common = set(dens)
+        scale = lcm(*common)
+        if len(common) > 1:  # one denominator is the scale itself
+            nums = map(mul, nums, map(scale.__floordiv__, dens))
         try:
-            return cls._from_masses(n, ((idx, num * (scale // den))
-                                        for idx, (num, den) in zip(indices, parts)), scale)
+            return cls._from_masses(n, zip(indices, nums), scale)
         except ValueError as exc:
             raise FormatError(f"atoms: {exc}") from exc
 
@@ -622,12 +650,15 @@ TableMasks = namedtuple("TableMasks", "full plus counts steps")
 
 @lru_cache(maxsize=None)
 def table_masks(n: int) -> TableMasks:
-    """The masks of n, read off the rows of sign_table(n)."""
-    rows = sign_table(n)
-    supporters = [votes.count(1) for votes in zip(*rows)]
-    counts = ([1 if s == c else -1 for s in supporters] for c in range(n + 1))
-    plus = tuple(map(table_integer, rows))
-    return TableMasks((1 << 2**n) - 1, plus, tuple(map(table_integer, counts)),
+    """The masks of n, built by doubling as vote_sums is: individual i adds
+    its +1 half, copies each plus mask into it, and counts[c-1] for counts[c]."""
+    _check_n(n)
+    plus, counts = [], [1]
+    for i in range(n):
+        half = 1 << i
+        plus = [p | p << half for p in plus] + [((1 << half) - 1) << half]
+        counts = [low | high << half for low, high in zip(counts + [0], [0] + counts)]
+    return TableMasks((1 << 2**n) - 1, tuple(plus), tuple(counts),
                       tuple((mask, 1 << i) for i, mask in enumerate(plus)))
 
 
@@ -841,21 +872,14 @@ def weighted_majority_rule(
     _check_n(n)
     if len(weights) != n:
         raise ValueError(f"need {n} weights, got {len(weights)}")
-    sums, _ = vote_sums([Fraction(w) for w in weights])
-    outcomes = []
-    for idx, total in enumerate(sums):
-        if total > 0:
-            outcomes.append(1)
-        elif total < 0:
-            outcomes.append(-1)
-        elif tie in (-1, 1):
-            outcomes.append(tie)
-        else:
-            raise ValueError(
-                f"weighted sum ties at profile {DecisionProfile(n, idx).to_string()} "
-                "and no tie outcome was given"
-            )
-    return VotingRule(n, tuple(outcomes))
+    gt, ge = sign_tables(over_common_denominator([Fraction(w) for w in weights])[0])
+    ties = ge & ~gt
+    if ties and tie not in (-1, 1):
+        raise ValueError(
+            f"weighted sum ties at profile {DecisionProfile(n, lowest_bit(ties)).to_string()} "
+            "and no tie outcome was given"
+        )
+    return table_rule(n, ge if tie == 1 else gt)
 
 
 def majority_rule(n: int, tie: int | None = None) -> VotingRule:

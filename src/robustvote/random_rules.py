@@ -18,7 +18,6 @@ from .core import Distribution, RandomVotingRule, VotingRule, enumerate_rules, s
 from .lp import alternative_strict, alternative_weak
 from .respond import SIGN_CLASS_NONNEGATIVE, WeightVector, responsiveness
 from .robustness import degenerate_agreement_matrix
-from .wmr import _smallest_integer_direction
 
 MAX_DOMINATION_N = 4
 
@@ -38,13 +37,13 @@ def certify_random(
             # The point mass here is a definitional counterexample.
             return None, Distribution.degenerate(n, idx)
     answer = alternative_strict(degenerate_agreement_matrix(rule))
-    if answer.weights is not None:
-        cleared = _smallest_integer_direction(answer.weights)
-        require(sign_pattern_holds(rule, cleared),
+    if answer.row_side is not None:  # its coprime integers
+        direction = answer.row_side.numerators
+        require(sign_pattern_holds(rule, direction),
                 "recovered weights fail the per-profile sign agreement")
-        return WeightVector(cleared, SIGN_CLASS_NONNEGATIVE), None
+        return WeightVector(direction, SIGN_CLASS_NONNEGATIVE), None
     found = answer.column_side
-    require(robustness_problem(rule.outcomes, True, mixture=found.masses, scale=found.scale)
+    require(robustness_problem(rule, True, mixture=found.masses, scale=found.scale)
             is None, "counterexample distribution leaves an individual above one half")
     return None, Distribution._from_masses(n, found.masses, found.scale)
 

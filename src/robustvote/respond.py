@@ -32,8 +32,9 @@ from .core import (
     is_anonymous,
     over_common_denominator,
     sign_table,
+    sign_tables,
+    table_rule,
     vote_leans,
-    vote_sums,
 )
 
 
@@ -77,7 +78,7 @@ class WeightVector:
     sign_class: str = SIGN_CLASS_FREE
 
     def __post_init__(self) -> None:
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if not in_sign_class(ws, self.sign_class):
             raise ValueError(f"weights are all zero or leave the {self.sign_class} sign class")
@@ -166,7 +167,7 @@ def rtf_max_weighted(
     if len(ws) != n:
         raise ValueError(f"{len(ws)} weights for n={n}")
     value = rtf_maximum(ws, dist)
-    argmax = VotingRule(n, tuple(1 if total >= 0 else -1 for total in vote_sums(ws)[0]))
+    argmax = table_rule(n, sign_tables(over_common_denominator(ws)[0])[1])
     require(attains(ws, responsiveness(argmax, dist).values, value),
             "argmax rule does not attain the closed-form maximum")
     return value, argmax

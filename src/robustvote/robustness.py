@@ -14,7 +14,7 @@ refute robustness, and so, for the weak variant, do such pairs together
 with a profile where every other individual votes against the outcome; the
 Chow vector, zero on those individuals for the weak variant and corrected a
 few times by failing columns, proves it.  The screen reads these off the
-table integer and the vote sums, and the LP decides what it leaves open.
+table integer and core.sign_tables, and the LP decides what it leaves open.
 
 Every certificate, over the point masses or any extreme points, passes
 certificates.robustness_problem, which builds no matrix: an agreement
@@ -51,6 +51,7 @@ from .core import (
     table_masks,
     twin_set,
     violation_sets,
+    vote_in_profile,
     vote_leans,
 )
 
@@ -159,15 +160,16 @@ def extreme_supports(rule, pset: DistributionSet):
 
 
 def _certificate(rule, mode: str, weights=None, mixture: Mixture | None = None,
-                 points=None) -> RobustnessCertificate:
-    """The certificate for whichever is given, weights or a mixture, once it
-    has passed robustness_problem over the extreme points with these
+                 scale: int = 1, points=None) -> RobustnessCertificate:
+    """The certificate for whichever is given, weights (rationals, or integer
+    numerators over scale, made Fractions once they pass) or a mixture, once
+    it has passed robustness_problem over the extreme points with these
     supports (None: the point masses)."""
-    cert = RobustnessCertificate.__new__(RobustnessCertificate)
-    cert._set(mode, weights, mixture)
-    masses, scale = (None, 1) if mixture is None else (mixture.masses, mixture.scale)
+    masses, scale = (None, scale) if mixture is None else (mixture.masses, mixture.scale)
     found = robustness_problem(rule, mode == MODE_STRICT, weights, masses, points, scale)
     require(found is None, f"robustness certificate: {found}")
+    cert = RobustnessCertificate.__new__(RobustnessCertificate)
+    cert._set(mode, weights and tuple(Fraction(w, scale) for w in weights), mixture)
     return cert
 
 
@@ -182,7 +184,9 @@ def _certify_by_lp(rule: VotingRule, mode: str,
         answer, points = alternative(degenerate_agreement_matrix(rule)), None
     else:
         answer, points = alternative(agreement_matrix(rule, pset)), extreme_supports(rule, pset)
-    return _certificate(rule, mode, answer.weights, answer.column_side, points)
+    side = answer.row_side
+    weights, scale = (None, 1) if side is None else (side.numerators, side.scale)
+    return _certificate(rule, mode, weights, answer.column_side, scale, points)
 
 
 def _spread(size: int, profiles: list[int]) -> Mixture:
@@ -197,9 +201,9 @@ def _spread(size: int, profiles: list[int]) -> Mixture:
 
 
 def _screen(rule: VotingRule, mode: str):
-    """An answer over the point masses that needs no solver, as a
-    (weights, mixture) pair with one side None, the mixture as _spread
-    gives it, or None.
+    """An answer over the point masses that needs no solver, or None: a
+    (weights, None, total) triple, integer weights over their total, or a
+    (None, mixture) pair, the mixture as _spread gives it.
 
     Column x of the point-mass matrix is phi(x) * x.  A profile deciding
     the same as its negation gives two columns that cancel, and an own-vote
@@ -212,10 +216,12 @@ def _screen(rule: VotingRule, mode: str):
     vector (the row sums), corrected by adding a failing column at most n
     times, usually proves robustness; weak weights must give every violator
     zero (its pair's columns sum to -2 e_i), so there it starts and stays
-    zero on the violators' rows.  No LP runs and no matrix is built: Chow
-    entry i is twice the number of profiles where i agrees with the
-    outcome, minus 2^n; column j is phi(j) times column j of the sign
-    table; and the failing column is read off the vote sums.
+    zero on the violators' rows.  No LP runs, and neither a matrix nor the
+    rule's outcome tuple is built: Chow entry i is twice the number of
+    profiles where i agrees with the outcome, minus 2^n; each round is one
+    certificates.failed_extreme_point, a mask of core.sign_tables and the
+    table; and failing column j is phi(j), read with outcomes_at, times
+    the votes of profile j.
     """
     strict = mode == MODE_STRICT
     n, size = rule.n, 2**rule.n
@@ -242,17 +248,15 @@ def _screen(rule: VotingRule, mode: str):
     monotone = [i not in firsts for i in range(1, n + 1)]
     weights = [2 * (masks.full & ~(t ^ plus)).bit_count() - size if keep else 0
                for keep, plus in zip(monotone, masks.plus)]
-    signs = sign_table(n)
     for _ in range(n + 1):
-        j = failed_extreme_point(rule.outcomes, weights, strict)
+        j = failed_extreme_point(rule, weights, strict)
         if j is None:
             if min(weights) < 0 or not any(weights):
                 return None
-            total = sum(weights)
-            return tuple(Fraction(w, total) for w in weights), None
-        phi = rule.outcomes[j]
-        weights = [w + phi * votes[j] if keep else 0
-                   for w, keep, votes in zip(weights, monotone, signs)]
+            return weights, None, sum(weights)
+        phi, = rule.outcomes_at((j,))
+        weights = [w + phi * vote_in_profile(j, i) if keep else 0
+                   for i, (w, keep) in enumerate(zip(weights, monotone), start=1)]
     return None
 
 
@@ -402,10 +406,10 @@ def certify_anonymous(
         raise ValueError("distribution set is not permutation invariant")
 
     points = extreme_supports(rule, pset)
-    uniform = tuple(Fraction(1, rule.n) for _ in range(rule.n))
-    violator = failed_extreme_point(rule.outcomes, uniform, mode == MODE_STRICT, points)
+    ones = [1] * rule.n
+    violator = failed_extreme_point(rule, ones, mode == MODE_STRICT, points)
     if violator is None:
-        return _certificate(rule, mode, weights=uniform, points=points)
+        return _certificate(rule, mode, ones, scale=rule.n, points=points)
     orbit = sorted(_orbit(pset, violator))
     mixture = Mixture(len(pset), tuple((k, 1) for k in orbit), len(orbit))
     return _certificate(rule, mode, mixture=mixture, points=points)

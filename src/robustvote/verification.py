@@ -398,7 +398,7 @@ def _check_random_certify(report: dict) -> None:
         cx = Distribution.from_json(counterexample_json)
         if cx.n != rule.n:
             raise ValueError(f"rule has n={rule.n} but distribution has n={cx.n}")
-        _expect(robustness_problem(rule.outcomes, True, mixture=cx.masses,
+        _expect(robustness_problem(rule, True, mixture=cx.masses,
                                    scale=cx.scale) is None,
                 "random-certify: counterexample leaves someone responsive")
 

@@ -100,15 +100,15 @@ def test_robustness_problem_names_the_reference_column():
         n = rng.randint(1, 5)
         pset = _general_set(rng, n)
         points = [dist.support for dist in pset.extreme_points]
-        outcomes = [rng.choice((-1, 1)) for _ in range(2**n)]
-        matrix = agreement_matrix_by_atoms(outcomes, points)
+        rule = VotingRule(n, tuple(rng.choice((-1, 1)) for _ in range(2**n)))
+        matrix = agreement_matrix_by_atoms(rule.outcomes, points)
         raw = [rng.randint(0, 3) for _ in range(n)]
         raw[rng.randrange(n)] += 1
         weights = [F(v, sum(raw)) for v in raw]
         for strict in (True, False):
             j = failed_column_by_columns(matrix, weights, 0, strict)
             expected = None if j is None else f"weights fail extreme point {j}"
-            assert robustness_problem(outcomes, strict, weights=weights, points=points) == expected
+            assert robustness_problem(rule, strict, weights=weights, points=points) == expected
             failures.add(j)
     assert None in failures and len(failures) > 3
 
@@ -194,22 +194,22 @@ def _supports(mixture):
     return [(atoms, 1), ([(k, int(m * scale)) for k, m in atoms], scale)]
 
 
-def _check_against_the_dense_check(outcomes, points, weights, mixtures, messages):
+def _check_against_the_dense_check(rule, points, weights, mixtures, messages):
     """robustness_problem against the reference on the agreement matrix, in
     both modes, for every vector, a mixture given by its support; points
     None stands for the point masses."""
-    size = len(outcomes)
+    size = len(rule.outcomes)
     supports = [((x, F(1)),) for x in range(size)] if points is None else points
-    matrix = agreement_matrix_by_atoms(outcomes, supports)
+    matrix = agreement_matrix_by_atoms(rule.outcomes, supports)
     for strict in (True, False):
         for ws in weights:
-            found = robustness_problem(outcomes, strict, weights=ws, points=points)
+            found = robustness_problem(rule, strict, weights=ws, points=points)
             assert found == robustness_problem_on_matrix(matrix, strict, weights=ws)
             messages.add(found and re.sub(r"\d+", "#", found))
         for mix in mixtures:
             expected = robustness_problem_on_matrix(matrix, strict, mixture=mix)
             for support, scale in _supports(mix):
-                assert robustness_problem(outcomes, strict, mixture=support, points=points,
+                assert robustness_problem(rule, strict, mixture=support, points=points,
                                           scale=scale) == expected
             messages.add(expected and re.sub(r"\d+", "#", expected))
 
@@ -226,7 +226,7 @@ def test_point_mass_problem_matches_the_dense_check():
                     vectors += [list(vector)] + _moved(rng, vector)
         weights += _moved(rng, weights[0])
         mixtures += _moved(rng, mixtures[0])
-        _check_against_the_dense_check(rule.outcomes, None, weights, mixtures, messages)
+        _check_against_the_dense_check(rule, None, weights, mixtures, messages)
     assert messages == MESSAGES
 
 
@@ -248,7 +248,7 @@ def test_general_sets_match_the_dense_check(n):
                     vectors += [list(vector)] + _moved(rng, vector)
         weights += _moved(rng, weights[0])
         mixtures += _moved(rng, mixtures[0])
-        _check_against_the_dense_check(rule.outcomes, points, weights, mixtures, messages)
+        _check_against_the_dense_check(rule, points, weights, mixtures, messages)
     assert messages == MESSAGES
 
 
@@ -274,7 +274,7 @@ def test_random_rule_outcomes_match_the_dense_check(n):
             points = [dist.support for dist in pset.extreme_points]
             mixtures = [_random_mass(rng, len(points))]
             mixtures += _moved(rng, mixtures[0])
-        _check_against_the_dense_check(rule.outcomes, points, weights, mixtures, messages)
+        _check_against_the_dense_check(rule, points, weights, mixtures, messages)
     assert messages == MESSAGES
 
 
