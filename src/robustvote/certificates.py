@@ -31,7 +31,7 @@ from math import lcm
 from typing import Sequence
 
 from .core import (VotingRule, combine_rows, lowest_bit, over_common_denominator, sign_tables,
-                   table_integer, table_masks, vote_leans, vote_sums)
+                   table_masks, vote_leans, vote_sums)
 
 # The vocabulary checked here: the two relations of a cone row g.z >= 0 or
 # g.z > 0 over z >= 0, which lp re-exports, and the tie modes and sign
@@ -76,11 +76,9 @@ def failed_extreme_point(rule, weights: Sequence[int], strict: bool = True,
                          points=None) -> int | None:
     """The first extreme point where sum_i w_i E[phi(x) x_i] is not above
     zero (strict) or not at least zero, or None, for integer weights and a
-    deterministic or random rule, with no matrix.  Over the point masses
-    (points None) it is the lowest profile of the fail mask: an outcome
-    positive where w.x is not above zero (strict) or below zero, negative
-    where it is not below zero or above zero, or (strict) zero.  Else each
-    extreme point's support (points) is priced by phi(x) times w.x."""
+    deterministic or random rule, with no matrix: over the point masses
+    (points None) the lowest bit of a mask of sign_tables and the outcome
+    signs, else each support priced by phi(x) times w.x."""
     if points is not None:
         sums, phi = vote_sums(weights)[0], rule.outcomes
         return _first_failure([sum(p * phi[x] * sums[x] for x, p in support)
@@ -88,9 +86,10 @@ def failed_extreme_point(rule, weights: Sequence[int], strict: bool = True,
     gt, ge = sign_tables(weights)
     if isinstance(rule, VotingRule):
         pos, neg = rule.table, table_masks(rule.n).full ^ rule.table
-    else:
-        signs = [(v > 0) - (v < 0) for v in rule.outcomes]
-        pos, neg = table_integer(signs), table_integer([-v for v in signs])
+    else:  # a random rule's outcome signs, read in one pass
+        signs = "".join(["+" if v > 0 else "-" if v else "0" for v in reversed(rule.outcomes)])
+        pos = int(signs.replace("-", "0").replace("+", "1"), 2)
+        neg = int(signs.replace("+", "0").replace("-", "1"), 2)
     fails = (pos & ~gt | neg & ge | table_masks(rule.n).full & ~(pos | neg) if strict
              else pos & ~ge | neg & gt)
     return lowest_bit(fails) if fails else None
@@ -115,15 +114,13 @@ def robustness_problem(rule, strict: bool, weights=None, mixture=None,
                        points=None, scale: int = 1) -> str | None:
     """What is wrong with robustness weights, or else a mixture, for a
     deterministic or random rule over the extreme points with supports
-    points (None: the point masses), or None.  Weights are rationals
-    (scale 1) or integer numerators over scale.  A mixture is given by its
-    support: (extreme point, mass) pairs, each point once, the masses
-    rationals (scale 1) or integers over scale; a point left out has mass
-    zero, so no dense vector is read.  Both must be distributions; weights
-    must pass failed_extreme_point, and under the distribution q a mixture
-    blends, every lean sum_x q(x) phi(x) x_i must be at most zero (below
-    zero when not strict).  A deterministic rule's outcomes are read off
-    its table."""
+    points (None: the point masses), or None.  Weights are a dense vector
+    and a mixture its support: (extreme point, mass) pairs, each point
+    once, a point left out having mass zero; either is rationals (scale 1)
+    or integers over scale.  Both must be distributions; weights must pass
+    failed_extreme_point, and under the distribution q a mixture blends,
+    every lean sum_x q(x) phi(x) x_i must be at most zero (below zero when
+    not strict)."""
     if weights is not None:
         if scale == 1:  # rational weights, put over their common denominator
             weights, scale = over_common_denominator(weights)
@@ -217,9 +214,9 @@ def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
     """Exact check that the weighted sum sides with every outcome."""
     if ties not in TIE_MODES:
         raise ValueError(f"unknown tie mode {ties!r}")
-    if len(weights) != rule.n:
-        raise ValueError(f"{len(weights)} weights for n={rule.n}")
-    numerators, _ = over_common_denominator(weights)
+    numerators, _ = over_common_denominator([Fraction(w) for w in weights])
+    if len(numerators) != rule.n:
+        raise ValueError(f"{len(numerators)} weights for n={rule.n}")
     return any(numerators) and failed_extreme_point(
         rule, numerators, ties == TIES_FORBIDDEN) is None
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import gcd, lcm
-from itertools import compress, repeat
-from operator import floordiv, itemgetter, mul
+from itertools import repeat
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_INDIVIDUALS = 16
@@ -169,11 +169,10 @@ def vote_sums(weights: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def sign_tables(weights: Sequence[int]) -> tuple[int, int]:
     """Table integers of the profiles where the vote sum of integer weights
-    is above zero, and where it is at least zero: vote_sums' doubling on one
-    integer of 2^n lanes of b = bitlen(sum |w_i|) + 1 bits (Lamport 1975),
-    lane k holding profile k's sum + 2^(b-1) - 1, so no lane borrows or
-    carries and its top bit is set iff the sum is above zero (at least zero
-    once one is added)."""
+    is above zero, and at least zero: vote_sums' doubling on one integer of
+    2^n lanes of b = bitlen(sum |w_i|) + 1 bits (Lamport 1975), lane k
+    holding sum_k + 2^(b-1) - 1, so no lane borrows or carries and its top
+    bit is set iff sum_k > 0 (sum_k >= 0 once ones are added)."""
     b = sum(map(abs, weights)).bit_length() + 1
     sums, ones, span = (1 << b - 1) - 1, 1, b
     for w in weights:
@@ -439,24 +438,22 @@ class Distribution(Mixture):
         return dist
 
     def _set_support(self, n: int, atoms: Iterable[tuple[int, int]], scale: int) -> None:
-        # The one validation every constructor runs, in integers, by C-level
-        # passes; only a failure walks the indices, to name the first bad one.
-        size, pairs = 2 ** n, tuple(atoms)
-        indices, numerators = zip(*pairs) if pairs else ((), ())
-        if indices and not (min(indices) >= 0 and max(indices) < size):
-            idx = next(idx for idx in indices if not 0 <= idx < size)
-            raise ValueError(f"profile index {idx} out of range for n={n}")
-        if 0 in numerators:  # zero masses are left out
-            kept = list(map(bool, numerators))
-            indices, numerators = tuple(compress(indices, kept)), tuple(compress(numerators, kept))
+        # The one validation every constructor runs, in integers.
+        size, masses = 2 ** n, []
+        for idx, m in atoms:
+            if not 0 <= idx < size:
+                raise ValueError(f"profile index {idx} out of range for n={n}")
+            if m:
+                masses.append((idx, m))
+        numerators = [m for _, m in masses]
         if min(numerators, default=0) < 0:
             raise ValueError("probabilities must be nonnegative")
         if sum(numerators) != scale:
             raise ValueError(f"probabilities must sum to 1, got {Fraction(sum(numerators), scale)}")
         common = gcd(scale, *numerators)
-        if common > 1:
-            numerators = map(floordiv, numerators, repeat(common))
-        Mixture.__init__(self, size, tuple(sorted(zip(indices, numerators))), scale // common)
+        masses.sort()
+        Mixture.__init__(self, size, tuple((idx, m // common) for idx, m in masses),
+                         scale // common)
         object.__setattr__(self, "n", n)
 
     def prob(self, profile: "DecisionProfile | int") -> Fraction:
@@ -504,8 +501,8 @@ class Distribution(Mixture):
             raise FormatError("atoms: expected a list of {profile, prob} objects")
         index = _profile_indices(n)
         try:  # KeyError, TypeError: a malformed atom or profile, named below
-            indices = list(map(index.__getitem__, map(itemgetter("profile"), atoms)))
-            probs = list(map(itemgetter("prob"), atoms))
+            indices = [index[atom["profile"]] for atom in atoms]
+            probs = [atom["prob"] for atom in atoms]
         except (KeyError, TypeError):
             indices = None
         if indices is None or len(set(indices)) < len(atoms):
@@ -524,13 +521,11 @@ class Distribution(Mixture):
                     raise FormatError(f"atoms[{k}].profile: duplicate profile {profile!r}")
                 seen.add(profile)
                 rational_parts(atom.get("prob"), f"atoms[{k}].prob")
-        nums, dens = zip(*rational_list(probs, "atoms[{}].prob".format)) if atoms else ((), ())
-        common = set(dens)
-        scale = lcm(*common)
-        if len(common) > 1:  # one denominator is the scale itself
-            nums = map(mul, nums, map(scale.__floordiv__, dens))
+        parts = rational_list(probs, "atoms[{}].prob".format)
+        scale = lcm(*{den for _, den in parts})
         try:
-            return cls._from_masses(n, zip(indices, nums), scale)
+            return cls._from_masses(n, ((idx, num * (scale // den))
+                                        for idx, (num, den) in zip(indices, parts)), scale)
         except ValueError as exc:
             raise FormatError(f"atoms: {exc}") from exc
 

@@ -75,23 +75,13 @@ class LinearRow:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
         object.__setattr__(self, "coeffs", _rationals(self.coeffs))
 
-    @classmethod
-    def _exact(cls, coeffs: tuple, relation: str) -> "LinearRow":
-        """A row whose entries are exact already, as _as_matrix gives them."""
-        row = cls.__new__(cls)
-        row.__dict__.update(coeffs=coeffs, relation=relation)  # frozen: past __setattr__
-        return row
-
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A homogeneous cone: rows over num_vars variables z >= 0.  entering,
-    when given, holds each row's nonzero entries negated, as the tableau
-    takes them, so that a caller holding them negates no row twice."""
+    """A homogeneous cone: rows over num_vars variables z >= 0."""
 
     num_vars: int
     rows: tuple[LinearRow, ...]
-    entering: tuple[dict, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
@@ -287,9 +277,9 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     tab = _Tableau()
     for _ in range(nvars + strict):
         tab.add_column()
-    scales, entering = [], system.entering
-    for k, row in enumerate(system.rows):
-        coeffs = dict(entering[k]) if entering else {j: -c for j, c in enumerate(row.coeffs) if c}
+    scales = []
+    for row in system.rows:
+        coeffs = {j: -c for j, c in enumerate(row.coeffs) if c}
         if row.relation == REL_GT:
             coeffs[delta] = 1
         scales.append(_add_slack_row(tab, coeffs, 0))
@@ -377,16 +367,10 @@ def _normalized(values) -> Mixture:
     return Mixture(len(numerators), masses, total // common)
 
 
-def _solve_cone(rows, relations, entering=None) -> FeasibilityResult:
-    """Solve row . z (relation) 0 for each row of exact entries, over z >= 0,
-    the rows negated for the tableau given as entering, if at hand."""
-    return solve_feasibility(LinearSystem(len(rows[0]), tuple(
-        LinearRow._exact(tuple(row), rel) for row, rel in zip(rows, relations)), entering))
-
-
-def _sparse(rows) -> tuple[dict, ...]:
-    """Each row's nonzero entries by column: -L enters the tableau as L."""
-    return tuple({j: a for j, a in enumerate(row) if a} for row in rows)
+def _solve_cone(rows, relations) -> FeasibilityResult:
+    """Solve row . z (relation) 0 for each row, over z >= 0."""
+    return solve_feasibility(LinearSystem(
+        len(rows[0]), tuple(LinearRow(tuple(row), rel) for row, rel in zip(rows, relations))))
 
 
 def alternative_strict(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
@@ -410,7 +394,7 @@ def alternative_weak(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
     rows = _as_matrix(matrix)
     # solve_feasibility has checked the witness, and the Farkas multipliers
     # of this system are weights with w^T L >= 0; scaling keeps both.
-    result = _solve_cone([[-a for a in row] for row in rows], [REL_GT] * len(rows), _sparse(rows))
+    result = _solve_cone([[-a for a in row] for row in rows], [REL_GT] * len(rows))
     side = result.numerators
     return AlternativeResult(None, side) if result.feasible else AlternativeResult(side, None)
 
@@ -425,9 +409,9 @@ def alternative_positive(matrix: Sequence[Sequence[Fraction]]) -> AlternativeRes
     total row, combine to (u + v 1)^T L >= 0, and w = u + v 1 > 0.
     """
     rows = _as_matrix(matrix)
-    total = list(map(sum, zip(*rows)))
-    result = _solve_cone([[-a for a in row] for row in rows + [total]],
-                         [REL_GE] * len(rows) + [REL_GT], _sparse(rows + [total]))
+    negated = [[-a for a in row] for row in rows]
+    result = _solve_cone(negated + [list(map(sum, zip(*negated)))],
+                         [REL_GE] * len(rows) + [REL_GT])
     if result.feasible:
         return AlternativeResult(None, result.numerators)
     *u, v = result.numerators

@@ -162,9 +162,8 @@ def extreme_supports(rule, pset: DistributionSet):
 def _certificate(rule, mode: str, weights=None, mixture: Mixture | None = None,
                  scale: int = 1, points=None) -> RobustnessCertificate:
     """The certificate for whichever is given, weights (rationals, or integer
-    numerators over scale, made Fractions once they pass) or a mixture, once
-    it has passed robustness_problem over the extreme points with these
-    supports (None: the point masses)."""
+    numerators over scale) or a mixture, once it has passed robustness_problem
+    over the extreme points with these supports (None: the point masses)."""
     masses, scale = (None, scale) if mixture is None else (mixture.masses, mixture.scale)
     found = robustness_problem(rule, mode == MODE_STRICT, weights, masses, points, scale)
     require(found is None, f"robustness certificate: {found}")
@@ -217,11 +216,9 @@ def _screen(rule: VotingRule, mode: str):
     times, usually proves robustness; weak weights must give every violator
     zero (its pair's columns sum to -2 e_i), so there it starts and stays
     zero on the violators' rows.  No LP runs, and neither a matrix nor the
-    rule's outcome tuple is built: Chow entry i is twice the number of
-    profiles where i agrees with the outcome, minus 2^n; each round is one
-    certificates.failed_extreme_point, a mask of core.sign_tables and the
-    table; and failing column j is phi(j), read with outcomes_at, times
-    the votes of profile j.
+    outcome tuple is built: Chow entry i is twice the number of profiles
+    where i agrees with the outcome, minus 2^n, and each round's failing
+    column is one certificates.failed_extreme_point, a sign-table mask.
     """
     strict = mode == MODE_STRICT
     n, size = rule.n, 2**rule.n

@@ -18,7 +18,7 @@ from robustvote import (
     detect_wmr,
     weighted_majority_rule,
 )
-from robustvote.certificates import failed_extreme_point
+from robustvote.certificates import failed_extreme_point, weights_represent
 from robustvote.core import DecisionProfile, sign_tables, table_integer, table_rule, vote_sums
 from robustvote.robustness import MODES, VERDICT_ROBUST
 
@@ -110,6 +110,16 @@ def test_weighted_majority_rule_signs_every_profile(n):
                 weighted_majority_rule(n, weights)
         else:
             assert weighted_majority_rule(n, weights).outcomes == expected
+
+
+def test_weights_represent_takes_any_rational_form():
+    rule = weighted_majority_rule(3, [2, 1, 1], tie=1)
+    for weights in ([2, 1, 1], [F(1, 2), F(1, 4), F(1, 4)], [0.5, 0.25, 0.25],
+                    ["1/2", "1/4", "1/4"], (w for w in (2, 1, 1))):
+        assert weights_represent(rule, weights, "allowed")
+    assert not weights_represent(rule, ["0", 0.0, F(0)], "allowed")
+    with pytest.raises(ValueError, match="2 weights for n=3"):
+        weights_represent(rule, (w for w in (1, 1)), "allowed")
 
 
 def test_screened_answers_at_n16_never_build_the_outcomes():
