@@ -49,6 +49,7 @@ SIGN_CLASS_POSITIVE = "positive"
 SIGN_CLASSES = (SIGN_CLASS_FREE, SIGN_CLASS_NONNEGATIVE, SIGN_CLASS_POSITIVE)
 
 _ZERO = Fraction(0)
+_RATIONAL = (int, Fraction)
 _HOLDS = {REL_GE: operator.ge, REL_GT: operator.gt}
 
 
@@ -214,7 +215,8 @@ def weights_represent(rule, weights: Sequence[Fraction], ties: str) -> bool:
     """Exact check that the weighted sum sides with every outcome."""
     if ties not in TIE_MODES:
         raise ValueError(f"unknown tie mode {ties!r}")
-    numerators, _ = over_common_denominator([Fraction(w) for w in weights])
+    numerators, _ = over_common_denominator(
+        [w if type(w) in _RATIONAL else Fraction(w) for w in weights])
     if len(numerators) != rule.n:
         raise ValueError(f"{len(numerators)} weights for n={rule.n}")
     return any(numerators) and failed_extreme_point(
@@ -249,15 +251,14 @@ def improves(base, new, strictly: bool = False, in_total: bool = False) -> bool:
     return weakly and (not in_total or sum(new) > sum(base))
 
 
-def net_gains(rule, utilities, mixture: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def net_gains(rule, utilities, scale: int, mixture) -> tuple[Fraction, ...]:
     """What each individual expects from the rule over its inverse when the
-    state is drawn from mixture; utilities[x][i] is i's pair (payoff if +1,
-    payoff if -1) in the state tied to profile x.  The payoffs and the
-    mixture are each put over one common denominator, so each gain is one
-    integer sum sum_x m_x phi(x) (hi - lo)."""
-    shares, share_scale = over_common_denominator(mixture)
-    payoffs, scale = over_common_denominator([v for row in utilities for pair in row for v in pair])
-    spreads = list(map(operator.sub, payoffs[::2], payoffs[1::2]))  # state-major, n per state
-    signed = list(map(operator.mul, shares, rule.outcomes))
-    return tuple(Fraction(sum(map(operator.mul, signed, spreads[i::rule.n])), scale * share_scale)
+    state is drawn from mixture, a core.Mixture over the states;
+    utilities[x][i] is i's pair (payoff if +1, payoff if -1) in the state
+    tied to profile x, integers over scale.  Each gain is one integer sum
+    sum_x m_x phi(x) (hi - lo) over scale times the mixture's scale."""
+    spreads = [hi - lo for row in utilities for hi, lo in row]  # state-major, n per state
+    signed = list(map(operator.mul, mixture.numerators, rule.outcomes))
+    total = scale * mixture.scale
+    return tuple(Fraction(sum(map(operator.mul, signed, spreads[i::rule.n])), total)
                  for i in range(rule.n))

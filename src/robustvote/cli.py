@@ -132,18 +132,14 @@ def _load_random(value: str, what: str) -> RandomVotingRule:
     return rule
 
 
-def _load_dist(value: str, what: str, n: int | None = None) -> Distribution:
+def _load_dist(value: str, what: str, n: int) -> Distribution:
     if value == "uniform":
-        if n is None:
-            raise FormatError(f"{what}: the uniform literal needs a rule to fix n")
         return Distribution.uniform(n)
     return Distribution.from_json(_read_json(value, what))
 
 
-def _load_pset(value: str, what: str, n: int | None = None) -> DistributionSet:
+def _load_pset(value: str, what: str, n: int) -> DistributionSet:
     if value == "degenerates":
-        if n is None:
-            raise FormatError(f"{what}: the degenerates literal needs a rule to fix n")
         return DistributionSet.degenerates(n)
     return DistributionSet.from_json(_read_json(value, what))
 
@@ -155,20 +151,11 @@ def _parse_weights(text: str) -> list[Fraction]:
     return rational_list(parts, "weights", Fraction)
 
 
-def _sign_class(value: str) -> str:
-    if value not in _SIGN_ALIASES:
-        raise FormatError(
-            f"signs: expected one of {sorted(set(_SIGN_ALIASES))}, got {value!r}"
-        )
-    return _SIGN_ALIASES[value]
-
-
-def _tie_mode(value: str) -> str:
-    if value not in _TIE_ALIASES:
-        raise FormatError(
-            f"ties: expected one of {sorted(set(_TIE_ALIASES))}, got {value!r}"
-        )
-    return _TIE_ALIASES[value]
+def _alias(aliases: dict, value: str, what: str) -> str:
+    """The sign class or tie mode a flag value names."""
+    if value not in aliases:
+        raise FormatError(f"{what}: expected one of {sorted(set(aliases))}, got {value!r}")
+    return aliases[value]
 
 
 def _fmt_tuple(values) -> str:
@@ -244,7 +231,7 @@ def _cmd_rtf(args):
     from .respond import WeightVector, rtf_max_weighted
 
     weights = _parse_weights(args.weights)
-    sign_class = _sign_class(args.signs)
+    sign_class = _alias(_SIGN_ALIASES, args.signs, "signs")
     vector = WeightVector(tuple(weights), sign_class)
     dist = _load_dist(args.dist, "dist", len(weights))
     value, argmax = rtf_max_weighted(vector, dist)
@@ -265,8 +252,8 @@ def _cmd_wmr(args):
     from .wmr import WmrQuery, detect_wmr
 
     rule = _load_deterministic(args.rule, "rule")
-    sign_class = _sign_class(args.signs)
-    ties = _tie_mode(args.ties)
+    sign_class = _alias(_SIGN_ALIASES, args.signs, "signs")
+    ties = _alias(_TIE_ALIASES, args.ties, "ties")
     found = detect_wmr(rule, WmrQuery(sign_class, ties))
     inputs = {"rule": rule.to_json(), "sign_class": sign_class, "ties": ties}
     payload = {

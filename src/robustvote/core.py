@@ -395,6 +395,14 @@ class Mixture:
     masses: tuple[tuple[int, int], ...]
     scale: int
 
+    @classmethod
+    def in_lowest_terms(cls, numerators: Sequence[int], scale: int) -> "Mixture":
+        """Dense integer numerators over scale, as stored: the nonzero ones,
+        divided with the scale by their gcd."""
+        common = gcd(scale, *numerators)
+        return cls(len(numerators), tuple((k, v // common) for k, v in enumerate(numerators) if v),
+                   scale // common)
+
     @_cached
     def support(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple((k, Fraction(m, self.scale)) for k, m in self.masses)

@@ -11,6 +11,7 @@ gain from the rule over its inverse.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,29 +57,23 @@ class ExtendedRational:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def _coerce(self, other) -> "ExtendedRational":
-        if isinstance(other, ExtendedRational):
-            return other
-        return ExtendedRational.finite(Fraction(other))
+    def _keys(self, other) -> tuple[tuple, tuple]:
+        """Sort keys of self and other, a number or an ExtendedRational:
+        (0, value) when finite and (1, 0) at infinity, the extended order."""
+        other = other if isinstance(other, ExtendedRational) else ExtendedRational.finite(other)
+        return tuple((1, 0) if x.is_infinite else (0, x.value) for x in (self, other))
 
     def __lt__(self, other) -> bool:
-        other = self._coerce(other)
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        return self.value < other.value
+        return operator.lt(*self._keys(other))
 
     def __le__(self, other) -> bool:
-        other = self._coerce(other)
-        return self == other or self < other
+        return operator.le(*self._keys(other))
 
     def __gt__(self, other) -> bool:
-        return self._coerce(other) < self
+        return operator.gt(*self._keys(other))
 
     def __ge__(self, other) -> bool:
-        other = self._coerce(other)
-        return other == self or other < self
+        return operator.ge(*self._keys(other))
 
     def format(self) -> str:
         return "inf" if self.is_infinite else format_rational(self.value)
@@ -167,18 +162,27 @@ class GammaWitness:
         }
 
 
+def _utility_table(rule: VotingRule, small, one, zero) -> tuple:
+    # The pair of each vote, in a state where the rule decides +1 or -1.
+    pairs = {1: {1: (small, zero), -1: (zero, one)},
+             -1: {1: (one, zero), -1: (zero, small)}}
+    return tuple(tuple(map(pairs[outcome].__getitem__, votes))
+                 for outcome, votes in zip(rule.outcomes, zip(*sign_table(rule.n))))
+
+
 def gamma_utilities(
     rule: VotingRule,
 ) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
     """The per-state utility pairs: the favored decision pays, a small
     amount when the rule already agrees with the vote and a full unit when
     it does not."""
-    small, one, zero = Fraction(1, 2**rule.n - 1), Fraction(1), Fraction(0)
-    # The pair of each vote, in a state where the rule decides +1 or -1.
-    pairs = {1: {1: (small, zero), -1: (zero, one)},
-             -1: {1: (one, zero), -1: (zero, small)}}
-    return tuple(tuple(map(pairs[outcome].__getitem__, votes))
-                 for outcome, votes in zip(rule.outcomes, zip(*sign_table(rule.n))))
+    return _utility_table(rule, Fraction(1, 2**rule.n - 1), Fraction(1), Fraction(0))
+
+
+def gamma_payoffs(rule: VotingRule) -> tuple[tuple, int]:
+    """gamma_utilities as integers over 2^n - 1, with that scale."""
+    scale = 2**rule.n - 1
+    return _utility_table(rule, 1, scale, 0), scale
 
 
 def gamma_counterexample(rule: VotingRule) -> GammaWitness:
@@ -188,14 +192,14 @@ def gamma_counterexample(rule: VotingRule) -> GammaWitness:
         raise ValueError("the construction requires a rule with no dictator")
     n = rule.n
     size = 2**n
-    utilities = gamma_utilities(rule)
     share = Fraction(1, size)
     mixture = tuple(share for _ in range(size))
-    gains = net_gains(rule, utilities, mixture)
+    uniform = Distribution.uniform(n)
+    gains = net_gains(rule, *gamma_payoffs(rule), uniform)
 
-    r = responsiveness(rule, Distribution.uniform(n))
+    r = responsiveness(rule, uniform)
     small = Fraction(1, size - 1)
     require(gains == tuple(ri * small - (1 - ri) for ri in r.values),
             "utility-table net gain disagrees with the responsiveness form")
     require(all(g <= 0 for g in gains), "net gain must be nonpositive without a dictator")
-    return GammaWitness(n, utilities, mixture, gains)
+    return GammaWitness(n, gamma_utilities(rule), mixture, gains)

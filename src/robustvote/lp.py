@@ -197,13 +197,23 @@ class _Tableau:
 
     def _eliminate(self, row, b, e, p, pitems, pb):
         """One row after a pivot on entry p of column e: (v * p - f * w) / den
-        on its nonzeros and the pivot row's, divided exactly."""
+        on its nonzeros and the pivot row's, divided exactly.  When p is den
+        that is v - f * w / den: a copy, changed on the pivot row's columns."""
         den = self.den
         f = row.get(e)
         if not f:
             if p == den:
                 return row, b
             return {j: v * p // den for j, v in row.items()}, b * p // den
+        if p == den:
+            new = row.copy()
+            for j, w in pitems:
+                v = new.get(j, 0) - f * w // den
+                if v:
+                    new[j] = v
+                else:
+                    del new[j]
+            return new, b - f * pb // den
         new = {j: v * p for j, v in row.items()}
         for j, w in pitems:
             new[j] = new.get(j, 0) - f * w
@@ -362,9 +372,7 @@ def _normalized(values) -> Mixture:
     numerators, _ = over_common_denominator(values)
     total = sum(numerators)
     require(total > 0, "solver: vector has no mass to normalize")
-    common = gcd(*numerators)
-    masses = tuple((k, v // common) for k, v in enumerate(numerators) if v)
-    return Mixture(len(numerators), masses, total // common)
+    return Mixture.in_lowest_terms(numerators, total)
 
 
 def _solve_cone(rows, relations) -> FeasibilityResult:

@@ -78,10 +78,12 @@ class WeightVector:
     sign_class: str = SIGN_CLASS_FREE
 
     def __post_init__(self) -> None:
-        ws = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
+        # Checked as given (a producer's ints compare fast), then made Fractions.
+        ws = tuple(self.weights)
         if not in_sign_class(ws, self.sign_class):
             raise ValueError(f"weights are all zero or leave the {self.sign_class} sign class")
+        object.__setattr__(self, "weights", tuple(
+            w if type(w) is Fraction else Fraction(w) for w in ws))
 
     @property
     def n(self) -> int:
@@ -92,15 +94,6 @@ class WeightVector:
             "weights": [format_rational(w) for w in self.weights],
             "sign_class": self.sign_class,
         }
-
-
-def _coerce_weights(weights: WeightVector | Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if isinstance(weights, WeightVector):
-        return weights.weights
-    ws = tuple(Fraction(w) for w in weights)
-    if not in_sign_class(ws, SIGN_CLASS_FREE):
-        raise ValueError("weight vector must not be all zero")
-    return ws
 
 
 def responsiveness(
@@ -162,7 +155,7 @@ def rtf_max_weighted(
     responsiveness terms, (E[|sum w_i x_i|] + sum w_i) / 2, together with an
     argmax rule that maps ties to +1.
     """
-    ws = _coerce_weights(weights)
+    ws = (weights if isinstance(weights, WeightVector) else WeightVector(weights)).weights
     n = dist.n
     if len(ws) != n:
         raise ValueError(f"{len(ws)} weights for n={n}")

@@ -19,12 +19,12 @@ table integer and core.sign_tables, and the LP decides what it leaves open.
 Every certificate, over the point masses or any extreme points, passes
 certificates.robustness_problem, which builds no matrix: an agreement
 matrix is only ever the input of the LP or of the responsiveness game.
-A refutation lists few extreme points (by Caratheodory at most n + 1 are
-needed, and the screen lists 2 to 2n + 1), so it is kept and checked as a
-core.Mixture, integer masses over one scale, as every extreme point (a
-Distribution) is read too; the screen's are counts over the number of
-profiles listed, the LP's its mixture's coprime integers over their total.
-The dense mixture over all extreme points is built only when read.
+Both sides are kept and checked as a core.Mixture, integer masses over one
+scale, as every extreme point (a Distribution) is read too: weights are the
+screen's, the LP's or classify_rule's integers over their total, and a
+refutation (by Caratheodory at most n + 1 points; the screen lists 2 to
+2n + 1) the screen's counts over the number listed or the LP's coprime
+integers over their total.  The dense Fraction tuples are built on read.
 """
 
 from __future__ import annotations
@@ -69,16 +69,16 @@ class RobustnessCertificate:
 
     weights is a nonnegative sum-one vector over individuals whose weighted
     responsiveness sum clears one half at every extreme point.  The
-    refutation is a core.Mixture over the extreme points under whose blend
-    no individual clears one half, stored, compared and hashed as its
-    integer masses over one scale; its dense tuple `mixture` is built only
-    when a caller first reads it, as Distribution.probs is, and `support`
-    and `scale` read its masses.  Exactly one of the two is present.
+    refutation is a mixture over the extreme points under whose blend no
+    individual clears one half.  Exactly one is present, stored, compared
+    and hashed as a core.Mixture (`weighting` or `refutation`); the dense
+    tuples `weights` and `mixture` are built on first read, as
+    Distribution.probs is, and `support` and `scale` read the refutation.
     """
 
     verdict: str
     mode: str
-    weights: tuple[Fraction, ...] | None
+    weighting: Mixture | None
     refutation: Mixture | None
 
     def __init__(self, verdict: str, mode: str, weights=None, mixture=None) -> None:
@@ -90,16 +90,21 @@ class RobustnessCertificate:
             raise ValueError("exactly one of weights and mixture must be present")
         if (verdict == VERDICT_ROBUST) != (weights is not None):
             raise ValueError("verdict does not match the certificate kind")
-        refutation = None if mixture is None else Mixture(len(mixture), *nonzero_masses(mixture))
-        self._set(mode, weights, refutation)
+        vector = mixture if weights is None else weights
+        stored = Mixture(len(vector), *nonzero_masses(vector))
+        self._set(mode, *((None, stored) if weights is None else (stored, None)))
 
-    def _set(self, mode: str, weights, refutation: Mixture | None) -> None:
+    def _set(self, mode: str, weighting: Mixture | None, refutation: Mixture | None) -> None:
         # Frozen: set once, past __setattr__; a producer calls it on cls.__new__(cls).
         put = object.__setattr__
         put(self, "verdict", VERDICT_ROBUST if refutation is None else VERDICT_NOT_ROBUST)
         put(self, "mode", mode)
-        put(self, "weights", weights)
+        put(self, "weighting", weighting)
         put(self, "refutation", refutation)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...] | None:
+        return None if self.weighting is None else self.weighting.probs
 
     @property
     def support(self) -> tuple[tuple[int, int], ...] | None:
@@ -161,14 +166,14 @@ def extreme_supports(rule, pset: DistributionSet):
 
 def _certificate(rule, mode: str, weights=None, mixture: Mixture | None = None,
                  scale: int = 1, points=None) -> RobustnessCertificate:
-    """The certificate for whichever is given, weights (rationals, or integer
-    numerators over scale) or a mixture, once it has passed robustness_problem
-    over the extreme points with these supports (None: the point masses)."""
+    """The certificate for whichever is given, weights (integer numerators
+    over scale) or a mixture, once it has passed robustness_problem over
+    the extreme points with these supports (None: the point masses)."""
     masses, scale = (None, scale) if mixture is None else (mixture.masses, mixture.scale)
     found = robustness_problem(rule, mode == MODE_STRICT, weights, masses, points, scale)
     require(found is None, f"robustness certificate: {found}")
     cert = RobustnessCertificate.__new__(RobustnessCertificate)
-    cert._set(mode, weights and tuple(Fraction(w, scale) for w in weights), mixture)
+    cert._set(mode, weights and Mixture.in_lowest_terms(weights, scale), mixture)
     return cert
 
 
@@ -279,17 +284,17 @@ def certify_p_robust(
 
 
 def certify_p_robust_full(rule: VotingRule, mode: str = MODE_STRICT,
-                          weights=None) -> RobustnessCertificate:
+                          weights: Mixture | None = None) -> RobustnessCertificate:
     """Robustness over all distributions: the extreme points are the 2^n
     point masses and the matrix columns come straight off the truth table.
-    The combinatorial screen answers first; given weights, already known to
-    prove robustness in this mode, answer next, both checked with no
-    matrix; the LP decides the rest, on the point-mass matrix built for it."""
+    The combinatorial screen answers first; given weights (a Mixture),
+    already known to prove robustness in this mode, answer next, both
+    checked with no matrix; the LP decides the rest, on its matrix."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     answer = _screen(rule, mode)
     if answer is None and weights is not None:
-        answer = weights, None
+        answer = weights.numerators, None, weights.scale
     if answer is None:
         return _certify_by_lp(rule, mode)
     return _certificate(rule, mode, *answer)

@@ -180,16 +180,10 @@ def _check_classify(report: dict) -> None:
                                   f"classify: representation {key}")
 
     certificates = _field(inner, "certificates", "classify")
-    strict_verdict = _check_robustness_certificate(
-        rule, None, MODE_STRICT,
-        _field(certificates, "robust", "classify.certificates"),
-        "classify.certificates.robust",
-    )
-    weak_verdict = _check_robustness_certificate(
-        rule, None, MODE_WEAK,
-        _field(certificates, "weakly_robust", "classify.certificates"),
-        "classify.certificates.weakly_robust",
-    )
+    strict_verdict, weak_verdict = [_check_robustness_certificate(
+        rule, None, mode, _field(certificates, key, "classify.certificates"),
+        f"classify.certificates.{key}")
+        for mode, key in ((MODE_STRICT, "robust"), (MODE_WEAK, "weakly_robust"))]
     robust = inner.get("robust")
     weakly_robust = inner.get("weakly_robust")
     _expect(robust == (strict_verdict == VERDICT_ROBUST),
@@ -486,7 +480,7 @@ def _check_epsilon(report: dict) -> None:
 
 
 def _check_gamma(report: dict) -> None:
-    from .gamma_mechanism import gamma_utilities
+    from .gamma_mechanism import gamma_payoffs
 
     inputs = _field(report, "inputs", "gamma-witness")
     rule = VotingRule.from_json(_field(inputs, "rule", "gamma-witness.inputs"))
@@ -509,8 +503,9 @@ def _check_gamma(report: dict) -> None:
     read = rational_list([v for row in raw[:rows] for pair in row for v in pair],
                          lambda k: f"utilities[{k // (2 * n)}][{k // 2 % n}][{k % 2}]", _lowest)
     _expect(rows == size, f"gamma-witness: malformed utility row {rows}")
-    expected = gamma_utilities(rule)
-    _expect(read == [v.as_integer_ratio() for pairs in expected for pair in pairs for v in pair],
+    expected, scale = gamma_payoffs(rule)
+    flat = [v for pairs in expected for pair in pairs for v in pair]
+    _expect(read == list(map({v: _lowest(v, scale) for v in set(flat)}.get, flat)),
             "gamma-witness: utility table does not match the construction")
 
     mixture = _rational_list(_field(witness, "mixture", "gamma-witness"),
@@ -518,11 +513,11 @@ def _check_gamma(report: dict) -> None:
     _expect(mixture == [(1, size)] * size, "gamma-witness: mixture is not uniform over states")
 
     # The table and the mixture are the construction's, by value, so the
-    # net gains are recomputed from it.
+    # net gains are recomputed from its integers.
     gains = _rational_list(_field(witness, "net_gains", "gamma-witness"),
                            "gamma-witness.net_gains", rule.n, _lowest)
-    uniform = [Fraction(1, size)] * size
-    for i, (total, claimed) in enumerate(zip(net_gains(rule, expected, uniform), gains), 1):
+    uniform = Distribution.uniform(rule.n)
+    for i, (total, claimed) in enumerate(zip(net_gains(rule, expected, scale, uniform), gains), 1):
         _expect(claimed == total.as_integer_ratio(),
                 f"gamma-witness: net gain for individual {i} is wrong")
         _expect(claimed[0] <= 0, f"gamma-witness: individual {i} would gain from the rule")

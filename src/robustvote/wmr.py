@@ -14,14 +14,14 @@ weights of the oriented rule, which negates the votes the rule only ever
 opposes (decreasing but not increasing in them), negated back: a weight is
 positive only on an increasing vote, negative only on a decreasing one,
 and a vote the rule ignores may take either sign.
+Every answer is read off the integers of a core.Mixture (a certificate's
+weighting or the alternative's row side) and checked in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .certificates import (
     SIGN_CLASS_FREE,
@@ -41,7 +41,6 @@ from .core import (
     is_dictatorship,
     is_own_vote_monotone,
     negate_votes,
-    over_common_denominator,
     table_masks,
     table_rule,
     violation_sets,
@@ -76,19 +75,14 @@ class WmrQuery:
 _ROBUSTNESS_MODE = {TIES_FORBIDDEN: MODE_STRICT, TIES_ALLOWED: MODE_WEAK}
 
 
-def _smallest_integer_direction(ws: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """A nonzero vector scaled to coprime integers."""
-    ints, _ = over_common_denominator(ws)
-    g = gcd(*ints)
-    return tuple(Fraction(v // g) for v in ints)
-
-
-def _represented(rule: VotingRule, weights, query: WmrQuery) -> WeightVector | None:
-    """The weights scaled to the smallest integer direction, re-checked
-    against their sign class and every profile, or None when there are none."""
+def _represented(rule: VotingRule, weights: list[int] | None,
+                 query: WmrQuery) -> WeightVector | None:
+    """Integer weights divided by their gcd, re-checked against their sign
+    class and every profile, or None when there are none."""
     if weights is None:
         return None
-    cleared = _smallest_integer_direction(weights)
+    common = gcd(*weights) or 1
+    cleared = [w // common for w in weights]
     require(in_sign_class(cleared, query.sign_class)
             and weights_represent(rule, cleared, query.ties),
             "recovered weights fail re-verification")
@@ -99,9 +93,10 @@ def _certify(rule: VotingRule, ties: str):
     return certify_p_robust_full(rule, _ROBUSTNESS_MODE[ties])
 
 
-def _weights(rule: VotingRule, query: WmrQuery, certify=_certify):
-    """Unchecked weights answering the query, or None; certify(rule, ties)
-    gives the robustness certificate of the matching mode."""
+def _weights(rule: VotingRule, query: WmrQuery, certify=_certify) -> list[int] | None:
+    """Unchecked integer weights answering the query, or None, read off the
+    coprime integers of a weighting Mixture; certify(rule, ties) gives the
+    robustness certificate of the matching mode."""
     ties = query.ties
     if query.sign_class == SIGN_CLASS_FREE:
         # Opposed votes: decreasing (violating the negated table), not increasing.
@@ -109,20 +104,22 @@ def _weights(rule: VotingRule, query: WmrQuery, certify=_certify):
         violations = zip(violation_sets(n, t), violation_sets(n, table_masks(n).full ^ t))
         opposed = [i for i, (up, down) in enumerate(violations, start=1) if up and not down]
         oriented = table_rule(n, negate_votes(n, t, opposed)) if opposed else rule
-        ws = certify(oriented, ties).weights
-        return ws and tuple(-w if i in opposed else w for i, w in enumerate(ws, start=1))
+        side = certify(oriented, ties).weighting
+        return side and [-w if i in opposed else w for i, w in enumerate(side.numerators, 1)]
     if query.sign_class == SIGN_CLASS_NONNEGATIVE:
-        return certify(rule, ties).weights
+        side = certify(rule, ties).weighting
+        return side and side.numerators
     if ties == TIES_FORBIDDEN:
-        ws = certify(rule, ties).weights
-        return ws and tuple((rule.n + 1) * w + 1 for w in _smallest_integer_direction(ws))
-    return alternative_positive(degenerate_agreement_matrix(rule)).weights
+        side = certify(rule, ties).weighting
+        return side and [(rule.n + 1) * w + 1 for w in side.numerators]
+    side = alternative_positive(degenerate_agreement_matrix(rule)).row_side
+    return side and side.numerators
 
 
 def detect_wmr(rule: VotingRule, query: WmrQuery) -> WeightVector | None:
     """Recover a weight vector of the requested kind, or report none exists.
-    It is scaled to the smallest integer direction and re-checked against
-    its sign class and every profile before being returned."""
+    It is its smallest integer direction, re-checked against its sign class
+    and every profile before being returned."""
     return _represented(rule, _weights(rule, query), query)
 
 
@@ -134,7 +131,7 @@ def classify_rule(rule: VotingRule) -> dict:
     weights also prove weak robustness, so the weak LP runs only when
     neither they nor the screen settle it.
     """
-    positive = alternative_positive(degenerate_agreement_matrix(rule)).weights
+    positive = alternative_positive(degenerate_agreement_matrix(rule)).row_side
     certs = {TIES_FORBIDDEN: certify_p_robust_full(rule, MODE_STRICT),
              TIES_ALLOWED: certify_p_robust_full(rule, MODE_WEAK, positive)}
 
@@ -145,7 +142,8 @@ def classify_rule(rule: VotingRule) -> dict:
     for sign_class in SIGN_CLASSES:
         for ties in TIE_MODES:
             query = WmrQuery(sign_class, ties)
-            ws = (positive if (sign_class, ties) == (SIGN_CLASS_POSITIVE, TIES_ALLOWED)
+            ws = (positive and positive.numerators
+                  if (sign_class, ties) == (SIGN_CLASS_POSITIVE, TIES_ALLOWED)
                   else _weights(rule, query, certify))
             found = _represented(rule, ws, query)
             wmr_results[f"{sign_class}_{ties}"] = found.to_json() if found else None

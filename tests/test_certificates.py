@@ -49,21 +49,23 @@ else:
 """
 
 # The screen itself is replaced by one that claims bogus weights for ---+,
-# which is not robust in the strict sense.
+# which is not robust in the strict sense, in its contract of integer
+# weights over their total: (1, 1) over 2 fails a profile, and (1, 1) over
+# 3 is no distribution.
 STUBBED_SCREEN = """
-from fractions import Fraction
 from robustvote import robustness
 from robustvote.certificates import InternalError
 from robustvote.core import VotingRule
 
 assert False, "asserts must be stripped in this run"
-robustness._screen = lambda rule, mode: ((Fraction(1, 2), Fraction(1, 2)), None)
-try:
-    cert = robustness.certify_p_robust_full(VotingRule.from_table_string(2, "---+"))
-except InternalError:
-    print("internal error")
-else:
-    print(cert.verdict)
+for total in (2, 3):
+    robustness._screen = lambda rule, mode: ((1, 1), None, total)
+    try:
+        cert = robustness.certify_p_robust_full(VotingRule.from_table_string(2, "---+"))
+    except InternalError:
+        print("internal error")
+    else:
+        print(cert.verdict)
 """
 
 
@@ -140,7 +142,7 @@ def test_stubbed_solver_is_caught_under_optimize():
 
 
 def test_stubbed_screen_is_caught_under_optimize():
-    assert _run_optimized(STUBBED_SCREEN) == "internal error"
+    assert _run_optimized(STUBBED_SCREEN) == "internal error\ninternal error"
 
 
 def test_no_assert_in_the_package():

@@ -23,7 +23,7 @@ from robustvote import (
     weighted_majority_rule,
 )
 from robustvote.certificates import failed_column, net_gains, robustness_problem
-from robustvote.core import is_dictatorship, table_rule, vote_sums
+from robustvote.core import Mixture, is_dictatorship, table_rule, vote_sums
 from robustvote.efficiency import (
     EFFICIENCY_MODES,
     NoTransportError,
@@ -31,7 +31,7 @@ from robustvote.efficiency import (
     efficiency_verdict,
     transport_distribution,
 )
-from robustvote.gamma_mechanism import gamma_counterexample, gamma_utilities
+from robustvote.gamma_mechanism import gamma_counterexample, gamma_payoffs, gamma_utilities
 from robustvote.robustness import MODES
 
 from conftest import random_distribution
@@ -290,17 +290,23 @@ def test_net_gains_match_the_fraction_sums():
     rng = random.Random("net-gains")
     for rule in _dictatorless_rules():
         size = 2**rule.n
-        table = gamma_utilities(rule)
-        uniform = [F(1, size)] * size
-        reference = net_gains_by_fractions(rule, table, uniform)
-        assert net_gains(rule, table, uniform) == reference
+        utilities = gamma_utilities(rule)
+        payoffs, scale = gamma_payoffs(rule)
+        assert [[(F(hi, scale), F(lo, scale)) for hi, lo in row] for row in payoffs] == \
+            [list(row) for row in utilities]
+        reference = net_gains_by_fractions(rule, utilities, [F(1, size)] * size)
+        assert net_gains(rule, payoffs, scale, Distribution.uniform(rule.n)) == reference
         assert gamma_counterexample(rule).net_gains == reference
-        # Any payoffs and any mixture, not just the construction's.
-        table = [[(F(rng.randint(-5, 5), rng.randint(1, 9)), F(rng.randint(-5, 5), rng.randint(1, 9)))
-                  for _ in range(rule.n)] for _ in range(size)]
+        # Any integer payoffs over any scale and any mixture, not just the construction's.
+        scale = rng.randint(1, 9)
+        table = [[(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rule.n)]
+                 for _ in range(size)]
         shares = [rng.randint(0, 6) for _ in range(size)]
-        mixture = [F(v, sum(shares) or 1) for v in shares]
-        assert net_gains(rule, table, mixture) == net_gains_by_fractions(rule, table, mixture)
+        shares[rng.randrange(size)] += 1
+        mixture = Mixture.in_lowest_terms(shares, sum(shares))
+        fractions = [[(F(hi, scale), F(lo, scale)) for hi, lo in row] for row in table]
+        assert net_gains(rule, table, scale, mixture) == \
+            net_gains_by_fractions(rule, fractions, mixture.probs)
 
 
 def _transport_or_none(dist, rule, dominating):

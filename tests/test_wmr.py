@@ -29,7 +29,7 @@ from robustvote.respond import (
     SIGN_CLASS_POSITIVE,
 )
 from robustvote.robustness import MODE_WEAK
-from robustvote.wmr import TIES_ALLOWED, TIES_FORBIDDEN, _smallest_integer_direction
+from robustvote.wmr import TIES_ALLOWED, TIES_FORBIDDEN
 
 from oracles import wmr_exists_by_elimination
 
@@ -104,11 +104,11 @@ class TestDetectWmr:
         # off its two certificates except positive weights with ties, which
         # is the one system classify solves.
         rule = majority_rule(5)
-        weak = certify_p_robust_full(rule, MODE_WEAK).weights
+        weak = certify_p_robust_full(rule, MODE_WEAK).weighting
         query = WmrQuery(SIGN_CLASS_NONNEGATIVE, TIES_ALLOWED)
         found = detect_wmr(rule, query)
         assert solver_calls == []
-        assert found.weights == _smallest_integer_direction(weak) == (F(1),) * 5
+        assert found.weights == tuple(weak.numerators) == (F(1),) * 5
         report = classify_rule(rule)
         assert len(solver_calls) == 1
         assert report["wmr"]["nonnegative_allowed"] == found.to_json()
