@@ -17,13 +17,14 @@ Encoding conventions, used everywhere in this package:
 from __future__ import annotations
 
 import re
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import gcd, lcm
-from itertools import repeat
-from operator import mul
+from itertools import compress, repeat
+from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_INDIVIDUALS = 16
@@ -33,7 +34,7 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits only
 _BITS = str.maketrans("+-", "10")  # a profile or table string's characters as bits
 _SIGNS = str.maketrans("10", "+-")
 _UNSIGNED = str.maketrans("", "", "+-")  # a table string's other characters
-_OUTCOME = {"1": 1, "0": -1}.__getitem__
+_SIGNED = bytes.maketrans(b"01", b"\xff\x01")  # a table's bits as signed bytes -1 and +1
 
 
 class FormatError(ValueError):
@@ -110,16 +111,6 @@ def vote_in_profile(index: int, individual: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def sign_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row i-1 holds individual i's vote at every profile index, in index
-    order: every other module reads votes from here, never from the bits."""
-    _check_n(n)
-    return tuple(
-        tuple(vote_in_profile(idx, i) for idx in range(2**n)) for i in range(1, n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def profile_strings(n: int) -> tuple[str, ...]:
     """Every profile's string, in index order, built by doubling as
     vote_sums is: individual i, bit i-1, appends '-' then '+'."""
@@ -185,10 +176,11 @@ def sign_tables(weights: Sequence[int]) -> tuple[int, int]:
 
 
 def vote_leans(n: int, support: Sequence[int], masses: Sequence) -> list:
-    """sum_k masses[k] * x_i at profile support[k], for each individual i:
-    with masses p(x) * phi(x), individual i's lean toward agreeing with the
-    outcome, twice its responsiveness minus one, times p's scale."""
-    return [sum(map(mul, masses, map(votes.__getitem__, support))) for votes in sign_table(n)]
+    """sum_k masses[k] * x_i at profile support[k], for each individual i: twice
+    the mass on the atoms in i's plus mask (bit i-1 set), minus the total.  With
+    masses p(x) * phi(x), i's lean toward agreeing with the outcome, 2 r_i - 1, times p's scale."""
+    total = sum(masses)
+    return [2 * sum(compress(masses, map(and_, support, repeat(1 << i)))) - total for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -273,7 +265,7 @@ class VotingRule:
 
     @_cached
     def outcomes(self) -> tuple[int, ...]:
-        return tuple(map(_OUTCOME, f"{self.table:0{2 ** self.n}b}"[::-1]))
+        return tuple(array("b", f"{self.table:0{2 ** self.n}b}"[::-1].encode().translate(_SIGNED)))
 
     def outcome(self, profile: "DecisionProfile | int") -> int:
         return self.outcomes[_profile_index(self.n, profile)]
@@ -389,7 +381,7 @@ class Mixture:
     stored (and so constructed), compared and hashed as the ascending
     (index, numerator) pairs with no numerator zero, over the integer
     scale, in lowest terms.  The Fraction views, `support` pairs and the
-    dense tuple `probs`, are built only when first read."""
+    dense tuple `probs`, are built when read (`probs` anew each time)."""
 
     size: int
     masses: tuple[tuple[int, int], ...]
@@ -412,7 +404,7 @@ class Mixture:
         """The dense numerators over scale, zeros included."""
         return list(map(dict(self.masses).get, range(self.size), repeat(0)))
 
-    @_cached
+    @property
     def probs(self) -> tuple[Fraction, ...]:
         probs = [Fraction(0)] * self.size
         for k, m in self.masses:
@@ -428,6 +420,7 @@ class Distribution(Mixture):
     """
 
     n: int
+    probs = _cached(Mixture.probs.fget)  # kept: prob() and dense readers read it often
 
     def __init__(self, n: int, probs: Sequence[Fraction]) -> None:
         _check_n(n)
@@ -677,6 +670,20 @@ def table_rule(n: int, t: int) -> VotingRule:
     if not 0 <= t < 1 << 2**n:
         raise ValueError(f"table integer {t} out of range for n={n}")
     return VotingRule.__new__(VotingRule)._set(n, t)
+
+
+def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[list]:
+    """robustness.agreement_matrix over the 2^n point masses in profile order
+    (column x is phi(x) * x).  Row i-1 decodes i's agreement set full & ~(t ^
+    plus[i-1]) into ints; for a random rule t = full, and the row signs its outcomes."""
+    n, size = rule.n, 2 ** rule.n
+    full, plus = table_masks(n)[:2]
+    t = rule.table if isinstance(rule, VotingRule) else full
+    rows = sum((full & ~(t ^ p)) << k * size for k, p in enumerate(plus))  # decoded at once
+    signs = array("b", f"{rows:0{n * size}b}"[::-1].encode().translate(_SIGNED))
+    matrix = [signs[k:k + size].tolist() for k in range(0, n * size, size)]
+    return matrix if isinstance(rule, VotingRule) else [
+        [o if v > 0 else -o for o, v in zip(rule.outcomes, row)] for row in matrix]
 
 
 def lowest_bit(mask: int) -> int:

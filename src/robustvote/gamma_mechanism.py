@@ -24,7 +24,7 @@ from .core import (
     format_rational,
     is_dictatorship,
     is_own_vote_monotone,
-    sign_table,
+    profile_strings,
     table_rule,
 )
 from .respond import responsiveness
@@ -163,11 +163,11 @@ class GammaWitness:
 
 
 def _utility_table(rule: VotingRule, small, one, zero) -> tuple:
-    # The pair of each vote, in a state where the rule decides +1 or -1.
-    pairs = {1: {1: (small, zero), -1: (zero, one)},
-             -1: {1: (one, zero), -1: (zero, small)}}
+    # The pair of each vote in a profile string, where the rule decides + or -.
+    pairs = {"+": {"+": (small, zero), "-": (zero, one)},
+             "-": {"+": (one, zero), "-": (zero, small)}}
     return tuple(tuple(map(pairs[outcome].__getitem__, votes))
-                 for outcome, votes in zip(rule.outcomes, zip(*sign_table(rule.n))))
+                 for outcome, votes in zip(rule.to_table_string(), profile_strings(rule.n)))
 
 
 def gamma_utilities(

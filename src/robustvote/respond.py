@@ -31,7 +31,7 @@ from .core import (
     format_rational,
     is_anonymous,
     over_common_denominator,
-    sign_table,
+    profile_strings,
     sign_tables,
     table_rule,
     vote_leans,
@@ -102,7 +102,6 @@ def responsiveness(
     """Agreement probability of the outcome with each individual's vote."""
     if rule.n != dist.n:
         raise ValueError(f"rule has n={rule.n} but distribution has n={dist.n}")
-    deterministic = isinstance(rule, VotingRule)
     support, probs = zip(*dist.masses)
     outcomes, outcome_scale = over_common_denominator([rule.outcomes[idx] for idx in support])
     # p(x) phi(x) at each atom, as integers over scale; outcome_scale is 1
@@ -110,9 +109,10 @@ def responsiveness(
     weighted = list(map(mul, probs, outcomes))
     scale = dist.scale * outcome_scale
     leans = vote_leans(rule.n, support, weighted)
-    if deterministic:
-        for row, lean in zip(sign_table(rule.n), leans):
-            mass = sum(compress(probs, map(eq, outcomes, map(row.__getitem__, support))))
+    if isinstance(rule, VotingRule):  # the mass where i's vote in the profile string is the outcome
+        decided = list(map({1: "+", -1: "-"}.__getitem__, outcomes))
+        for lean, votes in zip(leans, zip(*map(profile_strings(rule.n).__getitem__, support))):
+            mass = sum(compress(probs, map(eq, decided, votes)))
             require(2 * mass == lean + scale, "agreement mass and expectation identity disagree")
     return ResponsivenessVector(tuple(Fraction(lean + scale, 2 * scale) for lean in leans))
 

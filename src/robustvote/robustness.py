@@ -39,15 +39,14 @@ from .core import (
     Distribution,
     DistributionSet,
     Mixture,
-    RandomVotingRule,
     VotingRule,
     _checked_permutation,
     _permuted,
+    degenerate_agreement_matrix,
     format_rational,
     is_anonymous,
     lowest_bit,
     nonzero_masses,
-    sign_table,
     table_masks,
     twin_set,
     violation_sets,
@@ -72,8 +71,8 @@ class RobustnessCertificate:
     refutation is a mixture over the extreme points under whose blend no
     individual clears one half.  Exactly one is present, stored, compared
     and hashed as a core.Mixture (`weighting` or `refutation`); the dense
-    tuples `weights` and `mixture` are built on first read, as
-    Distribution.probs is, and `support` and `scale` read the refutation.
+    tuples `weights` and `mixture` are built on each read and not kept,
+    and `support` and `scale` read the refutation.
     """
 
     verdict: str
@@ -120,10 +119,9 @@ class RobustnessCertificate:
 
     def to_json(self) -> dict:
         payload: dict = {"verdict": self.verdict, "mode": self.mode}
-        if self.weights is not None:
-            payload["weights"] = [format_rational(w) for w in self.weights]
-        if self.mixture is not None:
-            payload["mixture"] = [format_rational(m) for m in self.mixture]
+        for key, side in (("weights", self.weighting), ("mixture", self.refutation)):
+            if side is not None:
+                payload[key] = [format_rational(v) for v in side.probs]
         return payload
 
 
@@ -141,16 +139,6 @@ def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[int |
         dots = vote_leans(rule.n, support, [m * rule.outcomes[idx] for idx, m in dist.masses])
         columns.append(dots if dist.scale == 1 else [Fraction(dot, dist.scale) for dot in dots])
     return [list(row) for row in zip(*columns)]
-
-
-def degenerate_agreement_matrix(rule: VotingRule | RandomVotingRule) -> list[list[int | Fraction]]:
-    """agreement_matrix over the 2^n point masses, in profile order, built
-    straight off the table: the column for profile x is phi(x) * x.  Entries
-    keep the outcomes' type, so a deterministic rule's matrix is integer."""
-    return [
-        [outcome * vote for outcome, vote in zip(rule.outcomes, votes)]
-        for votes in sign_table(rule.n)
-    ]
 
 
 def extreme_supports(rule, pset: DistributionSet):

@@ -24,6 +24,7 @@ certificate-only audit can give.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .certificates import (
@@ -494,9 +495,12 @@ def _check_gamma(report: dict) -> None:
     _expect(isinstance(raw, list) and len(raw) == size,
             "gamma-witness: utility table has the wrong height")
     n = rule.n
-    shaped = [isinstance(row, list) and len(row) == n
-              and all(isinstance(pair, list) and len(pair) == 2 for pair in row) for row in raw]
-    rows = shaped.index(False) if False in shaped else size
+    # C-level passes over the rows and their pairs; the scan names a bad row.
+    pairs = list(chain.from_iterable(raw)) if all(map(list.__instancecheck__, raw)) else [0]
+    shaped = all(map(list.__instancecheck__, pairs)) and (
+        {*map(len, raw)}, {*map(len, pairs)}) == ({n}, {2})
+    rows = size if shaped else [isinstance(row, list) and len(row) == n and all(
+        isinstance(pair, list) and len(pair) == 2 for pair in row) for row in raw].index(False)
     # Every entry above the first malformed row is read, in lowest terms,
     # before that row or a mismatch is reported, so a malformed entry is
     # named wherever it sits.

@@ -428,3 +428,9 @@ def transport_by_atoms(dist, rule, dominating) -> dict[int, Fraction] | None:
     if not total:
         return None
     return {idx: mass / total for idx, mass in raw.items() if mass}
+
+
+def dense_sign_table(n: int) -> list[list[int]]:
+    """Row i-1 holds individual i's vote (+1 or -1) at every profile index,
+    in index order, read off the profile bits one at a time."""
+    return [[1 if idx >> i & 1 else -1 for idx in range(2**n)] for i in range(n)]

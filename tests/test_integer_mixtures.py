@@ -83,11 +83,15 @@ def test_the_fraction_views_are_built_on_first_read():
     assert "support" in vars(dist) and "probs" not in vars(dist)
     assert dist.probs == (F(2, 3), F(1, 3), 0, 0)
     assert dist.support is dist.support and dist.probs is dist.probs
-    # The dense view is built off the masses: reading it caches no support.
+    # A refutation's dense view is built off the masses on each read and
+    # kept by neither the certificate nor its Mixture, and caches no support.
     refutation = certify_p_robust_full(VotingRule.from_table_string(2, "+--+"), MODE_STRICT)
     assert refutation.verdict == VERDICT_NOT_ROBUST and sum(refutation.mixture) == 1
-    assert "probs" in vars(refutation.refutation)
+    assert refutation.mixture == refutation.mixture and refutation.mixture is not refutation.mixture
+    assert "probs" not in vars(refutation.refutation)
     assert "support" not in vars(refutation.refutation)
+    robust = certify_p_robust_full(VotingRule.from_table_string(1, "-+"), MODE_STRICT)
+    assert robust.weights == (1,) and "probs" not in vars(robust.weighting)
 
 
 @pytest.mark.parametrize(("atoms", "message"), [

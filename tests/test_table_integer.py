@@ -25,13 +25,13 @@ from robustvote.core import (
     own_vote_violations,
     parity_rule,
     set_bits,
-    sign_table,
     supermajority_rule,
     table_integer,
     table_masks,
     table_rule,
     twin_set,
     unanimity_rule,
+    vote_in_profile,
     weighted_majority_rule,
 )
 
@@ -161,7 +161,8 @@ def test_masks_come_from_the_sign_table(n):
     masks = table_masks(n)
     assert masks is table_masks(n)
     assert masks.full == (1 << 2**n) - 1
-    assert masks.plus == tuple(table_integer(row) for row in sign_table(n))
+    assert masks.plus == tuple(table_integer([vote_in_profile(idx, i) for idx in range(2**n)])
+                               for i in range(1, n + 1))
     assert masks.steps == tuple((plus, 2**i) for i, plus in enumerate(masks.plus))
     assert sum(masks.counts) == masks.full
     for c, members in enumerate(masks.counts):
