@@ -25,19 +25,27 @@ by core.vote_leans, the sums responsiveness takes.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from typing import Sequence
 
 from .core import (VotingRule, combine_rows, lowest_bit, over_common_denominator, sign_tables,
                    table_masks, vote_leans, vote_sums)
 
 # The vocabulary checked here: the two relations of a cone row g.z >= 0 or
-# g.z > 0 over z >= 0, which lp re-exports, and the tie modes and sign
-# classes of a representation, which wmr and respond re-export.
+# g.z > 0 over z >= 0, which lp re-exports, the tie modes and sign classes
+# of a representation, which wmr and respond re-export, and the modes and
+# verdicts of a robustness certificate, which robustness re-exports.
 REL_GE = ">="
 REL_GT = ">"
+
+MODE_STRICT = "strict"
+MODE_WEAK = "weak"
+MODES = (MODE_STRICT, MODE_WEAK)
+
+VERDICT_ROBUST = "robust"
+VERDICT_NOT_ROBUST = "not_robust"
 
 TIES_ALLOWED = "allowed"
 TIES_FORBIDDEN = "forbidden"
@@ -109,6 +117,17 @@ def _first_failure(sums, bound, strict: bool) -> int | None:
     least bound, or None."""
     holds = list(map(_HOLDS[REL_GT if strict else REL_GE], sums, repeat(bound)))
     return holds.index(False) if False in holds else None
+
+
+def extreme_supports(rule, pset):
+    """The points of robustness_problem for a core.DistributionSet: None for
+    the 2^n point masses in profile order, else each extreme point's support."""
+    if rule.n != pset.n:
+        raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
+    if len(pset) == 2**rule.n and all(
+            dist.masses == ((k, 1),) for k, dist in enumerate(pset.extreme_points)):
+        return None
+    return [dist.support for dist in pset.extreme_points]
 
 
 def robustness_problem(rule, strict: bool, weights=None, mixture=None,

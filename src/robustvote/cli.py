@@ -28,13 +28,17 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .certificates import (
+    MODE_STRICT,
+    MODE_WEAK,
     SIGN_CLASS_FREE,
     SIGN_CLASS_NONNEGATIVE,
     SIGN_CLASS_POSITIVE,
     TIES_ALLOWED,
     TIES_FORBIDDEN,
+    VERDICT_ROBUST,
     InternalError,
 )
 from .core import (
@@ -52,18 +56,10 @@ from .core import (
     rational_list,
     table_rule,
 )
-from .robustness import (
-    MODE_STRICT,
-    MODE_WEAK,
-    VERDICT_ROBUST,
-    certify_p_robust,
-    certify_p_robust_full,
-    survives_strict_screen,
-)
-from .verification import SCHEMA, verify_report
+from .verification import CERTIFIED_PREDICATES, SCHEMA, verify_report
 
-# The other analysis modules are imported by the handlers that use them, so a
-# process loads only what its subcommand needs.
+# The analysis modules are imported by the handlers that use them, so a
+# process loads only what its subcommand needs: `verify` never solves.
 
 _TABLE_RE = re.compile(r"[+-]+")
 
@@ -81,15 +77,8 @@ _TIE_ALIASES = {
 }
 
 
-def _robust(n: int, t: int, mode: str) -> bool:
-    return certify_p_robust_full(table_rule(n, t), mode).verdict == VERDICT_ROBUST
-
-
-# Tests of a table integer t on n individuals. `robust` certifies only the
-# tables that escape the strict screen's refutations, checked on the integer.
-PREDICATES = dict(STRUCTURAL_PREDICATES)
-PREDICATES["robust"] = lambda n, t: survives_strict_screen(n, t) and _robust(n, t, MODE_STRICT)
-PREDICATES["weakly_robust"] = lambda n, t: _robust(n, t, MODE_WEAK)
+# `enumerate`'s predicates: core's structural tests and robustness.is_robust_table.
+PREDICATES = sorted([*STRUCTURAL_PREDICATES, *CERTIFIED_PREDICATES])
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +87,16 @@ PREDICATES["weakly_robust"] = lambda n, t: _robust(n, t, MODE_WEAK)
 
 def _read_json(path: str, what: str):
     try:
-        if path == "-":
-            return json.load(sys.stdin)
+        if path == "-":  # as bytes: a text stdin may let undecodable bytes through
+            return json.loads(sys.stdin.buffer.read().decode("utf-8"))
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise FormatError(f"{what}: cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: {path!r} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what}: {path!r} is not UTF-8 text: {exc}") from exc
 
 
 def _load_any_rule(value: str, what: str) -> VotingRule | RandomVotingRule:
@@ -188,6 +179,8 @@ def _cmd_classify(args):
 
 
 def _cmd_certify(args):
+    from .robustness import certify_p_robust
+
     rule = _load_deterministic(args.rule, "rule")
     pset = _load_pset(args.pset, "pset", rule.n)
     mode = MODE_WEAK if args.weak else MODE_STRICT
@@ -362,7 +355,7 @@ def _cmd_random_dominate(args):
 def _cmd_enumerate(args):
     if args.predicate not in PREDICATES:
         raise FormatError(
-            f"predicate: expected one of {sorted(PREDICATES)}, got {args.predicate!r}"
+            f"predicate: expected one of {PREDICATES}, got {args.predicate!r}"
         )
     n = args.n
     if not 1 <= n <= MAX_ENUMERATION_INDIVIDUALS:
@@ -370,8 +363,13 @@ def _cmd_enumerate(args):
             f"n: exhaustive enumeration is limited to 1 <= n <= {MAX_ENUMERATION_INDIVIDUALS}"
         )
     total = 2 ** (2**n)
+    test = STRUCTURAL_PREDICATES.get(args.predicate)
+    if test is None:
+        from .robustness import is_robust_table
+        test = partial(is_robust_table,
+                       mode=MODE_STRICT if args.predicate == "robust" else MODE_WEAK)
     matches = (monotone_tables(n) if args.predicate == "monotone"  # built, not searched
-               else enumerate_tables(n, PREDICATES[args.predicate]))
+               else enumerate_tables(n, test))
     tables = [table_rule(n, t).to_table_string() for t in matches]
     inputs = {"n": n, "predicate": args.predicate}
     payload: dict = {"count": len(tables)}
@@ -512,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("enumerate", _cmd_enumerate, "enumerate rules satisfying a predicate")
     cmd.add_argument("--n", type=int, required=True, help="number of individuals")
     cmd.add_argument("--predicate", default="all",
-                     help="one of " + ", ".join(sorted(PREDICATES)))
+                     help="one of " + ", ".join(PREDICATES))
     cmd.add_argument("--count", action="store_true",
                      help="emit the count only, omitting the table list")
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 import re
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import gcd, lcm
 from itertools import compress, repeat
-from operator import and_
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import and_, attrgetter
 
 MAX_INDIVIDUALS = 16
 MAX_ENUMERATION_INDIVIDUALS = 4
@@ -86,6 +85,57 @@ class _cached(cached_property):
             return self
         value = obj.__dict__[self.attrname] = self.func(obj)
         return value
+
+
+class Frozen:
+    """A value set once by its constructor and read-only after, the base of
+    every record class here.  A subclass lists its fields in _fields and
+    stores them through _set, past __setattr__, which refuses; one whose
+    fields need no check takes them positionally.  Equality (within one
+    class) and the hash read the fields in _compared, all unless the class
+    names fewer, through one attrgetter; repr and pickles read every field."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*vars(cls).get("_compared", cls._fields))
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {self._fields}, got {values!r}")
+        self._set(*values)
+
+    def _set(self, *values) -> "Frozen":
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), *(getattr(self, name) for name in self._fields))
+
+
+def _rebuilt(cls, *values) -> Frozen:  # an unpickled Frozen value
+    return cls.__new__(cls)._set(*values)
 
 
 def _check_n(n: int) -> None:
@@ -183,16 +233,15 @@ def vote_leans(n: int, support: Sequence[int], masses: Sequence) -> list:
     return [2 * sum(compress(masses, map(and_, support, repeat(1 << i)))) - total for i in range(n)]
 
 
-@dataclass(frozen=True)
-class DecisionProfile:
+class DecisionProfile(Frozen):
     """One joint vote: n individuals, each voting +1 or -1."""
 
-    n: int
-    index: int
+    _fields = ("n", "index")
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        _profile_index(self.n, self.index)
+    def __init__(self, n: int, index: int) -> None:
+        _check_n(n)
+        _profile_index(n, index)
+        self._set(n, index)
 
     def vote(self, individual: int) -> int:
         if not 1 <= individual <= self.n:
@@ -231,8 +280,7 @@ def all_profiles(n: int) -> Iterator[DecisionProfile]:
         yield DecisionProfile(n, index)
 
 
-@dataclass(frozen=True, init=False)
-class VotingRule:
+class VotingRule(Frozen):
     """Deterministic rule: one +1/-1 outcome per profile.
 
     Stored, compared, hashed and pickled as n and its table integer: bit k
@@ -242,8 +290,7 @@ class VotingRule:
     was given.
     """
 
-    n: int
-    table: int
+    _fields = ("n", "table")
 
     def __init__(self, n: int, outcomes: Sequence[int]) -> None:
         _check_n(n)
@@ -255,7 +302,7 @@ class VotingRule:
         object.__setattr__(self, "outcomes", tuple(outcomes))
 
     def _set(self, n: int, table: int) -> "VotingRule":
-        # Frozen: set once, past __setattr__, by every constructor.
+        # Frozen._set, unrolled: every constructor stores through it.
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
         return self
@@ -298,28 +345,25 @@ class VotingRule:
         return cls.from_table_string(n, data["table"])
 
 
-@dataclass(frozen=True)
-class RandomVotingRule:
+class RandomVotingRule(Frozen):
     """Random rule: one expected outcome in [-1, 1] per profile.
 
     outcomes[k] is the expected outcome at profile index k, an exact
     rational. A deterministic rule embeds as outcomes in {-1, +1}.
     """
 
-    n: int
-    outcomes: tuple[Fraction, ...]
+    _fields = ("n", "outcomes")
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        if len(self.outcomes) != 2 ** self.n:
-            raise ValueError(
-                f"rule needs {2 ** self.n} outcomes for n={self.n}, got {len(self.outcomes)}"
-            )
-        outcomes = tuple(v if type(v) is Fraction else Fraction(v) for v in self.outcomes)
-        object.__setattr__(self, "outcomes", outcomes)
+    def __init__(self, n: int, outcomes: Sequence[Fraction]) -> None:
+        _check_n(n)
+        if len(outcomes) != 2 ** n:
+            raise ValueError(f"rule needs {2 ** n} outcomes for n={n}, got {len(outcomes)}")
+        outcomes = tuple(v if type(v) is Fraction else Fraction(v) for v in outcomes)
         numerators, scale = over_common_denominator(outcomes)
         if max(map(abs, numerators)) > scale:
             raise ValueError("random rule outcomes must lie in [-1, 1]")
+        object.__setattr__(self, "n", n)  # as _set, unrolled: a verify builds one per witness
+        object.__setattr__(self, "outcomes", outcomes)
 
     def outcome(self, profile: "DecisionProfile | int") -> Fraction:
         return self.outcomes[_profile_index(self.n, profile)]
@@ -374,8 +418,7 @@ def nonzero_masses(values) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple(zip(points, masses)), scale
 
 
-@dataclass(frozen=True)
-class Mixture:
+class Mixture(Frozen):
     """Exact masses on the indices 0..size-1, as a Distribution over the
     profiles and a robustness refutation over extreme points both are:
     stored (and so constructed), compared and hashed as the ascending
@@ -383,9 +426,13 @@ class Mixture:
     scale, in lowest terms.  The Fraction views, `support` pairs and the
     dense tuple `probs`, are built when read (`probs` anew each time)."""
 
-    size: int
-    masses: tuple[tuple[int, int], ...]
-    scale: int
+    _fields = ("size", "masses", "scale")
+
+    def __init__(self, size: int, masses: tuple[tuple[int, int], ...], scale: int) -> None:
+        put = object.__setattr__  # as _set, unrolled: one is built on every solve
+        put(self, "size", size)
+        put(self, "masses", masses)
+        put(self, "scale", scale)
 
     @classmethod
     def in_lowest_terms(cls, numerators: Sequence[int], scale: int) -> "Mixture":
@@ -412,14 +459,13 @@ class Mixture:
         return tuple(probs)
 
 
-@dataclass(frozen=True, init=False)
 class Distribution(Mixture):
     """Probability distribution over the 2**n profiles, exact rationals: a
     Mixture over size = 2**n indices whose numerators sum to scale, with
     its n.  Every constructor validates through _set_support.
     """
 
-    n: int
+    _fields = Mixture._fields + ("n",)
     probs = _cached(Mixture.probs.fget)  # kept: prob() and dense readers read it often
 
     def __init__(self, n: int, probs: Sequence[Fraction]) -> None:
@@ -531,24 +577,22 @@ class Distribution(Mixture):
             raise FormatError(f"atoms: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DistributionSet:
+class DistributionSet(Frozen):
     """Finitely many extreme points; the modeled set is their convex hull.
 
     Duplicate extreme points are accepted and canonically removed, keeping
     first-occurrence order.
     """
 
-    n: int
-    extreme_points: tuple[Distribution, ...]
+    _fields = ("n", "extreme_points")
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        if not self.extreme_points:
+    def __init__(self, n: int, extreme_points: tuple[Distribution, ...]) -> None:
+        _check_n(n)
+        if not extreme_points:
             raise ValueError("a distribution set needs at least one extreme point")
-        if any(dist.n != self.n for dist in self.extreme_points):
+        if any(dist.n != n for dist in extreme_points):
             raise ValueError("all extreme points must share the set's n")
-        object.__setattr__(self, "extreme_points", tuple(dict.fromkeys(self.extreme_points)))
+        self._set(n, tuple(dict.fromkeys(extreme_points)))
 
     def __len__(self) -> int:
         return len(self.extreme_points)

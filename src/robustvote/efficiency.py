@@ -12,26 +12,20 @@ t_x = lam_x / p_x, scaled into the box t <= 2: a dominating random rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import improves, require
+from .certificates import MODE_STRICT, MODE_WEAK, improves, require
 from .core import (
     Distribution,
     DistributionSet,
+    Frozen,
     RandomVotingRule,
     VotingRule,
+    degenerate_agreement_matrix,
     format_rational,
     over_common_denominator,
 )
 from .respond import responsiveness
-from .robustness import (
-    MODE_STRICT,
-    MODE_WEAK,
-    certify_p_robust,
-    certify_p_robust_full,
-    degenerate_agreement_matrix,
-)
 
 REL_EQUAL = "equal"
 REL_STRICTLY_PREFERRED = "strictly_preferred"
@@ -50,8 +44,7 @@ class NoTransportError(ValueError):
     """The two rules agree almost everywhere, so no mass can be moved."""
 
 
-@dataclass(frozen=True)
-class ParetoVerdict:
+class ParetoVerdict(Frozen):
     """Componentwise comparison of two responsiveness vectors.
 
     deltas are first minus second.  relation is the strongest applicable
@@ -59,9 +52,7 @@ class ParetoVerdict:
     strictly_preferred and is never emitted.
     """
 
-    relation: str
-    direction: str
-    deltas: tuple[Fraction, ...]
+    _fields = ("relation", "direction", "deltas")
 
     def to_json(self) -> dict:
         return {
@@ -119,6 +110,8 @@ def efficiency_verdict(
     efficiency is weak robustness over the point masses of supp(p)
     (Gordan); plain efficiency is positive weights (Stiemke).
     """
+    from .robustness import certify_p_robust, certify_p_robust_full  # `verify` never solves
+
     if mode not in EFFICIENCY_MODES:
         raise ValueError(f"unknown efficiency mode {mode!r}")
     if rule.n != dist.n:
@@ -138,7 +131,7 @@ def efficiency_verdict(
         points = tuple(Distribution.degenerate(rule.n, idx) for idx, _ in support)
         against = certify_p_robust(rule, DistributionSet(rule.n, points), MODE_WEAK).refutation
     else:
-        from .lp import alternative_positive  # `verify` never solves
+        from .lp import alternative_positive
 
         columns = [[row[idx] for idx, _ in support] for row in degenerate_agreement_matrix(rule)]
         against = alternative_positive(columns).column_side

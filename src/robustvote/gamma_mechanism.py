@@ -12,13 +12,13 @@ gain from the rule over its inverse.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import net_gains, require
 from .core import (
     Distribution,
     DistributionSet,
+    Frozen,
     VotingRule,
     enumerate_tables,
     format_rational,
@@ -28,22 +28,14 @@ from .core import (
     table_rule,
 )
 from .respond import responsiveness
-from .robustness import (
-    MODE_STRICT,
-    VERDICT_ROBUST,
-    certify_p_robust_full,
-    responsiveness_game,
-    survives_strict_screen,
-)
 
 MAX_THRESHOLD_N = 4
 
 
-@dataclass(frozen=True, order=False)
-class ExtendedRational:
+class ExtendedRational(Frozen):
     """A rational or positive infinity; infinity compares above everything."""
 
-    value: Fraction | None = None
+    _fields = ("value",)
 
     @classmethod
     def finite(cls, value: Fraction) -> "ExtendedRational":
@@ -106,17 +98,16 @@ def epsilon_lower_witness(n: int):
     game value without repeating the search. Ties go to the rule that
     enumerates first.
     """
+    from .robustness import is_robust_table, responsiveness_game  # `verify` never solves
+
     if not 1 <= n <= MAX_THRESHOLD_N:
         raise ValueError(f"threshold enumeration is limited to 1 <= n <= {MAX_THRESHOLD_N}")
     degenerates = DistributionSet.degenerates(n)
     best: ExtendedRational | None = None
     binding = None
     binding_game = None
-    # Robust rules are monotone and self-dual; screen on the table first.
-    for t in enumerate_tables(n, survives_strict_screen):
+    for t in enumerate_tables(n, is_robust_table):
         rule = table_rule(n, t)
-        if certify_p_robust_full(rule, MODE_STRICT).verdict != VERDICT_ROBUST:
-            continue
         game = responsiveness_game(rule, degenerates)
         level = gain_ratio(game.value)
         if best is None or level < best:
@@ -135,8 +126,7 @@ def epsilon_upper(n: int) -> Fraction:
     return Fraction(2**n - 2)
 
 
-@dataclass(frozen=True)
-class GammaWitness:
+class GammaWitness(Frozen):
     """Utility table showing a dictatorless rule is beatable by its inverse.
 
     utilities[x][i] is the pair (payoff if the decision is +1, payoff if
@@ -145,10 +135,7 @@ class GammaWitness:
     its inverse; every entry is nonpositive.
     """
 
-    n: int
-    utilities: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-    mixture: tuple[Fraction, ...]
-    net_gains: tuple[Fraction, ...]
+    _fields = ("n", "utilities", "mixture", "net_gains")
 
     def to_json(self) -> dict:
         return {

@@ -33,10 +33,9 @@ widest entry), which take no part in equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .certificates import (
     REL_GE,
@@ -47,7 +46,7 @@ from .certificates import (
     require,
     satisfies,
 )
-from .core import Mixture, over_common_denominator
+from .core import Frozen, Mixture, over_common_denominator
 
 _RELATIONS = (REL_GE, REL_GT)
 _EXACT = {int, Fraction}
@@ -63,67 +62,53 @@ def _rationals(values) -> tuple[int | Fraction, ...]:
     return tuple(v if type(v) is int else Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class LinearRow:
+class LinearRow(Frozen):
     """One row g.z >= 0 or g.z > 0 of a homogeneous cone."""
 
-    coeffs: tuple[int | Fraction, ...]
-    relation: str
+    _fields = ("coeffs", "relation")
 
-    def __post_init__(self) -> None:
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "coeffs", _rationals(self.coeffs))
+    def __init__(self, coeffs: Sequence[int | Fraction], relation: str) -> None:
+        if relation not in _RELATIONS:
+            raise ValueError(f"relation must be one of {_RELATIONS}, got {relation!r}")
+        self._set(_rationals(coeffs), relation)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Frozen):
     """A homogeneous cone: rows over num_vars variables z >= 0."""
 
-    num_vars: int
-    rows: tuple[LinearRow, ...]
+    _fields = ("num_vars", "rows")
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, rows: tuple[LinearRow, ...]) -> None:
+        if num_vars < 1:
             raise ValueError("a system needs at least one variable")
-        for row in self.rows:
-            if len(row.coeffs) != self.num_vars:
+        for row in rows:
+            if len(row.coeffs) != num_vars:
                 raise ValueError("row length does not match the variable count")
+        self._set(num_vars, rows)
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(Frozen):
     """What the simplex did for one answer: the final tableau's shape, its
     pivots, and the widest integer the tableau held at the end, in bits."""
 
-    rows: int
-    columns: int
-    pivots: int
-    max_bits: int
+    _fields = ("rows", "columns", "pivots", "max_bits")
 
 
-@dataclass(frozen=True, init=False)
-class FeasibilityResult:
+class FeasibilityResult(Frozen):
     """Outcome of a feasibility query. Exactly one of witness and
     certificate is set, as rationals or as integers over the positive scale
     given; it is stored, compared and hashed as `numerators` over `scale` in
     lowest terms, and its tuple is built when read.  stats are not part of
     the answer."""
 
-    feasible: bool
-    numerators: tuple[int, ...]
-    scale: int
-    stats: SolveStats | None = field(default=None, compare=False)
+    _fields = ("feasible", "numerators", "scale", "stats")
+    _compared = _fields[:3]
 
     def __init__(self, feasible: bool, witness, certificate, stats=None, scale: int = 1) -> None:
         numerators, den = over_common_denominator(witness if feasible else certificate)
         den *= scale
         common = gcd(den, *numerators)
-        put = object.__setattr__
-        put(self, "feasible", feasible)
-        put(self, "numerators", tuple(v // common for v in numerators))
-        put(self, "scale", den // common)
-        put(self, "stats", stats)
+        self._set(feasible, tuple(v // common for v in numerators), den // common, stats)
 
     @property
     def witness(self) -> tuple[Fraction, ...] | None:
@@ -330,8 +315,7 @@ def _add_slack_row(tab: _Tableau, coeffs: dict[int, int | Fraction], b: int) -> 
 # Theorems of the alternative
 
 
-@dataclass(frozen=True, init=False)
-class AlternativeResult:
+class AlternativeResult(Frozen):
     """Exactly one of the two mutually exclusive sides.
 
     weights: the combining vector over matrix rows (normalized to sum 1).
@@ -341,12 +325,11 @@ class AlternativeResult:
     `column_side`, coprime integers over their total, read on demand.
     """
 
-    row_side: Mixture | None
-    column_side: Mixture | None
+    _fields = ("row_side", "column_side")
 
     def __init__(self, weights, mixture) -> None:
-        object.__setattr__(self, "row_side", None if weights is None else _normalized(weights))
-        object.__setattr__(self, "column_side", None if mixture is None else _normalized(mixture))
+        self._set(None if weights is None else _normalized(weights),
+                  None if mixture is None else _normalized(mixture))
 
     @property
     def weights(self) -> tuple[Fraction, ...] | None:
@@ -433,8 +416,7 @@ def alternative_positive(matrix: Sequence[Sequence[Fraction]]) -> AlternativeRes
 # Matrix games
 
 
-@dataclass(frozen=True)
-class GameSolution:
+class GameSolution(Frozen):
     """Exact value and optimal mixed strategies of a zero-sum matrix game.
 
     The row player picks row_strategy (sum 1, nonnegative) to maximize, the
@@ -442,10 +424,8 @@ class GameSolution:
     row_strategy^T A >= value >= A col_strategy holds componentwise.
     """
 
-    value: Fraction
-    row_strategy: tuple[Fraction, ...]
-    col_strategy: tuple[Fraction, ...]
-    stats: SolveStats | None = field(default=None, compare=False)
+    _fields = ("value", "row_strategy", "col_strategy", "stats")
+    _compared = _fields[:3]
 
 
 def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:

@@ -9,11 +9,10 @@ computed for deterministic inputs and must coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
 from operator import eq, mul
-from typing import Sequence
 
 from .certificates import (
     SIGN_CLASS_FREE,
@@ -26,6 +25,7 @@ from .certificates import (
 )
 from .core import (
     Distribution,
+    Frozen,
     RandomVotingRule,
     VotingRule,
     format_rational,
@@ -38,18 +38,17 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ResponsivenessVector:
+class ResponsivenessVector(Frozen):
     """Per-individual agreement probabilities, exact rationals in [0, 1]."""
 
-    values: tuple[Fraction, ...]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: Sequence[Fraction]) -> None:
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         for i, v in enumerate(vals, start=1):
             if not 0 <= v <= 1:
                 raise ValueError(f"responsiveness of individual {i} is {v}, outside [0, 1]")
+        object.__setattr__(self, "values", vals)  # as _set, unrolled: built per responsiveness
 
     @property
     def n(self) -> int:
@@ -70,20 +69,19 @@ class ResponsivenessVector:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """A weight per individual together with its declared sign class."""
 
-    weights: tuple[Fraction, ...]
-    sign_class: str = SIGN_CLASS_FREE
+    _fields = ("weights", "sign_class")
 
-    def __post_init__(self) -> None:
+    def __init__(self, weights: Sequence[Fraction], sign_class: str = SIGN_CLASS_FREE) -> None:
         # Checked as given (a producer's ints compare fast), then made Fractions.
-        ws = tuple(self.weights)
-        if not in_sign_class(ws, self.sign_class):
-            raise ValueError(f"weights are all zero or leave the {self.sign_class} sign class")
-        object.__setattr__(self, "weights", tuple(
+        ws = tuple(weights)
+        if not in_sign_class(ws, sign_class):
+            raise ValueError(f"weights are all zero or leave the {sign_class} sign class")
+        object.__setattr__(self, "weights", tuple(  # as _set, unrolled: built per detect_wmr
             w if type(w) is Fraction else Fraction(w) for w in ws))
+        object.__setattr__(self, "sign_class", sign_class)
 
     @property
     def n(self) -> int:

@@ -29,15 +29,15 @@ integers over their total.  The dense Fraction tuples are built on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .certificates import failed_extreme_point, require, robustness_problem
+from .certificates import (MODE_STRICT, MODE_WEAK, MODES, VERDICT_NOT_ROBUST, VERDICT_ROBUST,
+                           extreme_supports, failed_extreme_point, require, robustness_problem)
 from .core import (
-    STRUCTURAL_PREDICATES,
     Distribution,
     DistributionSet,
+    Frozen,
     Mixture,
     VotingRule,
     _checked_permutation,
@@ -48,22 +48,15 @@ from .core import (
     lowest_bit,
     nonzero_masses,
     table_masks,
+    table_rule,
     twin_set,
     violation_sets,
     vote_in_profile,
     vote_leans,
 )
 
-MODE_STRICT = "strict"
-MODE_WEAK = "weak"
-MODES = (MODE_STRICT, MODE_WEAK)
 
-VERDICT_ROBUST = "robust"
-VERDICT_NOT_ROBUST = "not_robust"
-
-
-@dataclass(frozen=True, init=False, slots=True)
-class RobustnessCertificate:
+class RobustnessCertificate(Frozen):
     """A verdict together with the vector that proves it.
 
     weights is a nonnegative sum-one vector over individuals whose weighted
@@ -75,10 +68,7 @@ class RobustnessCertificate:
     and `support` and `scale` read the refutation.
     """
 
-    verdict: str
-    mode: str
-    weighting: Mixture | None
-    refutation: Mixture | None
+    __slots__ = _fields = ("verdict", "mode", "weighting", "refutation")
 
     def __init__(self, verdict: str, mode: str, weights=None, mixture=None) -> None:
         if verdict not in (VERDICT_ROBUST, VERDICT_NOT_ROBUST):
@@ -91,15 +81,16 @@ class RobustnessCertificate:
             raise ValueError("verdict does not match the certificate kind")
         vector = mixture if weights is None else weights
         stored = Mixture(len(vector), *nonzero_masses(vector))
-        self._set(mode, *((None, stored) if weights is None else (stored, None)))
+        self._set(verdict, mode, *((None, stored) if weights is None else (stored, None)))
 
-    def _set(self, mode: str, weighting: Mixture | None, refutation: Mixture | None) -> None:
-        # Frozen: set once, past __setattr__; a producer calls it on cls.__new__(cls).
+    def _set(self, verdict: str, mode: str, weighting, refutation) -> "RobustnessCertificate":
+        # Frozen._set, unrolled: a producer calls it on cls.__new__(cls).
         put = object.__setattr__
-        put(self, "verdict", VERDICT_ROBUST if refutation is None else VERDICT_NOT_ROBUST)
+        put(self, "verdict", verdict)
         put(self, "mode", mode)
         put(self, "weighting", weighting)
         put(self, "refutation", refutation)
+        return self
 
     @property
     def weights(self) -> tuple[Fraction, ...] | None:
@@ -141,17 +132,6 @@ def agreement_matrix(rule: VotingRule, pset: DistributionSet) -> list[list[int |
     return [list(row) for row in zip(*columns)]
 
 
-def extreme_supports(rule, pset: DistributionSet):
-    """The points of certificates.robustness_problem for pset: None for the
-    2^n point masses in profile order, else each extreme point's support."""
-    if rule.n != pset.n:
-        raise ValueError(f"rule has n={rule.n} but distribution set has n={pset.n}")
-    if len(pset) == 2**rule.n and all(
-            dist.masses == ((k, 1),) for k, dist in enumerate(pset.extreme_points)):
-        return None
-    return [dist.support for dist in pset.extreme_points]
-
-
 def _certificate(rule, mode: str, weights=None, mixture: Mixture | None = None,
                  scale: int = 1, points=None) -> RobustnessCertificate:
     """The certificate for whichever is given, weights (integer numerators
@@ -160,9 +140,9 @@ def _certificate(rule, mode: str, weights=None, mixture: Mixture | None = None,
     masses, scale = (None, scale) if mixture is None else (mixture.masses, mixture.scale)
     found = robustness_problem(rule, mode == MODE_STRICT, weights, masses, points, scale)
     require(found is None, f"robustness certificate: {found}")
-    cert = RobustnessCertificate.__new__(RobustnessCertificate)
-    cert._set(mode, weights and Mixture.in_lowest_terms(weights, scale), mixture)
-    return cert
+    verdict = VERDICT_ROBUST if mixture is None else VERDICT_NOT_ROBUST
+    return RobustnessCertificate.__new__(RobustnessCertificate)._set(
+        verdict, mode, weights and Mixture.in_lowest_terms(weights, scale), mixture)
 
 
 def _certify_by_lp(rule: VotingRule, mode: str,
@@ -250,10 +230,13 @@ def _screen(rule: VotingRule, mode: str):
     return None
 
 
-def survives_strict_screen(n: int, t: int) -> bool:
-    """Whether table t escapes the screen's strict refutations (a twin or a
-    violation pair), as every robust rule does: it is self-dual and monotone."""
-    return STRUCTURAL_PREDICATES["self_dual"](n, t) and STRUCTURAL_PREDICATES["monotone"](n, t)
+def is_robust_table(n: int, t: int, mode: str = MODE_STRICT) -> bool:
+    """Whether the rule of table integer t on n individuals is robust in mode
+    over all distributions; strict, only a self-dual monotone t is certified,
+    as only it escapes the screen's refutations (a twin or a violation pair)."""
+    if mode == MODE_STRICT and (twin_set(n, t) or any(violation_sets(n, t))):
+        return False
+    return certify_p_robust_full(table_rule(n, t), mode).verdict == VERDICT_ROBUST
 
 
 def certify_p_robust(

@@ -28,13 +28,19 @@ from itertools import chain
 from math import gcd
 
 from .certificates import (
+    MODE_STRICT,
+    MODE_WEAK,
+    MODES,
     SIGN_CLASS_NONNEGATIVE,
     SIGN_CLASS_POSITIVE,
     SIGN_CLASSES,
     TIE_MODES,
     TIES_ALLOWED,
     TIES_FORBIDDEN,
+    VERDICT_NOT_ROBUST,
+    VERDICT_ROBUST,
     attains,
+    extreme_supports,
     game_problem,
     improves,
     in_sign_class,
@@ -53,6 +59,7 @@ from .core import (
     RandomVotingRule,
     VotingRule,
     _json_n,
+    degenerate_agreement_matrix,
     enumerate_tables,
     is_anonymous,
     is_dictatorship,
@@ -64,15 +71,6 @@ from .core import (
     parse_rational,
     rational_list,
     rational_parts,
-)
-from .robustness import (
-    MODE_STRICT,
-    MODE_WEAK,
-    MODES,
-    VERDICT_NOT_ROBUST,
-    VERDICT_ROBUST,
-    degenerate_agreement_matrix,
-    extreme_supports,
 )
 
 # efficiency, gamma_mechanism and respond are imported by the checkers of
@@ -557,7 +555,7 @@ def verify_report(report) -> list[str]:
     command = report.get("command")
     if command == "verify":
         return ["verify reports carry no certificate to re-check"]
-    check = _CHECKS.get(command)
+    check = _CHECKS.get(command) if isinstance(command, str) else None
     if check is None:
         return [f"command: unknown report kind {command!r}"]
     try:

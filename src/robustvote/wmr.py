@@ -20,7 +20,6 @@ weighting or the alternative's row side) and checked in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .certificates import (
@@ -36,6 +35,7 @@ from .certificates import (
     weights_represent,
 )
 from .core import (
+    Frozen,
     VotingRule,
     is_anonymous,
     is_dictatorship,
@@ -56,18 +56,17 @@ from .robustness import (
 )
 
 
-@dataclass(frozen=True)
-class WmrQuery:
+class WmrQuery(Frozen):
     """Which representation is being asked for."""
 
-    sign_class: str = SIGN_CLASS_NONNEGATIVE
-    ties: str = TIES_ALLOWED
+    _fields = ("sign_class", "ties")
 
-    def __post_init__(self) -> None:
-        if self.sign_class not in SIGN_CLASSES:
-            raise ValueError(f"unknown sign class {self.sign_class!r}")
-        if self.ties not in TIE_MODES:
-            raise ValueError(f"unknown tie mode {self.ties!r}")
+    def __init__(self, sign_class: str = SIGN_CLASS_NONNEGATIVE, ties: str = TIES_ALLOWED) -> None:
+        if sign_class not in SIGN_CLASSES:
+            raise ValueError(f"unknown sign class {sign_class!r}")
+        if ties not in TIE_MODES:
+            raise ValueError(f"unknown tie mode {ties!r}")
+        self._set(sign_class, ties)
 
 
 # Nonnegative weights are robustness weights over the point masses: strict

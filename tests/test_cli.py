@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from robustvote import cli
+from robustvote import cli, robustness
 from robustvote.certificates import InternalError
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
@@ -102,7 +102,7 @@ class TestExitCodes:
         def broken(*args):
             raise failure
 
-        monkeypatch.setattr(cli, "certify_p_robust", broken)
+        monkeypatch.setattr(robustness, "certify_p_robust", broken)
         code = cli.main(["certify", "--rule=---+", "--pset=degenerates"])
         out, err = capsys.readouterr()
         assert code == 3
@@ -115,6 +115,25 @@ class TestDiagnostics:
         proc = run(["respond", "--rule=---+-+++", "--dist", "nope.json"])
         assert proc.returncode == 2
         assert "dist" in proc.stderr and "nope.json" in proc.stderr
+
+    @pytest.mark.parametrize("field, argv, stdin", [
+        ("report", ["verify", "--report"], False),
+        ("rule", ["classify", "--rule"], False),
+        ("dist", ["respond", "--rule=-+", "--dist"], False),
+        ("pset", ["certify", "--rule=-+", "--pset"], False),
+        ("report", ["verify", "--report"], True),
+    ])
+    def test_undecodable_bytes_name_the_field_and_path(self, tmp_path, field, argv, stdin):
+        data = b'{"n": 1, "table": "\xff"}'
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        path = "-" if stdin else str(bad)
+        proc = subprocess.run([sys.executable, "-m", "robustvote", *argv, path],
+                              input=data if stdin else None, capture_output=True, timeout=120)
+        assert proc.returncode == 2
+        err = proc.stderr.decode()
+        assert err.startswith(f"error: {field}: {path!r} is not UTF-8 text: ")
+        assert err.count("\n") == 1
 
     def test_bad_rational_names_the_field(self, tmp_path):
         bad = tmp_path / "d.json"
@@ -231,6 +250,13 @@ class TestVerifySubcommand:
         proc = run(["classify", "--rule=-------+", "--quiet"])
         code, verdict, _ = run_json(["verify", "--report", "-"], stdin=proc.stdout)
         assert code == 0 and verdict["ok"] is True
+
+    def test_a_command_that_is_no_string_exits_one(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps({"schema": "robustvote/1", "command": ["certify"]}))
+        code, verdict, _ = run_json(["verify", "--report", str(path)])
+        assert code == 1
+        assert verdict["problems"] == ["command: unknown report kind ['certify']"]
 
     def test_tampered_report_exits_one(self, tmp_path):
         proc = run(["certify", "--rule=---+-+++", "--pset", "degenerates", "--quiet"])

@@ -89,6 +89,56 @@ def test_verify_of_a_gamma_witness_report_loads_no_solver(tmp_path, capsys):
                 for name in ("lp", "efficiency", "random_rules", "wmr")} & loaded
 
 
+# Modules no `verify` loads: the dataclass machinery with what it imports,
+# and the robustness producers.
+NEVER_LOADED_BY_VERIFY = ("dataclasses", "inspect", "typing", "robustvote.robustness")
+
+# One report of each kind in the benchmark's replay mix.
+REPLAY_KINDS = [
+    ["certify", "--rule=---+-+++", "--pset=degenerates"],
+    ["certify", "--rule=-+-++--+", "--pset=degenerates", "--weak"],
+    ["wmr", "--rule=---+-+++", "--ties=none"],
+    ["respond", "--rule=-+-++--+", "--dist=uniform"],
+    ["rtf", "--weights=1,2,3", "--dist=uniform"],
+    *(["efficiency", "--rule=-------+", "--dist=uniform", f"--mode={mode}"]
+      for mode in ("strict", "plain", "weak")),
+    ["dominance", "--a=-+-++--+", "--b=---+-+++", "--dist=uniform"],
+    ["gamma-witness", "--rule=---+-+++"],
+    ["classify", "--rule=---+-+++"],
+    ["enumerate", "--n=3", "--predicate=self_dual"],
+    ["enumerate", "--n=3", "--predicate=monotone"],
+    ["epsilon", "--n=3"],
+]
+
+
+def test_verify_of_every_replay_kind_loads_no_dataclass_machinery(tmp_path, capsys):
+    # -S keeps site-packages' own imports out of the count.
+    random_rule = tmp_path / "random-rule.json"
+    random_rule.write_text(json.dumps({"n": 2, "table": ["1/2", "-1/4", "3/4", "-1"]}))
+    commands = REPLAY_KINDS + [[kind, "--rule", str(random_rule)]
+                               for kind in ("random-certify", "random-dominate")]
+    paths = []
+    for k, argv in enumerate(commands):
+        assert cli.main(argv + ["--quiet"]) in (0, 1), argv
+        paths.append(tmp_path / f"report-{k}.json")
+        paths[-1].write_text(capsys.readouterr().out, encoding="utf-8")
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from robustvote import cli\n"
+        f"for path in {[str(p) for p in paths]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        cli.main(['verify', '--report', path, '--quiet'])\n"
+        "    assert json.loads(out.getvalue())['ok'], out.getvalue()\n"
+        f"print(json.dumps([m for m in {NEVER_LOADED_BY_VERIFY!r} if m in sys.modules]))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SOURCE, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_every_public_name_is_its_home_modules_object():
     assert len(robustvote.__all__) == len(set(robustvote.__all__)) == 66
     for name in robustvote.__all__:

@@ -2,7 +2,6 @@
 before any LP: it must agree with the LP on every rule it decides, and it
 must decide the rules its certificates exist for without the LP."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -250,7 +249,7 @@ def test_an_n16_refutation_is_dense_only_when_read(monkeypatch, mode):
     # Screened and checked in integers: no Fraction, and the certificate
     # holds its support, not a 2^n-entry sequence.
     assert fractions.count == 0
-    held = [getattr(cert, field.name) for field in dataclasses.fields(cert)]
+    held = [getattr(cert, name) for name in cert._fields]
     assert cert.verdict == VERDICT_NOT_ROBUST
     assert all(len(value) < size for value in held if isinstance(value, tuple))
     dense = spread_dense(size, profiles)

@@ -88,6 +88,11 @@ class TestStructuralRejections:
         problems = verify_report({"schema": SCHEMA, "command": "summon"})
         assert problems == ["command: unknown report kind 'summon'"]
 
+    @pytest.mark.parametrize("command", [["certify"], {"certify": 1}, None])
+    def test_a_command_that_is_no_string_is_unknown(self, command):
+        problems = verify_report({"schema": SCHEMA, "command": command})
+        assert problems == [f"command: unknown report kind {command!r}"]
+
     def test_verify_reports_are_not_verifiable(self, reports):
         report = {"schema": SCHEMA, "command": "verify", "ok": True}
         problems = verify_report(report)
