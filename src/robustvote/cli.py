@@ -428,104 +428,79 @@ def _cmd_verify(args):
 # Parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="robustvote",
-        description=(
-            "Exact analysis of binary collective choice rules: "
-            "responsiveness, robustness certificates, weighted majority "
-            "detection, efficiency, and the heterogeneity thresholds. "
-            "All output is JSON on stdout; summaries go to stderr."
-        ),
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# Each subcommand's handler, help line and flags, in --help order; every
+# subcommand takes --quiet before its own flags.
+_RULE = ("--rule", dict(required=True, help="rule file or truth table"))
+_RANDOM_RULE = ("--rule", dict(required=True, help="random rule file or truth table"))
+_DIST = ("--dist", dict(required=True, help="distribution file, or the literal 'uniform'"))
+_N = ("--n", dict(type=int, required=True, help="number of individuals"))
 
-    def add(name, handler, help_text):
+_SUBCOMMANDS = {
+    "classify": (_cmd_classify,
+                 "full report: structural traits plus robustness certificates", [_RULE]),
+    "certify": (_cmd_certify, "robustness over a finitely generated set of distributions", [
+        _RULE,
+        ("--pset", dict(required=True,
+                        help="extreme-point set file, or the literal 'degenerates'")),
+        ("--weak", dict(action="store_true",
+                        help="require responsiveness at least one half instead of above it")),
+    ]),
+    "respond": (_cmd_respond, "responsiveness of a rule under a distribution", [_RULE, _DIST]),
+    "rtf": (_cmd_rtf, "maximum weighted responsiveness over all rules", [
+        ("--weights", dict(required=True,
+                           help="comma-separated rationals, one per individual")),
+        ("--signs", dict(default="free",
+                         help="sign class of the weights: free, nonneg, or positive")),
+        _DIST,
+    ]),
+    "wmr": (_cmd_wmr, "weighted majority representation search", [
+        _RULE,
+        ("--signs", dict(default="nonneg", help="weight sign class: free, nonneg, or positive")),
+        ("--ties", dict(default="allowed",
+                        help="tie handling: allowed, or none to forbid zero sums")),
+    ]),
+    "efficiency": (_cmd_efficiency, "efficiency of a rule against all random rules", [
+        _RULE, _DIST,
+        ("--mode", dict(default="strict", help="notion to decide: strict, plain, or weak")),
+    ]),
+    "dominance": (_cmd_dominance,
+                  "componentwise comparison of two rules under a distribution", [
+        ("--a", dict(required=True, help="first rule file or truth table")),
+        ("--b", dict(required=True, help="second rule file or truth table")),
+        _DIST,
+    ]),
+    "random-certify": (_cmd_random_certify, "distribution-free robustness of a random rule",
+                       [_RANDOM_RULE]),
+    "random-dominate": (_cmd_random_dominate,
+                        "search for a deterministic rule beating a random one", [_RANDOM_RULE]),
+    "enumerate": (_cmd_enumerate, "enumerate rules satisfying a predicate", [
+        _N,
+        ("--predicate", dict(default="all", help="one of " + ", ".join(PREDICATES))),
+        ("--count", dict(action="store_true",
+                         help="emit the count only, omitting the table list")),
+    ]),
+    "epsilon": (_cmd_epsilon,
+                "heterogeneity thresholds with the binding rule's game certificate", [_N]),
+    "gamma-witness": (_cmd_gamma_witness,
+                      "utility mixture under which a dictatorless rule never pays", [_RULE]),
+    "verify": (_cmd_verify, "re-check a previously emitted report without any solving", [
+        ("--report", dict(required=True, help="report file, or - for stdin")),
+    ]),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="robustvote", description=(
+        "Exact analysis of binary collective choice rules: responsiveness, robustness "
+        "certificates, weighted majority detection, efficiency, and the heterogeneity "
+        "thresholds. All output is JSON on stdout; summaries go to stderr."))
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (handler, help_text, flags) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
-        cmd.add_argument(
-            "--quiet", action="store_true", help="suppress the stderr summary line"
-        )
-        return cmd
-
-    cmd = add("classify", _cmd_classify,
-              "full report: structural traits plus robustness certificates")
-    cmd.add_argument("--rule", required=True, help="rule file or truth table")
-
-    cmd = add("certify", _cmd_certify,
-              "robustness over a finitely generated set of distributions")
-    cmd.add_argument("--rule", required=True, help="rule file or truth table")
-    cmd.add_argument(
-        "--pset", required=True,
-        help="extreme-point set file, or the literal 'degenerates'",
-    )
-    cmd.add_argument(
-        "--weak", action="store_true",
-        help="require responsiveness at least one half instead of above it",
-    )
-
-    cmd = add("respond", _cmd_respond, "responsiveness of a rule under a distribution")
-    cmd.add_argument("--rule", required=True, help="rule file or truth table")
-    cmd.add_argument("--dist", required=True,
-                     help="distribution file, or the literal 'uniform'")
-
-    cmd = add("rtf", _cmd_rtf, "maximum weighted responsiveness over all rules")
-    cmd.add_argument("--weights", required=True,
-                     help="comma-separated rationals, one per individual")
-    cmd.add_argument("--signs", default="free",
-                     help="sign class of the weights: free, nonneg, or positive")
-    cmd.add_argument("--dist", required=True,
-                     help="distribution file, or the literal 'uniform'")
-
-    cmd = add("wmr", _cmd_wmr, "weighted majority representation search")
-    cmd.add_argument("--rule", required=True, help="rule file or truth table")
-    cmd.add_argument("--signs", default="nonneg",
-                     help="weight sign class: free, nonneg, or positive")
-    cmd.add_argument("--ties", default="allowed",
-                     help="tie handling: allowed, or none to forbid zero sums")
-
-    cmd = add("efficiency", _cmd_efficiency,
-              "efficiency of a rule against all random rules")
-    cmd.add_argument("--rule", required=True, help="rule file or truth table")
-    cmd.add_argument("--dist", required=True,
-                     help="distribution file, or the literal 'uniform'")
-    cmd.add_argument("--mode", default="strict",
-                     help="notion to decide: strict, plain, or weak")
-
-    cmd = add("dominance", _cmd_dominance,
-              "componentwise comparison of two rules under a distribution")
-    cmd.add_argument("--a", required=True, help="first rule file or truth table")
-    cmd.add_argument("--b", required=True, help="second rule file or truth table")
-    cmd.add_argument("--dist", required=True,
-                     help="distribution file, or the literal 'uniform'")
-
-    cmd = add("random-certify", _cmd_random_certify,
-              "distribution-free robustness of a random rule")
-    cmd.add_argument("--rule", required=True, help="random rule file or truth table")
-
-    cmd = add("random-dominate", _cmd_random_dominate,
-              "search for a deterministic rule beating a random one")
-    cmd.add_argument("--rule", required=True, help="random rule file or truth table")
-
-    cmd = add("enumerate", _cmd_enumerate, "enumerate rules satisfying a predicate")
-    cmd.add_argument("--n", type=int, required=True, help="number of individuals")
-    cmd.add_argument("--predicate", default="all",
-                     help="one of " + ", ".join(PREDICATES))
-    cmd.add_argument("--count", action="store_true",
-                     help="emit the count only, omitting the table list")
-
-    cmd = add("epsilon", _cmd_epsilon,
-              "heterogeneity thresholds with the binding rule's game certificate")
-    cmd.add_argument("--n", type=int, required=True, help="number of individuals")
-
-    cmd = add("gamma-witness", _cmd_gamma_witness,
-              "utility mixture under which a dictatorless rule never pays")
-    cmd.add_argument("--rule", required=True, help="rule file or truth table")
-
-    cmd = add("verify", _cmd_verify,
-              "re-check a previously emitted report without any solving")
-    cmd.add_argument("--report", required=True, help="report file, or - for stdin")
-
+        cmd.add_argument("--quiet", action="store_true", help="suppress the stderr summary line")
+        for flag, options in flags:
+            cmd.add_argument(flag, **options)
     return parser
 
 

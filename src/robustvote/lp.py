@@ -23,11 +23,12 @@ them.
 
 The tableau is fraction-free: sparse integer rows over one common
 denominator, the basis determinant, updated by Bareiss pivots whose
-divisions are exact. Integer systems enter as integers and rational ones
-scaled row by row. Witnesses and duals are read, checked and stored as
-integer numerators; Fractions are formed only when a caller reads a vector,
-or once for a game's answer. Each answer carries SolveStats (shape, pivots,
-widest entry), which take no part in equality.
+divisions are exact. Every row enters by `_Tableau(ncols).add_row`, which
+tests it for ints once and scales a rational one to integers. Witnesses and
+duals are read, checked and stored as integer numerators; Fractions are
+formed only when a caller reads a vector, or once for a game's answer. Each
+answer carries SolveStats (shape, pivots, widest entry), which take no part
+in equality.
 """
 
 from __future__ import annotations
@@ -49,17 +50,7 @@ from .certificates import (
 from .core import Frozen, Mixture, over_common_denominator
 
 _RELATIONS = (REL_GE, REL_GT)
-_EXACT = {int, Fraction}
 _INT = {int}
-
-
-def _rationals(values) -> tuple[int | Fraction, ...]:
-    """Ints stay ints, so integer systems reach the solver as integers, and
-    anything else but a Fraction becomes one."""
-    values = tuple(values)
-    if _EXACT.issuperset(map(type, values)):
-        return values
-    return tuple(v if type(v) is int else Fraction(v) for v in values)
 
 
 class LinearRow(Frozen):
@@ -70,7 +61,7 @@ class LinearRow(Frozen):
     def __init__(self, coeffs: Sequence[int | Fraction], relation: str) -> None:
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {relation!r}")
-        self._set(_rationals(coeffs), relation)
+        self._set(tuple(coeffs), relation)
 
 
 class LinearSystem(Frozen):
@@ -137,11 +128,11 @@ class _Tableau:
     as integer numerators over that denominator, with it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, ncols: int) -> None:
         self.rows: list[dict[int, int]] = []
         self.b: list[int] = []  # the right-hand column
         self.den = 1
-        self.ncols = 0
+        self.ncols = ncols  # the variables; each row adds its slack after them
         self.basis: list[int] = []
         self.init_col: list[int] = []  # identity column of each row at start
         self.costs: dict[int, int] = {}
@@ -149,18 +140,26 @@ class _Tableau:
         self.zb = 0
         self.pivots = 0
 
-    def add_column(self) -> int:
-        self.ncols += 1
-        return self.ncols - 1
-
-    def add_row(self, coeffs: dict[int, int], b: int, slack: int) -> None:
-        """Append an equality row of ints, its nonzero entries and b >= 0,
-        whose slack, a +1 unit column among them, starts the basis."""
+    def add_row(self, coeffs: dict[int, int | Fraction], b: int = 0) -> int:
+        """Append coeffs + slack = b >= 0, coeffs the row's nonzero entries,
+        the slack a new +1 unit column that starts the basis.  A row with
+        other entries than ints is multiplied, b with it, by the lcm s of
+        their denominators, its slack standing for s times its own: no ratio
+        and no sign of a reduced cost changes, so neither does a pivot, and
+        the row's dual is divided by s, which is returned."""
         require(b >= 0, "solver: row with a negative right-hand side")
+        scale = 1
+        if not _INT.issuperset(map(type, coeffs.values())):
+            scale = lcm(*(v.denominator for v in coeffs.values()))
+            coeffs = {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items()}
+        slack = self.ncols
+        self.ncols += 1
+        coeffs[slack] = 1
         self.rows.append(coeffs)
-        self.b.append(b)
+        self.b.append(b * scale)
         self.basis.append(slack)
         self.init_col.append(slack)
+        return scale
 
     def _pivot(self, r: int, e: int) -> None:
         rows, b = self.rows, self.b
@@ -269,17 +268,15 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     nvars = system.num_vars
     strict = any(row.relation == REL_GT for row in system.rows)
     delta = nvars  # its column, when some row is strict
-    tab = _Tableau()
-    for _ in range(nvars + strict):
-        tab.add_column()
+    tab = _Tableau(nvars + strict)
     scales = []
     for row in system.rows:
         coeffs = {j: -c for j, c in enumerate(row.coeffs) if c}
         if row.relation == REL_GT:
             coeffs[delta] = 1
-        scales.append(_add_slack_row(tab, coeffs, 0))
+        scales.append(tab.add_row(coeffs))
     if strict:
-        _add_slack_row(tab, {delta: 1}, 1)
+        tab.add_row({delta: 1}, 1)
         costs = [0] * tab.ncols
         costs[delta] = -1
         tab.run(costs)
@@ -293,22 +290,6 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     witness = [point.get(j, 0) for j in range(nvars)]
     require(satisfies(system, witness), "solver: witness fails substitution")
     return FeasibilityResult(True, witness, None, tab.stats(), den)
-
-
-def _add_slack_row(tab: _Tableau, coeffs: dict[int, int | Fraction], b: int) -> int:
-    """coeffs + slack = b, the slack a new column that starts the basis, in
-    integers: a row with other entries than ints is multiplied, b with it,
-    by the lcm s of their denominators, its slack standing for s times its
-    own.  No sign of a reduced cost and no ratio changes, so neither does a
-    pivot, and the row's dual is divided by s, which is returned."""
-    scale = 1
-    if not _INT.issuperset(map(type, coeffs.values())):
-        scale = lcm(*(v.denominator for v in coeffs.values()))
-        coeffs = {j: v.numerator * (scale // v.denominator) for j, v in coeffs.items()}
-    slack = tab.add_column()
-    coeffs[slack] = 1
-    tab.add_row(coeffs, b * scale, slack)
-    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +321,8 @@ class AlternativeResult(Frozen):
         return self.column_side and self.column_side.probs
 
 
-def _as_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[int | Fraction, ...]]:
-    rows = list(map(_rationals, matrix))
+def _as_matrix(matrix: Sequence[Sequence[Fraction]]) -> list[Sequence[int | Fraction]]:
+    rows = list(matrix)
     if not rows or not rows[0]:
         raise ValueError("the matrix must be nonempty")
     if any(len(row) != len(rows[0]) for row in rows):
@@ -361,7 +342,7 @@ def _normalized(values) -> Mixture:
 def _solve_cone(rows, relations) -> FeasibilityResult:
     """Solve row . z (relation) 0 for each row, over z >= 0."""
     return solve_feasibility(LinearSystem(
-        len(rows[0]), tuple(LinearRow(tuple(row), rel) for row, rel in zip(rows, relations))))
+        len(rows[0]), tuple(LinearRow(row, rel) for row, rel in zip(rows, relations))))
 
 
 def alternative_strict(matrix: Sequence[Sequence[Fraction]]) -> AlternativeResult:
@@ -441,10 +422,8 @@ def matrix_game(matrix: Sequence[Sequence[Fraction]]) -> GameSolution:
     m = len(rows[0])
     low = min(map(min, rows))
     k = 1 - low if low < 1 else 0
-    tab = _Tableau()
-    for _ in range(m):
-        tab.add_column()
-    scales = [_add_slack_row(tab, {j: a + k for j, a in enumerate(row)}, 1) for row in rows]
+    tab = _Tableau(m)
+    scales = [tab.add_row({j: a + k for j, a in enumerate(row)}, 1) for row in rows]
     tab.run([-1] * m + [0] * len(rows))
     sol, den = tab.solution()
     z = [sol.get(j, 0) for j in range(m)]

@@ -1,9 +1,12 @@
 """The dense Fraction simplex tableau that robustvote.lp used before its
 fraction-free rewrite, kept verbatim as a reference engine for the tests.
 
-`Reference` plugs it into the encodings of robustvote.lp in place of the
-fraction-free `_Tableau` (see tests/test_fraction_free.py), so both
-engines answer the same standard forms and must agree entry for entry.
+`Reference` adapts it to the fraction-free `_Tableau`'s one entry,
+`_Tableau(ncols)` then `add_row(coeffs, b=0)` per row, and plugs it into the
+encodings of robustvote.lp in its place (see tests/test_fraction_free.py),
+so both engines answer the same standard forms and must agree entry for
+entry.  The adapter gives each row its slack column, as `add_row` does, but
+keeps the row's rationals unscaled and so returns the scale 1.
 """
 
 from __future__ import annotations
@@ -156,8 +159,22 @@ class _Tableau:
 
 class Reference(_Tableau):
     """The reference engine under the hooks the fraction-free tableau adds.
-    Its readers give the dense tableau's rationals as the fraction-free ones
-    give theirs: integer numerators over one denominator, with it."""
+    It is entered as that one is, `Reference(ncols)` then `add_row` per row,
+    and its readers give the dense tableau's rationals as the fraction-free
+    ones give theirs: integer numerators over one denominator, with it."""
+
+    def __init__(self, ncols: int) -> None:
+        super().__init__()
+        for _ in range(ncols):
+            self.add_column()
+
+    def add_row(self, coeffs: dict[int, Fraction], b: Fraction = 0) -> int:
+        """coeffs + slack = b, the slack a new unit column that starts the
+        basis.  The row keeps its rationals, so its dual needs no rescaling:
+        the scale returned is 1."""
+        slack = self.add_column()
+        super().add_row({**coeffs, slack: _ONE}, b, slack)
+        return 1
 
     def run(self, costs: list[Fraction]) -> None:
         """One run from a feasible basis: nothing is barred."""

@@ -1,12 +1,12 @@
-"""Only `lp` builds linear systems: every other module asks its questions
-through the theorems of the alternative and the matrix game."""
+"""Only `lp` builds linear systems and tableaux: every other module asks
+its questions through the theorems of the alternative and the matrix game."""
 
 import ast
 from pathlib import Path
 
 import robustvote
 
-SOLVER_NAMES = {"LinearRow", "LinearSystem", "solve_feasibility"}
+SOLVER_NAMES = {"LinearRow", "LinearSystem", "_Tableau", "solve_feasibility"}
 
 
 def _names(tree: ast.AST):
